@@ -135,25 +135,42 @@ def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -
     return dets
 
 
-def encode_object(tensor: np.ndarray, shape: GridShape, box: Box, class_id: int,
-                  obj_logit: float, class_margin: float = 4.0) -> tuple[int, int]:
-    """Write one object into the cell containing its center; returns (row, col).
+def encode_objects(tensor: np.ndarray, shape: GridShape,
+                   boxes: list[tuple[float, float, float, float]], class_ids: list[int],
+                   obj_logits: list[float], class_margin: float = 4.0) -> list[tuple[int, int]]:
+    """Write objects, given as (cx, cy, w, h), into the cells containing their
+    centers; returns each object's (row, col).
 
-    Inverse of decode_tensor's box mapping, so decode(encode(x)) round-trips
-    box coordinates up to the logit clip.
+    Objects are written in order, so where two share a cell the later one
+    wins.  Inverse of decode_tensor's box mapping, so decode(encode(x))
+    round-trips box coordinates up to the logit clip.
     """
     s = shape.s
-    col = min(int(box.cx * s), s - 1)
-    row = min(int(box.cy * s), s - 1)
-    tensor[row, col, 0] = obj_logit
-    tensor[row, col, 1] = logit(box.cx * s - col)
-    tensor[row, col, 2] = logit(box.cy * s - row)
-    tensor[row, col, 3] = logit(box.w)
-    tensor[row, col, 4] = logit(box.h)
-    cls = np.full(shape.c, -class_margin)
-    cls[class_id] = class_margin
-    tensor[row, col, 5:] = cls
-    return row, col
+    cells = [(min(int(cy * s), s - 1), min(int(cx * s), s - 1)) for cx, cy, _, _ in boxes]
+    # writing only each cell's last object leaves the same tensor as writing
+    # all of them in order, and keeps the fancy-indexed write below free of
+    # repeated indices, whose order numpy does not define
+    last = list({cell: i for i, cell in enumerate(cells)}.values())
+    if not last:
+        return cells
+    values = []
+    for i in last:
+        (cx, cy, w, h), (row, col) = boxes[i], cells[i]
+        classes = [-class_margin] * shape.c
+        classes[class_ids[i]] = class_margin
+        values.append([obj_logits[i], cx * s - col, cy * s - row, w, h, *classes])
+    block = np.array(values)
+    block[:, 1:5] = logit(block[:, 1:5])
+    rows, cols = zip(*(cells[i] for i in last))
+    tensor[np.array(rows), np.array(cols)] = block
+    return cells
+
+
+def encode_object(tensor: np.ndarray, shape: GridShape, box: Box, class_id: int,
+                  obj_logit: float, class_margin: float = 4.0) -> tuple[int, int]:
+    """Write one object into the cell containing its center; returns (row, col)."""
+    return encode_objects(tensor, shape, [(box.cx, box.cy, box.w, box.h)], [class_id],
+                          [obj_logit], class_margin)[0]
 
 
 def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:

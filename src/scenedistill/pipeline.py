@@ -15,6 +15,7 @@ import queue
 import sys
 import threading
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .selector import (
     SceneChangeSelector,
     SelectorConfig,
 )
-from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame
+from .simstream import FrameRecord, OracleNoiseSpec, atomic_open, oracle_for_frame
 
 MODES = ("sequential", "parallel", "frozen_student", "mixed", "oracle_only")
 SELECTORS = ("adaptive", "random", "scene_change", "periodic", "never")
@@ -308,8 +309,8 @@ def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfi
                 if fb.error is None:
                     rt.store.commit(new_params)
                 done.put(fb)
-        except Exception as e:  # surfaced to the inference loop
-            worker_error.append(f"{type(e).__name__}: {e}")
+        except Exception as e:  # surfaced to the inference loop, traceback included
+            worker_error.append(f"{type(e).__name__}: {e}\n{traceback.format_exc()}")
 
     thread = threading.Thread(target=worker, name="distill-worker", daemon=True)
     thread.start()
@@ -367,8 +368,16 @@ def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfi
             latencies.append(time.perf_counter() - t0)
         elapsed = time.perf_counter() - t_start
 
-        work.put(_SENTINEL)
-        thread.join(timeout=30.0)
+        # a worker that died leaves its queue full for good, so offer the
+        # sentinel only while the worker is alive
+        deadline = time.monotonic() + 30.0
+        while thread.is_alive() and time.monotonic() < deadline:
+            try:
+                work.put(_SENTINEL, timeout=0.05)
+                break
+            except queue.Full:
+                pass
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(old_switch)
     if thread.is_alive():
@@ -435,7 +444,7 @@ def checkpoint_save(path: str, decoder: DecoderParams, selector: AdaptiveSelecto
             },
             "rng_state": selector.rng.bit_generator.state,
         }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         json.dump(doc, f)
 
 

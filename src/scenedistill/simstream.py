@@ -6,19 +6,24 @@ position and size, over a low-amplitude noise background.  Scenes follow
 each other with linear feature blending across a short transition window.
 The synthetic oracle emits near-ground-truth logit tensors with jittered
 boxes, occasional class flips, and sub-threshold spurious objectness on
-empty cells (persistent per scene, so it behaves like the systematic noise
-a real heavy detector produces in a fixed environment).
+empty cells, like the systematic noise a real heavy detector produces in a
+fixed environment.  The spurious layout depends on the seed, the scene and
+the set of cells that hold objects, so within a scene it stays put until an
+object enters or leaves a cell, and then shifts (ROADMAP item 3).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
+from collections.abc import Container
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import Box, GridShape, GroundTruthObject, encode_object
+from .detection import Box, GridShape, GroundTruthObject, encode_objects
 from .models import FeatureFrame
 
 SIGNATURE_SEED = 90131  # class signatures are global, not per stream
@@ -264,44 +269,99 @@ def synth_oracle(gt: list[GroundTruthObject], noise: OracleNoiseSpec, shape: Gri
     the spurious detections so a caller can keep them stable across frames;
     by default everything is drawn from rng.
     """
-    if layout_rng is None:
-        layout_rng = rng
-    s = shape.s
-    tensor = np.zeros((s, s, shape.channels))
-    tensor[:, :, 0] = noise.empty_logit
+    by_cell = _objects_by_cell(gt, shape.s)
+    if layout_rng is not None:
+        layout = tuple(_draw_layout(layout_rng, noise.empty_cell_noise_rate,
+                                    noise.noise_logit_range, shape, by_cell))
+        return _render_oracle(layout, by_cell, noise, shape, rng)
+    # one generator: each spurious cell's per-frame draws follow its layout draws
+    layout, draws = [], []
+    for cell in _draw_layout(rng, noise.empty_cell_noise_rate, noise.noise_logit_range,
+                             shape, by_cell):
+        layout.append(cell)
+        draws.append(rng.standard_normal(_draws_per_spurious_cell(noise)).tolist())
+    return _render_oracle(layout, by_cell, noise, shape, rng, draws)
 
+
+def _draws_per_spurious_cell(noise: OracleNoiseSpec) -> int:
+    """Standard normals per spurious detection and frame: wobble, then box jitter."""
+    return (noise.noise_wobble > 0) + 4 * (noise.box_jitter_sigma > 0)
+
+
+def _objects_by_cell(gt: list[GroundTruthObject], s: int) -> dict[tuple[int, int], GroundTruthObject]:
     by_cell: dict[tuple[int, int], GroundTruthObject] = {}
     for obj in gt:
         cell = _cell_of(obj.box, s)
         incumbent = by_cell.get(cell)
         if incumbent is None or _center_dist(obj.box, cell, s) < _center_dist(incumbent.box, cell, s):
             by_cell[cell] = obj
+    return by_cell
 
-    # Spurious detections on empty cells, then true objects on top.
-    lo, hi = noise.noise_logit_range
+
+def _draw_layout(layout_rng, rate: float, logit_range: tuple[float, float], shape: GridShape,
+                 occupied: Container[tuple[int, int]]):
+    """Yield (base_logit, (cx, cy, w, h), class) for each spurious detection.
+
+    Draws lazily, cell by cell, so a caller that shares layout_rng with its
+    per-frame draws interleaves them exactly as one loop would.  A cell in
+    occupied skips its six value draws, which shifts every later cell's
+    values: the layout depends on which cells hold objects (ROADMAP item 3).
+    """
+    s = shape.s
+    lo, hi = logit_range
     for row in range(s):
         for col in range(s):
-            if layout_rng.random() >= noise.empty_cell_noise_rate:
-                continue
-            if (row, col) in by_cell:
+            if layout_rng.random() >= rate or (row, col) in occupied:
                 continue
             base_logit = float(layout_rng.uniform(lo, hi))
             w = float(layout_rng.uniform(0.08, 0.18))
             h = float(layout_rng.uniform(0.08, 0.18))
             cx = (col + float(layout_rng.uniform(0.3, 0.7))) / s
             cy = (row + float(layout_rng.uniform(0.3, 0.7))) / s
-            cls = int(layout_rng.integers(shape.c))
-            wobble = float(rng.normal(0.0, noise.noise_wobble)) if noise.noise_wobble > 0 else 0.0
-            box = _jitter_box(Box(cx, cy, w, h), noise.box_jitter_sigma, rng)
-            encode_object(tensor, shape, box, cls, obj_logit=min(base_logit + wobble, -1e-3))
+            yield base_logit, (cx, cy, w, h), int(layout_rng.integers(shape.c))
 
-    for (row, col), obj in by_cell.items():
+
+@functools.lru_cache(maxsize=1024)
+def _noise_layout(seed: int, scene_id: int, rate: float, logit_range: tuple[float, float],
+                  shape: GridShape, occupied: frozenset[tuple[int, int]]) -> tuple:
+    """oracle_for_frame's spurious detections, drawn once per distinct key."""
+    layout_rng = np.random.default_rng([seed, LAYOUT_TAG, scene_id])
+    return tuple(_draw_layout(layout_rng, rate, logit_range, shape, occupied))
+
+
+def _render_oracle(layout, by_cell: dict[tuple[int, int], GroundTruthObject],
+                   noise: OracleNoiseSpec, shape: GridShape, rng, draws=None) -> np.ndarray:
+    """Spurious detections, then true objects on top.
+
+    rng's per-frame draws come in the order of one loop over the detections:
+    each spurious one's wobble and box jitter, then each true object's class
+    flip and box jitter.  draws holds the spurious detections' standard
+    normals when the caller drew them already; otherwise one call draws them
+    all, which gives the same values because rng.normal(0, scale) is scale
+    times a standard normal.
+    """
+    wobble, sigma = noise.noise_wobble, noise.box_jitter_sigma
+    if draws is None:
+        draws = rng.standard_normal((len(layout), _draws_per_spurious_cell(noise))).tolist()
+    tensor = np.zeros((shape.s, shape.s, shape.channels))
+    tensor[:, :, 0] = noise.empty_logit
+    boxes, classes, logits = [], [], []
+    for (base_logit, box, cls), z in zip(layout, draws):
+        logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
+        boxes.append(_jitter_box(box, sigma, z[-4:]) if sigma > 0 else box)
+        classes.append(cls)
+
+    for obj in by_cell.values():
         cls = obj.class_id
         if noise.class_flip_prob > 0 and rng.random() < noise.class_flip_prob:
             cls = int((cls + 1 + rng.integers(shape.c - 1)) % shape.c) if shape.c > 1 else cls
-        box = _jitter_box(obj.box, noise.box_jitter_sigma, rng)
-        encode_object(tensor, shape, box, cls, obj_logit=noise.obj_logit)
+        b = obj.box
+        box = (b.cx, b.cy, b.w, b.h)
+        boxes.append(_jitter_box(box, sigma, rng.standard_normal(4).tolist()) if sigma > 0 else box)
+        classes.append(cls)
+        logits.append(noise.obj_logit)
 
+    encode_objects(tensor, shape, boxes, classes, logits)
     return tensor
 
 
@@ -310,15 +370,18 @@ def _center_dist(box: Box, cell: tuple[int, int], s: int) -> float:
     return float(np.hypot(box.cx * s - (col + 0.5), box.cy * s - (row + 0.5)))
 
 
-def _jitter_box(box: Box, sigma: float, rng) -> Box:
-    if sigma <= 0:
-        return box
-    j = rng.normal(0.0, sigma, size=4)
-    w = float(np.clip(box.w + j[2], 0.02, 0.98))
-    h = float(np.clip(box.h + j[3], 0.02, 0.98))
-    cx = float(np.clip(box.cx + j[0], w / 2, 1 - w / 2))
-    cy = float(np.clip(box.cy + j[1], h / 2, 1 - h / 2))
-    return Box(cx, cy, w, h)
+def _jitter_box(box: tuple[float, float, float, float], sigma: float,
+                z: list[float]) -> tuple[float, float, float, float]:
+    """Move (cx, cy, w, h) by sigma times the standard normals z, kept inside the image."""
+    cx, cy, w, h = box
+    zx, zy, zw, zh = z
+    # min/max on floats gives np.clip's values for finite inputs, without a
+    # numpy call per coordinate
+    w = min(max(w + sigma * zw, 0.02), 0.98)
+    h = min(max(h + sigma * zh, 0.02), 0.98)
+    cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2)
+    cy = min(max(cy + sigma * zy, h / 2), 1 - h / 2)
+    return cx, cy, w, h
 
 
 def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridShape,
@@ -326,15 +389,19 @@ def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridSha
     """Oracle tensor for one frame: cached if present, else synthesized.
 
     Seeding is a pure function of (seed, scene, frame), so any consumer
-    (sequential or parallel, any call order) sees identical supervision; the
-    noise layout is seeded per scene, making spurious detections persistent
-    within a scene.
+    (sequential or parallel, any call order) sees identical supervision.  The
+    noise layout is seeded per scene but also depends on which cells hold
+    objects, so it shifts when an object enters or leaves a cell (ROADMAP
+    item 3); layouts are cached per (seed, scene, noise rate and range, grid,
+    occupied cells), and every call returns a new tensor.
     """
     if record.oracle_tensor is not None:
         return record.oracle_tensor
+    by_cell = _objects_by_cell(record.gt, shape.s)
+    layout = _noise_layout(seed, record.scene_id, noise.empty_cell_noise_rate,
+                           tuple(noise.noise_logit_range), shape, frozenset(by_cell))
     rng = np.random.default_rng([seed, record.scene_id, record.frame_id])
-    layout_rng = np.random.default_rng([seed, LAYOUT_TAG, record.scene_id])
-    return synth_oracle(record.gt, noise, shape, rng, layout_rng=layout_rng)
+    return _render_oracle(layout, by_cell, noise, shape, rng)
 
 
 def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
@@ -347,6 +414,24 @@ def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: Grid
 
 
 TRACE_VERSION = 1
+
+
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text file to write whose contents replace path only when the block
+    completes; if it raises, path keeps its old bytes and the temp file,
+    written next to path, is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())  # the new bytes are on disk before the rename
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_trace(stream: list[FrameRecord], path: str, feature_dim: int | None = None,
@@ -372,7 +457,7 @@ def write_trace(stream: list[FrameRecord], path: str, feature_dim: int | None = 
         if c is None:
             raise ValueError("grid must be given when no record carries an oracle tensor")
     header = {"version": TRACE_VERSION, "s": s, "c": c, "d": d, "n_frames": len(stream)}
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in stream:
             row = {

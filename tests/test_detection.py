@@ -13,6 +13,7 @@ from scenedistill.detection import (
     GridShape,
     decode_tensor,
     encode_object,
+    encode_objects,
     iou,
     nms,
     partition_cells,
@@ -157,6 +158,34 @@ class TestDecode:
         assert d.box.cy == pytest.approx(box.cy, abs=1e-6)
         assert d.box.w == pytest.approx(box.w, abs=1e-6)
         assert d.box.h == pytest.approx(box.h, abs=1e-6)
+
+    def test_batch_encode_matches_one_at_a_time_reference(self):
+        shape = GridShape(s=4, c=3)
+
+        def reference(tensor, box, class_id, obj_logit):
+            # the per-object scalar encoder, written out
+            s = shape.s
+            col, row = min(int(box[0] * s), s - 1), min(int(box[1] * s), s - 1)
+            tensor[row, col, 0] = obj_logit
+            for k, p in enumerate((box[0] * s - col, box[1] * s - row, box[2], box[3]), start=1):
+                p = np.clip(p, 1e-6, 1 - 1e-6)
+                tensor[row, col, k] = np.log(p / (1.0 - p))
+            tensor[row, col, 5:] = -4.0
+            tensor[row, col, 5 + class_id] = 4.0
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(0, 12))  # 12 boxes on 16 cells: shared cells are common
+            boxes = [tuple(b) for b in rng.uniform(0.0, 1.0, size=(n, 4)).tolist()]
+            classes = rng.integers(shape.c, size=n).tolist()
+            logits = rng.normal(size=n).tolist()
+            want = shape.zeros()
+            for args in zip(boxes, classes, logits):
+                reference(want, *args)
+            got = shape.zeros()
+            cells = encode_objects(got, shape, boxes, classes, logits)
+            assert np.array_equal(got, want)  # later object wins a shared cell
+            assert cells == [(min(int(b[1] * 4), 3), min(int(b[0] * 4), 3)) for b in boxes]
 
 
 def brute_force_nms(dets, iou_threshold):

@@ -1,15 +1,21 @@
 """Pipeline runners: detection merging, both execution modes, non-learning
 baselines, checkpointing."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from scenedistill import pipeline
 from scenedistill.detection import Box, GridShape, decode_tensor, encode_object
 from scenedistill.distill import FeedbackRecord
 from scenedistill.models import FeatureFrame, decoder_forward, init_decoder
 from scenedistill.pipeline import (
     CheckpointError,
     PipelineConfig,
+    PipelineError,
     PipelineReport,
     checkpoint_load,
     checkpoint_save,
@@ -176,6 +182,35 @@ class TestParallelMode:
         helpful = [f for f in report.feedbacks if f["error"] is None and f["delta_l"] < 0]
         assert helpful
 
+    def test_worker_failure_keeps_traceback(self, monkeypatch):
+        def broken_distill_step(*args, **kwargs):
+            time.sleep(0.02)  # inference fills the one-slot queue meanwhile
+            raise RuntimeError("step exploded")
+
+        monkeypatch.setattr(pipeline, "distill_step", broken_distill_step)
+        switch = sys.getswitchinterval()
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
+                       selector_cfg=SelectorConfig(tau=0), queue_capacity=1)
+        raised = []
+
+        def run():
+            try:
+                run_pipeline(make_stream(n=60), GRID, cfg)
+            except PipelineError as e:
+                raised.append(e)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        # a dead worker must not leave the runner blocked on its full queue
+        assert not runner.is_alive()
+        assert len(raised) == 1
+        message = str(raised[0])
+        assert message.startswith("distillation worker failed: RuntimeError: step exploded")
+        assert "Traceback (most recent call last)" in message
+        assert "broken_distill_step" in message
+        assert sys.getswitchinterval() == switch
+
 
 class TestCheckpointing:
     def _selector(self):
@@ -223,6 +258,20 @@ class TestCheckpointing:
         open(path, "w").write(text[: len(text) // 2])
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        sel = self._selector()
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params, sel)
+        before = path.read_bytes()
+        # the decoder weights serialize before the selector's p, so the dump
+        # fails partway through the document
+        sel.p = object()
+        with pytest.raises(TypeError):
+            checkpoint_save(str(path), init_decoder(CFG.feature_dim, 8, GRID, seed=1), sel)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_pipeline_saves_and_resumes_checkpoint(self, tmp_path):
         stream = make_stream(n=150)

@@ -24,6 +24,12 @@ from scenedistill.simstream import (
 
 GRID = GridShape(s=5, c=3)
 CFG = StreamConfig(grid=GRID, feature_dim=8, transition_len=3)
+# the acceptance suite's oracle model, and a heavy one that moves jittered
+# boxes across cells and flips classes often
+QUIET_NOISE = OracleNoiseSpec(empty_cell_noise_rate=0.15, noise_logit_range=(-2.0, -0.4),
+                              box_jitter_sigma=0.002, noise_wobble=0.02, class_flip_prob=0.02)
+HEAVY_NOISE = OracleNoiseSpec(empty_cell_noise_rate=0.5, box_jitter_sigma=0.05,
+                              class_flip_prob=0.3, noise_wobble=0.0)
 
 
 def one_scene(probs=(0.5, 0.3, 0.2), motion=0.005, duration=(40, 60), count=(2, 4)):
@@ -187,6 +193,50 @@ class TestSynthOracle:
         c = oracle_for_frame(stream[5], noise, GRID, seed=7)
         assert np.array_equal((a[:, :, 0] > -6.0), (c[:, :, 0] > -6.0))
 
+    # SHA-256 of every oracle tensor of PIN_STREAM in frame order, taken before
+    # oracle synthesis was rewritten for speed; any change to generated
+    # supervision shows here.  Per spec: (oracle_for_frame, synth_oracle with
+    # one rng and no layout_rng).
+    PIN_DIGESTS = {
+        "default": ("451740262343db5b851825561462d19e97010ecf063a84993e3308b14f5f944f",
+                    "451740262343db5b851825561462d19e97010ecf063a84993e3308b14f5f944f"),
+        "quiet": ("2d3bbb0b52201d78665b5e36f44c72a6f3eedac6592085afffed3dd8e2d34750",
+                  "b1831c9ee761102f42ca7dc4174d7d579b6b2b3c0edc5614a4c9b836131b44cd"),
+        "heavy": ("ea211c31bce8605628a0962753141d22754e74a508cc771ff325e4274cb486bd",
+                  "5a3ba3449af4650a6a83d5ae13250741c88037422ed3df120c073f0d8622a1f2"),
+    }
+
+    @staticmethod
+    def pin_stream():
+        scenes = [
+            SceneSpec(scene_id=0, class_probs=(0.5, 0.3, 0.2), object_count_range=(3, 5),
+                      motion_sigma=0.02, duration_range=(60, 90)),
+            SceneSpec(scene_id=1, class_probs=(0.1, 0.3, 0.6), object_count_range=(3, 5),
+                      motion_sigma=0.02, duration_range=(60, 90)),
+        ]
+        return generate_stream(scenes, 300, CFG, seed=21)
+
+    @pytest.mark.parametrize("name", ["default", "quiet", "heavy"])
+    def test_oracle_tensors_match_pinned_digests(self, name):
+        noise = {"default": OracleNoiseSpec(), "quiet": QUIET_NOISE, "heavy": HEAVY_NOISE}[name]
+        stream = self.pin_stream()
+        per_frame = hashlib.sha256()
+        for rec in stream:
+            per_frame.update(oracle_for_frame(rec, noise, GRID, seed=21).tobytes())
+        rng = np.random.default_rng(22)
+        one_rng = hashlib.sha256()
+        for rec in stream:
+            one_rng.update(synth_oracle(rec.gt, noise, GRID, rng).tobytes())
+        assert (per_frame.hexdigest(), one_rng.hexdigest()) == self.PIN_DIGESTS[name]
+
+    def test_mutating_returned_tensor_leaves_later_calls_unchanged(self):
+        stream = self.pin_stream()[:20]
+        expected = [oracle_for_frame(rec, HEAVY_NOISE, GRID, seed=21).copy() for rec in stream]
+        for rec in stream:
+            oracle_for_frame(rec, HEAVY_NOISE, GRID, seed=21).fill(99.0)
+        for rec, want in zip(stream, expected):
+            assert np.array_equal(oracle_for_frame(rec, HEAVY_NOISE, GRID, seed=21), want)
+
 
 class TestTraceIO:
     def make_stream(self, n=10, with_oracle=True):
@@ -264,6 +314,17 @@ class TestTraceIO:
     def test_missing_file(self):
         with pytest.raises(TraceError):
             read_trace("/nonexistent/trace.jsonl")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(self.make_stream(), str(path))
+        before = path.read_bytes()
+        stream = self.make_stream(n=12)
+        stream[6].scene_id = object()  # not JSON: fails after six records are written
+        with pytest.raises(TypeError):
+            write_trace(stream, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
     def test_byte_identical_rewrites(self, tmp_path):
         stream = self.make_stream()
