@@ -15,6 +15,7 @@ from .detection import (
     GroundTruthObject,
     decode_tensor,
     iou,
+    match_detections,
     nms,
     partition_cells,
 )
@@ -36,7 +37,6 @@ from .evaluate import (
     evaluate_frames,
     evaluate_report,
     keyframe_histogram,
-    match_detections,
 )
 from .models import Backbone, DecoderParams, FeatureFrame, LstmParams, ParamStore
 from .pipeline import (

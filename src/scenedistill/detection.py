@@ -3,7 +3,9 @@
 A detection tensor is an (s, s, 5 + c) float array of per-cell logits:
 channel 0 is objectness, channels 1..4 are box offsets (tx, ty, tw, th),
 channels 5.. are class logits.  All activations (sigmoid / softmax) are
-applied at decode time; tensors always store pre-activation values.
+applied at decode time; tensors always store pre-activation values.  The
+greedy detection-to-target matcher used by evaluation and by the reference
+losses lives here too.
 """
 
 from __future__ import annotations
@@ -190,6 +192,34 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
             if d.class_id != best.class_id or iou(d.box, best.box) <= iou_threshold
         ]
     return keep
+
+
+def match_detections(dets: list[Detection], targets: list, iou_threshold: float,
+                     class_aware: bool = True):
+    """Greedy matcher: each detection, highest confidence first, takes the
+    highest-IOU untaken target at or above the threshold (of its own class
+    when class_aware).
+
+    Returns (matches, missed): matches pairs every detection, in descending
+    confidence order, with its target or None; missed lists the untaken
+    targets in their input order.
+    """
+    order = sorted(range(len(dets)), key=lambda k: -dets[k].confidence)
+    taken = [False] * len(targets)
+    matches = []
+    for k in order:
+        det = dets[k]
+        best_j, best_iou = -1, iou_threshold
+        for j, tgt in enumerate(targets):
+            if taken[j] or (class_aware and tgt.class_id != det.class_id):
+                continue
+            v = iou(det.box, tgt.box)
+            if v >= best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0:
+            taken[best_j] = True
+        matches.append((det, targets[best_j] if best_j >= 0 else None))
+    return matches, [t for j, t in enumerate(targets) if not taken[j]]
 
 
 def partition_cells(oracle: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,11 @@ from .detection import (
     GridShape,
     GroundTruthObject,
     decode_tensor,
-    iou,
+    match_detections,
     nms,
     partition_cells,
 )
-from .models import DecoderParams, FeatureFrame
+from .models import DecoderParams, FeatureFrame, train_decoder
 
 
 @dataclass(frozen=True)
@@ -111,44 +111,13 @@ def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillCo
     return float(diff.sum())
 
 
-def bounded_loss_grad(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig,
-                      weights: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of bounded_distill_loss with respect to the student tensor."""
-    if weights is None:
-        weights = cell_weights(oracle, cfg)
-    grad = np.subtract(student, oracle, out=out)
-    grad *= weights
-    grad *= 2.0
-    return grad
-
-
-def _match_greedy(dets: list[Detection], targets: list, iou_threshold: float = 0.5):
-    """Greedy confidence-ordered matching; returns (pairs, unmatched_dets, unmatched_targets)."""
-    order = sorted(range(len(dets)), key=lambda k: -dets[k].confidence)
-    taken = [False] * len(targets)
-    pairs, unmatched = [], []
-    for k in order:
-        det = dets[k]
-        best_j, best_iou = -1, iou_threshold
-        for j, tgt in enumerate(targets):
-            if taken[j]:
-                continue
-            v = iou(det.box, tgt.box)
-            if v >= best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            taken[best_j] = True
-            pairs.append((det, targets[best_j]))
-        else:
-            unmatched.append(det)
-    missed = [t for j, t in enumerate(targets) if not taken[j]]
-    return pairs, unmatched, missed
-
-
-def _pair_loss(pairs, unmatched, missed) -> float:
-    """Quadratic objectness + box + class penalty over a matching."""
+def _pair_loss(matches, missed) -> float:
+    """Quadratic objectness + box + class penalty over a matching, summed
+    over the matched pairs, then the unmatched detections, then the misses."""
     total, n = 0.0, 0
-    for det, tgt in pairs:
+    for det, tgt in matches:
+        if tgt is None:
+            continue
         box_mse = np.mean([
             (det.box.cx - tgt.box.cx) ** 2,
             (det.box.cy - tgt.box.cy) ** 2,
@@ -158,9 +127,10 @@ def _pair_loss(pairs, unmatched, missed) -> float:
         cls = 0.0 if det.class_id == tgt.class_id else 1.0
         total += (det.confidence - 1.0) ** 2 + box_mse + cls
         n += 1
-    for det in unmatched:
-        total += det.confidence ** 2
-        n += 1
+    for det, tgt in matches:
+        if tgt is None:
+            total += det.confidence ** 2
+            n += 1
     for _ in missed:
         total += 1.0
         n += 1
@@ -174,8 +144,8 @@ def general_distill_loss(student_dets: list[Detection], gt: list[GroundTruthObje
     beta = 1 ignores the teacher entirely, beta = 0 ignores ground truth.
     Reference baseline only; not used on the training path.
     """
-    l_gt = _pair_loss(*_match_greedy(student_dets, gt))
-    l_t = _pair_loss(*_match_greedy(student_dets, oracle_dets))
+    l_gt = _pair_loss(*match_detections(student_dets, gt, 0.5, class_aware=False))
+    l_t = _pair_loss(*match_detections(student_dets, oracle_dets, 0.5, class_aware=False))
     return beta * l_gt + (1.0 - beta) * l_t
 
 
@@ -191,8 +161,8 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt: list[GroundTru
     """
     student_dets = nms(decode_tensor(student, shape, conf_threshold), iou_threshold)
     oracle_dets = nms(decode_tensor(oracle, shape, conf_threshold), iou_threshold)
-    l_gt = _pair_loss(*_match_greedy(student_dets, gt))
-    l_t = _pair_loss(*_match_greedy(student_dets, oracle_dets))
+    l_gt = _pair_loss(*match_detections(student_dets, gt, 0.5, class_aware=False))
+    l_t = _pair_loss(*match_detections(student_dets, oracle_dets, 0.5, class_aware=False))
     return l_gt + l_t
 
 
@@ -206,77 +176,13 @@ def distill_step(params: DecoderParams, features: FeatureFrame, oracle: np.ndarr
     Returns the updated params and a FeedbackRecord carrying the on-frame
     loss change.  A non-finite loss or update aborts the event with params
     unchanged.
-
-    The inner loop runs on the distillation worker while inference shares the
-    interpreter, so it reuses buffers and in-place ops instead of the public
-    per-call functions.
     """
     weights = cell_weights(oracle, cfg)
-    x = features.values.reshape(-1, params.w1.shape[0])
-    n, d = x.shape
-    hidden_dim = params.w1.shape[1]
-    channels = params.w2.shape[1]
-    w1, b1 = params.w1.copy(), params.b1.copy()
-    w2, b2 = params.w2.copy(), params.b2.copy()
-    w_flat = weights.reshape(-1, 1)
-    oracle_flat = oracle.reshape(-1, channels)
-
-    a = np.empty((n, hidden_dim))
-    out = np.empty((n, channels))
-    g = np.empty((n, channels))
-    dz = np.empty((n, hidden_dim))
-    ones = np.empty((n, hidden_dim))
-
-    def forward():
-        np.matmul(x, w1, out=a)
-        np.add(a, b1, out=a)
-        np.tanh(a, out=a)
-        np.matmul(a, w2, out=out)
-        np.add(out, b2, out=out)
-
-    def loss():
-        np.subtract(out, oracle_flat, out=g)
-        np.multiply(g, g, out=g)
-        np.multiply(g, w_flat, out=g)
-        return float(g.sum())
-
-    forward()
-    loss_before = loss()
-    if not np.isfinite(loss_before):
+    loss_before, loss_after, trained = train_decoder(params, features, oracle, weights,
+                                                     cfg.lr, cfg.steps_per_event)
+    if not (np.isfinite(loss_before) and np.isfinite(loss_after)
+            and all(np.all(np.isfinite(arr)) for arr in trained)):
         return params, FeedbackRecord(frame_id, loss_before, loss_before,
                                       decision_source, error="non-finite loss")
-
-    lr = cfg.lr
-    for _ in range(cfg.steps_per_event):
-        forward()
-        np.subtract(out, oracle_flat, out=g)
-        g *= w_flat
-        g *= 2.0
-        # backprop through the two-layer head, then the SGD update in place
-        gw2 = a.T @ g
-        gb2 = g.sum(axis=0)
-        np.matmul(g, w2.T, out=dz)
-        np.multiply(a, a, out=ones)
-        np.subtract(1.0, ones, out=ones)
-        dz *= ones
-        gw1 = x.T @ dz
-        gb1 = dz.sum(axis=0)
-        gw1 *= lr
-        gb1 *= lr
-        gw2 *= lr
-        gb2 *= lr
-        w1 -= gw1
-        b1 -= gb1
-        w2 -= gw2
-        b2 -= gb2
-
-    forward()
-    loss_after = loss()
-    finite = (np.isfinite(loss_after) and np.all(np.isfinite(w1)) and np.all(np.isfinite(b1))
-              and np.all(np.isfinite(w2)) and np.all(np.isfinite(b2)))
-    if not finite:
-        return params, FeedbackRecord(frame_id, loss_before, loss_before,
-                                      decision_source, error="non-finite loss")
-    new_params = DecoderParams(w1=w1, b1=b1, w2=w2, b2=b2,
-                               version=params.version + cfg.steps_per_event)
+    new_params = DecoderParams(*trained, version=params.version + cfg.steps_per_event)
     return new_params, FeedbackRecord(frame_id, loss_before, loss_after, decision_source)

@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import Box, Detection, GridShape, GroundTruthObject, decode_tensor, iou
+from .detection import (
+    Box,
+    Detection,
+    GridShape,
+    GroundTruthObject,
+    decode_tensor,
+    match_detections,
+)
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
 from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, synth_oracle
@@ -39,36 +46,6 @@ class EvalConfig:
     @property
     def gt_conf(self) -> float:
         return self.oracle_conf_threshold if self.oracle_conf_threshold is not None else self.conf_threshold
-
-
-def match_detections(dets: list[Detection], gt: list[GroundTruthObject],
-                     iou_threshold: float):
-    """Greedy matcher: each detection (best first) takes the highest-IOU
-    unmatched same-class ground-truth object at or above the threshold.
-
-    Returns (tp_flags, fp_flags, fn_count) with flags in descending-confidence
-    order.
-    """
-    order = sorted(range(len(dets)), key=lambda k: -dets[k].confidence)
-    taken = [False] * len(gt)
-    tp_flags = []
-    for k in order:
-        det = dets[k]
-        best_j, best_iou = -1, iou_threshold
-        for j, obj in enumerate(gt):
-            if taken[j] or obj.class_id != det.class_id:
-                continue
-            v = iou(det.box, obj.box)
-            if v >= best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            taken[best_j] = True
-            tp_flags.append(True)
-        else:
-            tp_flags.append(False)
-    fp_flags = [not t for t in tp_flags]
-    fn_count = sum(1 for t in taken if not t)
-    return tp_flags, fp_flags, fn_count
 
 
 def average_precision(tp_flags: list[bool], n_gt: int) -> float:
@@ -146,12 +123,9 @@ def evaluate_frames(per_frame_dets: list[list[Detection]],
     for dets, gt in zip(per_frame_dets, per_frame_gt):
         for obj in gt:
             n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
-        ordered = sorted(dets, key=lambda d: -d.confidence)
-        tp_flags, _, fn = match_detections(ordered, gt, iou_threshold)
-        fn_total += fn
-        scored.extend(
-            (det.confidence, flag, det.class_id) for det, flag in zip(ordered, tp_flags)
-        )
+        matches, missed = match_detections(dets, gt, iou_threshold)
+        fn_total += len(missed)
+        scored.extend((det.confidence, tgt is not None, det.class_id) for det, tgt in matches)
     tp_total = sum(1 for _, flag, _ in scored if flag)
     fp_total = len(scored) - tp_total
     precision = tp_total / (tp_total + fp_total) if scored else 0.0

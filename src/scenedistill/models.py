@@ -3,7 +3,9 @@
 All networks here are deliberately small: a frozen per-cell backbone, a
 two-layer per-cell decoder head (the only trainable detection component),
 and a single-cell LSTM with a scalar readout.  Gradients are written out
-analytically; finite-difference tests pin them down.
+analytically.  The finite-difference tests check the decoder's training step
+itself (train_decoder, as distill_step runs it), reading the gradient off one
+step at a tiny learning rate.
 """
 
 from __future__ import annotations
@@ -62,17 +64,6 @@ class DecoderParams:
     version: int = 0
 
 
-@dataclass(frozen=True)
-class DecoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(g)) for g in (self.w1, self.b1, self.w2, self.b2))
-
-
 def init_decoder(feature_dim: int, hidden: int, shape: GridShape, seed: int,
                  scale: float = 0.1) -> DecoderParams:
     rng = np.random.default_rng(seed)
@@ -95,32 +86,74 @@ def decoder_forward(params: DecoderParams, features: FeatureFrame) -> np.ndarray
     return hidden @ params.w2 + params.b2
 
 
-def decoder_grad(params: DecoderParams, features: FeatureFrame, out_grad: np.ndarray) -> DecoderGrads:
-    """Exact parameter gradient of the head output contracted with out_grad."""
+def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndarray,
+                  weights: np.ndarray, lr: float,
+                  steps: int) -> tuple[float, float, tuple[np.ndarray, ...]]:
+    """`steps` plain SGD steps on sum(weights * (head(features) - target)^2).
+
+    weights is an (s, s, 1) per-cell map.  Returns (loss_before, loss_after,
+    (w1, b1, w2, b2)) with fresh arrays; params is left untouched and no step
+    is taken from a non-finite loss.  This is the training step distill_step
+    runs, so its gradient is the one the finite-difference tests check.
+
+    It runs on the distillation worker while inference shares the
+    interpreter, so it reuses buffers and in-place ops throughout.
+    """
     x = features.values.reshape(-1, params.w1.shape[0])
-    g = out_grad.reshape(-1, params.w2.shape[1])
-    a = np.tanh(x @ params.w1 + params.b1)
-    gw2 = a.T @ g
-    gb2 = g.sum(axis=0)
-    dz = (g @ params.w2.T) * (1.0 - a * a)
-    gw1 = x.T @ dz
-    gb1 = dz.sum(axis=0)
-    return DecoderGrads(w1=gw1, b1=gb1, w2=gw2, b2=gb2)
+    n = x.shape[0]
+    hidden_dim = params.w1.shape[1]
+    channels = params.w2.shape[1]
+    w1, b1 = params.w1.copy(), params.b1.copy()
+    w2, b2 = params.w2.copy(), params.b2.copy()
+    w_flat = weights.reshape(-1, 1)
+    target_flat = target.reshape(-1, channels)
 
+    a = np.empty((n, hidden_dim))
+    out = np.empty((n, channels))
+    g = np.empty((n, channels))
+    dz = np.empty((n, hidden_dim))
+    ones = np.empty((n, hidden_dim))
 
-def sgd_step(params: DecoderParams, grads: DecoderGrads, lr: float) -> DecoderParams:
-    """One plain gradient step; bumps the version counter."""
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    if not grads.is_finite():
-        raise ValueError("non-finite gradient, update rejected")
-    return DecoderParams(
-        w1=params.w1 - lr * grads.w1,
-        b1=params.b1 - lr * grads.b1,
-        w2=params.w2 - lr * grads.w2,
-        b2=params.b2 - lr * grads.b2,
-        version=params.version + 1,
-    )
+    def forward():
+        np.matmul(x, w1, out=a)
+        np.add(a, b1, out=a)
+        np.tanh(a, out=a)
+        np.matmul(a, w2, out=out)
+        np.add(out, b2, out=out)
+
+    def loss():
+        np.subtract(out, target_flat, out=g)
+        np.multiply(g, g, out=g)
+        np.multiply(g, w_flat, out=g)
+        return float(g.sum())
+
+    forward()
+    loss_before = loss()
+    for _ in range(steps if np.isfinite(loss_before) else 0):
+        forward()
+        np.subtract(out, target_flat, out=g)
+        g *= w_flat
+        g *= 2.0
+        # backprop through the two-layer head, then the SGD update in place
+        gw2 = a.T @ g
+        gb2 = g.sum(axis=0)
+        np.matmul(g, w2.T, out=dz)
+        np.multiply(a, a, out=ones)
+        np.subtract(1.0, ones, out=ones)
+        dz *= ones
+        gw1 = x.T @ dz
+        gb1 = dz.sum(axis=0)
+        gw1 *= lr
+        gb1 *= lr
+        gw2 *= lr
+        gb2 *= lr
+        w1 -= gw1
+        b1 -= gb1
+        w2 -= gw2
+        b2 -= gb2
+
+    forward()
+    return loss_before, loss(), (w1, b1, w2, b2)
 
 
 class ParamStore:

@@ -318,20 +318,26 @@ def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfi
     decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
     dropped = 0
     error = None
+
+    def drain_feedback():
+        """Apply finished events; feedback lands at frame boundaries so the
+        selector has one owner.  The first failed event names the error."""
+        nonlocal error
+        while True:
+            try:
+                fb = done.get_nowait()
+            except queue.Empty:
+                return
+            feedbacks.append(_feedback_row(fb))
+            rt.selector.apply_feedback(fb)
+            if fb.error is not None:
+                error = error or f"frame {fb.frame_id}: {fb.error}"
+
     try:
         t_start = time.perf_counter()
         for rec in stream:
             t0 = time.perf_counter()
-            # Feedback lands at frame boundaries so the selector has one owner.
-            while True:
-                try:
-                    fb = done.get_nowait()
-                except queue.Empty:
-                    break
-                feedbacks.append(_feedback_row(fb))
-                rt.selector.apply_feedback(fb)
-                if fb.error is not None:
-                    error = f"frame {fb.frame_id}: {fb.error}"
+            drain_feedback()
             if error or worker_error:
                 break
 
@@ -367,9 +373,9 @@ def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfi
             detections.append(dets)
             latencies.append(time.perf_counter() - t0)
         elapsed = time.perf_counter() - t_start
-
-        # a worker that died leaves its queue full for good, so offer the
-        # sentinel only while the worker is alive
+    finally:
+        # stop the worker on every exit path; one that died leaves its queue
+        # full for good, so offer the sentinel only while it is alive
         deadline = time.monotonic() + 30.0
         while thread.is_alive() and time.monotonic() < deadline:
             try:
@@ -378,20 +384,10 @@ def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfi
             except queue.Full:
                 pass
         thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
         sys.setswitchinterval(old_switch)
+    drain_feedback()
     if thread.is_alive():
         error = error or "distillation worker failed to stop"
-    while True:
-        try:
-            fb = done.get_nowait()
-        except queue.Empty:
-            break
-        feedbacks.append(_feedback_row(fb))
-        try:
-            rt.selector.apply_feedback(fb)
-        except ValueError:
-            pass
     if worker_error:
         raise PipelineError(f"distillation worker failed: {worker_error[0]}")
 

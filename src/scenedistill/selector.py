@@ -55,7 +55,39 @@ class SelectorConfig:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
 
-class AdaptiveSelector:
+class _GappedSelector:
+    """The training-prevention gap shared by every selector that can train.
+
+    After a key frame the next tau frames are suppressed.  decide() runs
+    _observe on every frame, so state that follows the stream (the LSTM, the
+    previous frame, the frame counter) advances even while suppressed, and
+    the subclass's _vote only outside the gap, so suppressed frames draw no
+    randomness.
+    """
+
+    p = 0.0  # written on every decision
+
+    def __init__(self, tau: int):
+        self.tau = tau
+        self.frames_since_train = tau  # no suppression at stream start
+
+    def _observe(self, frame: FeatureFrame, summary: np.ndarray):
+        return None
+
+    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
+        observed = self._observe(frame, summary)
+        if self.frames_since_train < self.tau:
+            self.frames_since_train += 1
+            return Decision(frame.frame_id, train=False, suppressed=True, p=self.p)
+        decision = self._vote(frame, summary, observed)
+        self.frames_since_train = 0 if decision.train else self.frames_since_train + 1
+        return decision
+
+    def apply_feedback(self, fb: FeedbackRecord) -> None:
+        pass
+
+
+class AdaptiveSelector(_GappedSelector):
     """LSTM gate OR adaptive random safeguard, with training-prevention gap.
 
     Single logical owner of its state: decide() runs on the inference thread
@@ -66,26 +98,23 @@ class AdaptiveSelector:
     kind = "adaptive"
 
     def __init__(self, summary_dim: int, cfg: SelectorConfig, seed: int):
+        super().__init__(cfg.tau)
         self.cfg = cfg
         self.p = cfg.p_init
-        self.frames_since_train = cfg.tau  # no suppression at stream start
         self.lstm = init_lstm(summary_dim, cfg.lstm_hidden, seed)
         self.rng = np.random.default_rng(seed)
         self._pending: dict[int, np.ndarray] = {}  # frame_id -> summary at decision
 
-    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
+    def _observe(self, frame: FeatureFrame, summary: np.ndarray) -> float:
         score, self.lstm = advance_lstm(self.lstm, summary)
-        if self.frames_since_train < self.cfg.tau:
-            self.frames_since_train += 1
-            return Decision(frame.frame_id, train=False, suppressed=True, p=self.p)
+        return score
+
+    def _vote(self, frame: FeatureFrame, summary: np.ndarray, score: float) -> Decision:
         lstm_vote = score >= 0.5
         random_vote = bool(self.rng.random() < self.p)
         train = lstm_vote or random_vote
         if train:
-            self.frames_since_train = 0
             self._pending[frame.frame_id] = summary
-        else:
-            self.frames_since_train += 1
         return Decision(frame.frame_id, train=train, lstm_vote=lstm_vote,
                         random_vote=random_vote, p=self.p)
 
@@ -114,7 +143,7 @@ class AdaptiveSelector:
                                     self.cfg.lstm_lr)
 
 
-class RandomSelector:
+class RandomSelector(_GappedSelector):
     """I.i.d. Bernoulli(prob) decisions with the same training-prevention gap."""
 
     kind = "random"
@@ -122,54 +151,35 @@ class RandomSelector:
     def __init__(self, prob: float, tau: int = 2, seed: int = 0):
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"prob must be in [0, 1], got {prob}")
-        self.prob = prob
-        self.tau = tau
-        self.frames_since_train = tau
+        super().__init__(tau)
+        self.p = prob
         self.rng = np.random.default_rng(seed)
 
-    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
-        if self.frames_since_train < self.tau:
-            self.frames_since_train += 1
-            return Decision(frame.frame_id, train=False, suppressed=True, p=self.prob)
-        train = bool(self.rng.random() < self.prob)
-        if train:
-            self.frames_since_train = 0
-        else:
-            self.frames_since_train += 1
-        return Decision(frame.frame_id, train=train, random_vote=train, p=self.prob)
-
-    def apply_feedback(self, fb: FeedbackRecord) -> None:
-        pass
+    def _vote(self, frame: FeatureFrame, summary: np.ndarray, observed) -> Decision:
+        train = bool(self.rng.random() < self.p)
+        return Decision(frame.frame_id, train=train, random_vote=train, p=self.p)
 
 
-class SceneChangeSelector:
+class SceneChangeSelector(_GappedSelector):
     """Flags a frame when the mean absolute feature change exceeds a threshold."""
 
     kind = "scene_change"
 
     def __init__(self, threshold: float, tau: int = 2):
+        super().__init__(tau)
         self.threshold = threshold
-        self.tau = tau
-        self.frames_since_train = tau
         self._prev: np.ndarray | None = None
 
-    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
+    def _observe(self, frame: FeatureFrame, summary: np.ndarray) -> np.ndarray | None:
         prev, self._prev = self._prev, frame.values
-        if self.frames_since_train < self.tau:
-            self.frames_since_train += 1
-            return Decision(frame.frame_id, train=False, suppressed=True)
+        return prev
+
+    def _vote(self, frame: FeatureFrame, summary: np.ndarray, prev) -> Decision:
         train = prev is not None and float(np.mean(np.abs(frame.values - prev))) > self.threshold
-        if train:
-            self.frames_since_train = 0
-        else:
-            self.frames_since_train += 1
         return Decision(frame.frame_id, train=train, random_vote=train)
 
-    def apply_feedback(self, fb: FeedbackRecord) -> None:
-        pass
 
-
-class PeriodicSelector:
+class PeriodicSelector(_GappedSelector):
     """Trains every n-th frame, subject to the same prevention gap."""
 
     kind = "periodic"
@@ -177,25 +187,17 @@ class PeriodicSelector:
     def __init__(self, period: int, tau: int = 2):
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
+        super().__init__(tau)
         self.period = period
-        self.tau = tau
-        self.frames_since_train = tau
         self._count = 0
 
-    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
+    def _observe(self, frame: FeatureFrame, summary: np.ndarray) -> bool:
         due = self._count % self.period == 0
         self._count += 1
-        if self.frames_since_train < self.tau:
-            self.frames_since_train += 1
-            return Decision(frame.frame_id, train=False, suppressed=True)
-        if due:
-            self.frames_since_train = 0
-        else:
-            self.frames_since_train += 1
-        return Decision(frame.frame_id, train=due, random_vote=due)
+        return due
 
-    def apply_feedback(self, fb: FeedbackRecord) -> None:
-        pass
+    def _vote(self, frame: FeatureFrame, summary: np.ndarray, due: bool) -> Decision:
+        return Decision(frame.frame_id, train=due, random_vote=due)
 
 
 class NeverSelector:

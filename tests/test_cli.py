@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,29 @@ class TestBench:
         assert main(["bench", "--config", cfg_path, "--out", out]) == 0
         rows = json.loads(open(out).read())
         assert [r["n_targets"] for r in rows] == [1, 10, 25, 50]
+
+
+class TestDocumentedConfigs:
+    """The configs under configs/ stay runnable through the CLI (shrunk here)."""
+
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+    def test_sweep_blend(self, tmp_path, capsys):
+        out = str(tmp_path / "table.json")
+        assert main(["ablate", "--config", str(self.CONFIGS / "sweep_blend.json"),
+                     "--set", "stream.n_frames=40", "--set", "lambdas=[0.0, 1.0]",
+                     "--out", out]) == 0
+        rows = json.loads(open(out).read())
+        assert [r["lam"] for r in rows] == [0.0, 1.0]
+        assert all(r["key_frames"] > 0 for r in rows)
+
+    def test_bench_losses(self, tmp_path, capsys):
+        out = str(tmp_path / "bench.json")
+        assert main(["bench", "--config", str(self.CONFIGS / "bench_losses.json"),
+                     "--set", "bench.trials=2", "--set", "bench.target_counts=[1, 10]",
+                     "--out", out]) == 0
+        rows = json.loads(open(out).read())
+        assert [r["n_targets"] for r in rows] == [1, 10]
 
 
 class TestEvalCommand:

@@ -1,6 +1,8 @@
 """Distillation losses: target composition, the gated MSE and its identity,
 the reference baselines, and the online update step."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from scenedistill.detection import (
 from scenedistill.distill import (
     DistillConfig,
     bounded_distill_loss,
-    bounded_loss_grad,
     compose_target,
     distill_step,
     general_distill_loss,
@@ -150,12 +151,33 @@ class TestBoundedLoss:
         assert bounded_distill_loss(student, oracle, cfg) == pytest.approx(want)
 
 
+def step_gradient(params, feat, oracle, cfg, lr=1e-4):
+    """The parameter gradient the real training step applies, read off one
+    distill_step at a tiny learning rate as (params - new_params) / lr."""
+    new_params, fb = distill_step(params, feat, oracle,
+                                  DistillConfig(lam=cfg.lam, gate=cfg.gate, lr=lr,
+                                                steps_per_event=1))
+    assert fb.error is None
+    return {name: (getattr(params, name) - getattr(new_params, name)) / lr
+            for name in ("w1", "b1", "w2", "b2")}
+
+
 class TestBoundedLossGrad:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences_through_tensor(self, seed):
+        # one-hot cell features and an identity first layer give every cell
+        # its own hidden unit, so row `cell` of the w2 gradient is
+        # tanh(1) * dL/d(student[cell]): the output-tensor gradient the
+        # training step uses, readable per element
         student, oracle = random_pair(seed, spread=1.0)
         cfg = DistillConfig(lam=0.4)
-        grad = bounded_loss_grad(student, oracle, cfg)
+        n = GRID.s * GRID.s
+        t = np.tanh(1.0)
+        params = DecoderParams(w1=np.eye(n), b1=np.zeros(n),
+                               w2=student.reshape(n, -1) / t, b2=np.zeros(GRID.channels))
+        feat = FeatureFrame(frame_id=0, values=np.eye(n).reshape(GRID.s, GRID.s, n))
+        student = decoder_forward(params, feat)
+        grad = (step_gradient(params, feat, oracle, cfg)["w2"] / t).reshape(student.shape)
         eps = 1e-5
         rng = np.random.default_rng(seed)
         for _ in range(20):
@@ -329,10 +351,7 @@ class TestDistillStep:
     def test_gradient_through_params_matches_finite_differences(self):
         params, feat, oracle = self._setup(3)
         cfg = DistillConfig(lam=0.4)
-        from scenedistill.distill import bounded_loss_grad
-        from scenedistill.models import decoder_grad
-        out = decoder_forward(params, feat)
-        analytic = decoder_grad(params, feat, bounded_loss_grad(out, oracle, cfg))
+        analytic = step_gradient(params, feat, oracle, cfg)
         eps = 1e-5
         for name in ("w1", "b1", "w2", "b2"):
             base = getattr(params, name)
@@ -348,7 +367,7 @@ class TestDistillStep:
                     val = bounded_distill_loss(decoder_forward(p2, feat), oracle, cfg)
                     num[idx] += sign * val
                 num[idx] /= 2 * eps
-            a = getattr(analytic, name)
+            a = analytic[name]
             denom = np.maximum(np.abs(num), 1e-6)
             assert np.max(np.abs(a - num) / denom) < 1e-4, name
 
@@ -361,3 +380,45 @@ class TestDistillConfig:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             DistillConfig(**kwargs)
+
+
+# (seed, lam, steps_per_event, loss_before, loss_after, SHA-256 of w1|b1|w2|b2):
+# exact values, so any change to the step's arithmetic or its order shows.
+DISTILL_PINS = [
+    (0, 0.0, 1, 9.636264255159382, 9.55290388864355, "6b418b6490ab016a83ee5e0953bccb2b20486140827a8147f78a5887a5591367"),
+    (0, 0.0, 10, 9.636264255159382, 8.917349807134482, "f0d7e200fc05e3398529675810f70a64eca679403e84f4cb04a832a6a4970dc2"),
+    (0, 0.4, 1, 6.2269232718483405, 6.164172586704993, "1fe15d7c953dd594da11239592ce7559d80be45764a34cf305b89675f4954d8c"),
+    (0, 0.4, 10, 6.2269232718483405, 5.680655024398211, "f5c02ead7055a86e4a005c2d87aa8592d20d66719cfcc4ba3930a73bf2be1795"),
+    (0, 1.0, 1, 4.3091689687358805, 4.226038504509162, "81afb6ce205a8033c6460eab178570d142881910951f03383e86c45b9b32c641"),
+    (0, 1.0, 10, 4.3091689687358805, 3.565444331278174, "2d7f0b9eea4a20d29dc05613ac1b42b6fe3eb1089ab7b604ab2a5242e37d4ad5"),
+    (1, 0.0, 1, 10.700795154122645, 10.617507187822532, "badd64b595a72e571800af414c90bb9978b1e02f959738775ebce3f0922a3dc0"),
+    (1, 0.0, 10, 10.700795154122645, 10.004415990480974, "807dbec2faf7805a958848d0d38649bee86a47af5ee1572009c2c6ca6f1c264d"),
+    (1, 0.4, 1, 6.868018096560378, 6.796864041952761, "c99fca6a3cd5c5915ee6b3d142925bb13ec0c8211297f4310e9fa49843797c8d"),
+    (1, 0.4, 10, 6.868018096560378, 6.297416416832112, "6cf637edb58f9dd3303fabb360fbf3759ba0cd0a0b8cd9f6cd51a9e8c94879f6"),
+    (1, 1.0, 1, 4.712081001681601, 4.613543105630905, "3a355e0e679d9b06fbed83386f3af49a7906b78a631f49c67c1ec616feda4dcf"),
+    (1, 1.0, 10, 4.712081001681601, 3.888003522450853, "09db1d2d42ca91c9748bfb68c7df4a03a5f4923803c7c326fc7061778a83cff1"),
+    (2, 0.0, 1, 9.705168275030415, 9.610500580536185, "bf6ed0fc1485ada3d1bcd6ee847b738be8450e99ca3cb496686ef0eac6a295db"),
+    (2, 0.0, 10, 9.705168275030415, 8.89043597359106, "58cebae669711799df3699729bd183615d8aeb6f885c47c2c81e0bd09c56ab14"),
+    (2, 0.4, 1, 6.147960026388461, 6.0976638512933015, "508be5594f21e596bb9acea47ac8262538f15ea01971c212cd0ee9b87a770049"),
+    (2, 0.4, 10, 6.147960026388461, 5.702549703453816, "7e604017678f54f4dc18e43399c84e4c076cdffc1a768477aaa4fd3e6c4e1b4a"),
+    (2, 1.0, 1, 4.147030386527361, 4.086976859325872, "d7b3b46c3a7d75c99e9116dd31df67683b6579dd0cce9fb353b1635559847ea7"),
+    (2, 1.0, 10, 4.147030386527361, 3.6094478230390283, "ff77280a563ccdf2618dea8aa8848f78808a622ba9f28a9e98a1841ce1b261bb"),
+]
+
+
+class TestDistillStepPins:
+    GRID6 = GridShape(s=6, c=4)
+
+    @pytest.mark.parametrize("seed,lam,steps,loss_before,loss_after,digest", DISTILL_PINS)
+    def test_bit_identical_to_pinned_values(self, seed, lam, steps, loss_before, loss_after, digest):
+        rng = np.random.default_rng(seed)
+        params = init_decoder(12, 32, self.GRID6, seed=seed)
+        feat = FeatureFrame(frame_id=seed, values=rng.normal(0, 1, size=(6, 6, 12)))
+        oracle = rng.normal(0, 2, size=(6, 6, self.GRID6.channels))
+        oracle[:, :, 0] = rng.choice([-4.0, 3.0], size=(6, 6))
+        cfg = DistillConfig(lam=lam, lr=0.05, steps_per_event=steps)
+        new_params, fb = distill_step(params, feat, oracle, cfg)
+        got = hashlib.sha256(b"".join(getattr(new_params, n).tobytes()
+                                      for n in ("w1", "b1", "w2", "b2"))).hexdigest()
+        assert (fb.loss_before, fb.loss_after, got) == (loss_before, loss_after, digest)
+        assert new_params.version == steps

@@ -15,7 +15,7 @@ from scenedistill.evaluate import (
     bench_loss_cost,
     evaluate_frames,
     keyframe_histogram,
-    match_detections,
+    match_detections,  # evaluation's name for detection.match_detections
 )
 from scenedistill.pipeline import PipelineReport
 
@@ -32,28 +32,35 @@ class TestMatchDetections:
     def test_perfect_detections_all_tp(self):
         objects = [gt(0.2, 0.2, 0.1, 0.1, 0, 0), gt(0.7, 0.7, 0.2, 0.2, 1, 1)]
         dets = [det(o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id, 0.9) for o in objects]
-        tp, fp, fn = match_detections(dets, objects, 0.5)
-        assert tp == [True, True]
-        assert fn == 0
+        matches, missed = match_detections(dets, objects, 0.5)
+        assert matches == list(zip(dets, objects))
+        assert missed == []
 
     def test_empty_detections_all_fn(self):
         objects = [gt(0.2, 0.2, 0.1, 0.1, 0), gt(0.7, 0.7, 0.2, 0.2, 1, 1)]
-        tp, fp, fn = match_detections([], objects, 0.5)
-        assert tp == [] and fp == []
-        assert fn == 2
+        matches, missed = match_detections([], objects, 0.5)
+        assert matches == []
+        assert missed == objects
 
     def test_class_mismatch_is_fp(self):
         objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
         dets = [det(0.5, 0.5, 0.2, 0.2, 1, 0.9)]
-        tp, fp, fn = match_detections(dets, objects, 0.5)
-        assert tp == [False] and fn == 1
+        matches, missed = match_detections(dets, objects, 0.5)
+        assert matches == [(dets[0], None)] and missed == objects
+
+    def test_class_agnostic_matches_across_classes(self):
+        objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
+        dets = [det(0.5, 0.5, 0.2, 0.2, 1, 0.9)]
+        matches, missed = match_detections(dets, objects, 0.5, class_aware=False)
+        assert matches == [(dets[0], objects[0])] and missed == []
 
     def test_double_detection_one_tp_one_fp(self):
         objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
-        dets = [det(0.5, 0.5, 0.2, 0.2, 0, 0.9), det(0.5, 0.5, 0.21, 0.2, 0, 0.7)]
-        tp, _, fn = match_detections(dets, objects, 0.5)
-        assert tp == [True, False]
-        assert fn == 0
+        dets = [det(0.5, 0.5, 0.21, 0.2, 0, 0.7), det(0.5, 0.5, 0.2, 0.2, 0, 0.9)]
+        matches, missed = match_detections(dets, objects, 0.5)
+        # the more confident detection comes first and takes the object
+        assert matches == [(dets[1], objects[0]), (dets[0], None)]
+        assert missed == []
 
     def test_greedy_matches_optimal_assignment_on_small_case(self):
         # 5 detections, 3 objects, all same class, well-separated overlaps:
@@ -68,7 +75,8 @@ class TestMatchDetections:
             det(0.23, 0.22, 0.2, 0.2, 0, 0.5),
             det(0.1, 0.9, 0.1, 0.1, 0, 0.4),
         ]
-        tp, _, fn = match_detections(dets, objects, 0.5)
+        matches, missed = match_detections(dets, objects, 0.5)
+        tp = [tgt is not None for _, tgt in matches]
 
         best = 0
         for perm in itertools.permutations(range(len(dets)), len(objects)):
@@ -78,7 +86,7 @@ class TestMatchDetections:
             )
             best = max(best, score)
         assert sum(tp) == best == 3
-        assert fn == 0
+        assert missed == []
 
 
 class TestAveragePrecision:

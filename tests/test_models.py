@@ -1,15 +1,16 @@
-"""Models: frozen backbone, decoder head gradients, LSTM cell, param store."""
+"""Models: frozen backbone, the decoder training step, LSTM cell, param store."""
 
 import math
+from dataclasses import replace
 import threading
 
 import numpy as np
 import pytest
 
 from scenedistill.detection import GridShape
+from scenedistill.distill import DistillConfig, distill_step
 from scenedistill.models import (
     Backbone,
-    DecoderGrads,
     DecoderParams,
     FeatureFrame,
     LstmParams,
@@ -17,12 +18,11 @@ from scenedistill.models import (
     advance_lstm,
     bce,
     decoder_forward,
-    decoder_grad,
     init_decoder,
     init_lstm,
     lstm_forward,
     lstm_train_step,
-    sgd_step,
+    train_decoder,
 )
 
 GRID = GridShape(s=3, c=2)
@@ -149,13 +149,25 @@ def numeric_decoder_grad(params, feat, target, eps=1e-5):
     return grads
 
 
+HALF = np.full((GRID.s, GRID.s, 1), 0.5)  # weights that make the step's loss half-SSE
+
+
+def step_gradient(params, feat, target, weights=HALF, lr=1e-4):
+    """Parameter gradient of one train_decoder step, as (params - new) / lr."""
+    _, _, new = train_decoder(params, feat, target, weights, lr, steps=1)
+    return {name: (getattr(params, name) - arr) / lr
+            for name, arr in zip(("w1", "b1", "w2", "b2"), new)}
+
+
 class TestDecoderGrad:
     def test_zero_out_grad_gives_zero_param_grad(self):
         rng = np.random.default_rng(0)
         p = init_decoder(D, HIDDEN, GRID, seed=1)
-        g = decoder_grad(p, random_frame(rng), np.zeros((GRID.s, GRID.s, GRID.channels)))
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(g, name), np.zeros_like(getattr(p, name)))
+        feat = random_frame(rng)
+        target = rng.normal(0, 1, size=(GRID.s, GRID.s, GRID.channels))
+        _, _, new = train_decoder(p, feat, target, np.zeros_like(HALF), lr=0.1, steps=3)
+        for name, arr in zip(("w1", "b1", "w2", "b2"), new):
+            assert np.array_equal(arr, getattr(p, name))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_finite_differences(self, seed):
@@ -163,47 +175,66 @@ class TestDecoderGrad:
         p = init_decoder(D, HIDDEN, GRID, seed=seed, scale=0.5)
         feat = random_frame(rng)
         target = rng.normal(0, 1, size=(GRID.s, GRID.s, GRID.channels))
-        _, out_grad = loss_and_grad(p, feat, target)
-        analytic = decoder_grad(p, feat, out_grad)
+        analytic = step_gradient(p, feat, target)
         numeric = numeric_decoder_grad(p, feat, target)
         for name in ("w1", "b1", "w2", "b2"):
-            a, n = getattr(analytic, name), numeric[name]
+            a, n = analytic[name], numeric[name]
             denom = np.maximum(np.abs(n), 1e-6)
             assert np.max(np.abs(a - n) / denom) < 1e-4, name
 
     def test_final_layer_gradient_is_column_sparse(self):
-        # pushing gradient into one output channel only touches that w2 column
+        # a target off the head's output on one channel only touches that w2
+        # column; the target repeats the step's own flat forward pass, so the
+        # other channels' error is exactly zero
         rng = np.random.default_rng(5)
         p = init_decoder(D, HIDDEN, GRID, seed=5)
-        out_grad = np.zeros((GRID.s, GRID.s, GRID.channels))
-        out_grad[:, :, 2] = 1.0
-        g = decoder_grad(p, random_frame(rng), out_grad)
-        others = np.delete(g.w2, 2, axis=1)
+        feat = random_frame(rng)
+        x = feat.values.reshape(-1, D)
+        target = (np.tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2).reshape(GRID.s, GRID.s, -1)
+        target[:, :, 2] += 1.0
+        g = step_gradient(p, feat, target)
+        others = np.delete(g["w2"], 2, axis=1)
         assert np.array_equal(others, np.zeros_like(others))
-        assert np.any(g.w2[:, 2] != 0)
+        assert np.any(g["w2"][:, 2] != 0)
 
 
 class TestSgdStep:
+    """The update rule of the training step: params - lr * gradient."""
+
+    def _frame(self, seed=0):
+        return random_frame(np.random.default_rng(seed))
+
     def test_zero_grad_keeps_weights_bumps_version(self):
+        # lam = 1 and no confident oracle cell: every cell weighs zero
         p = init_decoder(D, HIDDEN, GRID, seed=0)
-        zero = DecoderGrads(w1=np.zeros_like(p.w1), b1=np.zeros_like(p.b1),
-                            w2=np.zeros_like(p.w2), b2=np.zeros_like(p.b2))
-        p2 = sgd_step(p, zero, lr=0.1)
+        oracle = np.full((GRID.s, GRID.s, GRID.channels), -5.0)
+        cfg = DistillConfig(lam=1.0, lr=0.1, steps_per_event=3)
+        p2, fb = distill_step(p, self._frame(), oracle, cfg)
+        assert fb.error is None
         assert np.array_equal(p2.w1, p.w1)
-        assert p2.version == p.version + 1
+        assert p2.version == p.version + cfg.steps_per_event
 
     def test_lr_one_grad_equals_params_zeroes_weights(self):
-        p = init_decoder(D, HIDDEN, GRID, seed=0)
-        g = DecoderGrads(w1=p.w1, b1=p.b1, w2=p.w2, b2=p.b2)
-        p2 = sgd_step(p, g, lr=1.0)
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.allclose(getattr(p2, name), 0.0)
+        # an input-blind head (w1 = w2 = 0) outputs b2 on every cell; against
+        # a zero target with weights 1 / (2 * cells) its gradient is b2 itself
+        p = DecoderParams(w1=np.zeros((D, HIDDEN)), b1=np.zeros(HIDDEN),
+                          w2=np.zeros((HIDDEN, GRID.channels)),
+                          b2=np.linspace(-1.0, 1.0, GRID.channels))
+        cells = GRID.s * GRID.s
+        _, _, new = train_decoder(p, self._frame(), np.zeros((GRID.s, GRID.s, GRID.channels)),
+                                  np.full((GRID.s, GRID.s, 1), 0.5 / cells), lr=1.0, steps=1)
+        for arr in new:
+            assert np.allclose(arr, 0.0)
 
     def test_non_finite_grad_rejected(self):
+        # a step so large it overflows: the event is rejected, params kept
         p = init_decoder(D, HIDDEN, GRID, seed=0)
-        g = DecoderGrads(w1=np.full_like(p.w1, np.nan), b1=p.b1, w2=p.w2, b2=p.b2)
-        with pytest.raises(ValueError):
-            sgd_step(p, g, lr=0.1)
+        oracle = np.random.default_rng(1).normal(0, 1, size=(GRID.s, GRID.s, GRID.channels))
+        with np.errstate(all="ignore"):
+            p2, fb = distill_step(p, self._frame(), oracle,
+                                  DistillConfig(lr=1e300, steps_per_event=2))
+        assert fb.error is not None
+        assert p2 is p
 
     def test_descent_on_fixed_target_is_monotone(self):
         rng = np.random.default_rng(7)
@@ -212,9 +243,10 @@ class TestSgdStep:
         target = rng.normal(0, 0.5, size=(GRID.s, GRID.s, GRID.channels))
         losses = []
         for _ in range(50):
-            val, out_grad = loss_and_grad(p, feat, target)
+            val, _, new = train_decoder(p, feat, target, HALF, lr=1e-3, steps=1)
+            assert val == pytest.approx(loss_and_grad(p, feat, target)[0], rel=1e-12)
             losses.append(val)
-            p = sgd_step(p, decoder_grad(p, feat, out_grad), lr=1e-3)
+            p = DecoderParams(*new)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
@@ -225,9 +257,7 @@ class TestParamStore:
         store = ParamStore(p)
         snap = store.snapshot()
         assert snap is p
-        zero = DecoderGrads(w1=np.zeros_like(p.w1), b1=np.zeros_like(p.b1),
-                            w2=np.zeros_like(p.w2), b2=np.zeros_like(p.b2))
-        p2 = sgd_step(p, zero, lr=0.1)
+        p2 = replace(p, version=p.version + 1)
         store.commit(p2)
         assert store.snapshot().version == 1
         with pytest.raises(ValueError):
@@ -236,8 +266,6 @@ class TestParamStore:
     def test_concurrent_reads_see_monotone_versions(self):
         p = init_decoder(D, HIDDEN, GRID, seed=0)
         store = ParamStore(p)
-        zero = DecoderGrads(w1=np.zeros_like(p.w1), b1=np.zeros_like(p.b1),
-                            w2=np.zeros_like(p.w2), b2=np.zeros_like(p.b2))
         seen, stop = [], threading.Event()
 
         def reader():
@@ -248,7 +276,7 @@ class TestParamStore:
         t.start()
         cur = p
         for _ in range(200):
-            cur = sgd_step(cur, zero, lr=0.1)
+            cur = replace(cur, version=cur.version + 1)
             store.commit(cur)
         stop.set()
         t.join()

@@ -211,6 +211,42 @@ class TestParallelMode:
         assert "broken_distill_step" in message
         assert sys.getswitchinterval() == switch
 
+    def test_inference_failure_stops_worker(self, monkeypatch):
+        real_merge = pipeline.merge_detections
+        calls = []
+
+        def merge_then_fail(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 50:
+                raise RuntimeError("merge exploded")
+            return real_merge(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "merge_detections", merge_then_fail)
+        switch = sys.getswitchinterval()
+        with pytest.raises(RuntimeError, match="merge exploded"):
+            run_pipeline(make_stream(n=120), GRID, pipe_cfg(mode="parallel"))
+        workers = [t for t in threading.enumerate() if t.name == "distill-worker"]
+        assert workers == []
+        assert sys.getswitchinterval() == switch
+
+    def test_late_feedback_for_unselected_frame_raises(self, monkeypatch):
+        # the only key frame's feedback arrives after the last frame and names
+        # a frame the selector never chose: the post-loop drain must not
+        # swallow what the in-loop drain would raise
+        real_step = pipeline.distill_step
+
+        def misattributed_step(*args, **kwargs):
+            time.sleep(0.2)
+            new_params, fb = real_step(*args, **kwargs)
+            return new_params, FeedbackRecord(10 ** 6, fb.loss_before, fb.loss_after,
+                                              fb.decision_source)
+
+        monkeypatch.setattr(pipeline, "distill_step", misattributed_step)
+        cfg = pipe_cfg(mode="parallel", selector_cfg=SelectorConfig(p_init=1.0, tau=5))
+        with pytest.raises(ValueError, match="never selected"):
+            run_pipeline(make_stream(n=3), GRID, cfg)
+        assert [t for t in threading.enumerate() if t.name == "distill-worker"] == []
+
 
 class TestCheckpointing:
     def _selector(self):

@@ -1,12 +1,16 @@
 """Key-frame selector: decision disjunction, prevention gap, probability
 adaptation, and the baseline selectors."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from scenedistill.detection import GridShape
 from scenedistill.distill import FeedbackRecord
-from scenedistill.models import FeatureFrame, LstmParams
+from scenedistill.models import Backbone, FeatureFrame, LstmParams
 from scenedistill.selector import (
     AdaptiveSelector,
     PeriodicSelector,
@@ -259,3 +263,54 @@ class TestSelectorConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SelectorConfig(**kwargs)
+
+
+# (selector, tau, key frames, SHA-256 of [decision rows, final frames_since_train]):
+# exact values, so a change to the gap, the side effects of a suppressed frame,
+# the order of the random draws or the p written on a decision shows.
+DECISION_PINS = [
+    ("adaptive", 0, 259, "6fe0e16cce3d66f74c703336495ffad9969372192504f7adc8c310e9d0785b21"),
+    ("adaptive", 2, 93, "b84cd0848f0c342a2dfe30effbcb683fe74c8ff71471fc6f87c27cfd3df028bd"),
+    ("adaptive", 5, 49, "933016e6098ba73bc8686f23c33ef4621e7a4b7b34a873650cc8936e39544c16"),
+    ("random", 0, 71, "dbc4d0abb3ba404bfee61645315f580327920defdfe09399013d7d28e14b29bd"),
+    ("random", 2, 47, "991a2b9980a8e8c60e7f9e276ec79afe64d63c00d81369e6191d8bff4ba5615b"),
+    ("random", 5, 32, "ab28f3e57384508292f07b6e44e892b3c578047db4ca297e09b076350a8b7e17"),
+    ("scene_change", 0, 40, "170c48b519f359bbcb6212195798509f2994a674af8505ef3db318f5f6b591b7"),
+    ("scene_change", 2, 22, "9bd537b2537d07554c0db2827b143babf5d348eeac9127e0b242b5f7f58b924a"),
+    ("scene_change", 5, 14, "16d41d7e9701ae4cdda0adc6fbab31dbb9f6422e405aea203d48b67f1c793bff"),
+    ("periodic", 0, 100, "c37acf3625f6f3739f9404476e7e6c6b3e388a9e53ff1c2d1b809ae95394a9c7"),
+    ("periodic", 2, 100, "a5ef6dad807e79e02ba2495cc54edd29d7c0b779981d7d6fc604ab7e9aca5765"),
+    ("periodic", 5, 50, "24eecd0f93517805ffd3f9b6947461b02f88703c610df067d7bdd7a574e09c50"),
+]
+
+
+class TestPinnedDecisions:
+    """Full decision rows over a fixed 300-frame stream, with feedback."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        grid = GridShape(s=4, c=3)
+        stream = generate_stream([SceneSpec(0, (0.5, 0.3, 0.2), duration_range=(40, 80)),
+                                  SceneSpec(1, (0.2, 0.3, 0.5), duration_range=(40, 80))],
+                                 300, StreamConfig(grid=grid, feature_dim=D), seed=11)
+        backbone = Backbone(D, seed=0)
+        return [backbone.forward(rec.frame) for rec in stream]
+
+    @pytest.mark.parametrize("kind,tau,n_train,digest", DECISION_PINS)
+    def test_rows_match_pinned_digest(self, frames, kind, tau, n_train, digest):
+        sel = {
+            "adaptive": lambda: AdaptiveSelector(SUMMARY_DIM, SelectorConfig(tau=tau), seed=3),
+            "random": lambda: RandomSelector(0.3, tau=tau, seed=4),
+            "scene_change": lambda: SceneChangeSelector(0.05, tau=tau),
+            "periodic": lambda: PeriodicSelector(3, tau=tau),
+        }[kind]()
+        rows = []
+        for feats, summ in frames:
+            d = sel.decide(feats, summ)
+            rows.append(asdict(d))
+            if d.train:
+                delta = -0.3 if d.frame_id % 5 == 0 else 0.05
+                sel.apply_feedback(FeedbackRecord(d.frame_id, 1.0, 1.0 + delta, d.source))
+        doc = json.dumps([rows, sel.frames_since_train])
+        assert sum(r["train"] for r in rows) == n_train
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
