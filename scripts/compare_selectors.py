@@ -9,7 +9,7 @@ import argparse
 
 from scenedistill.detection import GridShape
 from scenedistill.distill import DistillConfig
-from scenedistill.evaluate import EvalConfig, evaluate_frames, ground_truth_for
+from scenedistill.evaluate import EvalConfig, evaluate_thresholds, ground_truth_for
 from scenedistill.pipeline import PipelineConfig, run_pipeline
 from scenedistill.selector import SelectorConfig
 from scenedistill.simstream import OracleNoiseSpec, SceneSpec, StreamConfig, generate_stream
@@ -38,7 +38,6 @@ def main():
     ]
     stream = generate_stream(scenes, args.frames, cfg, seed=args.seed)
     eval_cfg = EvalConfig(gt_source="oracle_as_gt", iou_thresholds=(0.5, 0.6, 0.75))
-    gt = {thr: None for thr in eval_cfg.iou_thresholds}
 
     def pipe(**kw):
         base = dict(seed=args.seed, mode="sequential",
@@ -64,8 +63,7 @@ def main():
     for name, p in runs.items():
         report = run_pipeline(stream, GRID, p)
         row = f"{name:<14} {report.key_fraction:6.3f} {report.fps:7.0f}"
-        for thr in eval_cfg.iou_thresholds:
-            m = evaluate_frames(report.detections, gt_frames, thr)
+        for m in evaluate_thresholds(report.detections, gt_frames, eval_cfg.iou_thresholds):
             row += f"  {m.mean_ap:6.3f} {m.f1:6.3f}"
         print(row)
 

@@ -36,6 +36,7 @@ from .evaluate import (
     bench_loss_cost,
     evaluate_frames,
     evaluate_report,
+    evaluate_thresholds,
     keyframe_histogram,
 )
 from .models import Backbone, DecoderParams, FeatureFrame, LstmParams, ParamStore
@@ -106,6 +107,7 @@ __all__ = [
     "distill_step",
     "evaluate_frames",
     "evaluate_report",
+    "evaluate_thresholds",
     "general_distill_loss",
     "generate_stream",
     "iou",

@@ -10,6 +10,7 @@ from.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,13 +21,18 @@ from .detection import (
     GridShape,
     GroundTruthObject,
     decode_tensor,
-    match_detections,
+    greedy_match,
+    iou_tables,
+    match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
 from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, synth_oracle
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
+# frames per batched IOU pass: enough to amortize its numpy calls (~0.1 ms per
+# pass), few enough that its temporaries stay small however long the run
+IOU_CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,7 @@ def average_precision(tp_flags: list[bool], n_gt: int) -> float:
     # precision envelope over recall, integrated at recall steps
     mrec = np.concatenate([[0.0], recall, [recall[-1]]])
     mpre = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
 
@@ -113,35 +118,63 @@ class EvalSummary:
         }
 
 
+def evaluate_thresholds(per_frame_dets: list[list[Detection]],
+                        per_frame_gt: list[list[GroundTruthObject]],
+                        thresholds: Sequence[float]) -> list[ThresholdMetrics]:
+    """Score a whole run at each IOU threshold (counts plus per-class AP).
+
+    Each frame's detections are sorted and their IOUs against the frame's
+    ground truth computed once, IOU_CHUNK_FRAMES frames per numpy pass; only
+    the greedy step runs per threshold.  Equal to scoring each threshold on
+    its own with evaluate_frames.
+    """
+    n_gt_per_class: dict[int, int] = {}
+    confidences, classes = [], []
+    tp_flags = [[] for _ in thresholds]  # per threshold, per detection in scoring order
+    fn_totals = [0] * len(thresholds)
+    frames = [(sorted(dets, key=lambda d: -d.confidence), gt)
+              for dets, gt in zip(per_frame_dets, per_frame_gt)]
+    for start in range(0, len(frames), IOU_CHUNK_FRAMES):
+        chunk = frames[start:start + IOU_CHUNK_FRAMES]
+        for (order, gt), table in zip(chunk, iou_tables(chunk)):
+            for obj in gt:
+                n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
+            confidences.extend(d.confidence for d in order)
+            classes.extend(d.class_id for d in order)
+            for t, thr in enumerate(thresholds):
+                matched = [j >= 0 for j in greedy_match(table, thr)]
+                tp_flags[t].extend(matched)
+                fn_totals[t] += len(gt) - sum(matched)
+
+    # one stable ranking by confidence serves every threshold's per-class AP
+    ranked = sorted(range(len(confidences)), key=lambda i: -confidences[i])
+    ranked_by_class = {cls: [i for i in ranked if classes[i] == cls]
+                       for cls in sorted(n_gt_per_class)}
+    out = []
+    for thr, flags, fn_total in zip(thresholds, tp_flags, fn_totals):
+        tp_total = sum(flags)
+        fp_total = len(flags) - tp_total
+        precision = tp_total / (tp_total + fp_total) if flags else 0.0
+        recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        ap_per_class = {
+            cls: average_precision([flags[i] for i in idx], n_gt_per_class[cls])
+            for cls, idx in ranked_by_class.items()
+        }
+        mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
+        out.append(ThresholdMetrics(
+            iou=thr, tp=tp_total, fp=fp_total, fn=fn_total,
+            precision=precision, recall=recall, f1=f1,
+            ap_per_class=ap_per_class, mean_ap=mean_ap,
+        ))
+    return out
+
+
 def evaluate_frames(per_frame_dets: list[list[Detection]],
                     per_frame_gt: list[list[GroundTruthObject]],
                     iou_threshold: float) -> ThresholdMetrics:
     """Score a whole run at one IOU threshold (counts plus per-class AP)."""
-    scored = []  # (confidence, is_tp, class_id)
-    n_gt_per_class: dict[int, int] = {}
-    fn_total = 0
-    for dets, gt in zip(per_frame_dets, per_frame_gt):
-        for obj in gt:
-            n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
-        matches, missed = match_detections(dets, gt, iou_threshold)
-        fn_total += len(missed)
-        scored.extend((det.confidence, tgt is not None, det.class_id) for det, tgt in matches)
-    tp_total = sum(1 for _, flag, _ in scored if flag)
-    fp_total = len(scored) - tp_total
-    precision = tp_total / (tp_total + fp_total) if scored else 0.0
-    recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-
-    ap_per_class = {}
-    for cls, n_gt in sorted(n_gt_per_class.items()):
-        flags = [flag for conf, flag, c in sorted(scored, key=lambda r: -r[0]) if c == cls]
-        ap_per_class[cls] = average_precision(flags, n_gt)
-    mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
-    return ThresholdMetrics(
-        iou=iou_threshold, tp=tp_total, fp=fp_total, fn=fn_total,
-        precision=precision, recall=recall, f1=f1,
-        ap_per_class=ap_per_class, mean_ap=mean_ap,
-    )
+    return evaluate_thresholds(per_frame_dets, per_frame_gt, (iou_threshold,))[0]
 
 
 def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalConfig,
@@ -170,9 +203,7 @@ def evaluate_report(report: PipelineReport, stream: list[FrameRecord], grid: Gri
     summary = EvalSummary(
         gt_source=eval_cfg.gt_source,
         conf_threshold=eval_cfg.conf_threshold,
-        per_threshold=[
-            evaluate_frames(report.detections, gt, thr) for thr in eval_cfg.iou_thresholds
-        ],
+        per_threshold=evaluate_thresholds(report.detections, gt, eval_cfg.iou_thresholds),
     )
     report.evaluation = summary.to_dict()
     return summary
@@ -186,12 +217,13 @@ def ablate_lambda(stream: list[FrameRecord], grid: GridShape, lambdas: list[floa
     Sequential mode keeps runs deterministic; metrics are scored against the
     configured ground-truth source at one IOU threshold.
     """
+    # the ground truth depends on the stream, oracle noise and seed, not on lambda
+    oracle_seed = pipe_cfg.oracle_seed if pipe_cfg.oracle_seed is not None else pipe_cfg.seed
+    gt = ground_truth_for(stream, grid, eval_cfg, pipe_cfg.oracle_noise, oracle_seed)
     rows = []
     for lam in lambdas:
         cfg = replace(pipe_cfg, mode="sequential", distill=replace(pipe_cfg.distill, lam=lam))
         report = run_pipeline(stream, grid, cfg)
-        gt = ground_truth_for(stream, grid, eval_cfg, cfg.oracle_noise,
-                              cfg.oracle_seed if cfg.oracle_seed is not None else cfg.seed)
         metrics = evaluate_frames(report.detections, gt, iou_thr)
         rows.append({
             "lam": lam,

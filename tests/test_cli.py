@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +172,31 @@ class TestDocumentedConfigs:
                      "--out", out]) == 0
         rows = json.loads(open(out).read())
         assert [r["n_targets"] for r in rows] == [1, 10]
+
+
+class TestScripts:
+    """The experiment scripts under scripts/ run end to end (shrunk here)."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run_script(self, name):
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        return subprocess.run([sys.executable, str(self.ROOT / "scripts" / name), "--frames", "200"],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_compare_selectors(self):
+        done = self.run_script("compare_selectors.py")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert "AP@0.75" in lines[0]
+        assert [line.split()[0] for line in lines[1:]] == [
+            "frozen", "adaptive", "random(0.3)", "scene_change"]
+
+    def test_keyframe_profile(self):
+        done = self.run_script("keyframe_profile.py")
+        assert done.returncode == 0, done.stderr
+        assert "static scene: key fraction" in done.stdout
+        assert "scene changes answered within 5 frames" in done.stdout
 
 
 class TestEvalCommand:

@@ -1,23 +1,35 @@
 """Evaluation harness: matching, average precision, loss-cost benchmark,
 key-frame histogram."""
 
+import hashlib
 import itertools
+import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenedistill.evaluate as evaluate_module
 from scenedistill.detection import Box, Detection, GridShape, GroundTruthObject, iou
+from scenedistill.distill import DistillConfig
 from scenedistill.evaluate import (
     EvalConfig,
+    ThresholdMetrics,
+    ablate_lambda,
     average_precision,
     bench_loss_cost,
     evaluate_frames,
+    evaluate_report,
+    evaluate_thresholds,
+    ground_truth_for,
     keyframe_histogram,
     match_detections,  # evaluation's name for detection.match_detections
 )
-from scenedistill.pipeline import PipelineReport
+from scenedistill.pipeline import PipelineConfig, PipelineReport, run_pipeline
+from scenedistill.simstream import OracleNoiseSpec, SceneSpec, StreamConfig, generate_stream
 
 
 def det(cx, cy, w, h, cls, conf):
@@ -26,6 +38,81 @@ def det(cx, cy, w, h, cls, conf):
 
 def gt(cx, cy, w, h, cls, oid=0):
     return GroundTruthObject(Box(cx, cy, w, h), cls, oid)
+
+
+# Reference implementations: the greedy matcher, the precision envelope and
+# the per-threshold scoring as written before they were batched.  The
+# arithmetic is unchanged, so results must be equal, not close.
+
+def reference_match(dets, targets, iou_threshold):
+    order = sorted(range(len(dets)), key=lambda k: -dets[k].confidence)
+    taken = [False] * len(targets)
+    matches = []
+    for k in order:
+        best_j, best_iou = -1, iou_threshold
+        for j, tgt in enumerate(targets):
+            if taken[j] or tgt.class_id != dets[k].class_id:
+                continue
+            v = iou(dets[k].box, tgt.box)
+            if v >= best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0:
+            taken[best_j] = True
+        matches.append((dets[k], targets[best_j] if best_j >= 0 else None))
+    return matches, [t for j, t in enumerate(targets) if not taken[j]]
+
+
+def reference_average_precision(tp_flags, n_gt):
+    if n_gt == 0:
+        return 1.0 if not tp_flags else 0.0
+    if not tp_flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(tp_flags, dtype=float))
+    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    mrec = np.concatenate([[0.0], recall, [recall[-1]]])
+    mpre = np.concatenate([[0.0], precision, [0.0]])
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    idx = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[idx + 1] - mrec[idx]) * mpre[idx + 1]))
+
+
+def reference_evaluate_frames(per_frame_dets, per_frame_gt, iou_threshold):
+    scored = []  # (confidence, is_tp, class_id)
+    n_gt_per_class = {}
+    fn_total = 0
+    for dets, objects in zip(per_frame_dets, per_frame_gt):
+        for obj in objects:
+            n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
+        matches, missed = reference_match(dets, objects, iou_threshold)
+        fn_total += len(missed)
+        scored.extend((d.confidence, tgt is not None, d.class_id) for d, tgt in matches)
+    tp_total = sum(1 for _, flag, _ in scored if flag)
+    fp_total = len(scored) - tp_total
+    precision = tp_total / (tp_total + fp_total) if scored else 0.0
+    recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    ap_per_class = {}
+    for cls, n_gt in sorted(n_gt_per_class.items()):
+        flags = [flag for conf, flag, c in sorted(scored, key=lambda r: -r[0]) if c == cls]
+        ap_per_class[cls] = reference_average_precision(flags, n_gt)
+    mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
+    return ThresholdMetrics(
+        iou=iou_threshold, tp=tp_total, fp=fp_total, fn=fn_total,
+        precision=precision, recall=recall, f1=f1,
+        ap_per_class=ap_per_class, mean_ap=mean_ap,
+    )
+
+
+# few distinct values, so equal confidences and equal IOUs (duplicate or
+# mirrored boxes) come up often
+coords = st.sampled_from([0.3, 0.35, 0.4, 0.45, 0.5])
+sizes = st.sampled_from([0.1, 0.2])
+frame_dets = st.lists(st.builds(det, coords, coords, sizes, sizes, st.integers(0, 1),
+                                st.sampled_from([0.3, 0.6, 0.9])), max_size=6)
+frame_gt = st.lists(st.builds(gt, coords, coords, sizes, sizes, st.integers(0, 1)), max_size=5)
 
 
 class TestMatchDetections:
@@ -88,6 +175,27 @@ class TestMatchDetections:
         assert sum(tp) == best == 3
         assert missed == []
 
+    def test_equal_iou_later_target_wins(self):
+        objects = [gt(0.5, 0.5, 0.2, 0.2, 0, 0), gt(0.5, 0.5, 0.2, 0.2, 0, 1)]
+        dets = [det(0.52, 0.5, 0.2, 0.2, 0, 0.9)]
+        matches, missed = match_detections(dets, objects, 0.5)
+        assert matches[0][1] is objects[1]
+        assert missed == [objects[0]]
+
+    def test_match_exactly_at_threshold(self):
+        objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
+        dets = [det(0.55, 0.47, 0.2, 0.25, 0, 0.9)]
+        v = iou(dets[0].box, objects[0].box)
+        assert 0.0 < v < 1.0
+        assert match_detections(dets, objects, v) == ([(dets[0], objects[0])], [])
+        above = math.nextafter(v, 1.0)
+        assert match_detections(dets, objects, above) == ([(dets[0], None)], objects)
+
+    @given(frame_dets, frame_gt, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, dets, objects, thr):
+        assert match_detections(dets, objects, thr) == reference_match(dets, objects, thr)
+
 
 class TestAveragePrecision:
     def test_all_tp_is_one(self):
@@ -122,6 +230,7 @@ class TestAveragePrecision:
         n_gt = sum(flags) + extra_gt
         v = average_precision(flags, n_gt)
         assert 0.0 <= v <= 1.0
+        assert v == reference_average_precision(flags, n_gt)
 
 
 class TestEvaluateFrames:
@@ -168,6 +277,81 @@ class TestEvaluateFrames:
         assert 0.0 <= m.recall <= 1.0
         assert 0.0 <= m.f1 <= min(2 * m.precision, 2 * m.recall) + 1e-12
         assert m.tp + m.fn == sum(len(g) for g in frames_gt)
+
+
+class TestEvaluateThresholds:
+    @given(st.lists(st.tuples(frame_dets, frame_gt), max_size=5),
+           st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.6, 0.75, 1.0]),
+                    min_size=1, max_size=4, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_threshold_reference(self, frames, thresholds):
+        dets = [d for d, _ in frames]
+        objects = [g for _, g in frames]
+        got = [m.to_dict() for m in evaluate_thresholds(dets, objects, thresholds)]
+        want = [reference_evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds]
+        assert got == want
+        assert [evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds] == want
+
+
+PIN_GRID = GridShape(s=6, c=4)
+PIN_NOISE = OracleNoiseSpec(empty_cell_noise_rate=0.15, noise_logit_range=(-2.0, -0.4),
+                            box_jitter_sigma=0.002, noise_wobble=0.02, class_flip_prob=0.02)
+
+
+def pin_run(seed, n_frames=300):
+    """An adapting sequential run on a fixed four-scene stream."""
+    scenes = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)),
+                        motion_sigma=0.004, duration_range=(60, 90)) for i in range(4)]
+    stream = generate_stream(scenes, n_frames,
+                             StreamConfig(grid=PIN_GRID, feature_dim=12, transition_len=4), seed)
+    cfg = PipelineConfig(seed=0, oracle_seed=seed, mode="sequential", selector="adaptive",
+                         distill=DistillConfig(lam=0.4, lr=0.05, steps_per_event=10),
+                         oracle_noise=PIN_NOISE, decoder_hidden=32)
+    return stream, run_pipeline(stream, PIN_GRID, cfg)
+
+
+class TestEvaluateReportPins:
+    """SHA-256 of evaluate_report's summary, taken on the per-threshold code
+    (about 900 detections per run)."""
+
+    @pytest.mark.parametrize("seed,gt_source,digest", [
+        (21, "true_gt", "017680ac0886686f9ea4bbdcf124593e6f73eb389e9a9bf75996ee6a2fc731b5"),
+        (21, "oracle_as_gt", "ef79cf9af733334c5a0e125881d37186b4dfb40530a732c1149f9bc6d18ab94c"),
+        (22, "true_gt", "4ea1d3727e5806294079e2fbda8b8fd647a7f32dbfc04fe763f8845909619e0d"),
+        (22, "oracle_as_gt", "4927fb31085b7b78f71a77c3023a55bc78d12520731b769a46221652b5ce01cf"),
+    ])
+    def test_summary_matches_pinned_digest(self, seed, gt_source, digest):
+        stream, report = pin_run(seed)
+        summary = evaluate_report(report, stream, PIN_GRID,
+                                  EvalConfig(gt_source=gt_source, iou_thresholds=(0.5, 0.6, 0.75)),
+                                  PIN_NOISE, seed)
+        blob = json.dumps(summary.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestAblateLambda:
+    def test_ground_truth_built_once_rows_unchanged(self, monkeypatch):
+        stream, _ = pin_run(5, n_frames=60)
+        pipe = PipelineConfig(seed=0, oracle_seed=5, mode="sequential", selector="adaptive",
+                              distill=DistillConfig(lam=0.4, lr=0.05, steps_per_event=2),
+                              oracle_noise=PIN_NOISE, decoder_hidden=16)
+        eval_cfg = EvalConfig(gt_source="oracle_as_gt")
+        lambdas = [0.0, 0.5, 1.0]
+        want = []
+        for lam in lambdas:
+            report = run_pipeline(stream, PIN_GRID,
+                                  replace(pipe, distill=replace(pipe.distill, lam=lam)))
+            m = evaluate_frames(report.detections,
+                                ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, 5), 0.5)
+            want.append({"lam": lam, "ap": m.mean_ap, "f1": m.f1, "tp": m.tp, "fp": m.fp,
+                         "key_frames": report.n_key_frames, "key_fraction": report.key_fraction})
+
+        calls = []
+        real = evaluate_module.ground_truth_for
+        monkeypatch.setattr(evaluate_module, "ground_truth_for",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert ablate_lambda(stream, PIN_GRID, lambdas, pipe, eval_cfg) == want
+        assert len(calls) == 1
 
 
 class TestBenchLossCost:
