@@ -211,50 +211,6 @@ def iou_table(dets: list[Detection], targets: list,
     ]
 
 
-def _box_edges(objs: list) -> tuple[np.ndarray, ...]:
-    """x0, x1, y0, y1, area and class_id of each object's box, computed as
-    iou computes them."""
-    cx, cy, w, h = (np.array([getattr(o.box, f) for o in objs], dtype=float)
-                    for f in ("cx", "cy", "w", "h"))
-    return (cx - w / 2, cx + w / 2, cy - h / 2, cy + h / 2, w * h,
-            np.array([o.class_id for o in objs], dtype=np.intp))
-
-
-def iou_tables(frames: list[tuple[list[Detection], list]]) -> list[list[list[float | None]]]:
-    """iou_table of every (dets, targets) frame, class-aware, with all
-    frames' pairs in one numpy pass.
-
-    The arithmetic is iou's, operation for operation, so each entry equals
-    iou(det.box, target.box) exactly.  A single small frame is cheaper
-    through iou_table: the numpy calls cost about 0.1 ms whatever the size.
-    """
-    n_dets = np.array([len(dets) for dets, _ in frames], dtype=np.intp)
-    n_tgts = np.array([len(tgts) for _, tgts in frames], dtype=np.intp)
-    # pair k of a frame is (detection k // n_tgts, target k % n_tgts)
-    n_pairs = n_dets * n_tgts
-    frame = np.repeat(np.arange(len(frames)), n_pairs)
-    k = np.arange(n_pairs.sum()) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-    di = (np.cumsum(n_dets) - n_dets)[frame] + k // n_tgts[frame]
-    ti = (np.cumsum(n_tgts) - n_tgts)[frame] + k % n_tgts[frame]
-    ax0, ax1, ay0, ay1, a_area, a_cls = _box_edges([d for dets, _ in frames for d in dets])
-    bx0, bx1, by0, by1, b_area, b_cls = _box_edges([t for _, tgts in frames for t in tgts])
-
-    iw = np.minimum(ax1[di], bx1[ti]) - np.maximum(ax0[di], bx0[ti])
-    ih = np.minimum(ay1[di], by1[ti]) - np.maximum(ay0[di], by0[ti])
-    hit = ~((iw <= 0) | (ih <= 0))
-    inter = iw[hit] * ih[hit]
-    values = np.full(len(di), 0.0, dtype=object)  # Python floats, as iou returns
-    values[hit] = inter / (a_area[di[hit]] + b_area[ti[hit]] - inter)
-    values[a_cls[di] != b_cls[ti]] = None
-    flat = values.tolist()
-
-    tables, start = [], 0
-    for nd, nt in zip(n_dets.tolist(), n_tgts.tolist()):
-        tables.append([flat[start + i * nt:start + (i + 1) * nt] for i in range(nd)])
-        start += nd * nt
-    return tables
-
-
 def greedy_match(table: list[list[float | None]], iou_threshold: float) -> list[int]:
     """One greedy pass over an IOU table whose rows are in descending
     confidence order: each row takes the highest-IOU untaken target at or

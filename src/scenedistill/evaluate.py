@@ -22,7 +22,7 @@ from .detection import (
     GroundTruthObject,
     decode_tensor,
     greedy_match,
-    iou_tables,
+    iou_table,
     match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
@@ -30,9 +30,6 @@ from .pipeline import PipelineConfig, PipelineReport, run_pipeline
 from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, synth_oracle
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
-# frames per batched IOU pass: enough to amortize its numpy calls (~0.1 ms per
-# pass), few enough that its temporaries stay small however long the run
-IOU_CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -124,27 +121,24 @@ def evaluate_thresholds(per_frame_dets: list[list[Detection]],
     """Score a whole run at each IOU threshold (counts plus per-class AP).
 
     Each frame's detections are sorted and their IOUs against the frame's
-    ground truth computed once, IOU_CHUNK_FRAMES frames per numpy pass; only
-    the greedy step runs per threshold.  Equal to scoring each threshold on
-    its own with evaluate_frames.
+    ground truth computed once; only the greedy step runs per threshold.
+    Equal to scoring each threshold on its own with evaluate_frames.
     """
     n_gt_per_class: dict[int, int] = {}
     confidences, classes = [], []
     tp_flags = [[] for _ in thresholds]  # per threshold, per detection in scoring order
     fn_totals = [0] * len(thresholds)
-    frames = [(sorted(dets, key=lambda d: -d.confidence), gt)
-              for dets, gt in zip(per_frame_dets, per_frame_gt)]
-    for start in range(0, len(frames), IOU_CHUNK_FRAMES):
-        chunk = frames[start:start + IOU_CHUNK_FRAMES]
-        for (order, gt), table in zip(chunk, iou_tables(chunk)):
-            for obj in gt:
-                n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
-            confidences.extend(d.confidence for d in order)
-            classes.extend(d.class_id for d in order)
-            for t, thr in enumerate(thresholds):
-                matched = [j >= 0 for j in greedy_match(table, thr)]
-                tp_flags[t].extend(matched)
-                fn_totals[t] += len(gt) - sum(matched)
+    for dets, gt in zip(per_frame_dets, per_frame_gt):
+        for obj in gt:
+            n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
+        order = sorted(dets, key=lambda d: -d.confidence)
+        confidences.extend(d.confidence for d in order)
+        classes.extend(d.class_id for d in order)
+        table = iou_table(order, gt)
+        for t, thr in enumerate(thresholds):
+            matched = [j >= 0 for j in greedy_match(table, thr)]
+            tp_flags[t].extend(matched)
+            fn_totals[t] += len(gt) - sum(matched)
 
     # one stable ranking by confidence serves every threshold's per-class AP
     ranked = sorted(range(len(confidences)), key=lambda i: -confidences[i])

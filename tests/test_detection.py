@@ -16,7 +16,6 @@ from scenedistill.detection import (
     encode_objects,
     iou,
     iou_table,
-    iou_tables,
     nms,
     partition_cells,
     sigmoid,
@@ -108,35 +107,13 @@ def brute_force_decode(tensor, shape, conf_threshold):
     return out
 
 
-def detections(boxes_st):
-    return st.builds(Detection, boxes_st, st.integers(0, 1), st.floats(0.0, 1.0))
-
-
-# coarse coordinates make touching, nested and identical boxes common
-coarse_boxes = st.builds(Box, *[st.sampled_from([0.1, 0.2, 0.25, 0.3, 0.4, 0.5])] * 4)
-frames = st.lists(st.tuples(st.lists(detections(boxes | coarse_boxes), max_size=5),
-                            st.lists(detections(boxes | coarse_boxes), max_size=5)),
-                  max_size=6)
-
-
-class TestIouTables:
+class TestIouTable:
     def test_table_rows_follow_detections_none_across_classes(self):
         dets = [Detection(Box(0.5, 0.5, 0.5, 0.5), 0, 0.9),
                 Detection(Box(0.1, 0.1, 0.1, 0.1), 1, 0.8)]
         targets = [Detection(Box(0.5, 0.5, 0.5, 0.5), 0, 1.0)]
         assert iou_table(dets, targets) == [[1.0], [None]]
         assert iou_table(dets, targets, class_aware=False) == [[1.0], [0.0]]
-
-    @given(frames)
-    @settings(max_examples=200, deadline=None)
-    def test_batched_tables_equal_scalar_iou_exactly(self, fs):
-        tables = iou_tables(fs)
-        assert len(tables) == len(fs)
-        for (dets, targets), table in zip(fs, tables):
-            want = iou_table(dets, targets)
-            assert [[v if v is None else v.hex() for v in row] for row in table] == \
-                [[v if v is None else float(v).hex() for v in row] for row in want]
-            assert all(v is None or type(v) is float for row in table for v in row)
 
 
 class TestDecode:
