@@ -107,69 +107,94 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -> list[Detection]:
-    """Decode a logit tensor into detections, one candidate per cell.
+def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -> list[list[Detection]]:
+    """Decode a stack of logit tensors, (n, s, s, 5 + c), into each one's
+    detections, one candidate per cell.
 
     Box center is (col + sigmoid(tx)) / s, (row + sigmoid(ty)) / s; box size
     is sigmoid(tw), sigmoid(th).  Confidence is objectness times the best
-    class probability; candidates below conf_threshold are dropped and the
-    survivors are returned sorted by descending confidence.  Raises
-    ValueError when the tensor is not (s, s, 5 + c).
+    class probability; candidates below conf_threshold are dropped and each
+    tensor's survivors are returned sorted by descending confidence.  The
+    per-cell activations run once for the whole stack.  Raises ValueError
+    when a tensor is not (s, s, 5 + c).
     """
     s = shape.s
-    if tensor.shape != (s, s, shape.channels):
-        raise ValueError(f"tensor of shape {tensor.shape} does not match grid "
+    if stack.shape[1:] != (s, s, shape.channels):
+        raise ValueError(f"tensor of shape {stack.shape[1:]} does not match grid "
                          f"{(s, s, shape.channels)}")
-    obj = sigmoid(tensor[:, :, 0])
-    cls_prob = softmax(tensor[:, :, 5:], axis=-1)
-    best_cls = np.argmax(cls_prob, axis=-1)
-    best_prob = np.max(cls_prob, axis=-1)
-    conf = obj * best_prob
+    obj = sigmoid(stack[..., 0])
+    cls_prob = softmax(stack[..., 5:], axis=-1)
+    # the ndarray methods run np.argmax/np.max's reductions without their
+    # Python-level wrappers
+    best_cls = cls_prob.argmax(axis=-1)
+    conf = obj * cls_prob.max(axis=-1)
+    keep = conf >= conf_threshold
 
-    dets = []
-    rows, cols = np.nonzero(conf >= conf_threshold)
-    for r, col in zip(rows, cols):
-        tx, ty, tw, th = tensor[r, col, 1:5]
-        box = Box(
-            cx=(col + float(sigmoid(tx))) / s,
-            cy=(r + float(sigmoid(ty))) / s,
-            w=float(sigmoid(tw)),
-            h=float(sigmoid(th)),
-        )
-        dets.append(Detection(box=box, class_id=int(best_cls[r, col]), confidence=float(conf[r, col])))
-    dets.sort(key=lambda d: -d.confidence)
-    return dets
+    out = []
+    for tensor, frame_keep, frame_conf, frame_cls in zip(stack, keep, conf, best_cls):
+        dets = []
+        rows, cols = np.nonzero(frame_keep)
+        for r, col in zip(rows, cols):
+            tx, ty, tw, th = tensor[r, col, 1:5]
+            box = Box(
+                cx=(col + float(sigmoid(tx))) / s,
+                cy=(r + float(sigmoid(ty))) / s,
+                w=float(sigmoid(tw)),
+                h=float(sigmoid(th)),
+            )
+            dets.append(Detection(box=box, class_id=int(frame_cls[r, col]),
+                                  confidence=float(frame_conf[r, col])))
+        dets.sort(key=lambda d: -d.confidence)
+        out.append(dets)
+    return out
 
 
-def encode_objects(tensor: np.ndarray, shape: GridShape,
-                   boxes: list[tuple[float, float, float, float]], class_ids: list[int],
-                   obj_logits: list[float], class_margin: float = 4.0) -> list[tuple[int, int]]:
+def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -> list[Detection]:
+    """Decode one logit tensor, (s, s, 5 + c): decode_tensors on a stack of one."""
+    return decode_tensors(tensor[None], shape, conf_threshold)[0]
+
+
+def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_logits,
+                   class_margin: float = 4.0, frames=None) -> list[tuple[int, int]]:
     """Write objects, given as (cx, cy, w, h), into the cells containing their
     centers; returns each object's (row, col).
 
-    Objects are written in order, so where two share a cell the later one
-    wins.  Inverse of decode_tensor's box mapping, so decode(encode(x))
-    round-trips box coordinates up to the logit clip.
+    tensor is one frame, (s, s, 5 + c), or, with frames giving each object's
+    frame index, a stack of them, (n, s, s, 5 + c).  Objects are written in
+    order, so where two share a cell of a frame the later one wins.  Inverse
+    of decode_tensor's box mapping, so decode(encode(x)) round-trips box
+    coordinates up to the logit clip.
     """
     s = shape.s
-    cells = [(min(int(cy * s), s - 1), min(int(cx * s), s - 1)) for cx, cy, _, _ in boxes]
+    geo = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    n = len(geo)
+    if not n:
+        return []
+    scaled = geo[:, :2] * s
+    cells = scaled.astype(np.intp)  # (col, row); truncates like int() on these floats
+    np.minimum(cells, s - 1, out=cells)
+    block = np.empty((n, shape.channels))
+    block[:, 0] = obj_logits
+    np.subtract(scaled, cells, out=block[:, 1:3])
+    block[:, 3:5] = geo[:, 2:]
+    block[:, 1:5] = logit(block[:, 1:5])
+    block[:, 5:] = -class_margin
+    block[np.arange(n), np.add(class_ids, 5)] = class_margin
+
+    cols, rows = cells[:, 0], cells[:, 1]
+    keys = rows * s + cols
+    if frames is not None:
+        frames = np.asarray(frames)
+        keys += frames * (s * s)
+    index = (rows, cols) if frames is None else (frames, rows, cols)
     # writing only each cell's last object leaves the same tensor as writing
     # all of them in order, and keeps the fancy-indexed write below free of
     # repeated indices, whose order numpy does not define
-    last = list({cell: i for i, cell in enumerate(cells)}.values())
-    if not last:
-        return cells
-    values = []
-    for i in last:
-        (cx, cy, w, h), (row, col) = boxes[i], cells[i]
-        classes = [-class_margin] * shape.c
-        classes[class_ids[i]] = class_margin
-        values.append([obj_logits[i], cx * s - col, cy * s - row, w, h, *classes])
-    block = np.array(values)
-    block[:, 1:5] = logit(block[:, 1:5])
-    rows, cols = zip(*(cells[i] for i in last))
-    tensor[np.array(rows), np.array(cols)] = block
-    return cells
+    last = list({k: i for i, k in enumerate(keys.tolist())}.values())
+    if len(last) < n:
+        block, index = block[last], tuple(ix[last] for ix in index)
+    tensor[index] = block
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def encode_object(tensor: np.ndarray, shape: GridShape, box: Box, class_id: int,

@@ -20,16 +20,21 @@ from .detection import (
     Detection,
     GridShape,
     GroundTruthObject,
-    decode_tensor,
+    decode_tensors,
     greedy_match,
     iou_table,
     match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
-from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, synth_oracle
+from .simstream import FrameRecord, OracleNoiseSpec, oracle_tensors, synth_oracle
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
+# oracle ground truth is synthesized and decoded this many frames at a time;
+# on a 1000-frame 6x6 stream blocks of 16 to 256 frames take about the same
+# time, and peak RSS rose by 2.0 MB at 32 and 11 MB at 1000, against 1.8 MB
+# frame by frame
+GT_BLOCK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -174,18 +179,22 @@ def evaluate_frames(per_frame_dets: list[list[Detection]],
 def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalConfig,
                      noise: OracleNoiseSpec | None = None,
                      oracle_seed: int = 0) -> list[list[GroundTruthObject]]:
-    """Per-frame ground truth: labels, or the oracle's decoded detections."""
+    """Per-frame ground truth: labels, or the oracle's decoded detections.
+
+    Oracle tensors are synthesized and decoded GT_BLOCK_FRAMES frames at a
+    time, equal to oracle_for_frame and decode_tensor frame by frame.
+    """
     if eval_cfg.gt_source == "true_gt":
         return [rec.gt for rec in stream]
     noise = noise if noise is not None else OracleNoiseSpec()
     out = []
-    for rec in stream:
-        tensor = oracle_for_frame(rec, noise, grid, oracle_seed)
-        dets = decode_tensor(tensor, grid, eval_cfg.gt_conf)
-        out.append([
-            GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
-            for i, d in enumerate(dets)
-        ])
+    for start in range(0, len(stream), GT_BLOCK_FRAMES):
+        tensors = oracle_tensors(stream[start:start + GT_BLOCK_FRAMES], noise, grid, oracle_seed)
+        out.extend(
+            [GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
+             for i, d in enumerate(dets)]
+            for dets in decode_tensors(tensors, grid, eval_cfg.gt_conf)
+        )
     return out
 
 

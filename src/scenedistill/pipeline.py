@@ -454,7 +454,9 @@ def checkpoint_load(path: str) -> tuple[DecoderParams, AdaptiveSelector | None]:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {doc.get('version')!r} in {path}"
         )
@@ -487,5 +489,5 @@ def checkpoint_load(path: str) -> tuple[DecoderParams, AdaptiveSelector | None]:
             selector.rng = np.random.default_rng()
             selector.rng.bit_generator.state = sel["rng_state"]
         return decoder, selector
-    except (KeyError, TypeError, IndexError) as e:
+    except (KeyError, TypeError, IndexError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e

@@ -9,7 +9,7 @@ boxes, occasional class flips, and sub-threshold spurious objectness on
 empty cells, like the systematic noise a real heavy detector produces in a
 fixed environment.  The spurious layout depends on the seed, the scene and
 the set of cells that hold objects, so within a scene it stays put until an
-object enters or leaves a cell, and then shifts (ROADMAP item 3).
+object enters or leaves a cell, and then shifts (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -273,14 +273,17 @@ def synth_oracle(gt: list[GroundTruthObject], noise: OracleNoiseSpec, shape: Gri
     if layout_rng is not None:
         layout = tuple(_draw_layout(layout_rng, noise.empty_cell_noise_rate,
                                     noise.noise_logit_range, shape, by_cell))
-        return _render_oracle(layout, by_cell, noise, shape, rng)
-    # one generator: each spurious cell's per-frame draws follow its layout draws
-    layout, draws = [], []
-    for cell in _draw_layout(rng, noise.empty_cell_noise_rate, noise.noise_logit_range,
-                             shape, by_cell):
-        layout.append(cell)
-        draws.append(rng.standard_normal(_draws_per_spurious_cell(noise)).tolist())
-    return _render_oracle(layout, by_cell, noise, shape, rng, draws)
+        draws = None
+    else:
+        # one generator: each spurious cell's per-frame draws follow its layout draws
+        layout, draws = [], []
+        for cell in _draw_layout(rng, noise.empty_cell_noise_rate, noise.noise_logit_range,
+                                 shape, by_cell):
+            layout.append(cell)
+            draws.append(rng.standard_normal(_draws_per_spurious_cell(noise)).tolist())
+    block = _OracleBlock(1, noise, shape)
+    block.add(0, layout, by_cell, rng, draws)
+    return block.render()[0]
 
 
 def _draws_per_spurious_cell(noise: OracleNoiseSpec) -> int:
@@ -305,7 +308,7 @@ def _draw_layout(layout_rng, rate: float, logit_range: tuple[float, float], shap
     Draws lazily, cell by cell, so a caller that shares layout_rng with its
     per-frame draws interleaves them exactly as one loop would.  A cell in
     occupied skips its six value draws, which shifts every later cell's
-    values: the layout depends on which cells hold objects (ROADMAP item 3).
+    values: the layout depends on which cells hold objects (ROADMAP item 5).
     """
     s = shape.s
     lo, hi = logit_range
@@ -329,40 +332,76 @@ def _noise_layout(seed: int, scene_id: int, rate: float, logit_range: tuple[floa
     return tuple(_draw_layout(layout_rng, rate, logit_range, shape, occupied))
 
 
-def _render_oracle(layout, by_cell: dict[tuple[int, int], GroundTruthObject],
-                   noise: OracleNoiseSpec, shape: GridShape, rng, draws=None) -> np.ndarray:
-    """Spurious detections, then true objects on top.
+class _OracleBlock:
+    """Oracle tensors for n frames, rendered together.
 
-    rng's per-frame draws come in the order of one loop over the detections:
-    each spurious one's wobble and box jitter, then each true object's class
-    flip and box jitter.  draws holds the spurious detections' standard
-    normals when the caller drew them already; otherwise one call draws them
-    all, which gives the same values because rng.normal(0, scale) is scale
-    times a standard normal.
+    add() collects one frame's detections in write order (spurious ones,
+    then true objects on top) with the standard normals that jitter their
+    boxes; render() jitters every collected box in one pass and encodes the
+    whole block with one encode_objects call.
     """
-    wobble, sigma = noise.noise_wobble, noise.box_jitter_sigma
-    if draws is None:
-        draws = rng.standard_normal((len(layout), _draws_per_spurious_cell(noise))).tolist()
-    tensor = np.zeros((shape.s, shape.s, shape.channels))
-    tensor[:, :, 0] = noise.empty_logit
-    boxes, classes, logits = [], [], []
-    for (base_logit, box, cls), z in zip(layout, draws):
-        logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
-        boxes.append(_jitter_box(box, sigma, z[-4:]) if sigma > 0 else box)
-        classes.append(cls)
 
-    for obj in by_cell.values():
-        cls = obj.class_id
-        if noise.class_flip_prob > 0 and rng.random() < noise.class_flip_prob:
-            cls = int((cls + 1 + rng.integers(shape.c - 1)) % shape.c) if shape.c > 1 else cls
-        b = obj.box
-        box = (b.cx, b.cy, b.w, b.h)
-        boxes.append(_jitter_box(box, sigma, rng.standard_normal(4).tolist()) if sigma > 0 else box)
-        classes.append(cls)
-        logits.append(noise.obj_logit)
+    def __init__(self, n: int, noise: OracleNoiseSpec, shape: GridShape):
+        self.noise, self.shape = noise, shape
+        self.tensors = np.zeros((n, shape.s, shape.s, shape.channels))
+        self.tensors[..., 0] = noise.empty_logit
+        self.frames, self.boxes, self.normals, self.classes, self.logits = [], [], [], [], []
 
-    encode_objects(tensor, shape, boxes, classes, logits)
-    return tensor
+    def add(self, i: int, layout, by_cell: dict[tuple[int, int], GroundTruthObject], rng,
+            draws=None) -> None:
+        """Collect frame i's detections.
+
+        rng's per-frame draws come in the order of one loop over the
+        detections: each spurious one's wobble and box jitter, then each true
+        object's class flip and box jitter.  draws holds the spurious
+        detections' standard normals when the caller drew them already;
+        otherwise one call draws them all, which gives the same values
+        because rng.normal(0, scale) is scale times a standard normal.
+        """
+        noise, c = self.noise, self.shape.c
+        wobble, jitter = noise.noise_wobble, noise.box_jitter_sigma > 0
+        if draws is None:
+            draws = rng.standard_normal((len(layout), _draws_per_spurious_cell(noise))).tolist()
+        boxes, normals, classes, logits = self.boxes, self.normals, self.classes, self.logits
+        for (base_logit, box, cls), z in zip(layout, draws):
+            logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
+            boxes.append(box)
+            normals.append(z[-4:])
+            classes.append(cls)
+        for obj in by_cell.values():
+            cls = obj.class_id
+            if noise.class_flip_prob > 0 and rng.random() < noise.class_flip_prob:
+                cls = int((cls + 1 + rng.integers(c - 1)) % c) if c > 1 else cls
+            b = obj.box
+            boxes.append((b.cx, b.cy, b.w, b.h))
+            normals.append(rng.standard_normal(4).tolist() if jitter else None)
+            classes.append(cls)
+            logits.append(noise.obj_logit)
+        self.frames += [i] * (len(boxes) - len(self.frames))
+
+    def render(self) -> np.ndarray:
+        """The block's tensors, (n, s, s, 5 + c), with every collected box
+        moved by sigma times its standard normals and kept inside the image.
+        """
+        geo = np.array(self.boxes, dtype=float).reshape(-1, 4)
+        sigma = self.noise.box_jitter_sigma
+        if sigma > 0 and len(geo):
+            # the per-box rule w = min(max(w + sigma * zw, 0.02), 0.98), then
+            # cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2), in place:
+            # np.minimum/np.maximum equal float min/max on finite values
+            geo = geo + sigma * np.array(self.normals)
+            wh, centers = geo[:, 2:], geo[:, :2]
+            np.maximum(wh, 0.02, out=wh)
+            np.minimum(wh, 0.98, out=wh)
+            half = wh / 2
+            np.maximum(centers, half, out=centers)
+            np.minimum(centers, 1 - half, out=centers)
+        if len(self.tensors) == 1:  # one frame needs no frame index
+            encode_objects(self.tensors[0], self.shape, geo, self.classes, self.logits)
+        else:
+            encode_objects(self.tensors, self.shape, geo, self.classes, self.logits,
+                           frames=np.array(self.frames, dtype=np.intp))
+        return self.tensors
 
 
 def _center_dist(box: Box, cell: tuple[int, int], s: int) -> float:
@@ -370,38 +409,41 @@ def _center_dist(box: Box, cell: tuple[int, int], s: int) -> float:
     return float(np.hypot(box.cx * s - (col + 0.5), box.cy * s - (row + 0.5)))
 
 
-def _jitter_box(box: tuple[float, float, float, float], sigma: float,
-                z: list[float]) -> tuple[float, float, float, float]:
-    """Move (cx, cy, w, h) by sigma times the standard normals z, kept inside the image."""
-    cx, cy, w, h = box
-    zx, zy, zw, zh = z
-    # min/max on floats gives np.clip's values for finite inputs, without a
-    # numpy call per coordinate
-    w = min(max(w + sigma * zw, 0.02), 0.98)
-    h = min(max(h + sigma * zh, 0.02), 0.98)
-    cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2)
-    cy = min(max(cy + sigma * zy, h / 2), 1 - h / 2)
-    return cx, cy, w, h
-
-
 def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridShape,
                      seed: int) -> np.ndarray:
-    """Oracle tensor for one frame: cached if present, else synthesized.
+    """Oracle tensor for one frame: the record's cached tensor itself if it
+    has one, else oracle_tensors on a block of one, a new tensor per call.
 
     Seeding is a pure function of (seed, scene, frame), so any consumer
     (sequential or parallel, any call order) sees identical supervision.  The
     noise layout is seeded per scene but also depends on which cells hold
     objects, so it shifts when an object enters or leaves a cell (ROADMAP
-    item 3); layouts are cached per (seed, scene, noise rate and range, grid,
-    occupied cells), and every call returns a new tensor.
+    item 5); layouts are cached per (seed, scene, noise rate and range, grid,
+    occupied cells).
     """
     if record.oracle_tensor is not None:
         return record.oracle_tensor
-    by_cell = _objects_by_cell(record.gt, shape.s)
-    layout = _noise_layout(seed, record.scene_id, noise.empty_cell_noise_rate,
-                           tuple(noise.noise_logit_range), shape, frozenset(by_cell))
-    rng = np.random.default_rng([seed, record.scene_id, record.frame_id])
-    return _render_oracle(layout, by_cell, noise, shape, rng)
+    return oracle_tensors([record], noise, shape, seed)[0]
+
+
+def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
+                   seed: int) -> np.ndarray:
+    """Oracle tensors for a block of frames, (n, s, s, 5 + c), each equal to
+    oracle_for_frame's; a record's cached tensor is copied in.
+
+    Each record makes oracle_for_frame's draws from its own generator; the
+    box jitter and the encoding then run once for the whole block.
+    """
+    block = _OracleBlock(len(records), noise, shape)
+    for i, rec in enumerate(records):
+        if rec.oracle_tensor is not None:
+            block.tensors[i] = rec.oracle_tensor
+            continue
+        by_cell = _objects_by_cell(rec.gt, shape.s)
+        layout = _noise_layout(seed, rec.scene_id, noise.empty_cell_noise_rate,
+                               tuple(noise.noise_logit_range), shape, frozenset(by_cell))
+        block.add(i, layout, by_cell, np.random.default_rng([seed, rec.scene_id, rec.frame_id]))
+    return block.render()
 
 
 def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
@@ -490,13 +532,21 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise TraceError(f"{path}: malformed header (line 1): {e}") from e
-    if not isinstance(header, dict) or header.get("version") != TRACE_VERSION:
+    if not isinstance(header, dict):
+        raise TraceError(f"{path}: header is not a JSON object (line 1)")
+    if header.get("version") != TRACE_VERSION:
         raise TraceError(f"{path}: unsupported trace version {header.get('version')!r} (line 1)")
     try:
         s, c, d, n_frames = header["s"], header["c"], header["d"], header["n_frames"]
     except KeyError as e:
         raise TraceError(f"{path}: header missing field {e} (line 1)") from e
-    grid = GridShape(s=s, c=c)
+    for name, value in (("s", s), ("c", c), ("d", d), ("n_frames", n_frames)):
+        if type(value) is not int:
+            raise TraceError(f"{path}: header field {name!r} is {value!r}, not an integer (line 1)")
+    try:
+        grid = GridShape(s=s, c=c)
+    except ValueError as e:
+        raise TraceError(f"{path}: {e} (line 1)") from e
 
     records: list[FrameRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -12,6 +12,7 @@ from scenedistill.detection import (
     Detection,
     GridShape,
     decode_tensor,
+    decode_tensors,
     encode_object,
     encode_objects,
     iou,
@@ -151,6 +152,23 @@ class TestDecode:
         with pytest.raises(ValueError, match="does not match grid"):
             decode_tensor(np.zeros(tensor_shape), GridShape(s=6, c=4), 0.5)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("s,c", [(4, 3), (3, 1), (5, 9)])
+    def test_stack_matches_one_tensor_at_a_time(self, s, c, threshold):
+        shape = GridShape(s=s, c=c)
+        rng = np.random.default_rng(s * 10 + c)
+        stack = rng.normal(0, 3, size=(20, s, s, shape.channels))
+        stack[3, :, :, 0] = stack[3, :, :, 5] = 80.0  # every cell of one tensor at confidence 1
+        got = decode_tensors(stack, shape, threshold)
+        assert got == [decode_tensor(t, shape, threshold) for t in stack]
+        assert sum(map(len, got)) > 0
+
+    def test_stack_of_none_and_wrong_grid(self):
+        shape = GridShape(s=4, c=2)
+        assert decode_tensors(np.zeros((0, 4, 4, 7)), shape, 0.5) == []
+        with pytest.raises(ValueError, match="does not match grid"):
+            decode_tensors(np.zeros((2, 4, 4, 8)), shape, 0.5)
+
     def test_output_sorted_by_confidence(self):
         shape = GridShape(s=4, c=2)
         rng = np.random.default_rng(1)
@@ -201,6 +219,24 @@ class TestDecode:
             cells = encode_objects(got, shape, boxes, classes, logits)
             assert np.array_equal(got, want)  # later object wins a shared cell
             assert cells == [(min(int(b[1] * 4), 3), min(int(b[0] * 4), 3)) for b in boxes]
+
+    def test_stack_encode_matches_frame_by_frame(self):
+        # objects of three frames interleaved, many sharing a cell within a
+        # frame and across frames
+        shape = GridShape(s=3, c=2)
+        rng = np.random.default_rng(6)
+        boxes = [tuple(b) for b in rng.uniform(0.05, 0.95, size=(40, 4)).tolist()]
+        classes = rng.integers(shape.c, size=40).tolist()
+        logits = rng.normal(size=40).tolist()
+        frames = rng.integers(3, size=40).tolist()
+        want = np.stack([shape.zeros() for _ in range(3)])
+        for f in range(3):
+            picked = [i for i in range(40) if frames[i] == f]
+            encode_objects(want[f], shape, [boxes[i] for i in picked],
+                           [classes[i] for i in picked], [logits[i] for i in picked])
+        got = np.stack([shape.zeros() for _ in range(3)])
+        encode_objects(got, shape, boxes, classes, logits, frames=frames)
+        assert np.array_equal(got, want)
 
 
 def brute_force_nms(dets, iou_threshold):

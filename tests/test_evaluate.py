@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scenedistill.evaluate as evaluate_module
-from scenedistill.detection import Box, Detection, GridShape, GroundTruthObject, iou
+from scenedistill.detection import (
+    Box,
+    Detection,
+    GridShape,
+    GroundTruthObject,
+    decode_tensor,
+    iou,
+)
 from scenedistill.distill import DistillConfig
 from scenedistill.evaluate import (
     EvalConfig,
@@ -29,7 +36,13 @@ from scenedistill.evaluate import (
     match_detections,  # evaluation's name for detection.match_detections
 )
 from scenedistill.pipeline import PipelineConfig, PipelineReport, run_pipeline
-from scenedistill.simstream import OracleNoiseSpec, SceneSpec, StreamConfig, generate_stream
+from scenedistill.simstream import (
+    OracleNoiseSpec,
+    SceneSpec,
+    StreamConfig,
+    generate_stream,
+    oracle_for_frame,
+)
 
 
 def det(cx, cy, w, h, cls, conf):
@@ -327,6 +340,35 @@ class TestEvaluateReportPins:
                                   PIN_NOISE, seed)
         blob = json.dumps(summary.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def reference_ground_truth(stream, grid, eval_cfg, noise, seed):
+    """oracle_as_gt ground truth built one frame at a time."""
+    out = []
+    for rec in stream:
+        dets = decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, eval_cfg.gt_conf)
+        out.append([GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
+                    for i, d in enumerate(dets)])
+    return out
+
+
+class TestGroundTruthFor:
+    @pytest.mark.parametrize("oracle_conf", [None, 0.1])
+    def test_blocks_equal_frame_by_frame_reference(self, oracle_conf):
+        n = 2 * evaluate_module.GT_BLOCK_FRAMES + 5  # a partial last block
+        scenes = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)),
+                            motion_sigma=0.01, duration_range=(20, 40)) for i in range(4)]
+        stream = generate_stream(scenes, n, StreamConfig(grid=PIN_GRID, feature_dim=6), seed=4)
+        for rec in stream[::9]:
+            rec.oracle_tensor = oracle_for_frame(rec, OracleNoiseSpec(empty_cell_noise_rate=0.5),
+                                                 PIN_GRID, 1)
+        eval_cfg = EvalConfig(gt_source="oracle_as_gt", oracle_conf_threshold=oracle_conf)
+        got = ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, 4)
+        assert got == reference_ground_truth(stream, PIN_GRID, eval_cfg, PIN_NOISE, 4)
+        assert len(got) == n
+
+    def test_empty_stream(self):
+        assert ground_truth_for([], PIN_GRID, EvalConfig(gt_source="oracle_as_gt"), PIN_NOISE) == []
 
 
 class TestAblateLambda:

@@ -1,6 +1,7 @@
 """Pipeline runners: detection merging, both execution modes, non-learning
 baselines, checkpointing."""
 
+import json
 import sys
 import threading
 import time
@@ -285,6 +286,22 @@ class TestCheckpointing:
         open(path, "w").write(text)
         with pytest.raises(CheckpointError, match="version"):
             checkpoint_load(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            checkpoint_load(str(path))
+
+    def test_malformed_value_rejected(self, tmp_path):
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params, self._selector())
+        doc = json.loads(path.read_text())
+        doc["decoder"]["param_version"] = "seven"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="malformed"):
+            checkpoint_load(str(path))
 
     def test_truncated_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)

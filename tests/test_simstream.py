@@ -16,6 +16,7 @@ from scenedistill.simstream import (
     attach_oracle,
     generate_stream,
     oracle_for_frame,
+    oracle_tensors,
     read_trace,
     scene_change_frames,
     synth_oracle,
@@ -238,6 +239,69 @@ class TestSynthOracle:
             assert np.array_equal(oracle_for_frame(rec, HEAVY_NOISE, GRID, seed=21), want)
 
 
+class TestOracleTensors:
+    """The block synthesis equals one oracle_for_frame call per record."""
+
+    @staticmethod
+    def assert_matches_one_record_calls(records, noise, shape, seed):
+        got = oracle_tensors(records, noise, shape, seed)
+        assert got.shape == (len(records), shape.s, shape.s, shape.channels)
+        for rec, tensor in zip(records, got):
+            assert np.array_equal(tensor, oracle_for_frame(rec, noise, shape, seed))
+        return got
+
+    @pytest.mark.parametrize("name", ["default", "quiet", "heavy"])
+    def test_mixed_cached_and_uncached_records(self, name):
+        noise = {"default": OracleNoiseSpec(), "quiet": QUIET_NOISE, "heavy": HEAVY_NOISE}[name]
+        stream = TestSynthOracle.pin_stream()[:60]
+        cached = OracleNoiseSpec(empty_cell_noise_rate=0.4)
+        for rec in stream[::3]:
+            rec.oracle_tensor = oracle_for_frame(rec, cached, GRID, seed=5)
+        got = self.assert_matches_one_record_calls(stream, noise, GRID, 21)
+        got[0].fill(99.0)  # a cached tensor is copied in, not shared
+        assert not np.array_equal(stream[0].oracle_tensor, got[0])
+
+    def test_single_class_grid(self):
+        grid = GridShape(s=4, c=1)
+        scenes = [SceneSpec(scene_id=0, class_probs=(1.0,), object_count_range=(2, 5),
+                            motion_sigma=0.03, duration_range=(20, 30))]
+        stream = generate_stream(scenes, 50, StreamConfig(grid=grid, feature_dim=4), seed=3)
+        noise = OracleNoiseSpec(empty_cell_noise_rate=0.5, box_jitter_sigma=0.05,
+                                class_flip_prob=0.5, noise_wobble=0.2)
+        self.assert_matches_one_record_calls(stream, noise, grid, 3)
+
+    def test_zero_jitter_and_zero_wobble(self):
+        stream = TestSynthOracle.pin_stream()[:50]
+        noise = OracleNoiseSpec(empty_cell_noise_rate=0.3, noise_wobble=0.0, box_jitter_sigma=0.0)
+        self.assert_matches_one_record_calls(stream, noise, GRID, 4)
+
+    def test_flips_with_dense_noise(self):
+        stream = TestSynthOracle.pin_stream()[:50]
+        noise = OracleNoiseSpec(empty_cell_noise_rate=0.5, class_flip_prob=0.3,
+                                box_jitter_sigma=0.01, noise_wobble=0.1)
+        self.assert_matches_one_record_calls(stream, noise, GRID, 6)
+
+    def test_jittered_object_overwrites_spurious_cell(self):
+        # objects on a cell boundary, jitter that moves them across it, and a
+        # spurious detection on every empty cell: a moved object lands on one
+        records = [
+            FrameRecord(frame_id=i, scene_id=0, frame=None,
+                        gt=[GroundTruthObject(Box(0.4 + 1e-9, 0.5, 0.1, 0.1), 0),
+                            GroundTruthObject(Box(0.9, 0.2 + 1e-9, 0.1, 0.1), 1)])
+            for i in range(12)
+        ]
+        noise = OracleNoiseSpec(empty_cell_noise_rate=1.0, box_jitter_sigma=0.05, noise_wobble=0.1)
+        got = self.assert_matches_one_record_calls(records, noise, GRID, 8)
+        # where the first object left its cell (2, 2), that cell is empty and
+        # the object sits on a neighbour that held a spurious detection
+        moved = got[:, 2, 2, 0] == noise.empty_logit
+        assert moved.any()
+        assert np.all((got[moved, 1:4, 1:4, 0] == noise.obj_logit).any(axis=(1, 2)))
+
+    def test_empty_list(self):
+        assert oracle_tensors([], QUIET_NOISE, GRID, 0).shape == (0, GRID.s, GRID.s, GRID.channels)
+
+
 class TestTraceIO:
     def make_stream(self, n=10, with_oracle=True):
         scenes = [one_scene()]
@@ -314,6 +378,26 @@ class TestTraceIO:
     def test_missing_file(self):
         with pytest.raises(TraceError):
             read_trace("/nonexistent/trace.jsonl")
+
+    def rewrite_header(self, tmp_path, header):
+        stream = self.make_stream(n=2)
+        path = str(tmp_path / "trace.jsonl")
+        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        with open(path, "w") as f:
+            f.write("\n".join([header(lines[0])] + lines[1:]))
+        return path
+
+    def test_header_not_an_object_rejected(self, tmp_path):
+        path = self.rewrite_header(tmp_path, lambda line: "[1, 2]")
+        with pytest.raises(TraceError, match="not a JSON object"):
+            read_trace(path)
+
+    def test_non_integer_header_field_rejected(self, tmp_path):
+        path = self.rewrite_header(tmp_path, lambda line: line.replace('"s": 5', '"s": "5"'))
+        with pytest.raises(TraceError, match="'s'"):
+            read_trace(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
