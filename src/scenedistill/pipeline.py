@@ -1,15 +1,19 @@
-"""End-to-end stream runners and checkpointing.
+"""End-to-end stream runner and checkpointing.
 
-Two execution modes exercise the same per-frame code path: sequential runs
-oracle calls and decoder retraining inline on the inference thread, parallel
-hands key frames to a worker thread over a bounded queue (drop-oldest) and
-commits updated decoder weights atomically, so inference never blocks on
+run_pipeline runs one frame loop for every mode, and every frame goes
+through one routine: backbone, both decoder heads, merged detections, then
+the selector's decision.  A key frame becomes a distillation event (oracle,
+distill_step, commit unless the event failed).  Sequential mode runs the
+event inline on the inference thread; parallel mode hands it to a worker
+thread over a bounded drop-oldest queue and applies the feedback of
+finished events at the next frame boundary, so inference never blocks on
 the oracle.  frozen_student, mixed and oracle_only are non-learning
 baselines.  The oracle's compute cost is simulated by a configurable delay.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import queue
 import sys
@@ -135,29 +139,22 @@ def merge_detections(adaptive_out: np.ndarray, general_out: np.ndarray, shape: G
     return nms(merged, iou_threshold)
 
 
-@dataclass
-class _Runtime:
-    grid: GridShape
-    backbone: Backbone
-    general: DecoderParams
-    store: ParamStore
-    selector: object
-    cfg: PipelineConfig
-
-
-def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> _Runtime:
+def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
+    """Backbone, frozen general head, store of the adaptive head, selector."""
     d = stream[0].frame.values.shape[2]
-    backbone = Backbone(d, seed=cfg.seed)
-    initial = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1)
-    general = initial                      # frozen copy, version 0 forever
-    loaded_selector = None
+    general = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1)  # version 0 forever
+    adapted, selector = general, None
     if cfg.init_checkpoint is not None:
-        adapted, loaded_selector = checkpoint_load(cfg.init_checkpoint)
-        store = ParamStore(adapted)
-    else:
-        store = ParamStore(initial)
-    if cfg.selector == "adaptive":
-        selector = loaded_selector or AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
+        adapted, selector = checkpoint_load(cfg.init_checkpoint)
+        if adapted.w1.shape[0] != d or adapted.w2.shape[1] != grid.channels:
+            raise CheckpointError(
+                f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
+                f"w1 {adapted.w1.shape} and w2 {adapted.w2.shape}, the stream needs "
+                f"({d}, hidden) and (hidden, {grid.channels})")
+    if cfg.mode in ("frozen_student", "mixed", "oracle_only"):
+        selector = NeverSelector()  # non-learning baselines never retrain
+    elif cfg.selector == "adaptive":
+        selector = selector or AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
     elif cfg.selector == "random":
         selector = RandomSelector(cfg.random_prob, tau=cfg.selector_cfg.tau, seed=cfg.seed + 2)
     elif cfg.selector == "scene_change":
@@ -166,10 +163,7 @@ def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConf
         selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
     else:
         selector = NeverSelector()
-    if cfg.mode in ("frozen_student", "mixed", "oracle_only"):
-        selector = NeverSelector()  # non-learning baselines never retrain
-    return _Runtime(grid=grid, backbone=backbone, general=general, store=store,
-                    selector=selector, cfg=cfg)
+    return Backbone(d, seed=cfg.seed), general, ParamStore(adapted), selector
 
 
 def _decision_row(decision: Decision) -> dict:
@@ -194,208 +188,163 @@ def _feedback_row(fb: FeedbackRecord) -> dict:
     }
 
 
-def _oracle(rec: FrameRecord, rt: _Runtime) -> np.ndarray:
-    seed = rt.cfg.oracle_seed if rt.cfg.oracle_seed is not None else rt.cfg.seed
-    return oracle_for_frame(rec, rt.cfg.oracle_noise, rt.grid, seed)
+_SENTINEL = object()
 
 
-def _maybe_checkpoint(rt: _Runtime) -> None:
-    if rt.cfg.checkpoint_out is not None:
-        selector = rt.selector if isinstance(rt.selector, AdaptiveSelector) else None
-        checkpoint_save(rt.cfg.checkpoint_out, rt.store.snapshot(), selector)
+class _Worker:
+    """Runs distillation events on a daemon thread.
+
+    Key frames go in over a bounded queue that drops its oldest entry when
+    full; finished FeedbackRecords come back over a deque (appends and pops
+    are atomic), which the runner drains at frame boundaries so the selector
+    has one owner.
+    """
+
+    def __init__(self, event, capacity: int):
+        self._event = event
+        self._work: queue.Queue = queue.Queue(maxsize=capacity)
+        self._done: collections.deque[FeedbackRecord] = collections.deque()
+        self.error: str | None = None
+        # Both threads run sub-millisecond numpy bursts; the default 5 ms GIL
+        # switch interval would let either side starve the other.
+        self._old_switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        self.thread = threading.Thread(target=self._loop, name="distill-worker", daemon=True)
+        self.thread.start()
+
+    def _loop(self) -> None:
+        try:
+            while (item := self._work.get()) is not _SENTINEL:
+                self._done.append(self._event(*item))
+        except Exception as e:  # surfaced to the inference loop, traceback included
+            self.error = f"{type(e).__name__}: {e}\n{traceback.format_exc()}"
+
+    def submit(self, item: tuple) -> list[tuple]:
+        """Queue a key frame; returns the items dropped to make room for it."""
+        dropped = []
+        try:
+            self._work.put_nowait(item)
+        except queue.Full:
+            try:
+                dropped.append(self._work.get_nowait())
+            except queue.Empty:
+                pass
+            try:
+                self._work.put_nowait(item)
+            except queue.Full:
+                dropped.append(item)
+        return dropped
+
+    def finished(self):
+        """Yield the FeedbackRecords of the events finished so far."""
+        while self._done:
+            yield self._done.popleft()
+
+    def stop(self) -> None:
+        # a worker that died leaves its queue full for good, so offer the
+        # sentinel only while it is alive
+        deadline = time.monotonic() + 30.0
+        while self.thread.is_alive() and time.monotonic() < deadline:
+            try:
+                self._work.put(_SENTINEL, timeout=0.05)
+                break
+            except queue.Full:
+                pass
+        self.thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        sys.setswitchinterval(self._old_switch)
 
 
 def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
     if not stream:
         raise ValueError("empty stream")
-    if cfg.mode == "parallel":
-        return _run_parallel(stream, grid, cfg)
-    return _run_single_thread(stream, grid, cfg)
-
-
-def _run_single_thread(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
-    rt = _build_runtime(stream, grid, cfg)
+    backbone, general, store, selector = _build_runtime(stream, grid, cfg)
+    oracle_seed = cfg.oracle_seed if cfg.oracle_seed is not None else cfg.seed
     mix_rng = np.random.default_rng(cfg.seed + 3)
     decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
-    oracle_frames = 0
+    oracle_frames = dropped = 0
     error = None
-    t_start = time.perf_counter()
-    for rec in stream:
-        t0 = time.perf_counter()
-        feats, summary = rt.backbone.forward(rec.frame)
-        snap = rt.store.snapshot()
-        versions.append(snap.version)
 
+    def oracle(rec: FrameRecord) -> np.ndarray:
+        if cfg.oracle_delay > 0:
+            time.sleep(cfg.oracle_delay)
+        return oracle_for_frame(rec, cfg.oracle_noise, grid, oracle_seed)
+
+    def distill_event(params: DecoderParams, rec: FrameRecord, feats, source: str) -> FeedbackRecord:
+        new_params, fb = distill_step(params, feats, oracle(rec), cfg.distill,
+                                      frame_id=rec.frame_id, decision_source=source)
+        if fb.error is None:
+            store.commit(new_params)
+        return fb
+
+    def feedback(fb: FeedbackRecord) -> None:
+        """Record a finished event; the first failed event names the error."""
+        nonlocal error
+        feedbacks.append(_feedback_row(fb))
+        selector.apply_feedback(fb)
+        if fb.error is not None:
+            error = error or f"frame {fb.frame_id}: {fb.error}"
+
+    def infer(rec: FrameRecord) -> list[Detection]:
+        nonlocal oracle_frames, dropped
+        feats, summary = backbone.forward(rec.frame)
+        snap = store.snapshot()
+        versions.append(snap.version)
         if cfg.mode == "oracle_only" or (cfg.mode == "mixed" and mix_rng.random() < cfg.p_oracle):
-            if cfg.oracle_delay > 0:
-                time.sleep(cfg.oracle_delay)
-            dets = decode_tensor(_oracle(rec, rt), grid, cfg.conf_threshold)
+            dets = decode_tensor(oracle(rec), grid, cfg.conf_threshold)
             oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
             adaptive_out = decoder_forward(snap, feats)
-            general_out = decoder_forward(rt.general, feats)
+            general_out = decoder_forward(general, feats)
             dets = merge_detections(adaptive_out, general_out, grid,
                                     cfg.conf_threshold, cfg.iou_threshold)
-            decision = rt.selector.decide(feats, summary)
-            if decision.train:
-                if cfg.oracle_delay > 0:
-                    time.sleep(cfg.oracle_delay)
-                oracle = _oracle(rec, rt)
-                new_params, fb = distill_step(snap, feats, oracle, cfg.distill,
-                                              frame_id=rec.frame_id,
-                                              decision_source=decision.source)
-                feedbacks.append(_feedback_row(fb))
-                if fb.error is not None:
-                    rt.selector.apply_feedback(fb)
-                    error = f"frame {rec.frame_id}: {fb.error}"
-                    latencies.append(time.perf_counter() - t0)
-                    decisions.append(_decision_row(decision))
-                    detections.append(dets)
-                    break
-                rt.store.commit(new_params)
-                rt.selector.apply_feedback(fb)
-
+            decision = selector.decide(feats, summary)
+            if decision.train and worker is None:
+                feedback(distill_event(snap, rec, feats, decision.source))
+            elif decision.train:
+                # feats is fresh per frame, so the worker trains on the exact
+                # frame that triggered selection even as inference advances.
+                for stale, _, source in worker.submit((rec, feats, decision.source)):
+                    dropped += 1
+                    selector.apply_feedback(FeedbackRecord(stale.frame_id, 0.0, 0.0, source,
+                                                           error="dropped"))
         decisions.append(_decision_row(decision))
-        detections.append(dets)
-        latencies.append(time.perf_counter() - t0)
-    elapsed = time.perf_counter() - t_start
+        return dets
 
-    _maybe_checkpoint(rt)
-    n = len(decisions)
-    return PipelineReport(
-        mode=cfg.mode,
-        selector=rt.selector.kind,
-        n_frames=n,
-        fps=n / elapsed if elapsed > 0 else float("inf"),
-        key_fraction=sum(1 for d in decisions if d["train"]) / n,
-        decisions=decisions,
-        latencies=latencies,
-        feedbacks=feedbacks,
-        detections=detections,
-        versions=versions,
-        oracle_answer_fraction=oracle_frames / n,
-        error=error,
-    )
-
-
-_SENTINEL = object()
-
-
-def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
-    rt = _build_runtime(stream, grid, cfg)
-    work: queue.Queue = queue.Queue(maxsize=cfg.queue_capacity)
-    done: queue.Queue = queue.Queue()
-    worker_error: list[str] = []
-    # Both threads run sub-millisecond numpy bursts; the default 5 ms GIL
-    # switch interval would let either side starve the other.
-    old_switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-
-    def worker():
-        try:
-            while True:
-                item = work.get()
-                if item is _SENTINEL:
-                    return
-                rec, feats, source = item
-                if cfg.oracle_delay > 0:
-                    time.sleep(cfg.oracle_delay)
-                oracle = _oracle(rec, rt)
-                params = rt.store.snapshot()  # sole writer: latest own commit
-                new_params, fb = distill_step(params, feats, oracle, cfg.distill,
-                                              frame_id=rec.frame_id,
-                                              decision_source=source)
-                if fb.error is None:
-                    rt.store.commit(new_params)
-                done.put(fb)
-        except Exception as e:  # surfaced to the inference loop, traceback included
-            worker_error.append(f"{type(e).__name__}: {e}\n{traceback.format_exc()}")
-
-    thread = threading.Thread(target=worker, name="distill-worker", daemon=True)
-    thread.start()
-
-    decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
-    dropped = 0
-    error = None
-
-    def drain_feedback():
-        """Apply finished events; feedback lands at frame boundaries so the
-        selector has one owner.  The first failed event names the error."""
-        nonlocal error
-        while True:
-            try:
-                fb = done.get_nowait()
-            except queue.Empty:
-                return
-            feedbacks.append(_feedback_row(fb))
-            rt.selector.apply_feedback(fb)
-            if fb.error is not None:
-                error = error or f"frame {fb.frame_id}: {fb.error}"
-
+    worker = None
+    if cfg.mode == "parallel":
+        # the worker is the store's sole writer, so it trains on its own latest commit
+        worker = _Worker(lambda *item: distill_event(store.snapshot(), *item), cfg.queue_capacity)
     try:
         t_start = time.perf_counter()
         for rec in stream:
             t0 = time.perf_counter()
-            drain_feedback()
-            if error or worker_error:
+            if worker is not None:
+                for fb in worker.finished():
+                    feedback(fb)
+            if error is not None or (worker is not None and worker.error is not None):
                 break
-
-            feats, summary = rt.backbone.forward(rec.frame)
-            snap = rt.store.snapshot()
-            versions.append(snap.version)
-            adaptive_out = decoder_forward(snap, feats)
-            general_out = decoder_forward(rt.general, feats)
-            dets = merge_detections(adaptive_out, general_out, grid,
-                                    cfg.conf_threshold, cfg.iou_threshold)
-            decision = rt.selector.decide(feats, summary)
-            if decision.train:
-                # feats is fresh per frame, so the worker trains on the exact
-                # frame that triggered selection even as inference advances.
-                item = (rec, feats, decision.source)
-                try:
-                    work.put_nowait(item)
-                except queue.Full:
-                    try:
-                        stale = work.get_nowait()
-                        dropped += 1
-                        rt.selector.apply_feedback(FeedbackRecord(
-                            stale[0].frame_id, 0.0, 0.0, stale[2], error="dropped"))
-                    except queue.Empty:
-                        pass
-                    try:
-                        work.put_nowait(item)
-                    except queue.Full:
-                        dropped += 1
-                        rt.selector.apply_feedback(FeedbackRecord(
-                            rec.frame_id, 0.0, 0.0, decision.source, error="dropped"))
-            decisions.append(_decision_row(decision))
-            detections.append(dets)
+            detections.append(infer(rec))
             latencies.append(time.perf_counter() - t0)
         elapsed = time.perf_counter() - t_start
     finally:
-        # stop the worker on every exit path; one that died leaves its queue
-        # full for good, so offer the sentinel only while it is alive
-        deadline = time.monotonic() + 30.0
-        while thread.is_alive() and time.monotonic() < deadline:
-            try:
-                work.put(_SENTINEL, timeout=0.05)
-                break
-            except queue.Full:
-                pass
-        thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        sys.setswitchinterval(old_switch)
-    drain_feedback()
-    if thread.is_alive():
-        error = error or "distillation worker failed to stop"
-    if worker_error:
-        raise PipelineError(f"distillation worker failed: {worker_error[0]}")
+        if worker is not None:  # stop the worker on every exit path
+            worker.stop()
+    if worker is not None:
+        for fb in worker.finished():
+            feedback(fb)
+        if worker.thread.is_alive():
+            error = error or "distillation worker failed to stop"
+        if worker.error is not None:
+            raise PipelineError(f"distillation worker failed: {worker.error}")
 
-    _maybe_checkpoint(rt)
+    if cfg.checkpoint_out is not None:
+        checkpoint_save(cfg.checkpoint_out, store.snapshot(),
+                        selector if isinstance(selector, AdaptiveSelector) else None)
     n = len(decisions)
     return PipelineReport(
         mode=cfg.mode,
-        selector=rt.selector.kind,
+        selector=selector.kind,
         n_frames=n,
         fps=n / elapsed if elapsed > 0 else float("inf"),
         key_fraction=sum(1 for d in decisions if d["train"]) / n if n else 0.0,
@@ -405,6 +354,7 @@ def _run_parallel(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfi
         detections=detections,
         versions=versions,
         dropped_key_frames=dropped,
+        oracle_answer_fraction=oracle_frames / n if n else 0.0,
         error=error,
     )
 
@@ -488,6 +438,11 @@ def checkpoint_load(path: str) -> tuple[DecoderParams, AdaptiveSelector | None]:
             )
             selector.rng = np.random.default_rng()
             selector.rng.bit_generator.state = sel["rng_state"]
-        return decoder, selector
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e
+    w1, b1, w2, b2 = decoder.w1, decoder.b1, decoder.w2, decoder.b2
+    if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
+            and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
+        raise CheckpointError(f"decoder shapes in checkpoint {path} disagree: w1 {w1.shape}, "
+                              f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    return decoder, selector

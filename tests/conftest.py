@@ -1,0 +1,17 @@
+"""Checks that every test leaves the process as it found it."""
+
+import sys
+import threading
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_run_state():
+    """A pipeline run restores the GIL switch interval and stops its worker."""
+    switch = sys.getswitchinterval()
+    yield
+    after = sys.getswitchinterval()
+    sys.setswitchinterval(switch)  # one leak should not fail every later test
+    assert after == switch
+    assert [t.name for t in threading.enumerate() if t.name == "distill-worker"] == []

@@ -2,13 +2,17 @@
 baselines, checkpointing."""
 
 import json
-import sys
+import re
 import threading
 import time
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenedistill
 from scenedistill import pipeline
 from scenedistill.detection import Box, GridShape, decode_tensor, encode_object
 from scenedistill.distill import FeedbackRecord
@@ -189,7 +193,6 @@ class TestParallelMode:
             raise RuntimeError("step exploded")
 
         monkeypatch.setattr(pipeline, "distill_step", broken_distill_step)
-        switch = sys.getswitchinterval()
         cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
                        selector_cfg=SelectorConfig(tau=0), queue_capacity=1)
         raised = []
@@ -210,7 +213,6 @@ class TestParallelMode:
         assert message.startswith("distillation worker failed: RuntimeError: step exploded")
         assert "Traceback (most recent call last)" in message
         assert "broken_distill_step" in message
-        assert sys.getswitchinterval() == switch
 
     def test_inference_failure_stops_worker(self, monkeypatch):
         real_merge = pipeline.merge_detections
@@ -223,12 +225,10 @@ class TestParallelMode:
             return real_merge(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "merge_detections", merge_then_fail)
-        switch = sys.getswitchinterval()
         with pytest.raises(RuntimeError, match="merge exploded"):
             run_pipeline(make_stream(n=120), GRID, pipe_cfg(mode="parallel"))
         workers = [t for t in threading.enumerate() if t.name == "distill-worker"]
         assert workers == []
-        assert sys.getswitchinterval() == switch
 
     def test_late_feedback_for_unselected_frame_raises(self, monkeypatch):
         # the only key frame's feedback arrives after the last frame and names
@@ -247,6 +247,73 @@ class TestParallelMode:
         with pytest.raises(ValueError, match="never selected"):
             run_pipeline(make_stream(n=3), GRID, cfg)
         assert [t for t in threading.enumerate() if t.name == "distill-worker"] == []
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+class TestBothModes:
+    def test_failed_event_stops_run_without_commit(self, mode, monkeypatch, tmp_path):
+        real_oracle, real_step, real_merge = (pipeline.oracle_for_frame, pipeline.distill_step,
+                                              pipeline.merge_detections)
+        oracles, merges = [], []
+        failed = threading.Event()
+
+        def nan_third_oracle(*args, **kwargs):
+            tensor = real_oracle(*args, **kwargs)
+            oracles.append(1)
+            if len(oracles) == 3:
+                tensor = tensor.copy()
+                tensor[0, 0, 0] = np.nan
+            return tensor
+
+        def step(*args, **kwargs):
+            new_params, fb = real_step(*args, **kwargs)
+            if fb.error is not None:
+                failed.set()
+            return new_params, fb
+
+        def merge(*args, **kwargs):
+            merges.append(1)
+            if len(merges) == 24:
+                # frame 23 waits for the failed event to finish, so the drain
+                # catches it before frame 24, the next key frame
+                failed.wait(10.0)
+                time.sleep(0.05)
+            return real_merge(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "oracle_for_frame", nan_third_oracle)
+        monkeypatch.setattr(pipeline, "distill_step", step)
+        monkeypatch.setattr(pipeline, "merge_detections", merge)
+        path = str(tmp_path / "run.ckpt")
+        cfg = pipe_cfg(mode=mode, selector="periodic", period=8,
+                       selector_cfg=SelectorConfig(tau=0), checkpoint_out=path)
+        report = run_pipeline(make_stream(n=60), GRID, cfg)
+        assert report.error == "frame 16: non-finite loss"
+        assert [(f["frame_id"], f["error"]) for f in report.feedbacks] == [
+            (0, None), (8, None), (16, "non-finite loss")]
+        last = report.decisions[-1]["frame_id"]
+        # sequential stops on the failed frame, parallel at the first frame
+        # boundary after the failure's feedback was drained
+        assert last == 16 if mode == "sequential" else 16 <= last <= 23
+        assert checkpoint_load(path)[0].version == 2 * cfg.distill.steps_per_event
+
+    def test_trace_hooks_fire(self, mode, monkeypatch):
+        # perfbench traces the names it finds on the pipeline module and
+        # skips missing ones silently; each must still be called per frame
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import run
+        recorder = run.tracing.Recorder()
+        cfg = pipe_cfg(mode=mode, selector="periodic", period=4, queue_capacity=16)
+        with recorder.installed(run.trace_targets(scenedistill)):
+            report = run_pipeline(make_stream(n=40), GRID, cfg)
+        calls = Counter(s.name for s in recorder.spans)
+        n, keys = report.n_frames, report.n_key_frames
+        assert n == 40 and keys > 0 and report.dropped_key_frames == 0
+        assert calls["models.backbone"] == n
+        assert calls["models.decoder_forward"] == 2 * n
+        assert calls["pipeline.merge_detections"] == n
+        assert calls["selector.decide"] == n
+        assert calls["simstream.oracle_for_frame"] == keys
+        assert calls["distill.distill_step"] == keys
 
 
 class TestCheckpointing:
@@ -311,6 +378,27 @@ class TestCheckpointing:
         open(path, "w").write(text[: len(text) // 2])
         with pytest.raises(CheckpointError):
             checkpoint_load(path)
+
+    def test_inconsistent_decoder_shapes_rejected(self, tmp_path):
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = str(tmp_path / "ckpt.json")
+        checkpoint_save(path, replace(params, b1=np.zeros(3)))
+        with pytest.raises(CheckpointError, match=r"disagree: w1 \(8, 8\), b1 \(3,\)"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("feature_dim, grid, shapes", [
+        (6, GRID, "w1 (6, 8) and w2 (8, 8)"),
+        (CFG.feature_dim, GridShape(s=4, c=5), "w1 (8, 8) and w2 (8, 10)"),
+    ], ids=["feature_dim", "grid_channels"])
+    def test_checkpoint_must_fit_stream(self, tmp_path, feature_dim, grid, shapes):
+        path = str(tmp_path / "ckpt.json")
+        checkpoint_save(path, init_decoder(feature_dim, 8, grid, seed=0))
+        cfg = pipe_cfg(mode="parallel", init_checkpoint=path)
+        needed = "the stream needs (8, hidden) and (hidden, 8)"
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"checkpoint {path} does not fit the stream: "
+                                           f"its decoder has {shapes}, {needed}")):
+            run_pipeline(make_stream(n=10), GRID, cfg)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
