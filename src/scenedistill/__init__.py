@@ -31,13 +31,13 @@ from .distill import (
 from .evaluate import (
     EvalConfig,
     EvalSummary,
-    ablate_lambda,
     average_precision,
     bench_loss_cost,
     evaluate_frames,
     evaluate_report,
     evaluate_thresholds,
     keyframe_histogram,
+    sweep,
 )
 from .models import Backbone, DecoderParams, FeatureFrame, LstmParams, ParamStore
 from .pipeline import (
@@ -95,7 +95,6 @@ __all__ = [
     "SceneSpec",
     "SelectorConfig",
     "StreamConfig",
-    "ablate_lambda",
     "attach_oracle",
     "average_precision",
     "bench_loss_cost",
@@ -120,6 +119,7 @@ __all__ = [
     "read_trace",
     "run_pipeline",
     "scene_change_frames",
+    "sweep",
     "synth_oracle",
     "write_trace",
 ]

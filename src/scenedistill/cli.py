@@ -1,21 +1,24 @@
-"""Command-line entry point: generate streams, run pipelines, sweep the
-blend factor, benchmark losses, and re-score stored reports.
+"""Command-line entry point: generate streams, run pipelines, sweep config
+variants, benchmark losses, and re-score stored reports.
 
 All commands read a single JSON config file; selected values can be
 overridden on the command line with --set dotted.key=value (overrides win).
+A sweep config adds a "sweep" list of variants, each a list of overrides in
+the same syntax, applied to a copy of the config for that variant's run.
 Exit codes: 0 success, 1 config error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import fields as dc_fields
 
 from .detection import GridShape
 from .distill import DistillConfig
-from .evaluate import EvalConfig, ablate_lambda, bench_loss_cost, evaluate_report
+from .evaluate import EvalConfig, bench_loss_cost, evaluate_report, sweep
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
 from .selector import SelectorConfig
 from .simstream import (
@@ -30,6 +33,9 @@ from .simstream import (
 
 class ConfigError(ValueError):
     pass
+
+
+SWEEP_SECTIONS = ("pipeline", "distill", "selector_cfg", "noise")
 
 
 def _coerce(value: str):
@@ -137,8 +143,8 @@ def cmd_generate(args) -> int:
     stream, grid, d = _stream_from_config(config)
     if config.get("attach_oracle"):
         from .simstream import attach_oracle
-        noise = _dataclass_from(OracleNoiseSpec, config.get("noise", {}), "noise")
-        attach_oracle(stream, noise, grid, _require_seed(config))
+        pipe_cfg = _pipeline_config(config)  # the oracle a run on this config consults
+        attach_oracle(stream, pipe_cfg.oracle_noise, grid, pipe_cfg.effective_oracle_seed)
     write_trace(stream, args.out, feature_dim=d, grid=grid)
     histogram: dict[int, int] = {}
     seen = set()
@@ -159,10 +165,8 @@ def cmd_run(args) -> int:
     pipe_cfg = _pipeline_config(config)
     eval_cfg = _eval_config(config)
     report = run_pipeline(stream, grid, pipe_cfg)
-    summary = evaluate_report(
-        report, stream, grid, eval_cfg, pipe_cfg.oracle_noise,
-        pipe_cfg.oracle_seed if pipe_cfg.oracle_seed is not None else pipe_cfg.seed,
-    )
+    summary = evaluate_report(report, stream, grid, eval_cfg, pipe_cfg.oracle_noise,
+                              pipe_cfg.effective_oracle_seed)
     out = args.out or config.get("report_out")
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -177,15 +181,28 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_sweep(args) -> int:
     config = _load_config(args.config, args.set or [])
-    _require_seed(config)
+    variants_cfg = config.get("sweep")
+    if not (isinstance(variants_cfg, list) and variants_cfg
+            and all(isinstance(v, list) and all(isinstance(o, str) for o in v)
+                    for v in variants_cfg)):
+        raise ConfigError("sweep needs a non-empty 'sweep' list of override lists")
+    variants = {}
+    for overrides in variants_cfg:
+        for item in overrides:
+            key = item.split("=", 1)[0]
+            # the stream and the scoring are shared by every variant
+            if key.split(".", 1)[0] not in SWEEP_SECTIONS:
+                raise ConfigError(f"sweep variant sets {key!r}; variants may only set keys "
+                                  f"under {', '.join(SWEEP_SECTIONS)}")
+        name = " ".join(overrides) or "base"
+        if name in variants:
+            raise ConfigError(f"sweep variant {name!r} appears twice")
+        variants[name] = _pipeline_config(_apply_overrides(copy.deepcopy(config), overrides))
     stream, grid, _ = _stream_from_config(config)
-    pipe_cfg = _pipeline_config(config)
-    eval_cfg = _eval_config(config)
-    lambdas = config.get("lambdas", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-    rows = ablate_lambda(stream, grid, lambdas, pipe_cfg, eval_cfg)
-    _emit_table(rows, ["lam", "ap", "f1", "tp", "fp", "key_frames"], args.out)
+    rows = sweep(stream, grid, variants, _eval_config(config))
+    _emit_table(rows, list(rows[0]), args.out)
     return 0
 
 
@@ -210,10 +227,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"cannot load report {args.report}: {e}") from e
     stream, grid, _ = read_trace(args.trace)
     eval_cfg = _eval_config(config)
-    noise = (_dataclass_from(OracleNoiseSpec, config["noise"], "noise")
-             if "noise" in config else OracleNoiseSpec())
-    oracle_seed = int(config.get("seed", 0))
-    summary = evaluate_report(report, stream, grid, eval_cfg, noise, oracle_seed)
+    pipe_cfg = _pipeline_config({"seed": 0, **config})  # seed is optional here
+    summary = evaluate_report(report, stream, grid, eval_cfg, pipe_cfg.oracle_noise,
+                              pipe_cfg.effective_oracle_seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(summary.to_dict(), f)
@@ -258,11 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("ablate", help="sweep the blend factor and tabulate metrics")
+    p = sub.add_parser("sweep", help="run one stream under each config variant and tabulate metrics")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="write the table (JSON) here")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="benchmark loss cost vs number of targets")
     p.add_argument("--config", required=True)

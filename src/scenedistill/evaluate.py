@@ -1,4 +1,4 @@
-"""Detection metrics, the blend-factor sweep, the loss-cost benchmark, and
+"""Detection metrics, the config-variant sweep, the loss-cost benchmark, and
 key-frame adaptivity analysis.
 
 AP uses all-point (precision envelope) interpolation.  Ground truth can be
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .detection import (
     match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
-from .pipeline import PipelineConfig, PipelineReport, run_pipeline
+from .pipeline import PipelineConfig, PipelineError, PipelineReport, run_pipeline
 from .simstream import FrameRecord, OracleNoiseSpec, oracle_tensors, synth_oracle
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
@@ -212,31 +212,31 @@ def evaluate_report(report: PipelineReport, stream: list[FrameRecord], grid: Gri
     return summary
 
 
-def ablate_lambda(stream: list[FrameRecord], grid: GridShape, lambdas: list[float],
-                  pipe_cfg: PipelineConfig, eval_cfg: EvalConfig,
-                  iou_thr: float = 0.5) -> list[dict]:
-    """Run the pipeline once per blend factor on identical streams and seeds.
+def sweep(stream: list[FrameRecord], grid: GridShape, variants: dict[str, PipelineConfig],
+          eval_cfg: EvalConfig) -> list[dict]:
+    """Run each named pipeline config on one stream and score it at every
+    configured IOU threshold, one row per variant.
 
-    Sequential mode keeps runs deterministic; metrics are scored against the
-    configured ground-truth source at one IOU threshold.
+    Each variant runs in the mode its config names.  Ground truth is built
+    once per distinct oracle noise and seed, not once per variant.  A run
+    that stops on an error raises instead of scoring its partial output.
     """
-    # the ground truth depends on the stream, oracle noise and seed, not on lambda
-    oracle_seed = pipe_cfg.oracle_seed if pipe_cfg.oracle_seed is not None else pipe_cfg.seed
-    gt = ground_truth_for(stream, grid, eval_cfg, pipe_cfg.oracle_noise, oracle_seed)
+    gt_by_oracle = {}
     rows = []
-    for lam in lambdas:
-        cfg = replace(pipe_cfg, mode="sequential", distill=replace(pipe_cfg.distill, lam=lam))
+    for name, cfg in variants.items():
+        oracle = (cfg.oracle_noise, cfg.effective_oracle_seed)
+        if oracle not in gt_by_oracle:
+            gt_by_oracle[oracle] = ground_truth_for(stream, grid, eval_cfg, *oracle)
         report = run_pipeline(stream, grid, cfg)
-        metrics = evaluate_frames(report.detections, gt, iou_thr)
-        rows.append({
-            "lam": lam,
-            "ap": metrics.mean_ap,
-            "f1": metrics.f1,
-            "tp": metrics.tp,
-            "fp": metrics.fp,
-            "key_frames": report.n_key_frames,
-            "key_fraction": report.key_fraction,
-        })
+        if report.error:
+            raise PipelineError(f"variant {name!r} stopped: {report.error}")
+        row = {"variant": name, "key_frames": report.n_key_frames,
+               "key_fraction": report.key_fraction, "fps": report.fps}
+        for m in evaluate_thresholds(report.detections, gt_by_oracle[oracle],
+                                     eval_cfg.iou_thresholds):
+            row.update({f"ap@{m.iou:g}": m.mean_ap, f"f1@{m.iou:g}": m.f1,
+                        f"tp@{m.iou:g}": m.tp, f"fp@{m.iou:g}": m.fp})
+        rows.append(row)
     return rows
 
 

@@ -84,6 +84,11 @@ class PipelineConfig:
         if not 0.0 <= self.p_oracle <= 1.0:
             raise ValueError(f"p_oracle must be in [0, 1], got {self.p_oracle}")
 
+    @property
+    def effective_oracle_seed(self) -> int:
+        """The oracle's seed: oracle_seed, or seed when that is unset."""
+        return self.seed if self.oracle_seed is None else self.oracle_seed
+
 
 @dataclass
 class PipelineReport:
@@ -258,7 +263,7 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
     if not stream:
         raise ValueError("empty stream")
     backbone, general, store, selector = _build_runtime(stream, grid, cfg)
-    oracle_seed = cfg.oracle_seed if cfg.oracle_seed is not None else cfg.seed
+    oracle_seed = cfg.effective_oracle_seed
     mix_rng = np.random.default_rng(cfg.seed + 3)
     decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
     oracle_frames = dropped = 0

@@ -258,29 +258,24 @@ def scene_change_frames(stream: list[FrameRecord]) -> list[int]:
 
 
 def synth_oracle(gt: list[GroundTruthObject], noise: OracleNoiseSpec, shape: GridShape,
-                 rng, layout_rng=None) -> np.ndarray:
+                 rng) -> np.ndarray:
     """Near-ground-truth logit tensor with controlled imperfections.
 
     True objects get high objectness (activated >= 0.95) with jittered boxes
     and occasionally flipped classes; empty cells get spurious sub-threshold
     objectness (with a plausible box and class, like a weak false detection)
     at the configured rate.  When two objects fall in one cell the one nearer
-    the cell center wins.  layout_rng, when given, drives the placement of
-    the spurious detections so a caller can keep them stable across frames;
-    by default everything is drawn from rng.
+    the cell center wins.  Everything is drawn from rng, the spurious
+    detections' placement included; oracle_for_frame draws that placement
+    from a cached layout instead.
     """
     by_cell = _objects_by_cell(gt, shape.s)
-    if layout_rng is not None:
-        layout = tuple(_draw_layout(layout_rng, noise.empty_cell_noise_rate,
-                                    noise.noise_logit_range, shape, by_cell))
-        draws = None
-    else:
-        # one generator: each spurious cell's per-frame draws follow its layout draws
-        layout, draws = [], []
-        for cell in _draw_layout(rng, noise.empty_cell_noise_rate, noise.noise_logit_range,
-                                 shape, by_cell):
-            layout.append(cell)
-            draws.append(rng.standard_normal(_draws_per_spurious_cell(noise)).tolist())
+    # one generator: each spurious cell's per-frame draws follow its layout draws
+    layout, draws = [], []
+    for cell in _draw_layout(rng, noise.empty_cell_noise_rate, noise.noise_logit_range,
+                             shape, by_cell):
+        layout.append(cell)
+        draws.append(rng.standard_normal(_draws_per_spurious_cell(noise)).tolist())
     block = _OracleBlock(1, noise, shape)
     block.add(0, layout, by_cell, rng, draws)
     return block.render()[0]

@@ -30,11 +30,11 @@ from scenedistill.distill import (
 )
 from scenedistill.evaluate import (
     EvalConfig,
-    ablate_lambda,
     bench_loss_cost,
     evaluate_frames,
     ground_truth_for,
     keyframe_histogram,
+    sweep,
 )
 from scenedistill.models import DecoderParams, FeatureFrame, decoder_forward, init_decoder
 from scenedistill.pipeline import PipelineConfig, run_pipeline
@@ -243,8 +243,13 @@ class TestCriterion4LambdaAblation:
             [SceneSpec(0, (0.4, 0.3, 0.2, 0.1), (2, 4), 0.0, (10 ** 6, 10 ** 6))],
             1500, STREAM_CFG, seed=seed)
         eval_cfg = EvalConfig(gt_source="oracle_as_gt", iou_thresholds=(0.5,))
-        rows = ablate_lambda(stream, GRID, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-                             base_pipe(seed), eval_cfg)
+        lambdas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        pipe = base_pipe(seed)
+        variants = {f"lam={lam}": replace(pipe, distill=replace(pipe.distill, lam=lam))
+                    for lam in lambdas}
+        rows = [{"lam": lam, "ap": r["ap@0.5"], "f1": r["f1@0.5"], "tp": r["tp@0.5"],
+                 "fp": r["fp@0.5"], "key_frames": r["key_frames"]}
+                for lam, r in zip(lambdas, sweep(stream, GRID, variants, eval_cfg))]
         by = {r["lam"]: r for r in rows}
         for r in rows:
             print(f"  lam={r['lam']:.1f} ap={r['ap']:.3f} f1={r['f1']:.3f} "

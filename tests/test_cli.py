@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scenedistill.cli import main
-from scenedistill.simstream import read_trace
+from scenedistill.simstream import OracleNoiseSpec, oracle_for_frame, read_trace
 
 
 def base_config(**overrides):
@@ -70,6 +72,18 @@ class TestGenerate:
         assert h1 == h2
 
 
+    def test_attached_oracle_uses_run_oracle_seed(self, tmp_path):
+        cfg = base_config(pipeline={"mode": "sequential", "oracle_seed": 5},
+                          noise={"class_flip_prob": 0.1}, attach_oracle=True)
+        out = str(tmp_path / "trace.jsonl")
+        assert main(["generate", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+        stream, grid, _ = read_trace(out)
+        noise = OracleNoiseSpec(class_flip_prob=0.1)
+        for rec in stream:
+            want = oracle_for_frame(replace(rec, oracle_tensor=None), noise, grid, 5)
+            assert np.array_equal(rec.oracle_tensor, want)
+
+
 class TestRun:
     def test_frozen_student_zero_key_fraction(self, tmp_path, capsys):
         cfg = base_config(pipeline={"mode": "frozen_student"})
@@ -119,25 +133,45 @@ class TestRun:
         assert "mode=frozen_student" in capsys.readouterr().out
 
 
-class TestAblate:
+class TestSweep:
     def test_six_value_sweep_table(self, tmp_path, capsys):
         cfg = base_config()
         cfg["stream"]["n_frames"] = 40
-        cfg["lambdas"] = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        lambdas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        cfg["sweep"] = [[f"distill.lam={lam}"] for lam in lambdas]
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "table.json")
-        assert main(["ablate", "--config", cfg_path, "--out", out]) == 0
+        assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
         rows = json.loads(open(out).read())
-        assert [r["lam"] for r in rows] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+        assert [r["variant"] for r in rows] == [f"distill.lam={lam}" for lam in lambdas]
         header = capsys.readouterr().out.splitlines()[0]
-        assert "lam" in header and "fp" in header
+        assert "variant" in header and "fp@0.5" in header
 
     def test_malformed_config_no_partial_table(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.json"
         cfg_path.write_text("{not json")
         out = tmp_path / "table.json"
-        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        "stream.n_frames=30", "trace=other.jsonl", "seed=3", "eval.iou_thresholds=[0.6]"])
+    def test_variant_outside_run_settings_rejected(self, tmp_path, capsys, override):
+        cfg = base_config(sweep=[["distill.lam=0.2"], ["pipeline.selector=random", override]])
+        out = tmp_path / "table.json"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert repr(override.split("=")[0]) in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants", [
+        None, [], ["distill.lam=0.2"], [["distill.lam=0.2"], [0.2]],
+        [["distill.lam=0.2"], ["distill.lam=0.2"]]])
+    def test_malformed_sweep_list_rejected(self, tmp_path, capsys, variants):
+        cfg = base_config() if variants is None else base_config(sweep=variants)
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "sweep" in capsys.readouterr().err
 
 
 class TestBench:
@@ -152,25 +186,46 @@ class TestBench:
 
 
 class TestDocumentedConfigs:
-    """The configs under configs/ stay runnable through the CLI (shrunk here)."""
+    """Every config under configs/ stays runnable through the CLI (shrunk here)."""
 
     CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+    RUNS = {
+        "sweep_blend.json": ["sweep", "--set", "stream.n_frames=40",
+                             "--set", 'sweep=[["distill.lam=0.0"], ["distill.lam=1.0"]]'],
+        "compare_selectors.json": ["sweep", "--set", "stream.n_frames=200"],
+        "bench_losses.json": ["bench", "--set", "bench.trials=2",
+                              "--set", "bench.target_counts=[1, 10]"],
+    }
+
+    def run(self, name, tmp_path):
+        out = tmp_path / "table.json"
+        command, *overrides = self.RUNS[name]
+        assert main([command, "--config", str(self.CONFIGS / name), *overrides,
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_every_committed_config_is_run(self):
+        assert {p.name for p in self.CONFIGS.iterdir()} == set(self.RUNS)
 
     def test_sweep_blend(self, tmp_path, capsys):
-        out = str(tmp_path / "table.json")
-        assert main(["ablate", "--config", str(self.CONFIGS / "sweep_blend.json"),
-                     "--set", "stream.n_frames=40", "--set", "lambdas=[0.0, 1.0]",
-                     "--out", out]) == 0
-        rows = json.loads(open(out).read())
-        assert [r["lam"] for r in rows] == [0.0, 1.0]
+        rows = self.run("sweep_blend.json", tmp_path)
+        assert [r["variant"] for r in rows] == ["distill.lam=0.0", "distill.lam=1.0"]
         assert all(r["key_frames"] > 0 for r in rows)
 
+    def test_compare_selectors(self, tmp_path, capsys):
+        rows = self.run("compare_selectors.json", tmp_path)
+        assert "ap@0.75" in capsys.readouterr().out.splitlines()[0]
+        assert [r["variant"] for r in rows] == [
+            "pipeline.mode=frozen_student",
+            "pipeline.selector=adaptive",
+            "pipeline.selector=random pipeline.random_prob=0.3",
+            "pipeline.selector=scene_change pipeline.change_threshold=0.047",
+        ]
+        assert rows[0]["key_frames"] == 0
+        assert all(r["key_frames"] > 0 for r in rows[1:])
+
     def test_bench_losses(self, tmp_path, capsys):
-        out = str(tmp_path / "bench.json")
-        assert main(["bench", "--config", str(self.CONFIGS / "bench_losses.json"),
-                     "--set", "bench.trials=2", "--set", "bench.target_counts=[1, 10]",
-                     "--out", out]) == 0
-        rows = json.loads(open(out).read())
+        rows = self.run("bench_losses.json", tmp_path)
         assert [r["n_targets"] for r in rows] == [1, 10]
 
 
@@ -183,14 +238,6 @@ class TestScripts:
         env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
         return subprocess.run([sys.executable, str(self.ROOT / "scripts" / name), "--frames", "200"],
                               env=env, capture_output=True, text=True, timeout=120)
-
-    def test_compare_selectors(self):
-        done = self.run_script("compare_selectors.py")
-        assert done.returncode == 0, done.stderr
-        lines = done.stdout.splitlines()
-        assert "AP@0.75" in lines[0]
-        assert [line.split()[0] for line in lines[1:]] == [
-            "frozen", "adaptive", "random(0.3)", "scene_change"]
 
     def test_keyframe_profile(self):
         done = self.run_script("keyframe_profile.py")
@@ -220,6 +267,25 @@ class TestEvalCommand:
         assert "iou=0.5" in printed
         summary = json.loads(open(summary_path).read())
         assert summary["per_threshold"][0]["iou"] == 0.5
+
+    def test_rescore_matches_run_with_separate_oracle_seed(self, tmp_path, capsys):
+        trace = str(tmp_path / "trace.jsonl")
+        assert main(["generate", "--config", write_config(tmp_path, base_config()),
+                     "--out", trace]) == 0
+        # the oracle answers every frame and flips classes, so a score against
+        # ground truth from any other oracle seed falls below 1
+        run_cfg = base_config(pipeline={"mode": "oracle_only", "oracle_seed": 5},
+                              noise={"class_flip_prob": 0.1})
+        del run_cfg["stream"]
+        run_cfg["trace"] = trace
+        run_path = write_config(tmp_path, run_cfg, "run.json")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--config", run_path, "--out", str(report_path)]) == 0
+        summary_path = tmp_path / "summary.json"
+        assert main(["eval", "--report", str(report_path), "--trace", trace,
+                     "--config", run_path, "--out", str(summary_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert json.loads(summary_path.read_text()) == report["evaluation"]
 
     def test_missing_report_is_config_error(self, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")

@@ -25,7 +25,6 @@ from scenedistill.distill import DistillConfig
 from scenedistill.evaluate import (
     EvalConfig,
     ThresholdMetrics,
-    ablate_lambda,
     average_precision,
     bench_loss_cost,
     evaluate_frames,
@@ -34,8 +33,9 @@ from scenedistill.evaluate import (
     ground_truth_for,
     keyframe_histogram,
     match_detections,  # evaluation's name for detection.match_detections
+    sweep,
 )
-from scenedistill.pipeline import PipelineConfig, PipelineReport, run_pipeline
+from scenedistill.pipeline import PipelineConfig, PipelineError, PipelineReport, run_pipeline
 from scenedistill.simstream import (
     OracleNoiseSpec,
     SceneSpec,
@@ -371,29 +371,53 @@ class TestGroundTruthFor:
         assert ground_truth_for([], PIN_GRID, EvalConfig(gt_source="oracle_as_gt"), PIN_NOISE) == []
 
 
-class TestAblateLambda:
-    def test_ground_truth_built_once_rows_unchanged(self, monkeypatch):
+class TestSweep:
+    PIPE = PipelineConfig(seed=0, oracle_seed=5, mode="sequential", selector="adaptive",
+                          distill=DistillConfig(lam=0.4, lr=0.05, steps_per_event=2),
+                          oracle_noise=PIN_NOISE, decoder_hidden=16)
+
+    def test_ground_truth_built_once_per_oracle_rows_match_reference(self, monkeypatch):
         stream, _ = pin_run(5, n_frames=60)
-        pipe = PipelineConfig(seed=0, oracle_seed=5, mode="sequential", selector="adaptive",
-                              distill=DistillConfig(lam=0.4, lr=0.05, steps_per_event=2),
-                              oracle_noise=PIN_NOISE, decoder_hidden=16)
+        pipe = self.PIPE
         eval_cfg = EvalConfig(gt_source="oracle_as_gt")
-        lambdas = [0.0, 0.5, 1.0]
+        variants = {
+            "lam=0": replace(pipe, distill=replace(pipe.distill, lam=0.0)),
+            "lam=1": replace(pipe, distill=replace(pipe.distill, lam=1.0)),
+            "frozen": replace(pipe, mode="frozen_student"),
+            "oracle seed 6": replace(pipe, oracle_seed=6),
+        }
         want = []
-        for lam in lambdas:
-            report = run_pipeline(stream, PIN_GRID,
-                                  replace(pipe, distill=replace(pipe.distill, lam=lam)))
-            m = evaluate_frames(report.detections,
-                                ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, 5), 0.5)
-            want.append({"lam": lam, "ap": m.mean_ap, "f1": m.f1, "tp": m.tp, "fp": m.fp,
-                         "key_frames": report.n_key_frames, "key_fraction": report.key_fraction})
+        for name, cfg in variants.items():
+            report = run_pipeline(stream, PIN_GRID, cfg)
+            gt = ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, cfg.oracle_seed)
+            row = {"variant": name, "key_frames": report.n_key_frames,
+                   "key_fraction": report.key_fraction}
+            for m in evaluate_thresholds(report.detections, gt, eval_cfg.iou_thresholds):
+                row.update({f"ap@{m.iou:g}": m.mean_ap, f"f1@{m.iou:g}": m.f1,
+                            f"tp@{m.iou:g}": m.tp, f"fp@{m.iou:g}": m.fp})
+            want.append(row)
+        assert want[2]["key_frames"] == 0 < want[0]["key_frames"]
 
         calls = []
         real = evaluate_module.ground_truth_for
         monkeypatch.setattr(evaluate_module, "ground_truth_for",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        assert ablate_lambda(stream, PIN_GRID, lambdas, pipe, eval_cfg) == want
-        assert len(calls) == 1
+        rows = sweep(stream, PIN_GRID, variants, eval_cfg)
+        assert [{k: v for k, v in r.items() if k != "fps"} for r in rows] == want
+        assert all(r["fps"] > 0 for r in rows)
+        assert len(calls) == 2  # oracle seeds 5 and 6
+
+    def test_stopped_run_raises(self, monkeypatch):
+        stream, _ = pin_run(5, n_frames=10)
+
+        def stopped(*args):
+            report = run_pipeline(*args)
+            report.error = "frame 3: non-finite loss"
+            return report
+
+        monkeypatch.setattr(evaluate_module, "run_pipeline", stopped)
+        with pytest.raises(PipelineError, match="'bad' stopped: frame 3: non-finite loss"):
+            sweep(stream, PIN_GRID, {"bad": self.PIPE}, EvalConfig())
 
 
 class TestBenchLossCost:

@@ -347,12 +347,11 @@ class TestCheckpointing:
 
     def test_wrong_version_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
-        path = str(tmp_path / "ckpt.json")
-        checkpoint_save(path, params)
-        text = open(path).read().replace('"version": 1', '"version": 99')
-        open(path, "w").write(text)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        path.write_text(path.read_text().replace('"version": 1', '"version": 99'))
         with pytest.raises(CheckpointError, match="version"):
-            checkpoint_load(path)
+            checkpoint_load(str(path))
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -372,12 +371,12 @@ class TestCheckpointing:
 
     def test_truncated_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
-        path = str(tmp_path / "ckpt.json")
-        checkpoint_save(path, params)
-        text = open(path).read()
-        open(path, "w").write(text[: len(text) // 2])
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
         with pytest.raises(CheckpointError):
-            checkpoint_load(path)
+            checkpoint_load(str(path))
 
     def test_inconsistent_decoder_shapes_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
