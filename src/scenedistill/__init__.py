@@ -65,7 +65,6 @@ from .simstream import (
     generate_stream,
     read_trace,
     scene_change_frames,
-    synth_oracle,
     write_trace,
 )
 
@@ -120,7 +119,6 @@ __all__ = [
     "run_pipeline",
     "scene_change_frames",
     "sweep",
-    "synth_oracle",
     "write_trace",
 ]
 

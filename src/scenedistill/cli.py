@@ -140,12 +140,12 @@ def cmd_generate(args) -> int:
     if "stream" not in config:
         raise ConfigError("generate needs a 'stream' section")
     config.pop("trace", None)
-    stream, grid, d = _stream_from_config(config)
+    stream, grid, _ = _stream_from_config(config)
     if config.get("attach_oracle"):
         from .simstream import attach_oracle
         pipe_cfg = _pipeline_config(config)  # the oracle a run on this config consults
         attach_oracle(stream, pipe_cfg.oracle_noise, grid, pipe_cfg.effective_oracle_seed)
-    write_trace(stream, args.out, feature_dim=d, grid=grid)
+    write_trace(stream, args.out, grid=grid)
     histogram: dict[int, int] = {}
     seen = set()
     for rec in stream:
@@ -223,9 +223,12 @@ def cmd_eval(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as f:
             report = PipelineReport.from_dict(json.load(f))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, ValueError, LookupError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot load report {args.report}: {e}") from e
     stream, grid, _ = read_trace(args.trace)
+    if len(report.detections) > len(stream):  # a shorter report, from a stopped run, scores its prefix
+        raise ConfigError(f"report {args.report} has {len(report.detections)} frames but trace "
+                          f"{args.trace} has only {len(stream)}")
     eval_cfg = _eval_config(config)
     pipe_cfg = _pipeline_config({"seed": 0, **config})  # seed is optional here
     summary = evaluate_report(report, stream, grid, eval_cfg, pipe_cfg.oracle_noise,

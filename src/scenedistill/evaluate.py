@@ -27,7 +27,7 @@ from .detection import (
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
 from .pipeline import PipelineConfig, PipelineError, PipelineReport, run_pipeline
-from .simstream import FrameRecord, OracleNoiseSpec, oracle_tensors, synth_oracle
+from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, oracle_tensors
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
 # oracle ground truth is synthesized and decoded this many frames at a time;
@@ -264,7 +264,8 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
                 box=Box((col + 0.5) / grid.s, (row + 0.5) / grid.s, 0.1, 0.1),
                 class_id=int(rng.integers(grid.c)), object_id=i,
             ))
-        oracle = synth_oracle(gt, OracleNoiseSpec(), grid, rng)
+        record = FrameRecord(frame_id=0, scene_id=0, frame=None, gt=gt)  # the oracle reads no features
+        oracle = oracle_for_frame(record, OracleNoiseSpec(), grid, seed)  # noise-free
         student = oracle + rng.normal(0.0, 0.05, size=oracle.shape)
         bounded_distill_loss(student, oracle, cfg)
         nms_distill_loss(student, oracle, gt, grid)

@@ -4,12 +4,15 @@ Streams carry pre-featurized frames: each object is rendered into its grid
 cell as a class-specific feature signature modulated by the object's
 position and size, over a low-amplitude noise background.  Scenes follow
 each other with linear feature blending across a short transition window.
-The synthetic oracle emits near-ground-truth logit tensors with jittered
-boxes, occasional class flips, and sub-threshold spurious objectness on
-empty cells, like the systematic noise a real heavy detector produces in a
-fixed environment.  The spurious layout depends on the seed, the scene and
-the set of cells that hold objects, so within a scene it stays put until an
-object enters or leaves a cell, and then shifts (ROADMAP item 5).
+The synthetic oracle, one synthesizer (oracle_tensors) for a block of
+frames or for one (oracle_for_frame), emits near-ground-truth logit tensors
+with jittered boxes, occasional class flips, and sub-threshold spurious
+objectness on empty cells, like the systematic noise a real heavy detector
+produces in a fixed environment.  Each frame's draws come from its own
+generator, seeded by (seed, scene, frame).  The spurious layout depends on
+the seed, the scene and the set of cells that hold objects, so within a
+scene it stays put until an object enters or leaves a cell, and then shifts
+(ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import contextlib
 import functools
 import json
 import os
-from collections.abc import Container
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -257,35 +259,6 @@ def scene_change_frames(stream: list[FrameRecord]) -> list[int]:
     ]
 
 
-def synth_oracle(gt: list[GroundTruthObject], noise: OracleNoiseSpec, shape: GridShape,
-                 rng) -> np.ndarray:
-    """Near-ground-truth logit tensor with controlled imperfections.
-
-    True objects get high objectness (activated >= 0.95) with jittered boxes
-    and occasionally flipped classes; empty cells get spurious sub-threshold
-    objectness (with a plausible box and class, like a weak false detection)
-    at the configured rate.  When two objects fall in one cell the one nearer
-    the cell center wins.  Everything is drawn from rng, the spurious
-    detections' placement included; oracle_for_frame draws that placement
-    from a cached layout instead.
-    """
-    by_cell = _objects_by_cell(gt, shape.s)
-    # one generator: each spurious cell's per-frame draws follow its layout draws
-    layout, draws = [], []
-    for cell in _draw_layout(rng, noise.empty_cell_noise_rate, noise.noise_logit_range,
-                             shape, by_cell):
-        layout.append(cell)
-        draws.append(rng.standard_normal(_draws_per_spurious_cell(noise)).tolist())
-    block = _OracleBlock(1, noise, shape)
-    block.add(0, layout, by_cell, rng, draws)
-    return block.render()[0]
-
-
-def _draws_per_spurious_cell(noise: OracleNoiseSpec) -> int:
-    """Standard normals per spurious detection and frame: wobble, then box jitter."""
-    return (noise.noise_wobble > 0) + 4 * (noise.box_jitter_sigma > 0)
-
-
 def _objects_by_cell(gt: list[GroundTruthObject], s: int) -> dict[tuple[int, int], GroundTruthObject]:
     by_cell: dict[tuple[int, int], GroundTruthObject] = {}
     for obj in gt:
@@ -296,68 +269,87 @@ def _objects_by_cell(gt: list[GroundTruthObject], s: int) -> dict[tuple[int, int
     return by_cell
 
 
-def _draw_layout(layout_rng, rate: float, logit_range: tuple[float, float], shape: GridShape,
-                 occupied: Container[tuple[int, int]]):
-    """Yield (base_logit, (cx, cy, w, h), class) for each spurious detection.
-
-    Draws lazily, cell by cell, so a caller that shares layout_rng with its
-    per-frame draws interleaves them exactly as one loop would.  A cell in
-    occupied skips its six value draws, which shifts every later cell's
-    values: the layout depends on which cells hold objects (ROADMAP item 5).
-    """
-    s = shape.s
-    lo, hi = logit_range
-    for row in range(s):
-        for col in range(s):
-            if layout_rng.random() >= rate or (row, col) in occupied:
-                continue
-            base_logit = float(layout_rng.uniform(lo, hi))
-            w = float(layout_rng.uniform(0.08, 0.18))
-            h = float(layout_rng.uniform(0.08, 0.18))
-            cx = (col + float(layout_rng.uniform(0.3, 0.7))) / s
-            cy = (row + float(layout_rng.uniform(0.3, 0.7))) / s
-            yield base_logit, (cx, cy, w, h), int(layout_rng.integers(shape.c))
+def _center_dist(box: Box, cell: tuple[int, int], s: int) -> float:
+    row, col = cell
+    return float(np.hypot(box.cx * s - (col + 0.5), box.cy * s - (row + 0.5)))
 
 
 @functools.lru_cache(maxsize=1024)
 def _noise_layout(seed: int, scene_id: int, rate: float, logit_range: tuple[float, float],
                   shape: GridShape, occupied: frozenset[tuple[int, int]]) -> tuple:
-    """oracle_for_frame's spurious detections, drawn once per distinct key."""
-    layout_rng = np.random.default_rng([seed, LAYOUT_TAG, scene_id])
-    return tuple(_draw_layout(layout_rng, rate, logit_range, shape, occupied))
+    """(base_logit, (cx, cy, w, h), class) of each spurious detection, drawn
+    once per distinct key.
 
-
-class _OracleBlock:
-    """Oracle tensors for n frames, rendered together.
-
-    add() collects one frame's detections in write order (spurious ones,
-    then true objects on top) with the standard normals that jitter their
-    boxes; render() jitters every collected box in one pass and encodes the
-    whole block with one encode_objects call.
+    A cell in occupied skips its six value draws, which shifts every later
+    cell's values: the layout depends on which cells hold objects (ROADMAP
+    item 5).
     """
+    rng = np.random.default_rng([seed, LAYOUT_TAG, scene_id])
+    s = shape.s
+    lo, hi = logit_range
+    layout = []
+    for row in range(s):
+        for col in range(s):
+            if rng.random() >= rate or (row, col) in occupied:
+                continue
+            base_logit = float(rng.uniform(lo, hi))
+            w = float(rng.uniform(0.08, 0.18))
+            h = float(rng.uniform(0.08, 0.18))
+            cx = (col + float(rng.uniform(0.3, 0.7))) / s
+            cy = (row + float(rng.uniform(0.3, 0.7))) / s
+            layout.append((base_logit, (cx, cy, w, h), int(rng.integers(shape.c))))
+    return tuple(layout)
 
-    def __init__(self, n: int, noise: OracleNoiseSpec, shape: GridShape):
-        self.noise, self.shape = noise, shape
-        self.tensors = np.zeros((n, shape.s, shape.s, shape.channels))
-        self.tensors[..., 0] = noise.empty_logit
-        self.frames, self.boxes, self.normals, self.classes, self.logits = [], [], [], [], []
 
-    def add(self, i: int, layout, by_cell: dict[tuple[int, int], GroundTruthObject], rng,
-            draws=None) -> None:
-        """Collect frame i's detections.
+def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridShape,
+                     seed: int) -> np.ndarray:
+    """Oracle tensor for one frame: the record's cached tensor itself if it
+    has one, else oracle_tensors on a block of one, a new tensor per call.
+    """
+    if record.oracle_tensor is not None:
+        return record.oracle_tensor
+    return oracle_tensors([record], noise, shape, seed)[0]
 
-        rng's per-frame draws come in the order of one loop over the
-        detections: each spurious one's wobble and box jitter, then each true
-        object's class flip and box jitter.  draws holds the spurious
-        detections' standard normals when the caller drew them already;
-        otherwise one call draws them all, which gives the same values
-        because rng.normal(0, scale) is scale times a standard normal.
-        """
-        noise, c = self.noise, self.shape.c
-        wobble, jitter = noise.noise_wobble, noise.box_jitter_sigma > 0
-        if draws is None:
-            draws = rng.standard_normal((len(layout), _draws_per_spurious_cell(noise))).tolist()
-        boxes, normals, classes, logits = self.boxes, self.normals, self.classes, self.logits
+
+def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
+                   seed: int) -> np.ndarray:
+    """Near-ground-truth oracle logit tensors for a block of frames,
+    (n, s, s, 5 + c); a record's cached tensor is copied in.
+
+    True objects get high objectness (activated >= 0.95) with jittered boxes
+    and occasionally flipped classes; when two objects fall in one cell the
+    one nearer the cell center wins.  Empty cells get spurious sub-threshold
+    objectness (with a plausible box and class, like a weak false detection)
+    at the configured rate.
+
+    Each record follows its own draw order, from a generator seeded by
+    (seed, scene, frame): each spurious detection's wobble and box jitter,
+    then each true object's class flip and box jitter.  So any consumer
+    (sequential or parallel, any call order, any block) sees identical
+    supervision.  The spurious detections' placement comes from a layout
+    seeded per scene that also depends on which cells hold objects, so it
+    shifts when an object enters or leaves a cell (ROADMAP item 5); layouts
+    are cached per (seed, scene, noise rate and range, grid, occupied cells).
+    The box jitter and the encoding then run once for the whole block.
+    """
+    c = shape.c
+    wobble, sigma = noise.noise_wobble, noise.box_jitter_sigma
+    n_draws = (wobble > 0) + 4 * (sigma > 0)  # per spurious detection: wobble, box jitter
+    tensors = np.zeros((len(records), shape.s, shape.s, shape.channels))
+    tensors[..., 0] = noise.empty_logit
+    # every detection in write order, spurious ones first and true objects on top
+    frames, boxes, normals, classes, logits = [], [], [], [], []
+    for i, rec in enumerate(records):
+        if rec.oracle_tensor is not None:
+            tensors[i] = rec.oracle_tensor
+            continue
+        by_cell = _objects_by_cell(rec.gt, shape.s)
+        layout = _noise_layout(seed, rec.scene_id, noise.empty_cell_noise_rate,
+                               tuple(noise.noise_logit_range), shape, frozenset(by_cell))
+        rng = np.random.default_rng([seed, rec.scene_id, rec.frame_id])
+        # one call fills row by row, so each spurious detection gets the
+        # normals a loop drawing detection by detection would give it
+        draws = rng.standard_normal((len(layout), n_draws)).tolist()
         for (base_logit, box, cls), z in zip(layout, draws):
             logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
             boxes.append(box)
@@ -369,76 +361,29 @@ class _OracleBlock:
                 cls = int((cls + 1 + rng.integers(c - 1)) % c) if c > 1 else cls
             b = obj.box
             boxes.append((b.cx, b.cy, b.w, b.h))
-            normals.append(rng.standard_normal(4).tolist() if jitter else None)
+            normals.append(rng.standard_normal(4).tolist() if sigma > 0 else None)
             classes.append(cls)
             logits.append(noise.obj_logit)
-        self.frames += [i] * (len(boxes) - len(self.frames))
+        frames += [i] * (len(boxes) - len(frames))
 
-    def render(self) -> np.ndarray:
-        """The block's tensors, (n, s, s, 5 + c), with every collected box
-        moved by sigma times its standard normals and kept inside the image.
-        """
-        geo = np.array(self.boxes, dtype=float).reshape(-1, 4)
-        sigma = self.noise.box_jitter_sigma
-        if sigma > 0 and len(geo):
-            # the per-box rule w = min(max(w + sigma * zw, 0.02), 0.98), then
-            # cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2), in place:
-            # np.minimum/np.maximum equal float min/max on finite values
-            geo = geo + sigma * np.array(self.normals)
-            wh, centers = geo[:, 2:], geo[:, :2]
-            np.maximum(wh, 0.02, out=wh)
-            np.minimum(wh, 0.98, out=wh)
-            half = wh / 2
-            np.maximum(centers, half, out=centers)
-            np.minimum(centers, 1 - half, out=centers)
-        if len(self.tensors) == 1:  # one frame needs no frame index
-            encode_objects(self.tensors[0], self.shape, geo, self.classes, self.logits)
-        else:
-            encode_objects(self.tensors, self.shape, geo, self.classes, self.logits,
-                           frames=np.array(self.frames, dtype=np.intp))
-        return self.tensors
-
-
-def _center_dist(box: Box, cell: tuple[int, int], s: int) -> float:
-    row, col = cell
-    return float(np.hypot(box.cx * s - (col + 0.5), box.cy * s - (row + 0.5)))
-
-
-def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridShape,
-                     seed: int) -> np.ndarray:
-    """Oracle tensor for one frame: the record's cached tensor itself if it
-    has one, else oracle_tensors on a block of one, a new tensor per call.
-
-    Seeding is a pure function of (seed, scene, frame), so any consumer
-    (sequential or parallel, any call order) sees identical supervision.  The
-    noise layout is seeded per scene but also depends on which cells hold
-    objects, so it shifts when an object enters or leaves a cell (ROADMAP
-    item 5); layouts are cached per (seed, scene, noise rate and range, grid,
-    occupied cells).
-    """
-    if record.oracle_tensor is not None:
-        return record.oracle_tensor
-    return oracle_tensors([record], noise, shape, seed)[0]
-
-
-def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
-                   seed: int) -> np.ndarray:
-    """Oracle tensors for a block of frames, (n, s, s, 5 + c), each equal to
-    oracle_for_frame's; a record's cached tensor is copied in.
-
-    Each record makes oracle_for_frame's draws from its own generator; the
-    box jitter and the encoding then run once for the whole block.
-    """
-    block = _OracleBlock(len(records), noise, shape)
-    for i, rec in enumerate(records):
-        if rec.oracle_tensor is not None:
-            block.tensors[i] = rec.oracle_tensor
-            continue
-        by_cell = _objects_by_cell(rec.gt, shape.s)
-        layout = _noise_layout(seed, rec.scene_id, noise.empty_cell_noise_rate,
-                               tuple(noise.noise_logit_range), shape, frozenset(by_cell))
-        block.add(i, layout, by_cell, np.random.default_rng([seed, rec.scene_id, rec.frame_id]))
-    return block.render()
+    geo = np.array(boxes, dtype=float).reshape(-1, 4)
+    if sigma > 0 and len(geo):
+        # the per-box rule w = min(max(w + sigma * zw, 0.02), 0.98), then
+        # cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2), in place:
+        # np.minimum/np.maximum equal float min/max on finite values
+        geo = geo + sigma * np.array(normals)
+        wh, centers = geo[:, 2:], geo[:, :2]
+        np.maximum(wh, 0.02, out=wh)
+        np.minimum(wh, 0.98, out=wh)
+        half = wh / 2
+        np.maximum(centers, half, out=centers)
+        np.minimum(centers, 1 - half, out=centers)
+    if len(tensors) == 1:  # one frame needs no frame index
+        encode_objects(tensors[0], shape, geo, classes, logits)
+    else:
+        encode_objects(tensors, shape, geo, classes, logits,
+                       frames=np.array(frames, dtype=np.intp))
+    return tensors
 
 
 def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
@@ -471,18 +416,16 @@ def atomic_open(path: str):
             os.remove(tmp)
 
 
-def write_trace(stream: list[FrameRecord], path: str, feature_dim: int | None = None,
-                grid: GridShape | None = None) -> None:
+def write_trace(stream: list[FrameRecord], path: str, grid: GridShape | None = None) -> None:
     """Line-delimited trace: one JSON header, then one JSON record per frame.
 
-    Floats are serialized with full repr, so a round trip reproduces values
-    exactly (well within the documented 1e-6 budget).
+    The header's feature width is the frames' own.  Floats are serialized
+    with full repr, so a round trip reproduces values exactly (well within
+    the documented 1e-6 budget).
     """
     if not stream:
         raise ValueError("cannot write an empty stream")
-    first = stream[0]
-    s = first.frame.values.shape[0]
-    d = feature_dim if feature_dim is not None else first.frame.values.shape[2]
+    s, _, d = stream[0].frame.values.shape
     if grid is not None:
         s, c = grid.s, grid.c
     else:

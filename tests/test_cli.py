@@ -67,8 +67,8 @@ class TestGenerate:
         out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         assert main(["generate", "--config", cfg_path, "--out", out1]) == 0
         assert main(["generate", "--config", cfg_path, "--out", out2]) == 0
-        h1 = hashlib.sha256(open(out1, "rb").read()).hexdigest()
-        h2 = hashlib.sha256(open(out2, "rb").read()).hexdigest()
+        h1 = hashlib.sha256(Path(out1).read_bytes()).hexdigest()
+        h2 = hashlib.sha256(Path(out2).read_bytes()).hexdigest()
         assert h1 == h2
 
 
@@ -92,7 +92,7 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", report_path]) == 0
         printed = capsys.readouterr().out
         assert "key_fraction=0.000" in printed
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert report["key_fraction"] == 0.0
 
     def test_oracle_only_self_evaluation_is_perfect(self, tmp_path, capsys):
@@ -142,7 +142,7 @@ class TestSweep:
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "table.json")
         assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-        rows = json.loads(open(out).read())
+        rows = json.loads(Path(out).read_text())
         assert [r["variant"] for r in rows] == [f"distill.lam={lam}" for lam in lambdas]
         header = capsys.readouterr().out.splitlines()[0]
         assert "variant" in header and "fp@0.5" in header
@@ -181,7 +181,7 @@ class TestBench:
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "bench.json")
         assert main(["bench", "--config", cfg_path, "--out", out]) == 0
-        rows = json.loads(open(out).read())
+        rows = json.loads(Path(out).read_text())
         assert [r["n_targets"] for r in rows] == [1, 10, 25, 50]
 
 
@@ -265,7 +265,7 @@ class TestEvalCommand:
                      "--config", run_path, "--out", summary_path]) == 0
         printed = capsys.readouterr().out
         assert "iou=0.5" in printed
-        summary = json.loads(open(summary_path).read())
+        summary = json.loads(Path(summary_path).read_text())
         assert summary["per_threshold"][0]["iou"] == 0.5
 
     def test_rescore_matches_run_with_separate_oracle_seed(self, tmp_path, capsys):
@@ -287,11 +287,45 @@ class TestEvalCommand:
         report = json.loads(report_path.read_text())
         assert json.loads(summary_path.read_text()) == report["evaluation"]
 
-    def test_missing_report_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case", ["missing", "longer_than_trace", "zero_width_box", "short_row"])
+    def test_missing_report_is_config_error(self, tmp_path, capsys, case):
         trace = str(tmp_path / "trace.jsonl")
-        cfg_path = write_config(tmp_path, base_config())
+        cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
         assert main(["generate", "--config", cfg_path, "--out", trace]) == 0
-        assert main(["eval", "--report", str(tmp_path / "nope.json"), "--trace", trace]) == 1
+        report_path = tmp_path / "report.json"
+        if case != "missing":
+            assert main(["run", "--config", cfg_path, "--out", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            if case == "longer_than_trace":
+                report["detections"] *= 2
+            else:  # a first frame whose one row is no detection
+                bad_row = {"zero_width_box": [0.5, 0.5, 0.0, 0.1, 0, 0.9], "short_row": [0.5, 0.5]}
+                report["detections"][0] = [bad_row[case]]
+            report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["eval", "--report", str(report_path), "--trace", trace]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if case == "longer_than_trace":
+            assert "120 frames" in captured.err and "only 60" in captured.err
+        else:
+            assert "cannot load report" in captured.err
+
+    def test_shorter_report_scores_its_prefix(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
+        traces = {n: str(tmp_path / f"trace{n}.jsonl") for n in (60, 30)}
+        for n, trace in traces.items():
+            assert main(["generate", "--config", cfg_path, "--out", trace,
+                         "--set", f"stream.n_frames={n}"]) == 0
+        report_path = str(tmp_path / "report.json")
+        assert main(["run", "--config", cfg_path, "--out", report_path,
+                     "--set", "stream.n_frames=30"]) == 0
+        capsys.readouterr()
+        printed = []
+        for trace in traces.values():
+            assert main(["eval", "--report", report_path, "--trace", trace]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 class TestExitCodes:

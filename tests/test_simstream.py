@@ -19,7 +19,6 @@ from scenedistill.simstream import (
     oracle_tensors,
     read_trace,
     scene_change_frames,
-    synth_oracle,
     write_trace,
 )
 
@@ -128,16 +127,18 @@ class TestGenerateStream:
             generate_stream([SceneSpec(scene_id=0, class_probs=(1.0,))], 10, CFG, seed=0)
 
 
+def record(gt, frame_id=0):
+    return FrameRecord(frame_id=frame_id, scene_id=0, frame=None, gt=gt)
+
+
 class TestSynthOracle:
     def test_no_gt_zero_noise_decodes_empty(self):
-        rng = np.random.default_rng(0)
-        t = synth_oracle([], OracleNoiseSpec(), GRID, rng)
+        t = oracle_for_frame(record([]), OracleNoiseSpec(), GRID, seed=0)
         assert decode_tensor(t, GRID, 0.5) == []
 
     def test_one_object_round_trips_through_decode(self):
-        rng = np.random.default_rng(1)
         obj = GroundTruthObject(Box(0.52, 0.48, 0.2, 0.25), class_id=1)
-        t = synth_oracle([obj], OracleNoiseSpec(), GRID, rng)
+        t = oracle_for_frame(record([obj]), OracleNoiseSpec(), GRID, seed=1)
         dets = decode_tensor(t, GRID, 0.5)
         assert len(dets) == 1
         assert dets[0].class_id == 1
@@ -146,29 +147,26 @@ class TestSynthOracle:
 
     def test_noise_stays_out_of_high_partition(self):
         from scenedistill.detection import partition_cells
-        rng = np.random.default_rng(2)
         obj = GroundTruthObject(Box(0.5, 0.5, 0.2, 0.2), class_id=0)
         noise = OracleNoiseSpec(empty_cell_noise_rate=0.5, noise_logit_range=(-2.0, -0.2))
-        t = synth_oracle([obj], noise, GRID, rng)
+        t = oracle_for_frame(record([obj]), noise, GRID, seed=2)
         high, _ = partition_cells(t, 0.5)
         assert high.sum() == 1  # only the true object's cell
 
     def test_nearer_object_wins_shared_cell(self):
-        rng = np.random.default_rng(3)
         near = GroundTruthObject(Box(0.5, 0.5, 0.1, 0.1), class_id=0, object_id=0)
         far = GroundTruthObject(Box(0.55, 0.59, 0.1, 0.1), class_id=1, object_id=1)
-        t = synth_oracle([far, near], OracleNoiseSpec(), GRID, rng)
+        t = oracle_for_frame(record([far, near]), OracleNoiseSpec(), GRID, seed=3)
         dets = decode_tensor(t, GRID, 0.5)
         assert len(dets) == 1
         assert dets[0].class_id == 0
 
     def test_class_flip_probability(self):
-        rng = np.random.default_rng(4)
         obj = GroundTruthObject(Box(0.5, 0.5, 0.2, 0.2), class_id=0)
         noise = OracleNoiseSpec(class_flip_prob=0.3)
         flips = 0
-        for _ in range(2000):
-            t = synth_oracle([obj], noise, GRID, rng)
+        for frame_id in range(2000):
+            t = oracle_for_frame(record([obj], frame_id), noise, GRID, seed=4)
             flips += decode_tensor(t, GRID, 0.3)[0].class_id != 0
         assert flips / 2000 == pytest.approx(0.3, abs=0.03)
 
@@ -196,15 +194,11 @@ class TestSynthOracle:
 
     # SHA-256 of every oracle tensor of PIN_STREAM in frame order, taken before
     # oracle synthesis was rewritten for speed; any change to generated
-    # supervision shows here.  Per spec: (oracle_for_frame, synth_oracle with
-    # one rng and no layout_rng).
+    # supervision shows here.
     PIN_DIGESTS = {
-        "default": ("451740262343db5b851825561462d19e97010ecf063a84993e3308b14f5f944f",
-                    "451740262343db5b851825561462d19e97010ecf063a84993e3308b14f5f944f"),
-        "quiet": ("2d3bbb0b52201d78665b5e36f44c72a6f3eedac6592085afffed3dd8e2d34750",
-                  "b1831c9ee761102f42ca7dc4174d7d579b6b2b3c0edc5614a4c9b836131b44cd"),
-        "heavy": ("ea211c31bce8605628a0962753141d22754e74a508cc771ff325e4274cb486bd",
-                  "5a3ba3449af4650a6a83d5ae13250741c88037422ed3df120c073f0d8622a1f2"),
+        "default": "451740262343db5b851825561462d19e97010ecf063a84993e3308b14f5f944f",
+        "quiet": "2d3bbb0b52201d78665b5e36f44c72a6f3eedac6592085afffed3dd8e2d34750",
+        "heavy": "ea211c31bce8605628a0962753141d22754e74a508cc771ff325e4274cb486bd",
     }
 
     @staticmethod
@@ -224,11 +218,7 @@ class TestSynthOracle:
         per_frame = hashlib.sha256()
         for rec in stream:
             per_frame.update(oracle_for_frame(rec, noise, GRID, seed=21).tobytes())
-        rng = np.random.default_rng(22)
-        one_rng = hashlib.sha256()
-        for rec in stream:
-            one_rng.update(synth_oracle(rec.gt, noise, GRID, rng).tobytes())
-        assert (per_frame.hexdigest(), one_rng.hexdigest()) == self.PIN_DIGESTS[name]
+        assert per_frame.hexdigest() == self.PIN_DIGESTS[name]
 
     def test_mutating_returned_tensor_leaves_later_calls_unchanged(self):
         stream = self.pin_stream()[:20]
@@ -313,7 +303,7 @@ class TestTraceIO:
     def test_round_trip_exact(self, tmp_path):
         stream = self.make_stream()
         path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        write_trace(stream, path, grid=GRID)
         loaded, grid, d = read_trace(path)
         assert grid == GRID
         assert d == CFG.feature_dim
@@ -328,7 +318,7 @@ class TestTraceIO:
     def test_round_trip_preserves_evaluation(self, tmp_path):
         stream = self.make_stream(n=30)
         path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        write_trace(stream, path, grid=GRID)
         loaded, _, _ = read_trace(path)
 
         def score(recs):
@@ -341,7 +331,7 @@ class TestTraceIO:
     def test_truncated_file_names_line(self, tmp_path):
         stream = self.make_stream()
         path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        write_trace(stream, path, grid=GRID)
         with open(path) as f:
             lines = f.read().splitlines()
         broken = str(tmp_path / "broken.jsonl")
@@ -353,7 +343,7 @@ class TestTraceIO:
     def test_dimension_mismatch_names_line(self, tmp_path):
         stream = self.make_stream(n=3)
         path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        write_trace(stream, path, grid=GRID)
         with open(path) as f:
             lines = f.read().splitlines()
         header = lines[0].replace('"s": 5', '"s": 8')
@@ -366,7 +356,7 @@ class TestTraceIO:
     def test_unknown_version_rejected(self, tmp_path):
         stream = self.make_stream(n=2)
         path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        write_trace(stream, path, grid=GRID)
         with open(path) as f:
             lines = f.read().splitlines()
         bad = str(tmp_path / "v9.jsonl")
@@ -382,7 +372,7 @@ class TestTraceIO:
     def rewrite_header(self, tmp_path, header):
         stream = self.make_stream(n=2)
         path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, feature_dim=CFG.feature_dim, grid=GRID)
+        write_trace(stream, path, grid=GRID)
         with open(path) as f:
             lines = f.read().splitlines()
         with open(path, "w") as f:
@@ -412,10 +402,10 @@ class TestTraceIO:
 
     def test_byte_identical_rewrites(self, tmp_path):
         stream = self.make_stream()
-        p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        write_trace(stream, p1, feature_dim=CFG.feature_dim, grid=GRID)
-        write_trace(stream, p2, feature_dim=CFG.feature_dim, grid=GRID)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_trace(stream, str(p1), grid=GRID)
+        write_trace(stream, str(p2), grid=GRID)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestSpecValidation:
