@@ -226,13 +226,13 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError, LookupError, TypeError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot load report {args.report}: {e}") from e
     stream, grid, _ = read_trace(args.trace)
-    if len(report.detections) > len(stream):  # a shorter report, from a stopped run, scores its prefix
-        raise ConfigError(f"report {args.report} has {len(report.detections)} frames but trace "
-                          f"{args.trace} has only {len(stream)}")
     eval_cfg = _eval_config(config)
     pipe_cfg = _pipeline_config({"seed": 0, **config})  # seed is optional here
-    summary = evaluate_report(report, stream, grid, eval_cfg, pipe_cfg.oracle_noise,
-                              pipe_cfg.effective_oracle_seed)
+    try:
+        summary = evaluate_report(report, stream, grid, eval_cfg, pipe_cfg.oracle_noise,
+                                  pipe_cfg.effective_oracle_seed)
+    except ValueError as e:
+        raise ConfigError(f"cannot score report {args.report} against trace {args.trace}: {e}") from e
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(summary.to_dict(), f)

@@ -181,7 +181,7 @@ def distill_step(params: DecoderParams, features: FeatureFrame, oracle: np.ndarr
     loss_before, loss_after, trained = train_decoder(params, features, oracle, weights,
                                                      cfg.lr, cfg.steps_per_event)
     if not (np.isfinite(loss_before) and np.isfinite(loss_after)
-            and all(np.all(np.isfinite(arr)) for arr in trained)):
+            and np.isfinite(trained[0].base).all()):  # one buffer holds all four arrays
         return params, FeedbackRecord(frame_id, loss_before, loss_before,
                                       decision_source, error="non-finite loss")
     new_params = DecoderParams(*trained, version=params.version + cfg.steps_per_event)

@@ -201,7 +201,13 @@ def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalC
 def evaluate_report(report: PipelineReport, stream: list[FrameRecord], grid: GridShape,
                     eval_cfg: EvalConfig, noise: OracleNoiseSpec | None = None,
                     oracle_seed: int = 0) -> EvalSummary:
-    """Attach an evaluation over all configured IOU thresholds to a run report."""
+    """Attach an evaluation over all configured IOU thresholds to a run report.
+
+    A report shorter than its stream, from a stopped run, scores the prefix.
+    """
+    if len(report.detections) > len(stream):
+        raise ValueError(f"report has {len(report.detections)} frames but its stream "
+                         f"has only {len(stream)}")
     gt = ground_truth_for(stream[:len(report.detections)], grid, eval_cfg, noise, oracle_seed)
     summary = EvalSummary(
         gt_source=eval_cfg.gt_source,

@@ -5,13 +5,14 @@ two-layer per-cell decoder head (the only trainable detection component),
 and a single-cell LSTM with a scalar readout.  Gradients are written out
 analytically.  The finite-difference tests check the decoder's training step
 itself (train_decoder, as distill_step runs it), reading the gradient off one
-step at a tiny learning rate.
+step at a tiny learning rate.  A trained decoder's four arrays are views into
+one flat buffer, updated and checked for finiteness as a whole.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,20 +93,35 @@ def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndar
     """`steps` plain SGD steps on sum(weights * (head(features) - target)^2).
 
     weights is an (s, s, 1) per-cell map.  Returns (loss_before, loss_after,
-    (w1, b1, w2, b2)) with fresh arrays; params is left untouched and no step
-    is taken from a non-finite loss.  This is the training step distill_step
-    runs, so its gradient is the one the finite-difference tests check.
+    (w1, b1, w2, b2)); params is left untouched and no step is taken from a
+    non-finite loss.  The four arrays are views into one fresh flat buffer,
+    w1.base, so a caller can check all of them with one call.  This is the
+    training step distill_step runs, so its gradient is the one the
+    finite-difference tests check.
 
     It runs on the distillation worker while inference shares the
-    interpreter, so it reuses buffers and in-place ops throughout.
+    interpreter, so it counts numpy calls: gradients go into views of a
+    second flat buffer, the update is two calls over all of it, and each
+    step's forward pass also serves the next step or the final loss.
     """
     x = features.values.reshape(-1, params.w1.shape[0])
     n = x.shape[0]
-    hidden_dim = params.w1.shape[1]
+    d, hidden_dim = params.w1.shape
     channels = params.w2.shape[1]
-    w1, b1 = params.w1.copy(), params.b1.copy()
-    w2, b2 = params.w2.copy(), params.b2.copy()
-    w_flat = weights.reshape(-1, 1)
+    k1, k2 = d * hidden_dim, (d + 1) * hidden_dim
+    k3 = k2 + hidden_dim * channels
+
+    def views(buf):
+        return (buf[:k1].reshape(d, hidden_dim), buf[k1:k2],
+                buf[k2:k3].reshape(hidden_dim, channels), buf[k3:])
+
+    flat = np.concatenate([params.w1.ravel(), params.b1, params.w2.ravel(), params.b2])
+    grad = np.empty_like(flat)
+    w1, b1, w2, b2 = views(flat)
+    gw1, gb1, gw2, gb2 = views(grad)
+    # the weight map spelled out per channel: same-shape products skip broadcasting
+    w_flat = np.repeat(weights.reshape(-1, 1), channels, axis=1)
+    w_twice = w_flat * 2.0  # d(diff^2)/d(diff) = 2 * diff; doubling is exact
     target_flat = target.reshape(-1, channels)
 
     a = np.empty((n, hidden_dim))
@@ -130,29 +146,20 @@ def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndar
     forward()
     loss_before = loss()
     for _ in range(steps if np.isfinite(loss_before) else 0):
-        forward()
         np.subtract(out, target_flat, out=g)
-        g *= w_flat
-        g *= 2.0
+        g *= w_twice
         # backprop through the two-layer head, then the SGD update in place
-        gw2 = a.T @ g
-        gb2 = g.sum(axis=0)
+        np.matmul(a.T, g, out=gw2)
+        np.add.reduce(g, axis=0, out=gb2)  # np.sum without its Python wrapper
         np.matmul(g, w2.T, out=dz)
         np.multiply(a, a, out=ones)
         np.subtract(1.0, ones, out=ones)
         dz *= ones
-        gw1 = x.T @ dz
-        gb1 = dz.sum(axis=0)
-        gw1 *= lr
-        gb1 *= lr
-        gw2 *= lr
-        gb2 *= lr
-        w1 -= gw1
-        b1 -= gb1
-        w2 -= gw2
-        b2 -= gb2
-
-    forward()
+        np.matmul(x.T, dz, out=gw1)
+        np.add.reduce(dz, axis=0, out=gb1)
+        grad *= lr
+        flat -= grad
+        forward()
     return loss_before, loss(), (w1, b1, w2, b2)
 
 
@@ -216,16 +223,15 @@ def init_lstm(input_dim: int, hidden: int, seed: int, scale: float = 0.1) -> Lst
 
 
 def _lstm_cell(params: LstmParams, x: np.ndarray):
+    """(z, ifo, g, c_new, h_new); ifo stacks the input, forget and output gate activations."""
     n = params.hidden
     z = np.concatenate([x, params.h])
     pre = params.w_gates @ z + params.b_gates
-    i = sigmoid(pre[0:n])
-    f = sigmoid(pre[n:2 * n])
-    o = sigmoid(pre[2 * n:3 * n])
-    g = np.tanh(pre[3 * n:4 * n])
-    c_new = f * params.c + i * g
-    h_new = o * np.tanh(c_new)
-    return z, i, f, o, g, c_new, h_new
+    ifo = sigmoid(pre[:3 * n])
+    g = np.tanh(pre[3 * n:])
+    c_new = ifo[n:2 * n] * params.c + ifo[:n] * g
+    h_new = ifo[2 * n:] * np.tanh(c_new)
+    return z, ifo, g, c_new, h_new
 
 
 def lstm_forward(params: LstmParams, summary: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -239,7 +245,7 @@ def lstm_forward(params: LstmParams, summary: np.ndarray) -> tuple[float, np.nda
             f"summary dim {summary.shape[0]} does not match LSTM input "
             f"{params.w_gates.shape[1] - params.hidden}"
         )
-    _, _, _, _, _, c_new, h_new = _lstm_cell(params, summary)
+    *_, c_new, h_new = _lstm_cell(params, summary)
     score = float(sigmoid(params.w_out @ h_new + params.b_out))
     return score, h_new, c_new
 
@@ -247,7 +253,8 @@ def lstm_forward(params: LstmParams, summary: np.ndarray) -> tuple[float, np.nda
 def advance_lstm(params: LstmParams, summary: np.ndarray) -> tuple[float, LstmParams]:
     """lstm_forward that also commits the new hidden state."""
     score, h_new, c_new = lstm_forward(params, summary)
-    return score, replace(params, h=h_new, c=c_new)
+    return score, LstmParams(params.w_gates, params.b_gates, params.w_out, params.b_out,
+                             h_new, c_new)
 
 
 def lstm_train_step(params: LstmParams, summary: np.ndarray, label: int, lr: float) -> LstmParams:
@@ -259,34 +266,26 @@ def lstm_train_step(params: LstmParams, summary: np.ndarray, label: int, lr: flo
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     n = params.hidden
-    z, i, f, o, g, c_new, h_new = _lstm_cell(params, summary)
+    z, ifo, g, c_new, h_new = _lstm_cell(params, summary)
     th = np.tanh(c_new)
     score = sigmoid(params.w_out @ h_new + params.b_out)
 
     d_u = score - label  # d BCE / d readout-logit
-    gw_out = d_u * h_new
-    gb_out = d_u
     dh = d_u * params.w_out
-    do = dh * th
-    dc = dh * o * (1.0 - th * th)
-    df = dc * params.c
-    di = dc * g
-    dg = dc * i
-    d_pre = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        do * o * (1.0 - o),
-        dg * (1.0 - g * g),
-    ])
-    gw_gates = np.outer(d_pre, z)
-    gb_gates = d_pre
+    dc = dh * ifo[2 * n:] * (1.0 - th * th)
+    # d loss / d activation of the input, forget, output and candidate gates,
+    # then through each activation: sigmoid' = a * (1 - a), tanh' = 1 - a^2
+    d_pre = np.concatenate([dc * g, dc * params.c, dh * th, dc * ifo[:n] * (1.0 - g * g)])
+    d_sigmoid = d_pre[:3 * n]
+    d_sigmoid *= ifo
+    d_sigmoid *= 1.0 - ifo
 
-    return replace(
-        params,
-        w_gates=params.w_gates - lr * gw_gates,
-        b_gates=params.b_gates - lr * gb_gates,
-        w_out=params.w_out - lr * gw_out,
-        b_out=params.b_out - lr * gb_out,
+    return LstmParams(
+        w_gates=params.w_gates - lr * (d_pre[:, None] * z),
+        b_gates=params.b_gates - lr * d_pre,
+        w_out=params.w_out - lr * (d_u * h_new),
+        b_out=params.b_out - lr * d_u,
+        h=params.h, c=params.c,
     )
 
 

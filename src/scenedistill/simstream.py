@@ -419,15 +419,18 @@ def atomic_open(path: str):
 def write_trace(stream: list[FrameRecord], path: str, grid: GridShape | None = None) -> None:
     """Line-delimited trace: one JSON header, then one JSON record per frame.
 
-    The header's feature width is the frames' own.  Floats are serialized
-    with full repr, so a round trip reproduces values exactly (well within
-    the documented 1e-6 budget).
+    The header's grid size and feature width are the frames' own; a given
+    grid must agree with them and supplies the class count.  Floats are
+    serialized with full repr, so a round trip reproduces values exactly
+    (well within the documented 1e-6 budget).
     """
     if not stream:
         raise ValueError("cannot write an empty stream")
     s, _, d = stream[0].frame.values.shape
     if grid is not None:
-        s, c = grid.s, grid.c
+        if grid.s != s:
+            raise ValueError(f"grid s={grid.s} disagrees with the frames' {s}x{s} cells")
+        c = grid.c
     else:
         c = None
         for rec in stream:

@@ -342,6 +342,18 @@ class TestEvaluateReportPins:
         assert hashlib.sha256(blob).hexdigest() == digest
 
 
+class TestEvaluateReportLength:
+    def test_longer_report_rejected_shorter_scores_prefix(self):
+        stream, report = pin_run(23, n_frames=60)
+        eval_cfg = EvalConfig(gt_source="true_gt")
+        prefix = evaluate_report(report, stream[:60], PIN_GRID, eval_cfg, PIN_NOISE, 23)
+        # the same 60 frames as the start of a longer stream score the same
+        longer_stream = stream + stream
+        assert evaluate_report(report, longer_stream, PIN_GRID, eval_cfg, PIN_NOISE, 23) == prefix
+        with pytest.raises(ValueError, match="60 frames .* only 30"):
+            evaluate_report(report, stream[:30], PIN_GRID, eval_cfg, PIN_NOISE, 23)
+
+
 def reference_ground_truth(stream, grid, eval_cfg, noise, seed):
     """oracle_as_gt ground truth built one frame at a time."""
     out = []

@@ -6,9 +6,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenedistill.detection import GridShape
-from scenedistill.distill import DistillConfig, distill_step
+from scenedistill.detection import GridShape, sigmoid
+from scenedistill.distill import DistillConfig, cell_weights, distill_step
 from scenedistill.models import (
     Backbone,
     DecoderParams,
@@ -236,6 +238,30 @@ class TestSgdStep:
         assert fb.error is not None
         assert p2 is p
 
+    def test_overflow_with_finite_losses_rejected(self):
+        # an input-blind head meets a target symmetric about its output, so
+        # every gradient but w1's sums to exactly zero; lr 1e300 sends w1 to
+        # -inf while tanh saturates and keeps both losses finite, so only the
+        # check over the trained buffer catches the event
+        p = DecoderParams(w1=np.zeros((1, 1)), b1=np.zeros(1),
+                          w2=np.full((1, 6), 0.5), b2=np.full(6, -5.0), version=3)
+        before = [arr.copy() for arr in (p.w1, p.b1, p.w2, p.b2)]
+        feat = frame(np.array([1e10, 2e10, 3e10, 4e10]).reshape(2, 2, 1))
+        oracle = p.b2 + np.array([1.0, -1.0, 1.0, -1.0]).reshape(2, 2, 1)
+        cfg = DistillConfig(lr=1e300, steps_per_event=1)
+        with np.errstate(all="ignore"):
+            loss_before, loss_after, trained = train_decoder(
+                p, feat, oracle, cell_weights(oracle, cfg), cfg.lr, cfg.steps_per_event)
+            p2, fb = distill_step(p, feat, oracle, cfg)
+        assert np.isfinite(loss_before) and np.isfinite(loss_after)
+        assert not np.all(np.isfinite(trained[0]))
+        assert fb.error == "non-finite loss"
+        assert fb.loss_before == loss_before == fb.loss_after
+        assert p2 is p and p2.version == 3
+        for arr, old, new in zip((p.w1, p.b1, p.w2, p.b2), before, trained):
+            assert np.array_equal(arr, old)  # nothing written through
+            assert not np.shares_memory(arr, new)
+
     def test_descent_on_fixed_target_is_monotone(self):
         rng = np.random.default_rng(7)
         p = init_decoder(D, HIDDEN, GRID, seed=7)
@@ -425,3 +451,178 @@ class TestLstmTraining:
         p = init_lstm(D, 3, seed=0)
         with pytest.raises(ValueError):
             lstm_train_step(p, np.zeros(D), label=2, lr=0.1)
+
+
+# Reference implementations: the decoder training step and the LSTM updates
+# as written before their numpy calls were cut (one copy per array, separate
+# gate activations, dataclasses.replace).  The arithmetic is unchanged, so
+# results must be equal, not close.
+
+def reference_train_decoder(params, features, target, weights, lr, steps):
+    x = features.values.reshape(-1, params.w1.shape[0])
+    n = x.shape[0]
+    hidden_dim = params.w1.shape[1]
+    channels = params.w2.shape[1]
+    w1, b1 = params.w1.copy(), params.b1.copy()
+    w2, b2 = params.w2.copy(), params.b2.copy()
+    w_flat = weights.reshape(-1, 1)
+    target_flat = target.reshape(-1, channels)
+
+    a = np.empty((n, hidden_dim))
+    out = np.empty((n, channels))
+    g = np.empty((n, channels))
+    dz = np.empty((n, hidden_dim))
+    ones = np.empty((n, hidden_dim))
+
+    def forward():
+        np.matmul(x, w1, out=a)
+        np.add(a, b1, out=a)
+        np.tanh(a, out=a)
+        np.matmul(a, w2, out=out)
+        np.add(out, b2, out=out)
+
+    def loss():
+        np.subtract(out, target_flat, out=g)
+        np.multiply(g, g, out=g)
+        np.multiply(g, w_flat, out=g)
+        return float(g.sum())
+
+    forward()
+    loss_before = loss()
+    for _ in range(steps if np.isfinite(loss_before) else 0):
+        forward()
+        np.subtract(out, target_flat, out=g)
+        g *= w_flat
+        g *= 2.0
+        gw2 = a.T @ g
+        gb2 = g.sum(axis=0)
+        np.matmul(g, w2.T, out=dz)
+        np.multiply(a, a, out=ones)
+        np.subtract(1.0, ones, out=ones)
+        dz *= ones
+        gw1 = x.T @ dz
+        gb1 = dz.sum(axis=0)
+        gw1 *= lr
+        gb1 *= lr
+        gw2 *= lr
+        gb2 *= lr
+        w1 -= gw1
+        b1 -= gb1
+        w2 -= gw2
+        b2 -= gb2
+
+    forward()
+    return loss_before, loss(), (w1, b1, w2, b2)
+
+
+def reference_lstm_cell(params, x):
+    n = params.hidden
+    z = np.concatenate([x, params.h])
+    pre = params.w_gates @ z + params.b_gates
+    i = sigmoid(pre[0:n])
+    f = sigmoid(pre[n:2 * n])
+    o = sigmoid(pre[2 * n:3 * n])
+    g = np.tanh(pre[3 * n:4 * n])
+    c_new = f * params.c + i * g
+    h_new = o * np.tanh(c_new)
+    return z, i, f, o, g, c_new, h_new
+
+
+def reference_advance_lstm(params, summary):
+    _, _, _, _, _, c_new, h_new = reference_lstm_cell(params, summary)
+    score = float(sigmoid(params.w_out @ h_new + params.b_out))
+    return score, replace(params, h=h_new, c=c_new)
+
+
+def reference_lstm_train_step(params, summary, label, lr):
+    z, i, f, o, g, c_new, h_new = reference_lstm_cell(params, summary)
+    th = np.tanh(c_new)
+    score = sigmoid(params.w_out @ h_new + params.b_out)
+    d_u = score - label
+    gw_out = d_u * h_new
+    gb_out = d_u
+    dh = d_u * params.w_out
+    do = dh * th
+    dc = dh * o * (1.0 - th * th)
+    df = dc * params.c
+    di = dc * g
+    dg = dc * i
+    d_pre = np.concatenate([
+        di * i * (1.0 - i),
+        df * f * (1.0 - f),
+        do * o * (1.0 - o),
+        dg * (1.0 - g * g),
+    ])
+    return replace(
+        params,
+        w_gates=params.w_gates - lr * np.outer(d_pre, z),
+        b_gates=params.b_gates - lr * d_pre,
+        w_out=params.w_out - lr * gw_out,
+        b_out=params.b_out - lr * gb_out,
+    )
+
+
+HIDDEN_SIZES = st.sampled_from([1, 16, 32])
+LEARNING_RATES = st.sampled_from([1e-4, 0.01, 0.05, 0.3, 1.0])
+
+
+def random_lstm(rng, input_dim, hidden):
+    return LstmParams(
+        w_gates=rng.normal(0, 0.5, size=(4 * hidden, input_dim + hidden)),
+        b_gates=rng.normal(0, 0.3, size=4 * hidden),
+        w_out=rng.normal(0, 1, size=hidden), b_out=float(rng.normal()),
+        h=rng.normal(0, 0.5, size=hidden), c=rng.normal(0, 0.5, size=hidden),
+    )
+
+
+def assert_lstm_equal(got, want):
+    for name in ("w_gates", "b_gates", "w_out", "h", "c"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.b_out == want.b_out
+
+
+class TestBitIdentity:
+    """The decoder step and the LSTM updates against their references."""
+
+    @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, steps=st.sampled_from([1, 2, 10]),
+           lr=LEARNING_RATES, s=st.integers(1, 6), d=st.integers(1, 12), c=st.integers(1, 4),
+           zero_frac=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_train_decoder_matches_reference(self, seed, hidden, steps, lr, s, d, c, zero_frac):
+        rng = np.random.default_rng(seed)
+        p = init_decoder(d, hidden, GridShape(s=s, c=c), seed=seed % 1000, scale=0.5)
+        p = DecoderParams(p.w1, rng.normal(0, 0.1, size=hidden), p.w2,
+                          rng.normal(0, 0.1, size=5 + c))
+        feat = frame(rng.normal(0, 1, size=(s, s, d)))
+        target = rng.normal(0, 1, size=(s, s, 5 + c))
+        weights = rng.uniform(0, 1, size=(s, s, 1)) / (s * s)
+        weights[rng.random(size=(s, s, 1)) < zero_frac] = 0.0
+        before = [arr.copy() for arr in (p.w1, p.b1, p.w2, p.b2)]
+        got = train_decoder(p, feat, target, weights, lr, steps)
+        want = reference_train_decoder(p, feat, target, weights, lr, steps)
+        assert got[0] == want[0] and got[1] == want[1]
+        for new, ref, old, arr in zip(got[2], want[2], before, (p.w1, p.b1, p.w2, p.b2)):
+            assert np.array_equal(new, ref)
+            assert np.array_equal(arr, old)  # params untouched
+
+    @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, input_dim=st.integers(1, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_advance_lstm_matches_reference(self, seed, hidden, input_dim):
+        rng = np.random.default_rng(seed)
+        got = want = random_lstm(rng, input_dim, hidden)
+        for x in rng.normal(size=(3, input_dim)):
+            score, got = advance_lstm(got, x)
+            want_score, want = reference_advance_lstm(want, x)
+            assert score == want_score
+            assert_lstm_equal(got, want)
+
+    @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, input_dim=st.integers(1, 24),
+           label=st.sampled_from([0, 1]), lr=LEARNING_RATES)
+    @settings(max_examples=100, deadline=None)
+    def test_lstm_train_step_matches_reference(self, seed, hidden, input_dim, label, lr):
+        rng = np.random.default_rng(seed)
+        got = want = random_lstm(rng, input_dim, hidden)
+        for x in rng.normal(size=(3, input_dim)):
+            got = lstm_train_step(got, x, label, lr)
+            want = reference_lstm_train_step(want, x, label, lr)
+            assert_lstm_equal(got, want)

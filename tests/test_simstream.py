@@ -400,6 +400,12 @@ class TestTraceIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
+    def test_grid_disagreeing_with_frames_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with pytest.raises(ValueError, match="s=4"):
+            write_trace(self.make_stream(), str(path), grid=GridShape(s=4, c=GRID.c))
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_rewrites(self, tmp_path):
         stream = self.make_stream()
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
