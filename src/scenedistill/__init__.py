@@ -25,7 +25,6 @@ from .distill import (
     bounded_distill_loss,
     compose_target,
     distill_step,
-    general_distill_loss,
     nms_distill_loss,
 )
 from .evaluate import (
@@ -106,7 +105,6 @@ __all__ = [
     "evaluate_frames",
     "evaluate_report",
     "evaluate_thresholds",
-    "general_distill_loss",
     "generate_stream",
     "iou",
     "keyframe_histogram",

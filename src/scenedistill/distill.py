@@ -3,9 +3,8 @@
 The core loss is an objectness-gated MSE between student and oracle logit
 tensors: cells where the oracle is confident are matched exactly, the rest
 are pulled toward a blend of the student's own output and the oracle, which
-keeps the student from chasing oracle noise in empty regions.  Two slower
-reference losses (a ground-truth/teacher weighted loss and a decode+NMS
-based loss) exist as accuracy and compute-cost baselines.
+keeps the student from chasing oracle noise in empty regions.  A slower
+decode+NMS based loss exists as a compute-cost baseline.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (
-    Detection,
     GridShape,
     GroundTruthObject,
     decode_tensor,
@@ -30,7 +28,6 @@ from .models import DecoderParams, FeatureFrame, train_decoder
 class DistillConfig:
     lam: float = 0.4          # blend factor for low-confidence cells
     gate: float = 0.5         # activated-objectness split threshold
-    beta: float = 0.5         # ground-truth weight in the reference loss
     lr: float = 0.01
     steps_per_event: int = 5
 
@@ -39,8 +36,6 @@ class DistillConfig:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         if not 0.0 < self.gate < 1.0:
             raise ValueError(f"gate must be in (0, 1), got {self.gate}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.steps_per_event < 1:
@@ -82,7 +77,7 @@ def cell_weights(oracle: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     Confident cells weigh 1/(confident scalars), the rest (1 - lam)^2 /
     (background scalars); contracting these with the squared student-oracle
     difference reproduces the gated loss with plain elementwise arithmetic,
-    which keeps the training worker cheap.
+    which keeps each key frame's training step cheap.
     """
     high, low = partition_cells(oracle, cfg.gate)
     channels = oracle.shape[-1]
@@ -135,18 +130,6 @@ def _pair_loss(matches, missed) -> float:
         total += 1.0
         n += 1
     return total / n if n else 0.0
-
-
-def general_distill_loss(student_dets: list[Detection], gt: list[GroundTruthObject],
-                         oracle_dets: list[Detection], beta: float) -> float:
-    """Weighted combination of a ground-truth loss and a teacher loss.
-
-    beta = 1 ignores the teacher entirely, beta = 0 ignores ground truth.
-    Reference baseline only; not used on the training path.
-    """
-    l_gt = _pair_loss(*match_detections(student_dets, gt, 0.5, class_aware=False))
-    l_t = _pair_loss(*match_detections(student_dets, oracle_dets, 0.5, class_aware=False))
-    return beta * l_gt + (1.0 - beta) * l_t
 
 
 def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt: list[GroundTruthObject],

@@ -99,8 +99,8 @@ def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndar
     training step distill_step runs, so its gradient is the one the
     finite-difference tests check.
 
-    It runs on the distillation worker while inference shares the
-    interpreter, so it counts numpy calls: gradients go into views of a
+    Every key frame runs it on the inference thread, between two frames,
+    so it counts numpy calls: gradients go into views of a
     second flat buffer, the update is two calls over all of it, and each
     step's forward pass also serves the next step or the final loss.
     """

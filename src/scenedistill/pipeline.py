@@ -2,13 +2,15 @@
 
 run_pipeline runs one frame loop for every mode, and every frame goes
 through one routine: backbone, both decoder heads, merged detections, then
-the selector's decision.  A key frame becomes a distillation event (oracle,
-distill_step, commit unless the event failed).  Sequential mode runs the
-event inline on the inference thread; parallel mode hands it to a worker
-thread over a bounded drop-oldest queue and applies the feedback of
-finished events at the next frame boundary, so inference never blocks on
-the oracle.  frozen_student, mixed and oracle_only are non-learning
-baselines.  The oracle's compute cost is simulated by a configurable delay.
+the selector's decision.  A key frame becomes a distillation event: the
+oracle's answer, then distill_step on the latest commit, a commit unless the
+event failed, and the selector's feedback.  Sequential mode runs the whole
+event inline.  Parallel mode hands the oracle wait to a worker thread over a
+bounded drop-oldest queue and trains on each answer at the next frame
+boundary, so inference never blocks on the oracle and the inference thread
+is the store's only writer.  frozen_student, mixed and oracle_only are
+non-learning baselines.  The oracle's compute cost is simulated by a
+configurable delay.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import collections
 import json
 import queue
-import sys
 import threading
 import time
 import traceback
@@ -197,30 +198,27 @@ _SENTINEL = object()
 
 
 class _Worker:
-    """Runs distillation events on a daemon thread.
+    """Waits out the oracle for key frames on a daemon thread.
 
-    Key frames go in over a bounded queue that drops its oldest entry when
-    full; finished FeedbackRecords come back over a deque (appends and pops
-    are atomic), which the runner drains at frame boundaries so the selector
-    has one owner.
+    Key frames (rec, feats, source) go in over a bounded queue that drops its
+    oldest entry when full; each comes back as (rec, feats, source, oracle
+    answer) over a deque (appends and pops are atomic), which the runner
+    drains at frame boundaries, so training, the store's commits and the
+    selector all stay on the inference thread.
     """
 
-    def __init__(self, event, capacity: int):
-        self._event = event
+    def __init__(self, oracle, capacity: int):
+        self._oracle = oracle
         self._work: queue.Queue = queue.Queue(maxsize=capacity)
-        self._done: collections.deque[FeedbackRecord] = collections.deque()
+        self._done: collections.deque[tuple] = collections.deque()
         self.error: str | None = None
-        # Both threads run sub-millisecond numpy bursts; the default 5 ms GIL
-        # switch interval would let either side starve the other.
-        self._old_switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
         self.thread = threading.Thread(target=self._loop, name="distill-worker", daemon=True)
         self.thread.start()
 
     def _loop(self) -> None:
         try:
             while (item := self._work.get()) is not _SENTINEL:
-                self._done.append(self._event(*item))
+                self._done.append((*item, self._oracle(item[0])))
         except Exception as e:  # surfaced to the inference loop, traceback included
             self.error = f"{type(e).__name__}: {e}\n{traceback.format_exc()}"
 
@@ -241,7 +239,7 @@ class _Worker:
         return dropped
 
     def finished(self):
-        """Yield the FeedbackRecords of the events finished so far."""
+        """Yield the (rec, feats, source, oracle tensor) answered so far."""
         while self._done:
             yield self._done.popleft()
 
@@ -256,7 +254,6 @@ class _Worker:
             except queue.Full:
                 pass
         self.thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        sys.setswitchinterval(self._old_switch)
 
 
 def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
@@ -274,16 +271,14 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
             time.sleep(cfg.oracle_delay)
         return oracle_for_frame(rec, cfg.oracle_noise, grid, oracle_seed)
 
-    def distill_event(params: DecoderParams, rec: FrameRecord, feats, source: str) -> FeedbackRecord:
-        new_params, fb = distill_step(params, feats, oracle(rec), cfg.distill,
+    def distill_event(rec: FrameRecord, feats, source: str, target: np.ndarray) -> None:
+        """Train the latest commit on one oracle answer, commit unless the
+        event failed, and feed it back; the first failed event names the error."""
+        nonlocal error
+        new_params, fb = distill_step(store.snapshot(), feats, target, cfg.distill,
                                       frame_id=rec.frame_id, decision_source=source)
         if fb.error is None:
             store.commit(new_params)
-        return fb
-
-    def feedback(fb: FeedbackRecord) -> None:
-        """Record a finished event; the first failed event names the error."""
-        nonlocal error
         feedbacks.append(_feedback_row(fb))
         selector.apply_feedback(fb)
         if fb.error is not None:
@@ -305,9 +300,9 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
                                     cfg.conf_threshold, cfg.iou_threshold)
             decision = selector.decide(feats, summary)
             if decision.train and worker is None:
-                feedback(distill_event(snap, rec, feats, decision.source))
+                distill_event(rec, feats, decision.source, oracle(rec))
             elif decision.train:
-                # feats is fresh per frame, so the worker trains on the exact
+                # feats is fresh per frame, so the event trains on the exact
                 # frame that triggered selection even as inference advances.
                 for stale, _, source in worker.submit((rec, feats, decision.source)):
                     dropped += 1
@@ -316,17 +311,14 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         decisions.append(_decision_row(decision))
         return dets
 
-    worker = None
-    if cfg.mode == "parallel":
-        # the worker is the store's sole writer, so it trains on its own latest commit
-        worker = _Worker(lambda *item: distill_event(store.snapshot(), *item), cfg.queue_capacity)
+    worker = _Worker(oracle, cfg.queue_capacity) if cfg.mode == "parallel" else None
     try:
         t_start = time.perf_counter()
         for rec in stream:
             t0 = time.perf_counter()
             if worker is not None:
-                for fb in worker.finished():
-                    feedback(fb)
+                for answered in worker.finished():
+                    distill_event(*answered)
             if error is not None or (worker is not None and worker.error is not None):
                 break
             detections.append(infer(rec))
@@ -336,8 +328,8 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         if worker is not None:  # stop the worker on every exit path
             worker.stop()
     if worker is not None:
-        for fb in worker.finished():
-            feedback(fb)
+        for answered in worker.finished():
+            distill_event(*answered)
         if worker.thread.is_alive():
             error = error or "distillation worker failed to stop"
         if worker.error is not None:

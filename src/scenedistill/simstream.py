@@ -12,7 +12,7 @@ produces in a fixed environment.  Each frame's draws come from its own
 generator, seeded by (seed, scene, frame).  The spurious layout depends on
 the seed, the scene and the set of cells that hold objects, so within a
 scene it stays put until an object enters or leaves a cell, and then shifts
-(ROADMAP item 5).
+(ROADMAP, "One noise layout per scene").
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def _noise_layout(seed: int, scene_id: int, rate: float, logit_range: tuple[floa
     once per distinct key.
 
     A cell in occupied skips its six value draws, which shifts every later
-    cell's values: the layout depends on which cells hold objects (ROADMAP
-    item 5).
+    cell's values: the layout depends on which cells hold objects (ROADMAP,
+    "One noise layout per scene").
     """
     rng = np.random.default_rng([seed, LAYOUT_TAG, scene_id])
     s = shape.s
@@ -328,8 +328,9 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
     (sequential or parallel, any call order, any block) sees identical
     supervision.  The spurious detections' placement comes from a layout
     seeded per scene that also depends on which cells hold objects, so it
-    shifts when an object enters or leaves a cell (ROADMAP item 5); layouts
-    are cached per (seed, scene, noise rate and range, grid, occupied cells).
+    shifts when an object enters or leaves a cell (ROADMAP, "One noise layout
+    per scene"); layouts are cached per (seed, scene, noise rate and range,
+    grid, occupied cells).
     The box jitter and the encoding then run once for the whole block.
     """
     c = shape.c

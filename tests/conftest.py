@@ -8,7 +8,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_leaked_run_state():
-    """A pipeline run restores the GIL switch interval and stops its worker."""
+    """A pipeline run leaves the GIL switch interval alone and stops its worker."""
     switch = sys.getswitchinterval()
     yield
     after = sys.getswitchinterval()

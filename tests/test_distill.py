@@ -1,5 +1,5 @@
 """Distillation losses: target composition, the gated MSE and its identity,
-the reference baselines, and the online update step."""
+the decode-and-match baseline, and the online update step."""
 
 import hashlib
 
@@ -15,15 +15,16 @@ from scenedistill.detection import (
     GroundTruthObject,
     decode_tensor,
     encode_object,
+    match_detections,
     partition_cells,
     sigmoid,
 )
 from scenedistill.distill import (
     DistillConfig,
+    _pair_loss,
     bounded_distill_loss,
     compose_target,
     distill_step,
-    general_distill_loss,
     nms_distill_loss,
 )
 from scenedistill.models import (
@@ -199,35 +200,20 @@ def make_gt(cx, cy, w, h, class_id, oid=0):
     return GroundTruthObject(Box(cx, cy, w, h), class_id, oid)
 
 
-class TestGeneralDistillLoss:
-    def test_beta_one_ignores_oracle(self):
-        dets = [make_det(0.5, 0.5, 0.2, 0.2, 0, 0.9)]
-        gt = [make_gt(0.5, 0.5, 0.2, 0.2, 0)]
-        far = [make_det(0.1, 0.1, 0.05, 0.05, 1, 0.8)]
-        with_oracle = general_distill_loss(dets, gt, far, beta=1.0)
-        without = general_distill_loss(dets, gt, [], beta=1.0)
-        assert with_oracle == pytest.approx(without)
-
-    def test_beta_zero_ignores_gt(self):
-        dets = [make_det(0.5, 0.5, 0.2, 0.2, 0, 0.9)]
-        oracle = [make_det(0.5, 0.5, 0.2, 0.2, 0, 0.95)]
-        a = general_distill_loss(dets, [], oracle, beta=0.0)
-        b = general_distill_loss(dets, [make_gt(0.2, 0.2, 0.1, 0.1, 1)], oracle, beta=0.0)
-        assert a == pytest.approx(b)
-
+class TestPairLoss:
     def test_two_detection_case_matches_hand_matching(self):
         # det0 matches gt0 (same box, same class); det1 is unmatched
         dets = [make_det(0.5, 0.5, 0.2, 0.2, 0, 0.8),
                 make_det(0.1, 0.8, 0.1, 0.1, 1, 0.4)]
         gt = [make_gt(0.5, 0.5, 0.2, 0.2, 0)]
-        # L_gt: matched pair (conf-1)^2 + box 0 + cls 0 -> 0.04; unmatched det 0.4^2
+        # against gt: matched pair (conf-1)^2 + box 0 + cls 0 -> 0.04; unmatched det 0.4^2
         want_gt = ((0.8 - 1.0) ** 2 + 0.4 ** 2) / 2
-        got = general_distill_loss(dets, gt, [], beta=1.0)
-        # empty teacher list: L_t over the same dets, both unmatched
-        want_t = (0.8 ** 2 + 0.4 ** 2) / 2
-        assert got == pytest.approx(1.0 * want_gt + 0.0 * want_t)
-        got_half = general_distill_loss(dets, gt, [], beta=0.5)
-        assert got_half == pytest.approx(0.5 * want_gt + 0.5 * want_t)
+        got = _pair_loss(*match_detections(dets, gt, 0.5, class_aware=False))
+        assert got == pytest.approx(want_gt)
+        # against an empty list both detections are unmatched
+        want_empty = (0.8 ** 2 + 0.4 ** 2) / 2
+        got_empty = _pair_loss(*match_detections(dets, [], 0.5, class_aware=False))
+        assert got_empty == pytest.approx(want_empty)
 
 
 class TestNmsDistillLoss:
@@ -375,7 +361,7 @@ class TestDistillStep:
 class TestDistillConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lam": -0.1}, {"lam": 1.1}, {"gate": 0.0}, {"gate": 1.0},
-        {"beta": 2.0}, {"lr": 0.0}, {"steps_per_event": 0},
+        {"lr": 0.0}, {"steps_per_event": 0},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):

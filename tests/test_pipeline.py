@@ -3,6 +3,7 @@ baselines, checkpointing."""
 
 import json
 import re
+import sys
 import threading
 import time
 from collections import Counter
@@ -188,11 +189,11 @@ class TestParallelMode:
         assert helpful
 
     def test_worker_failure_keeps_traceback(self, monkeypatch):
-        def broken_distill_step(*args, **kwargs):
+        def broken_oracle(*args, **kwargs):
             time.sleep(0.02)  # inference fills the one-slot queue meanwhile
-            raise RuntimeError("step exploded")
+            raise RuntimeError("oracle exploded")
 
-        monkeypatch.setattr(pipeline, "distill_step", broken_distill_step)
+        monkeypatch.setattr(pipeline, "oracle_for_frame", broken_oracle)
         cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
                        selector_cfg=SelectorConfig(tau=0), queue_capacity=1)
         raised = []
@@ -210,9 +211,43 @@ class TestParallelMode:
         assert not runner.is_alive()
         assert len(raised) == 1
         message = str(raised[0])
-        assert message.startswith("distillation worker failed: RuntimeError: step exploded")
+        assert message.startswith("distillation worker failed: RuntimeError: oracle exploded")
         assert "Traceback (most recent call last)" in message
-        assert "broken_distill_step" in message
+        assert "broken_oracle" in message
+
+    def test_training_and_commits_run_on_the_calling_thread(self, monkeypatch):
+        real_step, real_commit = pipeline.distill_step, pipeline.ParamStore.commit
+        threads = []
+
+        def step(*args, **kwargs):
+            threads.append(("step", threading.get_ident()))
+            return real_step(*args, **kwargs)
+
+        def commit(self, params):
+            threads.append(("commit", threading.get_ident()))
+            real_commit(self, params)
+
+        monkeypatch.setattr(pipeline, "distill_step", step)
+        monkeypatch.setattr(pipeline.ParamStore, "commit", commit)
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=4, oracle_delay=0.0005)
+        report = run_pipeline(make_stream(n=120), GRID, cfg)
+        assert report.versions[-1] > 0
+        assert {name for name, _ in threads} == {"step", "commit"}
+        assert {ident for _, ident in threads} == {threading.get_ident()}
+
+    def test_switch_interval_left_alone_during_run(self, monkeypatch):
+        real_oracle = pipeline.oracle_for_frame
+        before = sys.getswitchinterval()
+        seen = []
+
+        def oracle(*args, **kwargs):
+            seen.append(sys.getswitchinterval())
+            return real_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "oracle_for_frame", oracle)
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=4)
+        run_pipeline(make_stream(n=40), GRID, cfg)
+        assert seen and set(seen) == {before}
 
     def test_inference_failure_stops_worker(self, monkeypatch):
         real_merge = pipeline.merge_detections
@@ -231,19 +266,19 @@ class TestParallelMode:
         assert workers == []
 
     def test_late_feedback_for_unselected_frame_raises(self, monkeypatch):
-        # the only key frame's feedback arrives after the last frame and names
-        # a frame the selector never chose: the post-loop drain must not
-        # swallow what the in-loop drain would raise
+        # the only key frame's oracle answers after the last frame, and its
+        # feedback names a frame the selector never chose: the post-loop
+        # drain must not swallow what the in-loop drain would raise
         real_step = pipeline.distill_step
 
         def misattributed_step(*args, **kwargs):
-            time.sleep(0.2)
             new_params, fb = real_step(*args, **kwargs)
             return new_params, FeedbackRecord(10 ** 6, fb.loss_before, fb.loss_after,
                                               fb.decision_source)
 
         monkeypatch.setattr(pipeline, "distill_step", misattributed_step)
-        cfg = pipe_cfg(mode="parallel", selector_cfg=SelectorConfig(p_init=1.0, tau=5))
+        cfg = pipe_cfg(mode="parallel", selector_cfg=SelectorConfig(p_init=1.0, tau=5),
+                       oracle_delay=0.2)
         with pytest.raises(ValueError, match="never selected"):
             run_pipeline(make_stream(n=3), GRID, cfg)
         assert [t for t in threading.enumerate() if t.name == "distill-worker"] == []
@@ -252,10 +287,9 @@ class TestParallelMode:
 @pytest.mark.parametrize("mode", ["sequential", "parallel"])
 class TestBothModes:
     def test_failed_event_stops_run_without_commit(self, mode, monkeypatch, tmp_path):
-        real_oracle, real_step, real_merge = (pipeline.oracle_for_frame, pipeline.distill_step,
-                                              pipeline.merge_detections)
+        real_oracle, real_merge = pipeline.oracle_for_frame, pipeline.merge_detections
         oracles, merges = [], []
-        failed = threading.Event()
+        answered = threading.Event()
 
         def nan_third_oracle(*args, **kwargs):
             tensor = real_oracle(*args, **kwargs)
@@ -263,25 +297,20 @@ class TestBothModes:
             if len(oracles) == 3:
                 tensor = tensor.copy()
                 tensor[0, 0, 0] = np.nan
+                answered.set()
             return tensor
-
-        def step(*args, **kwargs):
-            new_params, fb = real_step(*args, **kwargs)
-            if fb.error is not None:
-                failed.set()
-            return new_params, fb
 
         def merge(*args, **kwargs):
             merges.append(1)
             if len(merges) == 24:
-                # frame 23 waits for the failed event to finish, so the drain
-                # catches it before frame 24, the next key frame
-                failed.wait(10.0)
+                # frame 23 waits for the third oracle answer to leave the
+                # worker, so the drain trains on it before frame 24, the next
+                # key frame
+                answered.wait(10.0)
                 time.sleep(0.05)
             return real_merge(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "oracle_for_frame", nan_third_oracle)
-        monkeypatch.setattr(pipeline, "distill_step", step)
         monkeypatch.setattr(pipeline, "merge_detections", merge)
         path = str(tmp_path / "run.ckpt")
         cfg = pipe_cfg(mode=mode, selector="periodic", period=8,
@@ -295,6 +324,19 @@ class TestBothModes:
         # boundary after the failure's feedback was drained
         assert last == 16 if mode == "sequential" else 16 <= last <= 23
         assert checkpoint_load(path)[0].version == 2 * cfg.distill.steps_per_event
+
+    def test_raising_step_propagates(self, mode, monkeypatch):
+        exploded = RuntimeError("step exploded")
+
+        def exploding_step(*args, **kwargs):
+            raise exploded
+
+        monkeypatch.setattr(pipeline, "distill_step", exploding_step)
+        cfg = pipe_cfg(mode=mode, selector="periodic", period=4)
+        with pytest.raises(RuntimeError) as info:
+            run_pipeline(make_stream(n=60), GRID, cfg)
+        assert info.value is exploded
+        assert [t for t in threading.enumerate() if t.name == "distill-worker"] == []
 
     def test_trace_hooks_fire(self, mode, monkeypatch):
         # perfbench traces the names it finds on the pipeline module and
