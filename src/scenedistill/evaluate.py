@@ -237,7 +237,8 @@ def sweep(stream: list[FrameRecord], grid: GridShape, variants: dict[str, Pipeli
         if report.error:
             raise PipelineError(f"variant {name!r} stopped: {report.error}")
         row = {"variant": name, "key_frames": report.n_key_frames,
-               "key_fraction": report.key_fraction, "fps": report.fps}
+               "key_fraction": report.key_fraction,
+               "oracle_answer_fraction": report.oracle_answer_fraction, "fps": report.fps}
         for m in evaluate_thresholds(report.detections, gt_by_oracle[oracle],
                                      eval_cfg.iou_thresholds):
             row.update({f"ap@{m.iou:g}": m.mean_ap, f"f1@{m.iou:g}": m.f1,

@@ -1,26 +1,24 @@
 """End-to-end stream runner and checkpointing.
 
 run_pipeline runs one frame loop for every mode, and every frame goes
-through one routine: backbone, both decoder heads, merged detections, then
-the selector's decision.  A key frame becomes a distillation event: the
-oracle's answer, then distill_step on the latest commit, a commit unless the
-event failed, and the selector's feedback.  Sequential mode runs the whole
-event inline.  Parallel mode hands the oracle wait to a worker thread over a
-bounded drop-oldest queue and trains on each answer at the next frame
-boundary, so inference never blocks on the oracle and the inference thread
-is the store's only writer.  frozen_student, mixed and oracle_only are
-non-learning baselines.  The oracle's compute cost is simulated by a
-configurable delay.
+through one routine: backbone, the adaptive decoder head, its decoded and
+deduplicated detections, then the selector's decision.  A key frame becomes
+a distillation event: the oracle's answer, then distill_step on the latest
+commit, a commit unless the event failed, and the selector's feedback.
+Sequential mode runs the whole event inline and waits out the oracle's
+delay.  Parallel mode never waits: the frame loop keeps the oracle's
+schedule, one key frame in service and at most queue_capacity waiting (a
+new one past that drops the oldest waiting), and trains on each answer at
+the first frame boundary after it is due.  frozen_student, mixed and
+oracle_only are non-learning baselines.  The oracle's compute cost is
+simulated by a configurable delay; the package starts no thread.
 """
 
 from __future__ import annotations
 
 import collections
 import json
-import queue
-import threading
 import time
-import traceback
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -131,25 +129,16 @@ class PipelineReport:
         return cls(**{**data, "detections": dets})
 
 
-def merge_detections(adaptive_out: np.ndarray, general_out: np.ndarray, shape: GridShape,
-                     conf_threshold: float, iou_threshold: float) -> list[Detection]:
-    """Union of both decoders' detections, deduplicated by class-aware NMS.
-
-    Keeping the frozen general head in the mix preserves detections of
-    globally known objects that the adapted head has learned to down-weight.
-    """
-    if adaptive_out.shape != general_out.shape:
-        raise ValueError(f"shape mismatch: {adaptive_out.shape} vs {general_out.shape}")
-    merged = decode_tensor(adaptive_out, shape, conf_threshold)
-    merged += decode_tensor(general_out, shape, conf_threshold)
-    return nms(merged, iou_threshold)
+def merge_detections(out: np.ndarray, shape: GridShape, conf_threshold: float,
+                     iou_threshold: float) -> list[Detection]:
+    """The decoder output's detections, deduplicated by class-aware NMS."""
+    return nms(decode_tensor(out, shape, conf_threshold), iou_threshold)
 
 
 def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
-    """Backbone, frozen general head, store of the adaptive head, selector."""
+    """Backbone, store of the adaptive head, selector."""
     d = stream[0].frame.values.shape[2]
-    general = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1)  # version 0 forever
-    adapted, selector = general, None
+    adapted, selector = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1), None
     if cfg.init_checkpoint is not None:
         adapted, selector = checkpoint_load(cfg.init_checkpoint)
         if adapted.w1.shape[0] != d or adapted.w2.shape[1] != grid.channels:
@@ -169,7 +158,7 @@ def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConf
         selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
     else:
         selector = NeverSelector()
-    return Backbone(d, seed=cfg.seed), general, ParamStore(adapted), selector
+    return Backbone(d, seed=cfg.seed), ParamStore(adapted), selector
 
 
 def _decision_row(decision: Decision) -> dict:
@@ -194,81 +183,23 @@ def _feedback_row(fb: FeedbackRecord) -> dict:
     }
 
 
-_SENTINEL = object()
-
-
-class _Worker:
-    """Waits out the oracle for key frames on a daemon thread.
-
-    Key frames (rec, feats, source) go in over a bounded queue that drops its
-    oldest entry when full; each comes back as (rec, feats, source, oracle
-    answer) over a deque (appends and pops are atomic), which the runner
-    drains at frame boundaries, so training, the store's commits and the
-    selector all stay on the inference thread.
-    """
-
-    def __init__(self, oracle, capacity: int):
-        self._oracle = oracle
-        self._work: queue.Queue = queue.Queue(maxsize=capacity)
-        self._done: collections.deque[tuple] = collections.deque()
-        self.error: str | None = None
-        self.thread = threading.Thread(target=self._loop, name="distill-worker", daemon=True)
-        self.thread.start()
-
-    def _loop(self) -> None:
-        try:
-            while (item := self._work.get()) is not _SENTINEL:
-                self._done.append((*item, self._oracle(item[0])))
-        except Exception as e:  # surfaced to the inference loop, traceback included
-            self.error = f"{type(e).__name__}: {e}\n{traceback.format_exc()}"
-
-    def submit(self, item: tuple) -> list[tuple]:
-        """Queue a key frame; returns the items dropped to make room for it."""
-        dropped = []
-        try:
-            self._work.put_nowait(item)
-        except queue.Full:
-            try:
-                dropped.append(self._work.get_nowait())
-            except queue.Empty:
-                pass
-            try:
-                self._work.put_nowait(item)
-            except queue.Full:
-                dropped.append(item)
-        return dropped
-
-    def finished(self):
-        """Yield the (rec, feats, source, oracle tensor) answered so far."""
-        while self._done:
-            yield self._done.popleft()
-
-    def stop(self) -> None:
-        # a worker that died leaves its queue full for good, so offer the
-        # sentinel only while it is alive
-        deadline = time.monotonic() + 30.0
-        while self.thread.is_alive() and time.monotonic() < deadline:
-            try:
-                self._work.put(_SENTINEL, timeout=0.05)
-                break
-            except queue.Full:
-                pass
-        self.thread.join(timeout=max(0.0, deadline - time.monotonic()))
-
-
 def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
     if not stream:
         raise ValueError("empty stream")
-    backbone, general, store, selector = _build_runtime(stream, grid, cfg)
+    backbone, store, selector = _build_runtime(stream, grid, cfg)
     oracle_seed = cfg.effective_oracle_seed
     mix_rng = np.random.default_rng(cfg.seed + 3)
     decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
     oracle_frames = dropped = 0
     error = None
+    # parallel mode: key frames whose answers are due, and the unanswered
+    # ones, the first in service and due at `due`
+    answered, pending = [], collections.deque()
+    due = 0.0
 
-    def oracle(rec: FrameRecord) -> np.ndarray:
-        if cfg.oracle_delay > 0:
-            time.sleep(cfg.oracle_delay)
+    def oracle(rec: FrameRecord, delay: float = cfg.oracle_delay) -> np.ndarray:
+        if delay > 0:
+            time.sleep(delay)
         return oracle_for_frame(rec, cfg.oracle_noise, grid, oracle_seed)
 
     def distill_event(rec: FrameRecord, feats, source: str, target: np.ndarray) -> None:
@@ -284,8 +215,40 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         if fb.error is not None:
             error = error or f"frame {fb.frame_id}: {fb.error}"
 
+    def advance(now: float) -> None:
+        """Move the key frames the oracle has answered by `now` to `answered`.
+        The oracle starts on the next waiting one as soon as it answers one."""
+        nonlocal due
+        while pending and due <= now:
+            answered.append(pending.popleft())
+            due += cfg.oracle_delay
+
+    def train_answered(now: float) -> None:
+        advance(now)
+        for rec, feats, source in answered:
+            distill_event(rec, feats, source, oracle(rec, delay=0.0))
+        answered.clear()
+
+    def submit(rec: FrameRecord, feats, source: str) -> None:
+        """Hand a key frame to the oracle: served at once if it is idle, else
+        waiting, dropping the oldest waiting one past queue_capacity."""
+        nonlocal due, dropped
+        now = time.perf_counter()
+        advance(now)
+        if not pending:
+            due = now + cfg.oracle_delay
+        elif len(pending) > cfg.queue_capacity:
+            stale, _, stale_source = pending[1]
+            del pending[1]
+            dropped += 1
+            selector.apply_feedback(FeedbackRecord(stale.frame_id, 0.0, 0.0, stale_source,
+                                                   error="dropped"))
+        # feats is fresh per frame, so the event trains on the exact frame
+        # that triggered selection even as inference advances.
+        pending.append((rec, feats, source))
+
     def infer(rec: FrameRecord) -> list[Detection]:
-        nonlocal oracle_frames, dropped
+        nonlocal oracle_frames
         feats, summary = backbone.forward(rec.frame)
         snap = store.snapshot()
         versions.append(snap.version)
@@ -294,46 +257,28 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
             oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
-            adaptive_out = decoder_forward(snap, feats)
-            general_out = decoder_forward(general, feats)
-            dets = merge_detections(adaptive_out, general_out, grid,
+            dets = merge_detections(decoder_forward(snap, feats), grid,
                                     cfg.conf_threshold, cfg.iou_threshold)
             decision = selector.decide(feats, summary)
-            if decision.train and worker is None:
-                distill_event(rec, feats, decision.source, oracle(rec))
+            if decision.train and cfg.mode == "parallel":
+                submit(rec, feats, decision.source)
             elif decision.train:
-                # feats is fresh per frame, so the event trains on the exact
-                # frame that triggered selection even as inference advances.
-                for stale, _, source in worker.submit((rec, feats, decision.source)):
-                    dropped += 1
-                    selector.apply_feedback(FeedbackRecord(stale.frame_id, 0.0, 0.0, source,
-                                                           error="dropped"))
+                distill_event(rec, feats, decision.source, oracle(rec))
         decisions.append(_decision_row(decision))
         return dets
 
-    worker = _Worker(oracle, cfg.queue_capacity) if cfg.mode == "parallel" else None
-    try:
-        t_start = time.perf_counter()
-        for rec in stream:
-            t0 = time.perf_counter()
-            if worker is not None:
-                for answered in worker.finished():
-                    distill_event(*answered)
-            if error is not None or (worker is not None and worker.error is not None):
-                break
-            detections.append(infer(rec))
-            latencies.append(time.perf_counter() - t0)
-        elapsed = time.perf_counter() - t_start
-    finally:
-        if worker is not None:  # stop the worker on every exit path
-            worker.stop()
-    if worker is not None:
-        for answered in worker.finished():
-            distill_event(*answered)
-        if worker.thread.is_alive():
-            error = error or "distillation worker failed to stop"
-        if worker.error is not None:
-            raise PipelineError(f"distillation worker failed: {worker.error}")
+    t_start = time.perf_counter()
+    for rec in stream:
+        t0 = time.perf_counter()
+        train_answered(t0)
+        if error is not None:
+            break
+        detections.append(infer(rec))
+        latencies.append(time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t_start
+    # the key frames still in service or waiting are trained without waiting
+    # out their delays
+    train_answered(float("inf"))
 
     if cfg.checkpoint_out is not None:
         checkpoint_save(cfg.checkpoint_out, store.snapshot(),

@@ -8,10 +8,11 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_leaked_run_state():
-    """A pipeline run leaves the GIL switch interval alone and stops its worker."""
+    """A test leaves the GIL switch interval alone and no thread behind."""
     switch = sys.getswitchinterval()
+    threads = set(threading.enumerate())
     yield
     after = sys.getswitchinterval()
     sys.setswitchinterval(switch)  # one leak should not fail every later test
     assert after == switch
-    assert [t.name for t in threading.enumerate() if t.name == "distill-worker"] == []
+    assert set(threading.enumerate()) == threads

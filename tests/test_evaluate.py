@@ -397,18 +397,23 @@ class TestSweep:
             "lam=1": replace(pipe, distill=replace(pipe.distill, lam=1.0)),
             "frozen": replace(pipe, mode="frozen_student"),
             "oracle seed 6": replace(pipe, oracle_seed=6),
+            "mixed": replace(pipe, mode="mixed", p_oracle=0.3),
         }
         want = []
         for name, cfg in variants.items():
             report = run_pipeline(stream, PIN_GRID, cfg)
             gt = ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, cfg.oracle_seed)
             row = {"variant": name, "key_frames": report.n_key_frames,
-                   "key_fraction": report.key_fraction}
+                   "key_fraction": report.key_fraction,
+                   "oracle_answer_fraction": report.oracle_answer_fraction}
             for m in evaluate_thresholds(report.detections, gt, eval_cfg.iou_thresholds):
                 row.update({f"ap@{m.iou:g}": m.mean_ap, f"f1@{m.iou:g}": m.f1,
                             f"tp@{m.iou:g}": m.tp, f"fp@{m.iou:g}": m.fp})
             want.append(row)
         assert want[2]["key_frames"] == 0 < want[0]["key_frames"]
+        # mixed never trains, but the oracle answers some of its frames
+        assert want[4]["key_frames"] == 0 < want[4]["oracle_answer_fraction"] < 1
+        assert want[0]["oracle_answer_fraction"] == 0
 
         calls = []
         real = evaluate_module.ground_truth_for

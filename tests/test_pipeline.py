@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from scenedistill.models import FeatureFrame, decoder_forward, init_decoder
 from scenedistill.pipeline import (
     CheckpointError,
     PipelineConfig,
-    PipelineError,
     PipelineReport,
     checkpoint_load,
     checkpoint_save,
@@ -53,32 +53,32 @@ def pipe_cfg(**kwargs) -> PipelineConfig:
 
 
 class TestMergeDetections:
-    def test_silent_general_head_contributes_nothing(self):
-        shape = GridShape(s=3, c=2)
-        adaptive = np.zeros((3, 3, shape.channels))
-        adaptive[:, :, 0] = -10.0
-        encode_object(adaptive, shape, Box(0.5, 0.5, 0.2, 0.2), 0, obj_logit=8.0)
-        general = np.full((3, 3, shape.channels), -10.0)
-        merged = merge_detections(adaptive, general, shape, 0.5, 0.5)
-        assert merged == decode_tensor(adaptive, shape, 0.5)
+    SHAPE = GridShape(s=3, c=2)
 
-    def test_identical_tensors_deduplicated(self):
-        shape = GridShape(s=3, c=2)
-        t = np.zeros((3, 3, shape.channels))
+    def tensor(self, *objects):
+        t = np.zeros((3, 3, self.SHAPE.channels))
         t[:, :, 0] = -10.0
-        encode_object(t, shape, Box(0.5, 0.5, 0.2, 0.2), 1, obj_logit=8.0)
-        merged = merge_detections(t, t.copy(), shape, 0.5, 0.5)
+        for box, class_id, obj_logit in objects:
+            encode_object(t, self.SHAPE, box, class_id, obj_logit=obj_logit)
+        return t
+
+    def test_lone_detection_passes_through(self):
+        t = self.tensor((Box(0.5, 0.5, 0.2, 0.2), 0, 8.0))
+        merged = merge_detections(t, self.SHAPE, 0.5, 0.5)
         assert len(merged) == 1
+        assert merged == decode_tensor(t, self.SHAPE, 0.5)
+
+    def test_overlapping_same_class_cells_deduplicated(self):
+        # centers in adjacent cells, boxes overlapping at IOU 0.71
+        t = self.tensor((Box(0.6, 0.5, 0.6, 0.6), 1, 6.0), (Box(0.7, 0.5, 0.6, 0.6), 1, 8.0))
+        assert len(decode_tensor(t, self.SHAPE, 0.5)) == 2
+        merged = merge_detections(t, self.SHAPE, 0.5, 0.5)
+        assert len(merged) == 1
+        assert merged[0].box.cx == pytest.approx(0.7)  # the more confident one
 
     def test_distinct_detections_both_survive(self):
-        shape = GridShape(s=3, c=2)
-        a = np.zeros((3, 3, shape.channels))
-        a[:, :, 0] = -10.0
-        encode_object(a, shape, Box(0.2, 0.2, 0.15, 0.15), 0, obj_logit=8.0)
-        g = np.zeros((3, 3, shape.channels))
-        g[:, :, 0] = -10.0
-        encode_object(g, shape, Box(0.8, 0.8, 0.15, 0.15), 1, obj_logit=8.0)
-        merged = merge_detections(a, g, shape, 0.5, 0.5)
+        t = self.tensor((Box(0.2, 0.2, 0.15, 0.15), 0, 8.0), (Box(0.8, 0.8, 0.15, 0.15), 1, 8.0))
+        merged = merge_detections(t, self.SHAPE, 0.5, 0.5)
         assert len(merged) == 2
         assert {d.class_id for d in merged} == {0, 1}
 
@@ -188,32 +188,39 @@ class TestParallelMode:
         helpful = [f for f in report.feedbacks if f["error"] is None and f["delta_l"] < 0]
         assert helpful
 
-    def test_worker_failure_keeps_traceback(self, monkeypatch):
-        def broken_oracle(*args, **kwargs):
-            time.sleep(0.02)  # inference fills the one-slot queue meanwhile
-            raise RuntimeError("oracle exploded")
-
-        monkeypatch.setattr(pipeline, "oracle_for_frame", broken_oracle)
+    def test_oracle_serves_one_key_frame_and_drops_the_oldest_waiting(self):
+        # every frame is a key frame and the first answer is due long after
+        # the last frame: two wait behind it, each later one drops the oldest
         cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
-                       selector_cfg=SelectorConfig(tau=0), queue_capacity=1)
-        raised = []
+                       selector_cfg=SelectorConfig(tau=0), queue_capacity=2, oracle_delay=5.0)
+        t0 = time.perf_counter()
+        report = run_pipeline(make_stream(n=20), GRID, cfg)
+        elapsed = time.perf_counter() - t0
+        keys = [d["frame_id"] for d in report.decisions if d["train"]]
+        assert len(keys) == 20
+        assert report.dropped_key_frames == len(keys) - 3
+        assert [f["frame_id"] for f in report.feedbacks] == [keys[0], *keys[-2:]]
+        # the answers still due after the last frame are trained at once
+        assert elapsed < cfg.oracle_delay / 2
 
-        def run():
-            try:
-                run_pipeline(make_stream(n=60), GRID, cfg)
-            except PipelineError as e:
-                raised.append(e)
+    def test_each_waiting_key_frame_is_due_one_delay_after_the_one_before(self, monkeypatch):
+        # a fake clock that each frame's detection step advances by 1 s
+        clock = [0.0]
+        real_merge = pipeline.merge_detections
 
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=30.0)
-        # a dead worker must not leave the runner blocked on its full queue
-        assert not runner.is_alive()
-        assert len(raised) == 1
-        message = str(raised[0])
-        assert message.startswith("distillation worker failed: RuntimeError: oracle exploded")
-        assert "Traceback (most recent call last)" in message
-        assert "broken_oracle" in message
+        def merge(*args, **kwargs):
+            clock[0] += 1.0
+            return real_merge(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "merge_detections", merge)
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
+                       selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5)
+        report = run_pipeline(make_stream(n=12), GRID, cfg)
+        # frame 0 is submitted at 1 s and due at 3.5 s, the next ones at 6,
+        # 8.5 and 11 s; each is trained at the first frame starting after that
+        k = cfg.distill.steps_per_event
+        assert report.versions == [0] * 4 + [k] * 2 + [2 * k] * 3 + [3 * k] * 2 + [4 * k]
 
     def test_training_and_commits_run_on_the_calling_thread(self, monkeypatch):
         real_step, real_commit = pipeline.distill_step, pipeline.ParamStore.commit
@@ -262,8 +269,6 @@ class TestParallelMode:
         monkeypatch.setattr(pipeline, "merge_detections", merge_then_fail)
         with pytest.raises(RuntimeError, match="merge exploded"):
             run_pipeline(make_stream(n=120), GRID, pipe_cfg(mode="parallel"))
-        workers = [t for t in threading.enumerate() if t.name == "distill-worker"]
-        assert workers == []
 
     def test_late_feedback_for_unselected_frame_raises(self, monkeypatch):
         # the only key frame's oracle answers after the last frame, and its
@@ -281,15 +286,13 @@ class TestParallelMode:
                        oracle_delay=0.2)
         with pytest.raises(ValueError, match="never selected"):
             run_pipeline(make_stream(n=3), GRID, cfg)
-        assert [t for t in threading.enumerate() if t.name == "distill-worker"] == []
 
 
 @pytest.mark.parametrize("mode", ["sequential", "parallel"])
 class TestBothModes:
     def test_failed_event_stops_run_without_commit(self, mode, monkeypatch, tmp_path):
-        real_oracle, real_merge = pipeline.oracle_for_frame, pipeline.merge_detections
-        oracles, merges = [], []
-        answered = threading.Event()
+        real_oracle = pipeline.oracle_for_frame
+        oracles = []
 
         def nan_third_oracle(*args, **kwargs):
             tensor = real_oracle(*args, **kwargs)
@@ -297,21 +300,9 @@ class TestBothModes:
             if len(oracles) == 3:
                 tensor = tensor.copy()
                 tensor[0, 0, 0] = np.nan
-                answered.set()
             return tensor
 
-        def merge(*args, **kwargs):
-            merges.append(1)
-            if len(merges) == 24:
-                # frame 23 waits for the third oracle answer to leave the
-                # worker, so the drain trains on it before frame 24, the next
-                # key frame
-                answered.wait(10.0)
-                time.sleep(0.05)
-            return real_merge(*args, **kwargs)
-
         monkeypatch.setattr(pipeline, "oracle_for_frame", nan_third_oracle)
-        monkeypatch.setattr(pipeline, "merge_detections", merge)
         path = str(tmp_path / "run.ckpt")
         cfg = pipe_cfg(mode=mode, selector="periodic", period=8,
                        selector_cfg=SelectorConfig(tau=0), checkpoint_out=path)
@@ -319,10 +310,9 @@ class TestBothModes:
         assert report.error == "frame 16: non-finite loss"
         assert [(f["frame_id"], f["error"]) for f in report.feedbacks] == [
             (0, None), (8, None), (16, "non-finite loss")]
-        last = report.decisions[-1]["frame_id"]
-        # sequential stops on the failed frame, parallel at the first frame
-        # boundary after the failure's feedback was drained
-        assert last == 16 if mode == "sequential" else 16 <= last <= 23
+        # sequential stops on the failed frame; parallel trains on frame 16's
+        # answer, due at once, at the next frame boundary and stops there
+        assert report.decisions[-1]["frame_id"] == 16
         assert checkpoint_load(path)[0].version == 2 * cfg.distill.steps_per_event
 
     def test_raising_step_propagates(self, mode, monkeypatch):
@@ -336,7 +326,18 @@ class TestBothModes:
         with pytest.raises(RuntimeError) as info:
             run_pipeline(make_stream(n=60), GRID, cfg)
         assert info.value is exploded
-        assert [t for t in threading.enumerate() if t.name == "distill-worker"] == []
+
+    def test_raising_oracle_propagates(self, mode, monkeypatch):
+        exploded = RuntimeError("oracle exploded")
+
+        def broken_oracle(*args, **kwargs):
+            raise exploded
+
+        monkeypatch.setattr(pipeline, "oracle_for_frame", broken_oracle)
+        cfg = pipe_cfg(mode=mode, selector="periodic", period=4)
+        with pytest.raises(RuntimeError) as info:
+            run_pipeline(make_stream(n=60), GRID, cfg)
+        assert info.value is exploded
 
     def test_trace_hooks_fire(self, mode, monkeypatch):
         # perfbench traces the names it finds on the pipeline module and
@@ -351,7 +352,7 @@ class TestBothModes:
         n, keys = report.n_frames, report.n_key_frames
         assert n == 40 and keys > 0 and report.dropped_key_frames == 0
         assert calls["models.backbone"] == n
-        assert calls["models.decoder_forward"] == 2 * n
+        assert calls["models.decoder_forward"] == n
         assert calls["pipeline.merge_detections"] == n
         assert calls["selector.decide"] == n
         assert calls["simstream.oracle_for_frame"] == keys
