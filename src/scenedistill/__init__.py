@@ -38,7 +38,7 @@ from .evaluate import (
     keyframe_histogram,
     sweep,
 )
-from .models import Backbone, DecoderParams, FeatureFrame, LstmParams, ParamStore
+from .models import Backbone, DecoderParams, FeatureFrame, LstmParams
 from .pipeline import (
     PipelineConfig,
     PipelineReport,
@@ -84,7 +84,6 @@ __all__ = [
     "GroundTruthObject",
     "LstmParams",
     "OracleNoiseSpec",
-    "ParamStore",
     "PeriodicSelector",
     "PipelineConfig",
     "PipelineReport",

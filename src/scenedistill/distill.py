@@ -88,8 +88,7 @@ def cell_weights(oracle: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     return np.where(high, w_high, w_low)[:, :, None]
 
 
-def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig,
-                         weights: np.ndarray | None = None) -> float:
+def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig) -> float:
     """Gated MSE against the composed target, mean-reduced per partition.
 
     Algebraically the low-confidence term equals (1 - lam)^2 times the plain
@@ -98,11 +97,9 @@ def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillCo
     """
     if student.shape != oracle.shape:
         raise ValueError(f"shape mismatch: {student.shape} vs {oracle.shape}")
-    if weights is None:
-        weights = cell_weights(oracle, cfg)
     diff = student - oracle
     diff *= diff
-    diff *= weights
+    diff *= cell_weights(oracle, cfg)
     return float(diff.sum())
 
 

@@ -11,7 +11,6 @@ one flat buffer, updated and checked for finiteness as a whole.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,8 @@ class Backbone:
 class DecoderParams:
     """Two-layer per-cell head: d -> hidden (tanh) -> 5 + c logits.
 
-    version increases by one on every committed update; a frozen copy keeps
-    version 0 forever.
+    version counts the SGD steps behind these weights: each committed
+    distillation event adds steps_per_event; a frozen copy keeps version 0.
     """
 
     w1: np.ndarray
@@ -161,31 +160,6 @@ def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndar
         flat -= grad
         forward()
     return loss_before, loss(), (w1, b1, w2, b2)
-
-
-class ParamStore:
-    """Snapshot-read / atomic-commit holder for decoder parameters.
-
-    Readers always see a complete parameter set at some version; a single
-    writer commits strictly increasing versions.  DecoderParams instances
-    are frozen, so a snapshot stays consistent while the writer advances.
-    """
-
-    def __init__(self, params: DecoderParams):
-        self._lock = threading.Lock()
-        self._params = params
-
-    def snapshot(self) -> DecoderParams:
-        with self._lock:
-            return self._params
-
-    def commit(self, params: DecoderParams) -> None:
-        with self._lock:
-            if params.version <= self._params.version:
-                raise ValueError(
-                    f"stale commit: version {params.version} <= {self._params.version}"
-                )
-            self._params = params
 
 
 @dataclass(frozen=True)

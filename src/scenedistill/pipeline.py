@@ -2,16 +2,18 @@
 
 run_pipeline runs one frame loop for every mode, and every frame goes
 through one routine: backbone, the adaptive decoder head, its decoded and
-deduplicated detections, then the selector's decision.  A key frame becomes
-a distillation event: the oracle's answer, then distill_step on the latest
-commit, a commit unless the event failed, and the selector's feedback.
-Sequential mode runs the whole event inline and waits out the oracle's
-delay.  Parallel mode never waits: the frame loop keeps the oracle's
-schedule, one key frame in service and at most queue_capacity waiting (a
-new one past that drops the oldest waiting), and trains on each answer at
-the first frame boundary after it is due.  frozen_student, mixed and
-oracle_only are non-learning baselines.  The oracle's compute cost is
-simulated by a configurable delay; the package starts no thread.
+deduplicated detections, then the selector's decision.  run_pipeline owns
+the decoder weights.  A key frame becomes a distillation event: the
+oracle's answer, then distill_step on the current weights, which it replaces
+unless the event failed, and the selector's feedback.  Sequential mode runs
+the whole event inline and waits out the oracle's delay.  Parallel mode
+never waits: the frame loop keeps the oracle's schedule, one key frame in
+service and at most queue_capacity waiting (a new one past that drops the
+oldest waiting), and trains on each answer at the first frame boundary or
+key-frame hand-off after it is due; the next frame is the first to use the
+new weights.  frozen_student, mixed and oracle_only are non-learning
+baselines.  The oracle's compute cost is simulated by a configurable delay;
+the package starts no thread.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .models import (
     Backbone,
     DecoderParams,
     LstmParams,
-    ParamStore,
     decoder_forward,
     init_decoder,
 )
@@ -136,7 +137,7 @@ def merge_detections(out: np.ndarray, shape: GridShape, conf_threshold: float,
 
 
 def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
-    """Backbone, store of the adaptive head, selector."""
+    """Backbone, the adaptive head's initial weights, selector."""
     d = stream[0].frame.values.shape[2]
     adapted, selector = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1), None
     if cfg.init_checkpoint is not None:
@@ -158,7 +159,7 @@ def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConf
         selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
     else:
         selector = NeverSelector()
-    return Backbone(d, seed=cfg.seed), ParamStore(adapted), selector
+    return Backbone(d, seed=cfg.seed), adapted, selector
 
 
 def _decision_row(decision: Decision) -> dict:
@@ -186,15 +187,15 @@ def _feedback_row(fb: FeedbackRecord) -> dict:
 def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
     if not stream:
         raise ValueError("empty stream")
-    backbone, store, selector = _build_runtime(stream, grid, cfg)
+    backbone, params, selector = _build_runtime(stream, grid, cfg)
     oracle_seed = cfg.effective_oracle_seed
     mix_rng = np.random.default_rng(cfg.seed + 3)
     decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
     oracle_frames = dropped = 0
     error = None
-    # parallel mode: key frames whose answers are due, and the unanswered
-    # ones, the first in service and due at `due`
-    answered, pending = [], collections.deque()
+    # parallel mode: the key frames the oracle has not answered yet, the
+    # first in service and due at `due`
+    pending = collections.deque()
     due = 0.0
 
     def oracle(rec: FrameRecord, delay: float = cfg.oracle_delay) -> np.ndarray:
@@ -203,35 +204,34 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         return oracle_for_frame(rec, cfg.oracle_noise, grid, oracle_seed)
 
     def distill_event(rec: FrameRecord, feats, source: str, target: np.ndarray) -> None:
-        """Train the latest commit on one oracle answer, commit unless the
-        event failed, and feed it back; the first failed event names the error."""
-        nonlocal error
-        new_params, fb = distill_step(store.snapshot(), feats, target, cfg.distill,
+        """Train the current weights on one oracle answer, replace them unless
+        the event failed, and feed it back; the first failed event names the error."""
+        nonlocal params, error
+        new_params, fb = distill_step(params, feats, target, cfg.distill,
                                       frame_id=rec.frame_id, decision_source=source)
         if fb.error is None:
-            store.commit(new_params)
+            params = new_params
         feedbacks.append(_feedback_row(fb))
         selector.apply_feedback(fb)
         if fb.error is not None:
             error = error or f"frame {fb.frame_id}: {fb.error}"
 
     def advance(now: float) -> None:
-        """Move the key frames the oracle has answered by `now` to `answered`.
-        The oracle starts on the next waiting one as soon as it answers one."""
+        """Train on each key frame the oracle has answered by `now`, at a
+        frame boundary or a key frame's hand-off; the next frame is the first
+        to use the new weights.  The oracle starts on the next waiting one as
+        soon as it answers one."""
         nonlocal due
         while pending and due <= now:
-            answered.append(pending.popleft())
+            rec, feats, source = pending.popleft()
             due += cfg.oracle_delay
-
-    def train_answered(now: float) -> None:
-        advance(now)
-        for rec, feats, source in answered:
             distill_event(rec, feats, source, oracle(rec, delay=0.0))
-        answered.clear()
 
     def submit(rec: FrameRecord, feats, source: str) -> None:
-        """Hand a key frame to the oracle: served at once if it is idle, else
-        waiting, dropping the oldest waiting one past queue_capacity."""
+        """Hand a key frame to the oracle, after training on the answers due
+        by now (first used by the next frame): served at once if the oracle
+        is idle, else waiting, dropping the oldest waiting one past
+        queue_capacity."""
         nonlocal due, dropped
         now = time.perf_counter()
         advance(now)
@@ -250,14 +250,13 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
     def infer(rec: FrameRecord) -> list[Detection]:
         nonlocal oracle_frames
         feats, summary = backbone.forward(rec.frame)
-        snap = store.snapshot()
-        versions.append(snap.version)
+        versions.append(params.version)
         if cfg.mode == "oracle_only" or (cfg.mode == "mixed" and mix_rng.random() < cfg.p_oracle):
             dets = decode_tensor(oracle(rec), grid, cfg.conf_threshold)
             oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
-            dets = merge_detections(decoder_forward(snap, feats), grid,
+            dets = merge_detections(decoder_forward(params, feats), grid,
                                     cfg.conf_threshold, cfg.iou_threshold)
             decision = selector.decide(feats, summary)
             if decision.train and cfg.mode == "parallel":
@@ -270,7 +269,7 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
     t_start = time.perf_counter()
     for rec in stream:
         t0 = time.perf_counter()
-        train_answered(t0)
+        advance(t0)
         if error is not None:
             break
         detections.append(infer(rec))
@@ -278,10 +277,10 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
     elapsed = time.perf_counter() - t_start
     # the key frames still in service or waiting are trained without waiting
     # out their delays
-    train_answered(float("inf"))
+    advance(float("inf"))
 
     if cfg.checkpoint_out is not None:
-        checkpoint_save(cfg.checkpoint_out, store.snapshot(),
+        checkpoint_save(cfg.checkpoint_out, params,
                         selector if isinstance(selector, AdaptiveSelector) else None)
     n = len(decisions)
     return PipelineReport(

@@ -90,9 +90,9 @@ class _GappedSelector:
 class AdaptiveSelector(_GappedSelector):
     """LSTM gate OR adaptive random safeguard, with training-prevention gap.
 
-    Single logical owner of its state: decide() runs on the inference thread
-    and apply_feedback() must be serialized with it (the pipeline applies
-    feedback at frame boundaries).
+    Its state has one owner, run_pipeline's frame loop, on one thread:
+    decide() runs once per frame and apply_feedback() only between two
+    decide() calls, so each decision sees every feedback delivered before it.
     """
 
     kind = "adaptive"

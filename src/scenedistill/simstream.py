@@ -417,30 +417,20 @@ def atomic_open(path: str):
             os.remove(tmp)
 
 
-def write_trace(stream: list[FrameRecord], path: str, grid: GridShape | None = None) -> None:
+def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
     """Line-delimited trace: one JSON header, then one JSON record per frame.
 
-    The header's grid size and feature width are the frames' own; a given
-    grid must agree with them and supplies the class count.  Floats are
-    serialized with full repr, so a round trip reproduces values exactly
-    (well within the documented 1e-6 budget).
+    The header's grid size and feature width are the frames' own; grid must
+    agree with them and supplies the class count.  Floats are serialized
+    with full repr, so a round trip reproduces values exactly (well within
+    the documented 1e-6 budget).
     """
     if not stream:
         raise ValueError("cannot write an empty stream")
     s, _, d = stream[0].frame.values.shape
-    if grid is not None:
-        if grid.s != s:
-            raise ValueError(f"grid s={grid.s} disagrees with the frames' {s}x{s} cells")
-        c = grid.c
-    else:
-        c = None
-        for rec in stream:
-            if rec.oracle_tensor is not None:
-                c = rec.oracle_tensor.shape[2] - 5
-                break
-        if c is None:
-            raise ValueError("grid must be given when no record carries an oracle tensor")
-    header = {"version": TRACE_VERSION, "s": s, "c": c, "d": d, "n_frames": len(stream)}
+    if grid.s != s:
+        raise ValueError(f"grid s={grid.s} disagrees with the frames' {s}x{s} cells")
+    header = {"version": TRACE_VERSION, "s": s, "c": grid.c, "d": d, "n_frames": len(stream)}
     with atomic_open(path) as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in stream:

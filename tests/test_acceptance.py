@@ -10,9 +10,9 @@ untrained student emits no detections on that stream, so it skips most of
 the decode+NMS work an adapting student pays; a frozen student loaded from
 the adapted checkpoint ran at 0.59-0.81x the untrained one's fps.  Parallel
 mode never waits out the simulated oracle delay: the frame loop schedules
-each answer and trains on it at the first frame boundary after it is due, so
-what is left of the parallel cost is the distillation step itself.  The
-package starts no second thread.
+each answer and trains on it at the first frame boundary or key-frame
+hand-off after it is due, so what is left of the parallel cost is the
+distillation step itself.  The package starts no second thread.
 """
 
 import time
@@ -366,7 +366,8 @@ class TestCriterion6Parallelism:
         assert seq_ratio <= 0.5
         # What parallel mode still pays is not the oracle, whose delay the
         # frame loop only schedules, but each trained event's distill_step,
-        # run at the first frame boundary after its answer is due.  Over 10
+        # run at the first frame boundary or key-frame hand-off after its
+        # answer is due.  Over 10
         # standalone runs on a 2-vCPU VM the ratio read 0.824-0.914 (median
         # 0.861), against 0.714-0.882 (median 0.814) while a worker thread
         # waited out the oracle and a second, frozen head was also decoded.

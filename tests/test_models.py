@@ -1,8 +1,7 @@
-"""Models: frozen backbone, the decoder training step, LSTM cell, param store."""
+"""Models: frozen backbone, the decoder training step, LSTM cell."""
 
 import math
 from dataclasses import replace
-import threading
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from scenedistill.models import (
     DecoderParams,
     FeatureFrame,
     LstmParams,
-    ParamStore,
     advance_lstm,
     bce,
     decoder_forward,
@@ -275,38 +273,6 @@ class TestSgdStep:
             p = DecoderParams(*new)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
-
-
-class TestParamStore:
-    def test_snapshot_commit_and_stale_rejection(self):
-        p = init_decoder(D, HIDDEN, GRID, seed=0)
-        store = ParamStore(p)
-        snap = store.snapshot()
-        assert snap is p
-        p2 = replace(p, version=p.version + 1)
-        store.commit(p2)
-        assert store.snapshot().version == 1
-        with pytest.raises(ValueError):
-            store.commit(p2)
-
-    def test_concurrent_reads_see_monotone_versions(self):
-        p = init_decoder(D, HIDDEN, GRID, seed=0)
-        store = ParamStore(p)
-        seen, stop = [], threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                seen.append(store.snapshot().version)
-
-        t = threading.Thread(target=reader)
-        t.start()
-        cur = p
-        for _ in range(200):
-            cur = replace(cur, version=cur.version + 1)
-            store.commit(cur)
-        stop.set()
-        t.join()
-        assert all(b >= a for a, b in zip(seen, seen[1:]))
 
 
 def scalar_lstm_oracle(params: LstmParams, x):

@@ -391,12 +391,12 @@ class TestTraceIO:
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_trace(self.make_stream(), str(path))
+        write_trace(self.make_stream(), str(path), grid=GRID)
         before = path.read_bytes()
         stream = self.make_stream(n=12)
         stream[6].scene_id = object()  # not JSON: fails after six records are written
         with pytest.raises(TypeError):
-            write_trace(stream, str(path))
+            write_trace(stream, str(path), grid=GRID)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
