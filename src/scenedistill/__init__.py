@@ -4,8 +4,8 @@ A light student detector answers every frame while a heavier oracle,
 consulted only on selectively chosen key frames, retrains the student's
 detection head to the current scene.  The package provides the grid
 detection core, toy differentiable models, the gated distillation loss,
-the key-frame selector, synthetic scene streams with a synthetic oracle,
-sequential and parallel pipeline runners, and an evaluation harness.
+the key-frame selector, synthetic scene streams and oracle, one pipeline
+runner with sequential and parallel modes, and an evaluation harness.
 """
 
 from .detection import (
@@ -38,7 +38,7 @@ from .evaluate import (
     keyframe_histogram,
     sweep,
 )
-from .models import Backbone, DecoderParams, FeatureFrame, LstmParams
+from .models import Backbone, DecoderParams, LstmParams
 from .pipeline import (
     PipelineConfig,
     PipelineReport,
@@ -77,7 +77,6 @@ __all__ = [
     "DistillConfig",
     "EvalConfig",
     "EvalSummary",
-    "FeatureFrame",
     "FeedbackRecord",
     "FrameRecord",
     "GridShape",

@@ -21,7 +21,7 @@ from .detection import (
     nms,
     partition_cells,
 )
-from .models import DecoderParams, FeatureFrame, train_decoder
+from .models import DecoderParams, train_decoder
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,12 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class FeedbackRecord:
-    """Outcome of one distillation event, fed back to the selector."""
+    """Outcome of one distillation event, fed back to the selector that
+    chose frame_id; error is set when the event failed or was dropped."""
 
     frame_id: int
     loss_before: float
     loss_after: float
-    decision_source: str  # "lstm" | "random" | "both"
     error: str | None = None
 
     @property
@@ -146,9 +146,8 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt: list[GroundTru
     return l_gt + l_t
 
 
-def distill_step(params: DecoderParams, features: FeatureFrame, oracle: np.ndarray,
-                 cfg: DistillConfig, frame_id: int = -1,
-                 decision_source: str = "both") -> tuple[DecoderParams, FeedbackRecord]:
+def distill_step(params: DecoderParams, features: np.ndarray, oracle: np.ndarray,
+                 cfg: DistillConfig, frame_id: int = -1) -> tuple[DecoderParams, FeedbackRecord]:
     """Run one distillation event: k gradient steps toward the composed target.
 
     The target is recomposed from the current student output at every step
@@ -162,7 +161,6 @@ def distill_step(params: DecoderParams, features: FeatureFrame, oracle: np.ndarr
                                                      cfg.lr, cfg.steps_per_event)
     if not (np.isfinite(loss_before) and np.isfinite(loss_after)
             and np.isfinite(trained[0].base).all()):  # one buffer holds all four arrays
-        return params, FeedbackRecord(frame_id, loss_before, loss_before,
-                                      decision_source, error="non-finite loss")
+        return params, FeedbackRecord(frame_id, loss_before, loss_before, error="non-finite loss")
     new_params = DecoderParams(*trained, version=params.version + cfg.steps_per_event)
-    return new_params, FeedbackRecord(frame_id, loss_before, loss_after, decision_source)
+    return new_params, FeedbackRecord(frame_id, loss_before, loss_after)

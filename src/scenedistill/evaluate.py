@@ -271,7 +271,7 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
                 box=Box((col + 0.5) / grid.s, (row + 0.5) / grid.s, 0.1, 0.1),
                 class_id=int(rng.integers(grid.c)), object_id=i,
             ))
-        record = FrameRecord(frame_id=0, scene_id=0, frame=None, gt=gt)  # the oracle reads no features
+        record = FrameRecord(frame_id=0, scene_id=0, features=None, gt=gt)  # the oracle reads no features
         oracle = oracle_for_frame(record, OracleNoiseSpec(), grid, seed)  # noise-free
         student = oracle + rng.normal(0.0, 0.05, size=oracle.shape)
         bounded_distill_loss(student, oracle, cfg)

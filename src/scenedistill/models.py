@@ -18,18 +18,6 @@ import numpy as np
 from .detection import GridShape, sigmoid
 
 
-@dataclass(frozen=True)
-class FeatureFrame:
-    """One frame as an (s, s, d) grid of feature vectors."""
-
-    frame_id: int
-    values: np.ndarray
-
-    @property
-    def feature_dim(self) -> int:
-        return self.values.shape[-1]
-
-
 class Backbone:
     """Frozen per-cell affine + tanh transform, fixed at construction.
 
@@ -43,10 +31,10 @@ class Backbone:
         self.w = rng.normal(0.0, 1.0 / np.sqrt(feature_dim), size=(feature_dim, feature_dim))
         self.b = rng.normal(0.0, 0.1, size=feature_dim)
 
-    def forward(self, frame: FeatureFrame) -> tuple[FeatureFrame, np.ndarray]:
-        out = np.tanh(frame.values @ self.w + self.b)
+    def forward(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = np.tanh(features @ self.w + self.b)
         summary = np.concatenate([out.mean(axis=(0, 1)), out.max(axis=(0, 1))])
-        return FeatureFrame(frame_id=frame.frame_id, values=out), summary
+        return out, summary
 
 
 @dataclass(frozen=True)
@@ -76,17 +64,17 @@ def init_decoder(feature_dim: int, hidden: int, shape: GridShape, seed: int,
     )
 
 
-def decoder_forward(params: DecoderParams, features: FeatureFrame) -> np.ndarray:
-    """Apply the head to every cell; returns an (s, s, 5 + c) logit tensor."""
-    if features.values.shape[-1] != params.w1.shape[0]:
+def decoder_forward(params: DecoderParams, features: np.ndarray) -> np.ndarray:
+    """Apply the head to every cell of (s, s, d) features; returns an (s, s, 5 + c) logit tensor."""
+    if features.shape[-1] != params.w1.shape[0]:
         raise ValueError(
-            f"feature dim {features.values.shape[-1]} does not match decoder input {params.w1.shape[0]}"
+            f"feature dim {features.shape[-1]} does not match decoder input {params.w1.shape[0]}"
         )
-    hidden = np.tanh(features.values @ params.w1 + params.b1)
+    hidden = np.tanh(features @ params.w1 + params.b1)
     return hidden @ params.w2 + params.b2
 
 
-def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndarray,
+def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarray,
                   weights: np.ndarray, lr: float,
                   steps: int) -> tuple[float, float, tuple[np.ndarray, ...]]:
     """`steps` plain SGD steps on sum(weights * (head(features) - target)^2).
@@ -103,7 +91,7 @@ def train_decoder(params: DecoderParams, features: FeatureFrame, target: np.ndar
     second flat buffer, the update is two calls over all of it, and each
     step's forward pass also serves the next step or the final loss.
     """
-    x = features.values.reshape(-1, params.w1.shape[0])
+    x = features.reshape(-1, params.w1.shape[0])
     n = x.shape[0]
     d, hidden_dim = params.w1.shape
     channels = params.w2.shape[1]
@@ -208,11 +196,11 @@ def _lstm_cell(params: LstmParams, x: np.ndarray):
     return z, ifo, g, c_new, h_new
 
 
-def lstm_forward(params: LstmParams, summary: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def advance_lstm(params: LstmParams, summary: np.ndarray) -> tuple[float, LstmParams]:
     """One cell update followed by the sigmoid readout.
 
-    Pure: returns (score, h_new, c_new) without touching params; the caller
-    decides whether to commit the advanced state.
+    Pure: returns (score, params advanced to the new hidden state) without
+    touching params.
     """
     if summary.shape[0] + params.hidden != params.w_gates.shape[1]:
         raise ValueError(
@@ -221,12 +209,6 @@ def lstm_forward(params: LstmParams, summary: np.ndarray) -> tuple[float, np.nda
         )
     *_, c_new, h_new = _lstm_cell(params, summary)
     score = float(sigmoid(params.w_out @ h_new + params.b_out))
-    return score, h_new, c_new
-
-
-def advance_lstm(params: LstmParams, summary: np.ndarray) -> tuple[float, LstmParams]:
-    """lstm_forward that also commits the new hidden state."""
-    score, h_new, c_new = lstm_forward(params, summary)
     return score, LstmParams(params.w_gates, params.b_gates, params.w_out, params.b_out,
                              h_new, c_new)
 

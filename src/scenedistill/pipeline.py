@@ -11,9 +11,10 @@ never waits: the frame loop keeps the oracle's schedule, one key frame in
 service and at most queue_capacity waiting (a new one past that drops the
 oldest waiting), and trains on each answer at the first frame boundary or
 key-frame hand-off after it is due; the next frame is the first to use the
-new weights.  frozen_student, mixed and oracle_only are non-learning
-baselines.  The oracle's compute cost is simulated by a configurable delay;
-the package starts no thread.
+new weights.  A failed event stops the run: nothing is trained after it
+and the key frames still waiting count as dropped.  frozen_student and
+mixed are non-learning baselines.  The oracle's compute cost is simulated
+by a configurable delay; the package starts no thread.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .selector import (
 )
 from .simstream import FrameRecord, OracleNoiseSpec, atomic_open, oracle_for_frame
 
-MODES = ("sequential", "parallel", "frozen_student", "mixed", "oracle_only")
+MODES = ("sequential", "parallel", "frozen_student", "mixed")
 SELECTORS = ("adaptive", "random", "scene_change", "periodic", "never")
 
 
@@ -138,7 +139,7 @@ def merge_detections(out: np.ndarray, shape: GridShape, conf_threshold: float,
 
 def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
     """Backbone, the adaptive head's initial weights, selector."""
-    d = stream[0].frame.values.shape[2]
+    d = stream[0].features.shape[2]
     adapted, selector = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1), None
     if cfg.init_checkpoint is not None:
         adapted, selector = checkpoint_load(cfg.init_checkpoint)
@@ -147,7 +148,7 @@ def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConf
                 f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
                 f"w1 {adapted.w1.shape} and w2 {adapted.w2.shape}, the stream needs "
                 f"({d}, hidden) and (hidden, {grid.channels})")
-    if cfg.mode in ("frozen_student", "mixed", "oracle_only"):
+    if cfg.mode in ("frozen_student", "mixed"):
         selector = NeverSelector()  # non-learning baselines never retrain
     elif cfg.selector == "adaptive":
         selector = selector or AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
@@ -179,7 +180,6 @@ def _feedback_row(fb: FeedbackRecord) -> dict:
         "loss_before": fb.loss_before,
         "loss_after": fb.loss_after,
         "delta_l": fb.delta_l,
-        "source": fb.decision_source,
         "error": fb.error,
     }
 
@@ -203,12 +203,11 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
             time.sleep(delay)
         return oracle_for_frame(rec, cfg.oracle_noise, grid, oracle_seed)
 
-    def distill_event(rec: FrameRecord, feats, source: str, target: np.ndarray) -> None:
+    def distill_event(rec: FrameRecord, feats: np.ndarray, target: np.ndarray) -> None:
         """Train the current weights on one oracle answer, replace them unless
         the event failed, and feed it back; the first failed event names the error."""
         nonlocal params, error
-        new_params, fb = distill_step(params, feats, target, cfg.distill,
-                                      frame_id=rec.frame_id, decision_source=source)
+        new_params, fb = distill_step(params, feats, target, cfg.distill, frame_id=rec.frame_id)
         if fb.error is None:
             params = new_params
         feedbacks.append(_feedback_row(fb))
@@ -220,14 +219,14 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         """Train on each key frame the oracle has answered by `now`, at a
         frame boundary or a key frame's hand-off; the next frame is the first
         to use the new weights.  The oracle starts on the next waiting one as
-        soon as it answers one."""
+        soon as it answers one.  Nothing is trained after a failed event."""
         nonlocal due
-        while pending and due <= now:
-            rec, feats, source = pending.popleft()
+        while error is None and pending and due <= now:
+            rec, feats = pending.popleft()
             due += cfg.oracle_delay
-            distill_event(rec, feats, source, oracle(rec, delay=0.0))
+            distill_event(rec, feats, oracle(rec, delay=0.0))
 
-    def submit(rec: FrameRecord, feats, source: str) -> None:
+    def submit(rec: FrameRecord, feats: np.ndarray) -> None:
         """Hand a key frame to the oracle, after training on the answers due
         by now (first used by the next frame): served at once if the oracle
         is idle, else waiting, dropping the oldest waiting one past
@@ -238,31 +237,30 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         if not pending:
             due = now + cfg.oracle_delay
         elif len(pending) > cfg.queue_capacity:
-            stale, _, stale_source = pending[1]
+            stale, _ = pending[1]
             del pending[1]
             dropped += 1
-            selector.apply_feedback(FeedbackRecord(stale.frame_id, 0.0, 0.0, stale_source,
-                                                   error="dropped"))
+            selector.apply_feedback(FeedbackRecord(stale.frame_id, 0.0, 0.0, error="dropped"))
         # feats is fresh per frame, so the event trains on the exact frame
         # that triggered selection even as inference advances.
-        pending.append((rec, feats, source))
+        pending.append((rec, feats))
 
     def infer(rec: FrameRecord) -> list[Detection]:
         nonlocal oracle_frames
-        feats, summary = backbone.forward(rec.frame)
+        feats, summary = backbone.forward(rec.features)
         versions.append(params.version)
-        if cfg.mode == "oracle_only" or (cfg.mode == "mixed" and mix_rng.random() < cfg.p_oracle):
+        if cfg.mode == "mixed" and mix_rng.random() < cfg.p_oracle:
             dets = decode_tensor(oracle(rec), grid, cfg.conf_threshold)
             oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
             dets = merge_detections(decoder_forward(params, feats), grid,
                                     cfg.conf_threshold, cfg.iou_threshold)
-            decision = selector.decide(feats, summary)
+            decision = selector.decide(rec.frame_id, feats, summary)
             if decision.train and cfg.mode == "parallel":
-                submit(rec, feats, decision.source)
+                submit(rec, feats)
             elif decision.train:
-                distill_event(rec, feats, decision.source, oracle(rec))
+                distill_event(rec, feats, oracle(rec))
         decisions.append(_decision_row(decision))
         return dets
 
@@ -276,8 +274,9 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         latencies.append(time.perf_counter() - t0)
     elapsed = time.perf_counter() - t_start
     # the key frames still in service or waiting are trained without waiting
-    # out their delays
+    # out their delays, unless an event failed
     advance(float("inf"))
+    dropped += len(pending)
 
     if cfg.checkpoint_out is not None:
         checkpoint_save(cfg.checkpoint_out, params,

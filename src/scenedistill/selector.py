@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import FeedbackRecord
-from .models import FeatureFrame, advance_lstm, init_lstm, lstm_train_step
+from .models import advance_lstm, init_lstm, lstm_train_step
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,6 @@ class Decision:
     random_vote: bool = False
     suppressed: bool = False
     p: float = 0.0
-
-    @property
-    def source(self) -> str:
-        if self.lstm_vote and self.random_vote:
-            return "both"
-        return "lstm" if self.lstm_vote else "random"
 
 
 @dataclass
@@ -71,15 +65,15 @@ class _GappedSelector:
         self.tau = tau
         self.frames_since_train = tau  # no suppression at stream start
 
-    def _observe(self, frame: FeatureFrame, summary: np.ndarray):
+    def _observe(self, features: np.ndarray, summary: np.ndarray):
         return None
 
-    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
-        observed = self._observe(frame, summary)
+    def decide(self, frame_id: int, features: np.ndarray, summary: np.ndarray) -> Decision:
+        observed = self._observe(features, summary)
         if self.frames_since_train < self.tau:
             self.frames_since_train += 1
-            return Decision(frame.frame_id, train=False, suppressed=True, p=self.p)
-        decision = self._vote(frame, summary, observed)
+            return Decision(frame_id, train=False, suppressed=True, p=self.p)
+        decision = self._vote(frame_id, features, summary, observed)
         self.frames_since_train = 0 if decision.train else self.frames_since_train + 1
         return decision
 
@@ -103,37 +97,38 @@ class AdaptiveSelector(_GappedSelector):
         self.p = cfg.p_init
         self.lstm = init_lstm(summary_dim, cfg.lstm_hidden, seed)
         self.rng = np.random.default_rng(seed)
-        self._pending: dict[int, np.ndarray] = {}  # frame_id -> summary at decision
+        self._pending: dict[int, tuple[np.ndarray, bool]] = {}  # frame_id -> (summary, lstm_vote)
 
-    def _observe(self, frame: FeatureFrame, summary: np.ndarray) -> float:
+    def _observe(self, features: np.ndarray, summary: np.ndarray) -> float:
         score, self.lstm = advance_lstm(self.lstm, summary)
         return score
 
-    def _vote(self, frame: FeatureFrame, summary: np.ndarray, score: float) -> Decision:
+    def _vote(self, frame_id: int, features: np.ndarray, summary: np.ndarray, score: float) -> Decision:
         lstm_vote = score >= 0.5
         random_vote = bool(self.rng.random() < self.p)
         train = lstm_vote or random_vote
         if train:
-            self._pending[frame.frame_id] = summary
-        return Decision(frame.frame_id, train=train, lstm_vote=lstm_vote,
+            self._pending[frame_id] = (summary, lstm_vote)
+        return Decision(frame_id, train=train, lstm_vote=lstm_vote,
                         random_vote=random_vote, p=self.p)
 
     def apply_feedback(self, fb: FeedbackRecord) -> None:
         """Consume the outcome of a distillation event this selector triggered.
 
-        The LSTM is trained toward "helpful or not" on the summary it decided
-        on.  p moves by gate correctness: a gate that voted train on a helpful
-        frame (or stayed silent on an unhelpful random probe) was right and p
-        decays toward p_min; a gate caught voting wrong doubles p so the
-        safeguard picks up the slack while the gate relearns.
+        The LSTM is trained toward "helpful or not" on the summary this
+        selector kept for the frame.  p moves by the correctness of the gate
+        vote it kept with it: a gate that voted train on a helpful frame (or
+        stayed silent on an unhelpful random probe) was right and p decays
+        toward p_min; a gate caught voting wrong doubles p so the safeguard
+        picks up the slack while the gate relearns.
         """
-        summary = self._pending.pop(fb.frame_id, None)
-        if summary is None:
+        pending = self._pending.pop(fb.frame_id, None)
+        if pending is None:
             raise ValueError(f"feedback for frame {fb.frame_id} that was never selected")
         if fb.error is not None:
             return
+        summary, gate_voted = pending
         helpful = fb.delta_l < self.cfg.sigma
-        gate_voted = fb.decision_source in ("lstm", "both")
         gate_correct = gate_voted == helpful
         if gate_correct:
             self.p = max(self.p - self.cfg.p_step, self.cfg.p_min)
@@ -155,9 +150,9 @@ class RandomSelector(_GappedSelector):
         self.p = prob
         self.rng = np.random.default_rng(seed)
 
-    def _vote(self, frame: FeatureFrame, summary: np.ndarray, observed) -> Decision:
+    def _vote(self, frame_id: int, features: np.ndarray, summary: np.ndarray, observed) -> Decision:
         train = bool(self.rng.random() < self.p)
-        return Decision(frame.frame_id, train=train, random_vote=train, p=self.p)
+        return Decision(frame_id, train=train, random_vote=train, p=self.p)
 
 
 class SceneChangeSelector(_GappedSelector):
@@ -170,13 +165,13 @@ class SceneChangeSelector(_GappedSelector):
         self.threshold = threshold
         self._prev: np.ndarray | None = None
 
-    def _observe(self, frame: FeatureFrame, summary: np.ndarray) -> np.ndarray | None:
-        prev, self._prev = self._prev, frame.values
+    def _observe(self, features: np.ndarray, summary: np.ndarray) -> np.ndarray | None:
+        prev, self._prev = self._prev, features
         return prev
 
-    def _vote(self, frame: FeatureFrame, summary: np.ndarray, prev) -> Decision:
-        train = prev is not None and float(np.mean(np.abs(frame.values - prev))) > self.threshold
-        return Decision(frame.frame_id, train=train, random_vote=train)
+    def _vote(self, frame_id: int, features: np.ndarray, summary: np.ndarray, prev) -> Decision:
+        train = prev is not None and float(np.mean(np.abs(features - prev))) > self.threshold
+        return Decision(frame_id, train=train, random_vote=train)
 
 
 class PeriodicSelector(_GappedSelector):
@@ -191,13 +186,13 @@ class PeriodicSelector(_GappedSelector):
         self.period = period
         self._count = 0
 
-    def _observe(self, frame: FeatureFrame, summary: np.ndarray) -> bool:
+    def _observe(self, features: np.ndarray, summary: np.ndarray) -> bool:
         due = self._count % self.period == 0
         self._count += 1
         return due
 
-    def _vote(self, frame: FeatureFrame, summary: np.ndarray, due: bool) -> Decision:
-        return Decision(frame.frame_id, train=due, random_vote=due)
+    def _vote(self, frame_id: int, features: np.ndarray, summary: np.ndarray, due: bool) -> Decision:
+        return Decision(frame_id, train=due, random_vote=due)
 
 
 class NeverSelector:
@@ -205,8 +200,8 @@ class NeverSelector:
 
     kind = "never"
 
-    def decide(self, frame: FeatureFrame, summary: np.ndarray) -> Decision:
-        return Decision(frame.frame_id, train=False)
+    def decide(self, frame_id: int, features: np.ndarray, summary: np.ndarray) -> Decision:
+        return Decision(frame_id, train=False)
 
     def apply_feedback(self, fb: FeedbackRecord) -> None:
         pass

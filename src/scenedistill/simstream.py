@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import Box, GridShape, GroundTruthObject, encode_objects
-from .models import FeatureFrame
 
 SIGNATURE_SEED = 90131  # class signatures are global, not per stream
 LAYOUT_TAG = 1000003    # namespaces the per-scene oracle noise layout
@@ -68,7 +67,7 @@ class StreamConfig:
 class FrameRecord:
     frame_id: int
     scene_id: int
-    frame: FeatureFrame
+    features: np.ndarray  # (s, s, d)
     gt: list[GroundTruthObject]
     oracle_tensor: np.ndarray | None = None
 
@@ -242,7 +241,7 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
             records.append(FrameRecord(
                 frame_id=frame_id,
                 scene_id=scene_id,
-                frame=FeatureFrame(frame_id=frame_id, values=feat),
+                features=feat,
                 gt=[o.as_gt() for o in gt_objs],
             ))
             frame_id += 1
@@ -427,7 +426,7 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
     """
     if not stream:
         raise ValueError("cannot write an empty stream")
-    s, _, d = stream[0].frame.values.shape
+    s, _, d = stream[0].features.shape
     if grid.s != s:
         raise ValueError(f"grid s={grid.s} disagrees with the frames' {s}x{s} cells")
     header = {"version": TRACE_VERSION, "s": s, "c": grid.c, "d": d, "n_frames": len(stream)}
@@ -437,7 +436,7 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
             row = {
                 "frame_id": rec.frame_id,
                 "scene_id": rec.scene_id,
-                "features": rec.frame.values.reshape(-1).tolist(),
+                "features": rec.features.reshape(-1).tolist(),
                 "gt": [
                     [o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id, o.object_id]
                     for o in rec.gt
@@ -507,8 +506,7 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
             records.append(FrameRecord(
                 frame_id=int(row["frame_id"]),
                 scene_id=int(row["scene_id"]),
-                frame=FeatureFrame(frame_id=int(row["frame_id"]),
-                                   values=feats.reshape(s, s, d)),
+                features=feats.reshape(s, s, d),
                 gt=gt,
                 oracle_tensor=oracle,
             ))

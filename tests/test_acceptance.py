@@ -37,7 +37,7 @@ from scenedistill.evaluate import (
     keyframe_histogram,
     sweep,
 )
-from scenedistill.models import DecoderParams, FeatureFrame, decoder_forward, init_decoder
+from scenedistill.models import DecoderParams, decoder_forward, init_decoder
 from scenedistill.pipeline import PipelineConfig, run_pipeline
 from scenedistill.selector import AdaptiveSelector, SelectorConfig
 from scenedistill.simstream import (
@@ -109,7 +109,7 @@ class TestCriterion1LossCorrectness:
         max_rel = 0.0
         for seed in (1, 2):
             params = init_decoder(4, 5, small, seed=seed, scale=0.5)
-            feat = FeatureFrame(frame_id=0, values=rng.normal(0, 1, size=(3, 3, 4)))
+            feat = rng.normal(0, 1, size=(3, 3, 4))
             oracle = rng.normal(0, 1, size=(3, 3, small.channels))
             # the gradient distill_step applies: one step at a tiny lr
             lr = 1e-4
@@ -150,11 +150,12 @@ class TestCriterion2SelectorStateMachine:
             sel.lstm = replace(sel.lstm, b_out=bias)
             return sel
 
+        features = np.zeros((2, 2, STREAM_CFG.feature_dim))
+
         def fire_and_feed(sel, delta_l):
-            frame = FeatureFrame(frame_id=0, values=np.zeros((2, 2, STREAM_CFG.feature_dim)))
-            d = sel.decide(frame, np.zeros(summary_dim))
+            d = sel.decide(0, features, np.zeros(summary_dim))
             assert d.train and d.lstm_vote
-            sel.apply_feedback(FeedbackRecord(0, 1.0, 1.0 + delta_l, "lstm"))
+            sel.apply_feedback(FeedbackRecord(0, 1.0, 1.0 + delta_l))
             return sel.p
 
         p1 = fire_and_feed(selector(0.50), -0.2)
@@ -168,19 +169,16 @@ class TestCriterion2SelectorStateMachine:
         rng = np.random.default_rng(3)
         positives = []
         for i in range(10_000):
-            frame = FeatureFrame(frame_id=i, values=np.zeros((2, 2, STREAM_CFG.feature_dim)))
-            d = sel.decide(frame, rng.normal(size=summary_dim))
+            d = sel.decide(i, features, rng.normal(size=summary_dim))
             if d.train:
                 positives.append(i)
-                sel.apply_feedback(FeedbackRecord(i, 1.0, 1.0 + float(rng.normal(-0.15, 0.1)),
-                                                  d.source))
+                sel.apply_feedback(FeedbackRecord(i, 1.0, 1.0 + float(rng.normal(-0.15, 0.1))))
         gaps_ok = bool(positives) and bool((np.diff(positives) > 2).all())
 
         # Bernoulli floor rate over 10^5 suppression-free draws
         sel = selector(0.05, tau=0, bias=-20.0, seed=11)
-        frame = FeatureFrame(frame_id=0, values=np.zeros((2, 2, STREAM_CFG.feature_dim)))
         s = np.zeros(summary_dim)
-        hits = sum(sel.decide(frame, s).train for _ in range(100_000))
+        hits = sum(sel.decide(0, features, s).train for _ in range(100_000))
         rate = hits / 100_000
         rate_ok = abs(rate - 0.05) <= 0.005
 

@@ -96,7 +96,7 @@ class TestRun:
         assert report["key_fraction"] == 0.0
 
     def test_oracle_only_self_evaluation_is_perfect(self, tmp_path, capsys):
-        cfg = base_config(pipeline={"mode": "oracle_only"})
+        cfg = base_config(pipeline={"mode": "mixed", "p_oracle": 1.0})
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path]) == 0
         assert "f1@0.5=1.000" in capsys.readouterr().out
@@ -274,7 +274,7 @@ class TestEvalCommand:
                      "--out", trace]) == 0
         # the oracle answers every frame and flips classes, so a score against
         # ground truth from any other oracle seed falls below 1
-        run_cfg = base_config(pipeline={"mode": "oracle_only", "oracle_seed": 5},
+        run_cfg = base_config(pipeline={"mode": "mixed", "p_oracle": 1.0, "oracle_seed": 5},
                               noise={"class_flip_prob": 0.1})
         del run_cfg["stream"]
         run_cfg["trace"] = trace

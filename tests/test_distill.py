@@ -29,7 +29,6 @@ from scenedistill.distill import (
 )
 from scenedistill.models import (
     DecoderParams,
-    FeatureFrame,
     decoder_forward,
     init_decoder,
 )
@@ -176,7 +175,7 @@ class TestBoundedLossGrad:
         t = np.tanh(1.0)
         params = DecoderParams(w1=np.eye(n), b1=np.zeros(n),
                                w2=student.reshape(n, -1) / t, b2=np.zeros(GRID.channels))
-        feat = FeatureFrame(frame_id=0, values=np.eye(n).reshape(GRID.s, GRID.s, n))
+        feat = np.eye(n).reshape(GRID.s, GRID.s, n)
         student = decoder_forward(params, feat)
         grad = (step_gradient(params, feat, oracle, cfg)["w2"] / t).reshape(student.shape)
         eps = 1e-5
@@ -281,7 +280,7 @@ class TestDistillStep:
     def _setup(self, seed=0):
         rng = np.random.default_rng(seed)
         params = init_decoder(4, 6, self.GRID1, seed=seed)
-        feat = FeatureFrame(frame_id=0, values=rng.normal(0, 1, size=(2, 2, 4)))
+        feat = rng.normal(0, 1, size=(2, 2, 4))
         oracle = rng.normal(0, 1, size=(2, 2, self.GRID1.channels))
         return params, feat, oracle
 
@@ -315,7 +314,7 @@ class TestDistillStep:
             w1=np.zeros((1, 1)), b1=np.zeros(1),
             w2=np.zeros((1, shape.channels)), b2=np.zeros(shape.channels),
         )
-        feat = FeatureFrame(frame_id=0, values=np.ones((1, 1, 1)))
+        feat = np.ones((1, 1, 1))
         oracle = np.full((1, 1, shape.channels), 2.0)  # one confident cell
         lr, n = 0.1, shape.channels
         cfg = DistillConfig(lam=0.4, lr=lr, steps_per_event=3)
@@ -399,7 +398,7 @@ class TestDistillStepPins:
     def test_bit_identical_to_pinned_values(self, seed, lam, steps, loss_before, loss_after, digest):
         rng = np.random.default_rng(seed)
         params = init_decoder(12, 32, self.GRID6, seed=seed)
-        feat = FeatureFrame(frame_id=seed, values=rng.normal(0, 1, size=(6, 6, 12)))
+        feat = rng.normal(0, 1, size=(6, 6, 12))
         oracle = rng.normal(0, 2, size=(6, 6, self.GRID6.channels))
         oracle[:, :, 0] = rng.choice([-4.0, 3.0], size=(6, 6))
         cfg = DistillConfig(lam=lam, lr=0.05, steps_per_event=steps)

@@ -13,14 +13,12 @@ from scenedistill.distill import DistillConfig, cell_weights, distill_step
 from scenedistill.models import (
     Backbone,
     DecoderParams,
-    FeatureFrame,
     LstmParams,
     advance_lstm,
     bce,
     decoder_forward,
     init_decoder,
     init_lstm,
-    lstm_forward,
     lstm_train_step,
     train_decoder,
 )
@@ -30,8 +28,8 @@ D = 5
 HIDDEN = 4
 
 
-def frame(values, frame_id=0):
-    return FeatureFrame(frame_id=frame_id, values=np.asarray(values, dtype=float))
+def frame(values):
+    return np.asarray(values, dtype=float)
 
 
 def random_frame(rng, s=GRID.s, d=D):
@@ -44,7 +42,7 @@ class TestBackbone:
         zero = frame(np.zeros((GRID.s, GRID.s, D)))
         out1, sum1 = bb.forward(zero)
         out2, sum2 = bb.forward(zero)
-        assert np.array_equal(out1.values, out2.values)
+        assert np.array_equal(out1, out2)
         assert np.array_equal(sum1, sum2)
 
     def test_same_frame_twice_bitwise_identical(self):
@@ -53,7 +51,7 @@ class TestBackbone:
         f = random_frame(rng)
         out1, sum1 = bb.forward(f)
         out2, sum2 = bb.forward(f)
-        assert np.array_equal(out1.values, out2.values)
+        assert np.array_equal(out1, out2)
         assert np.array_equal(sum1, sum2)
 
     def test_same_seed_same_transform(self):
@@ -61,7 +59,7 @@ class TestBackbone:
         f = random_frame(rng)
         a, _ = Backbone(D, seed=9).forward(f)
         b, _ = Backbone(D, seed=9).forward(f)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_summary_matches_scalar_pooling(self):
         rng = np.random.default_rng(2)
@@ -70,8 +68,8 @@ class TestBackbone:
         out, summary = bb.forward(f)
         assert summary.shape == (2 * D,)
         for ch in range(D):
-            mean = sum(out.values[r, c, ch] for r in range(GRID.s) for c in range(GRID.s)) / GRID.s ** 2
-            mx = max(out.values[r, c, ch] for r in range(GRID.s) for c in range(GRID.s))
+            mean = sum(out[r, c, ch] for r in range(GRID.s) for c in range(GRID.s)) / GRID.s ** 2
+            mx = max(out[r, c, ch] for r in range(GRID.s) for c in range(GRID.s))
             assert summary[ch] == pytest.approx(mean)
             assert summary[D + ch] == pytest.approx(mx)
 
@@ -80,9 +78,9 @@ class TestBackbone:
         vals = np.zeros((GRID.s, GRID.s, D))
         vals[1, 1] = 5.0
         out, summary = bb.forward(frame(vals))
-        hot = out.values[1, 1]
+        hot = out[1, 1]
         for ch in range(D):
-            if hot[ch] == out.values[:, :, ch].max():
+            if hot[ch] == out[:, :, ch].max():
                 assert summary[D + ch] == pytest.approx(hot[ch])
 
 
@@ -189,7 +187,7 @@ class TestDecoderGrad:
         rng = np.random.default_rng(5)
         p = init_decoder(D, HIDDEN, GRID, seed=5)
         feat = random_frame(rng)
-        x = feat.values.reshape(-1, D)
+        x = feat.reshape(-1, D)
         target = (np.tanh(x @ p.w1 + p.b1) @ p.w2 + p.b2).reshape(GRID.s, GRID.s, -1)
         target[:, :, 2] += 1.0
         g = step_gradient(p, feat, target)
@@ -298,12 +296,12 @@ class TestLstm:
             w_gates=np.zeros((4 * 3, D + 3)), b_gates=np.zeros(4 * 3),
             w_out=np.zeros(3), b_out=0.0, h=np.zeros(3), c=np.zeros(3),
         )
-        score, _, _ = lstm_forward(p, np.ones(D))
+        score, _ = advance_lstm(p, np.ones(D))
         assert score == 0.5
 
     def test_initial_score_half_from_init(self):
         p = init_lstm(D, 4, seed=0)
-        score, _, _ = lstm_forward(p, np.random.default_rng(0).normal(size=D))
+        score, _ = advance_lstm(p, np.random.default_rng(0).normal(size=D))
         assert score == 0.5  # readout starts at zero
 
     def test_hidden_state_bounded_under_repeated_input(self):
@@ -323,16 +321,16 @@ class TestLstm:
             h=rng.normal(0, 0.5, size=3), c=rng.normal(0, 0.5, size=3),
         )
         x = rng.normal(size=D)
-        score, h_new, c_new = lstm_forward(p, x)
+        score, advanced = advance_lstm(p, x)
         want_score, want_h, want_c = scalar_lstm_oracle(p, x)
         assert score == pytest.approx(want_score)
-        assert np.allclose(h_new, want_h)
-        assert np.allclose(c_new, want_c)
+        assert np.allclose(advanced.h, want_h)
+        assert np.allclose(advanced.c, want_c)
 
     def test_dim_mismatch_raises(self):
         p = init_lstm(D, 3, seed=0)
         with pytest.raises(ValueError):
-            lstm_forward(p, np.zeros(D + 2))
+            advance_lstm(p, np.zeros(D + 2))
 
 
 def numeric_lstm_grad(params, x, label, eps=1e-5):
@@ -352,7 +350,7 @@ def numeric_lstm_grad(params, x, label, eps=1e-5):
                     "w_out": params.w_out, "b_out": params.b_out,
                     "h": params.h, "c": params.c, name: perturbed,
                 })
-                score, _, _ = lstm_forward(p2, x)
+                score, _ = advance_lstm(p2, x)
                 vals.append(bce(score, label))
             g[idx] = (vals[0] - vals[1]) / (2 * eps)
         grads[name] = g
@@ -361,7 +359,7 @@ def numeric_lstm_grad(params, x, label, eps=1e-5):
         p2 = LstmParams(w_gates=params.w_gates, b_gates=params.b_gates,
                         w_out=params.w_out, b_out=params.b_out + sign * eps,
                         h=params.h, c=params.c)
-        score, _, _ = lstm_forward(p2, x)
+        score, _ = advance_lstm(p2, x)
         vals.append(bce(score, label))
     grads["b_out"] = (vals[0] - vals[1]) / (2 * eps)
     return grads
@@ -373,7 +371,7 @@ class TestLstmTraining:
         p = LstmParams(w_gates=p.w_gates, b_gates=p.b_gates,
                        w_out=np.ones(3), b_out=12.0, h=p.h, c=p.c)
         x = np.random.default_rng(0).normal(size=D)
-        score, _, _ = lstm_forward(p, x)
+        score, _ = advance_lstm(p, x)
         assert score > 0.999
         p2 = lstm_train_step(p, x, label=1, lr=0.5)
         assert np.max(np.abs(p2.w_gates - p.w_gates)) < 1e-4
@@ -409,7 +407,7 @@ class TestLstmTraining:
                 p = lstm_train_step(p, x, label, lr=0.3)
         correct = 0
         for x, label in samples:
-            score, _, _ = lstm_forward(p, x)
+            score, _ = advance_lstm(p, x)
             correct += (score >= 0.5) == bool(label)
         assert correct / len(samples) >= 0.95
 
@@ -425,7 +423,7 @@ class TestLstmTraining:
 # results must be equal, not close.
 
 def reference_train_decoder(params, features, target, weights, lr, steps):
-    x = features.values.reshape(-1, params.w1.shape[0])
+    x = features.reshape(-1, params.w1.shape[0])
     n = x.shape[0]
     hidden_dim = params.w1.shape[1]
     channels = params.w2.shape[1]

@@ -1,6 +1,7 @@
-"""Pipeline runners: detection merging, both execution modes, non-learning
-baselines, checkpointing."""
+"""The pipeline runner: detection merging, its sequential and parallel
+modes, non-learning baselines, checkpointing."""
 
+import hashlib
 import json
 import re
 import sys
@@ -18,7 +19,7 @@ import scenedistill
 from scenedistill import pipeline
 from scenedistill.detection import Box, GridShape, decode_tensor, encode_object
 from scenedistill.distill import FeedbackRecord
-from scenedistill.models import FeatureFrame, decoder_forward, init_decoder
+from scenedistill.models import decoder_forward, init_decoder
 from scenedistill.pipeline import (
     CheckpointError,
     PipelineConfig,
@@ -50,6 +51,36 @@ def pipe_cfg(**kwargs) -> PipelineConfig:
     base = dict(seed=3, mode="sequential", selector="adaptive")
     base.update(kwargs)
     return PipelineConfig(**base)
+
+
+def fake_clock(monkeypatch):
+    """Replace the pipeline's clock with one that each frame's detection step
+    advances by 1 s, so parallel mode's schedule does not depend on speed."""
+    clock = [0.0]
+    real_merge = pipeline.merge_detections
+
+    def merge(*args, **kwargs):
+        clock[0] += 1.0
+        return real_merge(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "merge_detections", merge)
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+
+def poison_oracle(monkeypatch, nth):
+    """Put a NaN into the nth oracle answer."""
+    real_oracle = pipeline.oracle_for_frame
+    answers = []
+
+    def oracle(*args, **kwargs):
+        tensor = real_oracle(*args, **kwargs)
+        answers.append(1)
+        if len(answers) == nth:
+            tensor = tensor.copy()
+            tensor[0, 0, 0] = np.nan
+        return tensor
+
+    monkeypatch.setattr(pipeline, "oracle_for_frame", oracle)
 
 
 class TestMergeDetections:
@@ -141,7 +172,7 @@ class TestSingleThreadModes:
     def test_oracle_only_self_evaluates_perfectly(self):
         from scenedistill.evaluate import EvalConfig, evaluate_report
         stream = make_stream(n=80)
-        cfg = pipe_cfg(mode="oracle_only")
+        cfg = pipe_cfg(mode="mixed", p_oracle=1.0)
         report = run_pipeline(stream, GRID, cfg)
         assert report.oracle_answer_fraction == 1.0
         summary = evaluate_report(report, stream, GRID,
@@ -203,16 +234,7 @@ class TestParallelMode:
         assert elapsed < cfg.oracle_delay / 2
 
     def test_each_waiting_key_frame_is_due_one_delay_after_the_one_before(self, monkeypatch):
-        # a fake clock that each frame's detection step advances by 1 s
-        clock = [0.0]
-        real_merge = pipeline.merge_detections
-
-        def merge(*args, **kwargs):
-            clock[0] += 1.0
-            return real_merge(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "merge_detections", merge)
-        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        fake_clock(monkeypatch)
         cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
                        selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5)
         report = run_pipeline(make_stream(n=12), GRID, cfg)
@@ -220,6 +242,41 @@ class TestParallelMode:
         # 8.5 and 11 s; each is trained at the first frame starting after that
         k = cfg.distill.steps_per_event
         assert report.versions == [0] * 4 + [k] * 2 + [2 * k] * 3 + [3 * k] * 2 + [4 * k]
+
+    def test_failed_event_stops_training_and_drops_the_waiting(self, monkeypatch, tmp_path):
+        # frame 0's answer is due at 3.5 s and frame 1's, poisoned, at 6 s;
+        # the key frames 2-5 submitted by then are never trained
+        fake_clock(monkeypatch)
+        poison_oracle(monkeypatch, 2)
+        path = str(tmp_path / "run.ckpt")
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
+                       selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5,
+                       checkpoint_out=path)
+        report = run_pipeline(make_stream(n=12), GRID, cfg)
+        assert report.error == "frame 1: non-finite loss"
+        assert [(f["frame_id"], f["error"]) for f in report.feedbacks] == [
+            (0, None), (1, "non-finite loss")]
+        k = cfg.distill.steps_per_event
+        assert report.versions[-1] == checkpoint_load(path)[0].version == k
+        # every key frame is committed, dropped or errored
+        assert report.n_key_frames == 6 and report.dropped_key_frames == 4
+
+    def test_fake_clock_output_matches_pin(self, monkeypatch):
+        # an oracle that falls behind the adaptive selector on two scenes:
+        # SHA-256 of the detections, decisions, versions, drop count and each
+        # event's losses, so a change to the schedule or the training shows
+        fake_clock(monkeypatch)
+        scenes = [SceneSpec(0, (0.5, 0.3, 0.2), motion_sigma=0.01, duration_range=(140, 160)),
+                  SceneSpec(1, (0.2, 0.3, 0.5), motion_sigma=0.01, duration_range=(140, 160))]
+        cfg = pipe_cfg(mode="parallel", oracle_delay=7.0, queue_capacity=2)
+        report = run_pipeline(make_stream(n=300, scenes=scenes), GRID, cfg)
+        events = [(f["frame_id"], f["loss_before"], f["loss_after"], f["error"])
+                  for f in report.feedbacks]
+        doc = json.dumps([report.to_dict()["detections"], report.decisions, report.versions,
+                          report.dropped_key_frames, events])
+        assert (report.n_key_frames, report.dropped_key_frames, len(events)) == (100, 55, 45)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "e3c56fa4d0f522ee5a14c3ba3ff58270debe0079978a324473287da0f04602a6")
 
     def test_training_and_commits_run_on_the_calling_thread(self, monkeypatch):
         real_step = pipeline.distill_step
@@ -256,7 +313,7 @@ class TestParallelMode:
         run_pipeline(make_stream(n=40), GRID, cfg)
         assert seen and set(seen) == {before}
 
-    def test_inference_failure_stops_worker(self, monkeypatch):
+    def test_inference_failure_propagates(self, monkeypatch):
         real_merge = pipeline.merge_detections
         calls = []
 
@@ -278,8 +335,7 @@ class TestParallelMode:
 
         def misattributed_step(*args, **kwargs):
             new_params, fb = real_step(*args, **kwargs)
-            return new_params, FeedbackRecord(10 ** 6, fb.loss_before, fb.loss_after,
-                                              fb.decision_source)
+            return new_params, FeedbackRecord(10 ** 6, fb.loss_before, fb.loss_after)
 
         monkeypatch.setattr(pipeline, "distill_step", misattributed_step)
         cfg = pipe_cfg(mode="parallel", selector_cfg=SelectorConfig(p_init=1.0, tau=5),
@@ -301,18 +357,7 @@ class TestBothModes:
         assert all(x % k == 0 for x in v)
 
     def test_failed_event_stops_run_without_commit(self, mode, monkeypatch, tmp_path):
-        real_oracle = pipeline.oracle_for_frame
-        oracles = []
-
-        def nan_third_oracle(*args, **kwargs):
-            tensor = real_oracle(*args, **kwargs)
-            oracles.append(1)
-            if len(oracles) == 3:
-                tensor = tensor.copy()
-                tensor[0, 0, 0] = np.nan
-            return tensor
-
-        monkeypatch.setattr(pipeline, "oracle_for_frame", nan_third_oracle)
+        poison_oracle(monkeypatch, 3)
         path = str(tmp_path / "run.ckpt")
         cfg = pipe_cfg(mode=mode, selector="periodic", period=8,
                        selector_cfg=SelectorConfig(tau=0), checkpoint_out=path)
@@ -369,16 +414,27 @@ class TestBothModes:
         assert calls["distill.distill_step"] == keys
 
 
+def test_trace_targets_resolve(monkeypatch):
+    # perfbench's Recorder skips a target it cannot find, which reads 0 on
+    # that target's per-layer metrics without an error; only these are gone
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import run
+    missing = {(t.name, getattr(t.owner, "__name__", None))
+               for t in run.trace_targets(scenedistill)
+               if t.owner is None or not hasattr(t.owner, t.attr)}
+    assert missing <= {("models.paramstore.snapshot", None), ("models.paramstore.commit", None),
+                       ("detection.decode_tensor", "scenedistill.evaluate")}
+
+
 class TestCheckpointing:
     def _selector(self):
         sel = AdaptiveSelector(2 * CFG.feature_dim, SelectorConfig(), seed=5)
         rng = np.random.default_rng(0)
         for i in range(7):
-            frame = FeatureFrame(frame_id=i,
-                                 values=rng.normal(size=(GRID.s, GRID.s, CFG.feature_dim)))
-            d = sel.decide(frame, rng.normal(size=2 * CFG.feature_dim))
+            features = rng.normal(size=(GRID.s, GRID.s, CFG.feature_dim))
+            d = sel.decide(i, features, rng.normal(size=2 * CFG.feature_dim))
             if d.train:
-                sel.apply_feedback(FeedbackRecord(i, 1.0, 0.5, d.source))
+                sel.apply_feedback(FeedbackRecord(i, 1.0, 0.5))
         return sel
 
     def test_round_trip_preserves_forward_outputs(self, tmp_path):
@@ -388,7 +444,7 @@ class TestCheckpointing:
         path = str(tmp_path / "ckpt.json")
         checkpoint_save(path, params, sel)
         loaded, sel2 = checkpoint_load(path)
-        feat = FeatureFrame(frame_id=0, values=rng.normal(size=(GRID.s, GRID.s, CFG.feature_dim)))
+        feat = rng.normal(size=(GRID.s, GRID.s, CFG.feature_dim))
         a = decoder_forward(params, feat)
         b = decoder_forward(loaded, feat)
         assert np.max(np.abs(a - b)) <= 1e-6

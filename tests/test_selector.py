@@ -10,7 +10,7 @@ import pytest
 
 from scenedistill.detection import GridShape
 from scenedistill.distill import FeedbackRecord
-from scenedistill.models import Backbone, FeatureFrame, LstmParams
+from scenedistill.models import Backbone, LstmParams
 from scenedistill.selector import (
     AdaptiveSelector,
     PeriodicSelector,
@@ -24,8 +24,7 @@ D = 6
 SUMMARY_DIM = 2 * D
 
 
-def frame(i):
-    return FeatureFrame(frame_id=i, values=np.zeros((2, 2, D)))
+ZEROS = np.zeros((2, 2, D))  # frame features; only the scene-change selector reads them
 
 
 def summary(i=0):
@@ -44,27 +43,26 @@ def make_selector(p_init=0.5, p_min=0.05, tau=2, lstm_bias=0.0, seed=0, sigma=-0
     return sel
 
 
-def feedback(sel, frame_id, delta_l, source="lstm"):
-    return FeedbackRecord(frame_id=frame_id, loss_before=1.0,
-                          loss_after=1.0 + delta_l, decision_source=source)
+def feedback(sel, frame_id, delta_l):
+    return FeedbackRecord(frame_id=frame_id, loss_before=1.0, loss_after=1.0 + delta_l)
 
 
 class TestDecide:
     def test_trained_last_frame_suppresses_regardless_of_votes(self):
         sel = make_selector(p_init=1.0, tau=2)  # random fires for certain
-        d0 = sel.decide(frame(0), summary(0))
+        d0 = sel.decide(0, ZEROS, summary(0))
         assert d0.train
-        d1 = sel.decide(frame(1), summary(1))
+        d1 = sel.decide(1, ZEROS, summary(1))
         assert not d1.train and d1.suppressed
 
     def test_certain_random_vote_trains_when_not_suppressed(self):
         sel = make_selector(p_init=1.0, tau=0, lstm_bias=-20.0)
         for i in range(10):
-            assert sel.decide(frame(i), summary(i)).train
+            assert sel.decide(i, ZEROS, summary(i)).train
 
     def test_counter_resets_only_on_train(self):
         sel = make_selector(p_init=1.0, tau=2, lstm_bias=-20.0)
-        trains = [sel.decide(frame(i), summary(i)).train for i in range(12)]
+        trains = [sel.decide(i, ZEROS, summary(i)).train for i in range(12)]
         # certain trigger with tau=2: two suppressed frames between positives
         assert trains == [True, False, False] * 4
 
@@ -73,60 +71,60 @@ class TestDecide:
         sel = make_selector(p_init=0.05, tau=0, lstm_bias=-20.0, seed=11)
         s = summary(0)
         n = 100_000
-        hits = sum(sel.decide(frame(i), s).train for i in range(n))
+        hits = sum(sel.decide(i, ZEROS, s).train for i in range(n))
         assert hits / n == pytest.approx(0.05, abs=0.005)
 
     def test_lstm_vote_alone_triggers(self):
         sel = make_selector(p_init=0.05, tau=0, lstm_bias=+20.0, seed=1)
-        d = sel.decide(frame(0), summary(0))
+        d = sel.decide(0, ZEROS, summary(0))
         assert d.train and d.lstm_vote
 
     def test_hidden_state_advances_on_suppressed_frames(self):
         sel = make_selector(p_init=1.0, tau=2)
-        sel.decide(frame(0), summary(0))
+        sel.decide(0, ZEROS, summary(0))
         h_before = sel.lstm.h.copy()
-        sel.decide(frame(1), summary(1))  # suppressed
+        sel.decide(1, ZEROS, summary(1))  # suppressed
         assert not np.array_equal(sel.lstm.h, h_before)
 
 
 class TestApplyFeedback:
     def test_helpful_decreases_p(self):
         sel = make_selector(p_init=0.5, tau=0, lstm_bias=20.0)
-        d = sel.decide(frame(0), summary(0))
+        d = sel.decide(0, ZEROS, summary(0))
         assert d.train
-        sel.apply_feedback(feedback(sel, 0, delta_l=-0.2, source="lstm"))
+        sel.apply_feedback(feedback(sel, 0, delta_l=-0.2))
         assert sel.p == pytest.approx(0.45)
 
     def test_helpful_at_floor_stays_at_floor(self):
         sel = make_selector(p_init=0.05, tau=0, lstm_bias=20.0)
-        sel.decide(frame(0), summary(0))
-        sel.apply_feedback(feedback(sel, 0, delta_l=-0.2, source="lstm"))
+        sel.decide(0, ZEROS, summary(0))
+        sel.apply_feedback(feedback(sel, 0, delta_l=-0.2))
         assert sel.p == pytest.approx(0.05)
 
     def test_unhelpful_doubles_p_capped_at_one(self):
         sel = make_selector(p_init=0.6, tau=0, lstm_bias=20.0)
-        sel.decide(frame(0), summary(0))
-        sel.apply_feedback(feedback(sel, 0, delta_l=+0.05, source="lstm"))
+        sel.decide(0, ZEROS, summary(0))
+        sel.apply_feedback(feedback(sel, 0, delta_l=+0.05))
         assert sel.p == pytest.approx(1.0)
 
     def test_unhelpful_random_probe_confirms_silent_gate(self):
         # the gate said no and the probe proved training useless: gate was
         # right, so reliance on the random path decays
         sel = make_selector(p_init=0.5, tau=0, lstm_bias=-20.0)
-        d = sel.decide(frame(0), summary(0))
+        d = sel.decide(0, ZEROS, summary(0))
         while not d.train:
-            d = sel.decide(frame(d.frame_id + 1), summary(d.frame_id + 1))
-        assert d.source == "random"
-        sel.apply_feedback(feedback(sel, d.frame_id, delta_l=+0.05, source="random"))
+            d = sel.decide(d.frame_id + 1, ZEROS, summary(d.frame_id + 1))
+        assert d.random_vote and not d.lstm_vote
+        sel.apply_feedback(feedback(sel, d.frame_id, delta_l=+0.05))
         assert sel.p == pytest.approx(0.45)
 
     def test_helpful_random_probe_doubles_p(self):
         # the gate missed a helpful frame: safeguard ramps up
         sel = make_selector(p_init=0.3, tau=0, lstm_bias=-20.0)
-        d = sel.decide(frame(0), summary(0))
+        d = sel.decide(0, ZEROS, summary(0))
         while not d.train:
-            d = sel.decide(frame(d.frame_id + 1), summary(d.frame_id + 1))
-        sel.apply_feedback(feedback(sel, d.frame_id, delta_l=-0.5, source="random"))
+            d = sel.decide(d.frame_id + 1, ZEROS, summary(d.frame_id + 1))
+        sel.apply_feedback(feedback(sel, d.frame_id, delta_l=-0.5))
         assert sel.p == pytest.approx(0.6)
 
     def test_nineteen_helpful_steps_from_one_reach_floor(self):
@@ -134,9 +132,9 @@ class TestApplyFeedback:
         steps = 0
         i = 0
         while sel.p > sel.cfg.p_min + 1e-12:
-            d = sel.decide(frame(i), summary(i))
+            d = sel.decide(i, ZEROS, summary(i))
             assert d.train
-            sel.apply_feedback(feedback(sel, i, delta_l=-1.0, source="lstm"))
+            sel.apply_feedback(feedback(sel, i, delta_l=-1.0))
             steps += 1
             i += 1
         assert steps == 19  # ceil((1 - 0.05) / 0.05)
@@ -150,8 +148,8 @@ class TestApplyFeedback:
         results = []
         for _ in range(2):
             sel = make_selector(p_init=0.5, tau=0, lstm_bias=20.0, seed=3)
-            sel.decide(frame(0), summary(0))
-            sel.apply_feedback(feedback(sel, 0, delta_l=-0.5, source="lstm"))
+            sel.decide(0, ZEROS, summary(0))
+            sel.apply_feedback(feedback(sel, 0, delta_l=-0.5))
             results.append((sel.p, sel.lstm.w_gates.copy(), sel.lstm.b_out))
         assert results[0][0] == results[1][0]
         assert np.array_equal(results[0][1], results[1][1])
@@ -161,16 +159,15 @@ class TestApplyFeedback:
         sel = make_selector(p_init=0.5, tau=0, lstm_bias=20.0, seed=9)
         rng = np.random.default_rng(9)
         for i in range(300):
-            d = sel.decide(frame(i), summary(i))
+            d = sel.decide(i, ZEROS, summary(i))
             if d.train:
-                sel.apply_feedback(feedback(sel, i, delta_l=float(rng.normal(-0.1, 0.3)),
-                                            source=d.source))
+                sel.apply_feedback(feedback(sel, i, delta_l=float(rng.normal(-0.1, 0.3))))
             assert sel.cfg.p_min - 1e-12 <= sel.p <= 1.0 + 1e-12
 
     def test_errored_event_leaves_p_untouched(self):
         sel = make_selector(p_init=0.5, tau=0, lstm_bias=20.0)
-        sel.decide(frame(0), summary(0))
-        fb = FeedbackRecord(0, 1.0, 1.0, "lstm", error="non-finite loss")
+        sel.decide(0, ZEROS, summary(0))
+        fb = FeedbackRecord(0, 1.0, 1.0, error="non-finite loss")
         sel.apply_feedback(fb)
         assert sel.p == pytest.approx(0.5)
 
@@ -180,10 +177,10 @@ class TestSuppressionWindow:
         sel = make_selector(p_init=0.4, tau=2, seed=21)
         positives = []
         for i in range(10_000):
-            d = sel.decide(frame(i), summary(i % 50))
+            d = sel.decide(i, ZEROS, summary(i % 50))
             if d.train:
                 positives.append(i)
-                sel.apply_feedback(feedback(sel, i, delta_l=-0.2, source=d.source))
+                sel.apply_feedback(feedback(sel, i, delta_l=-0.2))
         assert positives, "selector never fired"
         gaps = np.diff(positives)
         assert (gaps > 2).all()
@@ -192,35 +189,33 @@ class TestSuppressionWindow:
 class TestRandomSelector:
     def test_prob_zero_never_trains(self):
         sel = RandomSelector(0.0, tau=0, seed=0)
-        assert not any(sel.decide(frame(i), None).train for i in range(1000))
+        assert not any(sel.decide(i, ZEROS, None).train for i in range(1000))
 
     def test_prob_one_tau_zero_always_trains(self):
         sel = RandomSelector(1.0, tau=0, seed=0)
-        assert all(sel.decide(frame(i), None).train for i in range(1000))
+        assert all(sel.decide(i, ZEROS, None).train for i in range(1000))
 
     def test_long_run_rate(self):
         sel = RandomSelector(0.27, tau=0, seed=5)
         n = 100_000
-        hits = sum(sel.decide(frame(i), None).train for i in range(n))
+        hits = sum(sel.decide(i, ZEROS, None).train for i in range(n))
         assert hits / n == pytest.approx(0.27, abs=0.01)
 
     def test_tau_suppression_applies(self):
         sel = RandomSelector(1.0, tau=2, seed=0)
-        trains = [sel.decide(frame(i), None).train for i in range(9)]
+        trains = [sel.decide(i, ZEROS, None).train for i in range(9)]
         assert trains == [True, False, False] * 3
 
 
 class TestSceneChangeSelector:
     def test_identical_frames_never_flagged(self):
         sel = SceneChangeSelector(threshold=0.01, tau=0)
-        f = frame(0)
-        assert not any(sel.decide(f, None).train for _ in range(10))
+        assert not any(sel.decide(0, ZEROS, None).train for _ in range(10))
 
     def test_constant_shift_flagged(self):
         sel = SceneChangeSelector(threshold=0.5, tau=0)
-        sel.decide(frame(0), None)
-        shifted = FeatureFrame(frame_id=1, values=np.ones((2, 2, D)))
-        assert sel.decide(shifted, None).train
+        sel.decide(0, ZEROS, None)
+        assert sel.decide(1, np.ones((2, 2, D)), None).train
 
     def test_detects_generated_scene_changes(self):
         grid = GridShape(s=4, c=2)
@@ -237,7 +232,7 @@ class TestSceneChangeSelector:
 
         sel = SceneChangeSelector(threshold=0.08, tau=0)
         flagged = [rec.frame_id for rec in stream
-                   if sel.decide(rec.frame, None).train]
+                   if sel.decide(rec.frame_id, rec.features, None).train]
         hit = sum(
             1 for ch in changes
             if any(abs(f - ch) <= 1 for f in flagged)
@@ -248,11 +243,11 @@ class TestSceneChangeSelector:
 class TestPeriodicSelector:
     def test_period_one_tau_zero_every_frame(self):
         sel = PeriodicSelector(1, tau=0)
-        assert all(sel.decide(frame(i), None).train for i in range(20))
+        assert all(sel.decide(i, ZEROS, None).train for i in range(20))
 
     def test_period_four(self):
         sel = PeriodicSelector(4, tau=2)
-        trains = [sel.decide(frame(i), None).train for i in range(12)]
+        trains = [sel.decide(i, ZEROS, None).train for i in range(12)]
         assert trains == [True, False, False, False] * 3
 
 
@@ -294,7 +289,7 @@ class TestPinnedDecisions:
                                   SceneSpec(1, (0.2, 0.3, 0.5), duration_range=(40, 80))],
                                  300, StreamConfig(grid=grid, feature_dim=D), seed=11)
         backbone = Backbone(D, seed=0)
-        return [backbone.forward(rec.frame) for rec in stream]
+        return [(rec.frame_id, *backbone.forward(rec.features)) for rec in stream]
 
     @pytest.mark.parametrize("kind,tau,n_train,digest", DECISION_PINS)
     def test_rows_match_pinned_digest(self, frames, kind, tau, n_train, digest):
@@ -305,12 +300,12 @@ class TestPinnedDecisions:
             "periodic": lambda: PeriodicSelector(3, tau=tau),
         }[kind]()
         rows = []
-        for feats, summ in frames:
-            d = sel.decide(feats, summ)
+        for frame_id, feats, summ in frames:
+            d = sel.decide(frame_id, feats, summ)
             rows.append(asdict(d))
             if d.train:
                 delta = -0.3 if d.frame_id % 5 == 0 else 0.05
-                sel.apply_feedback(FeedbackRecord(d.frame_id, 1.0, 1.0 + delta, d.source))
+                sel.apply_feedback(FeedbackRecord(d.frame_id, 1.0, 1.0 + delta))
         doc = json.dumps([rows, sel.frames_since_train])
         assert sum(r["train"] for r in rows) == n_train
         assert hashlib.sha256(doc.encode()).hexdigest() == digest

@@ -40,7 +40,7 @@ def one_scene(probs=(0.5, 0.3, 0.2), motion=0.005, duration=(40, 60), count=(2, 
 def stream_hash(stream):
     digest = hashlib.sha256()
     for rec in stream:
-        digest.update(rec.frame.values.tobytes())
+        digest.update(rec.features.tobytes())
         digest.update(str([(o.box, o.class_id, o.object_id) for o in rec.gt]).encode())
     return digest.hexdigest()
 
@@ -128,7 +128,7 @@ class TestGenerateStream:
 
 
 def record(gt, frame_id=0):
-    return FrameRecord(frame_id=frame_id, scene_id=0, frame=None, gt=gt)
+    return FrameRecord(frame_id=frame_id, scene_id=0, features=None, gt=gt)
 
 
 class TestSynthOracle:
@@ -275,7 +275,7 @@ class TestOracleTensors:
         # objects on a cell boundary, jitter that moves them across it, and a
         # spurious detection on every empty cell: a moved object lands on one
         records = [
-            FrameRecord(frame_id=i, scene_id=0, frame=None,
+            FrameRecord(frame_id=i, scene_id=0, features=None,
                         gt=[GroundTruthObject(Box(0.4 + 1e-9, 0.5, 0.1, 0.1), 0),
                             GroundTruthObject(Box(0.9, 0.2 + 1e-9, 0.1, 0.1), 1)])
             for i in range(12)
@@ -311,7 +311,7 @@ class TestTraceIO:
         for a, b in zip(stream, loaded):
             assert a.frame_id == b.frame_id
             assert a.scene_id == b.scene_id
-            assert np.array_equal(a.frame.values, b.frame.values)
+            assert np.array_equal(a.features, b.features)
             assert a.gt == b.gt
             assert np.array_equal(a.oracle_tensor, b.oracle_tensor)
 
