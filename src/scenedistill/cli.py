@@ -25,6 +25,7 @@ from .simstream import (
     OracleNoiseSpec,
     SceneSpec,
     StreamConfig,
+    attach_oracle,
     generate_stream,
     read_trace,
     write_trace,
@@ -142,7 +143,6 @@ def cmd_generate(args) -> int:
     config.pop("trace", None)
     stream, grid, _ = _stream_from_config(config)
     if config.get("attach_oracle"):
-        from .simstream import attach_oracle
         pipe_cfg = _pipeline_config(config)  # the oracle a run on this config consults
         attach_oracle(stream, pipe_cfg.oracle_noise, grid, pipe_cfg.effective_oracle_seed)
     write_trace(stream, args.out, grid=grid)
@@ -208,12 +208,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config, args.set or [])
-    _require_seed(config)
+    seed = _require_seed(config)
     bench = config.get("bench", {})
     counts = bench.get("target_counts", [1, 10, 25, 50])
     trials = int(bench.get("trials", 50))
     grid = _dataclass_from(GridShape, bench.get("grid", {"s": 8, "c": 4}), "bench.grid")
-    rows = bench_loss_cost(counts, trials, grid, seed=_require_seed(config))
+    rows = bench_loss_cost(counts, trials, grid, seed=seed)
     _emit_table(rows, ["n_targets", "bounded_ms", "nms_ms"], args.out)
     return 0
 

@@ -38,9 +38,6 @@ class GridShape:
     def n_values(self) -> int:
         return self.s * self.s * self.channels
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.s, self.s, self.channels))
-
 
 @dataclass(frozen=True)
 class Box:
@@ -112,11 +109,13 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
     detections, one candidate per cell.
 
     Box center is (col + sigmoid(tx)) / s, (row + sigmoid(ty)) / s; box size
-    is sigmoid(tw), sigmoid(th).  Confidence is objectness times the best
-    class probability; candidates below conf_threshold are dropped and each
-    tensor's survivors are returned sorted by descending confidence.  The
-    per-cell activations run once for the whole stack.  Raises ValueError
-    when a tensor is not (s, s, 5 + c).
+    is sigmoid(tw), sigmoid(th), floored at LOGIT_CLIP as logit clips when
+    encoding, so a very negative finite logit still decodes to a valid box.
+    Confidence is objectness times the best class probability; candidates
+    below conf_threshold are dropped and each tensor's survivors are
+    returned sorted by descending confidence.  The per-cell activations run
+    once for the whole stack.  Raises ValueError when a tensor is not
+    (s, s, 5 + c).
     """
     s = shape.s
     if stack.shape[1:] != (s, s, shape.channels):
@@ -139,8 +138,8 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
             box = Box(
                 cx=(col + float(sigmoid(tx))) / s,
                 cy=(r + float(sigmoid(ty))) / s,
-                w=float(sigmoid(tw)),
-                h=float(sigmoid(th)),
+                w=max(float(sigmoid(tw)), LOGIT_CLIP),
+                h=max(float(sigmoid(th)), LOGIT_CLIP),
             )
             dets.append(Detection(box=box, class_id=int(frame_cls[r, col]),
                                   confidence=float(frame_conf[r, col])))
@@ -195,13 +194,6 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
         block, index = block[last], tuple(ix[last] for ix in index)
     tensor[index] = block
     return list(zip(rows.tolist(), cols.tolist()))
-
-
-def encode_object(tensor: np.ndarray, shape: GridShape, box: Box, class_id: int,
-                  obj_logit: float, class_margin: float = 4.0) -> tuple[int, int]:
-    """Write one object into the cell containing its center; returns (row, col)."""
-    return encode_objects(tensor, shape, [(box.cx, box.cy, box.w, box.h)], [class_id],
-                          [obj_logit], class_margin)[0]
 
 
 def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:

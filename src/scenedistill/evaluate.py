@@ -26,7 +26,7 @@ from .detection import (
     match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
-from .pipeline import PipelineConfig, PipelineError, PipelineReport, run_pipeline
+from .pipeline import PipelineConfig, PipelineReport, run_pipeline
 from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, oracle_tensors
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
@@ -235,7 +235,7 @@ def sweep(stream: list[FrameRecord], grid: GridShape, variants: dict[str, Pipeli
             gt_by_oracle[oracle] = ground_truth_for(stream, grid, eval_cfg, *oracle)
         report = run_pipeline(stream, grid, cfg)
         if report.error:
-            raise PipelineError(f"variant {name!r} stopped: {report.error}")
+            raise RuntimeError(f"variant {name!r} stopped: {report.error}")
         row = {"variant": name, "key_frames": report.n_key_frames,
                "key_fraction": report.key_fraction,
                "oracle_answer_fraction": report.oracle_answer_fraction, "fps": report.fps}

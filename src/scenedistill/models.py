@@ -244,7 +244,3 @@ def lstm_train_step(params: LstmParams, summary: np.ndarray, label: int, lr: flo
         h=params.h, c=params.c,
     )
 
-
-def bce(score: float, label: int, eps: float = 1e-12) -> float:
-    p = min(max(score, eps), 1.0 - eps)
-    return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))

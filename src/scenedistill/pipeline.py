@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detection import Detection, GridShape, decode_tensor, nms
+from .detection import Box, Detection, GridShape, decode_tensor, nms
 from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import (
     Backbone,
@@ -48,10 +48,6 @@ from .simstream import FrameRecord, OracleNoiseSpec, atomic_open, oracle_for_fra
 
 MODES = ("sequential", "parallel", "frozen_student", "mixed")
 SELECTORS = ("adaptive", "random", "scene_change", "periodic", "never")
-
-
-class PipelineError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -122,7 +118,6 @@ class PipelineReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineReport":
-        from .detection import Box
         dets = [
             [Detection(box=Box(v[0], v[1], v[2], v[3]), class_id=int(v[4]), confidence=v[5])
              for v in frame]

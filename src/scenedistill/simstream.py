@@ -111,25 +111,16 @@ def class_signatures(n_classes: int, feature_dim: int) -> np.ndarray:
     return sig
 
 
-@dataclass
-class _LiveObject:
-    box: Box
-    class_id: int
-    object_id: int
-
-    def as_gt(self) -> GroundTruthObject:
-        return GroundTruthObject(box=self.box, class_id=self.class_id, object_id=self.object_id)
-
-
 def _cell_of(box: Box, s: int) -> tuple[int, int]:
     return min(int(box.cy * s), s - 1), min(int(box.cx * s), s - 1)
 
 
-def _spawn_objects(scene: SceneSpec, cfg: StreamConfig, rng, next_id: int) -> tuple[list[_LiveObject], int]:
+def _spawn_objects(scene: SceneSpec, cfg: StreamConfig, rng,
+                   next_id: int) -> tuple[list[GroundTruthObject], int]:
     lo, hi = scene.object_count_range
     count = int(rng.integers(lo, hi + 1))
     s = cfg.grid.s
-    objs: list[_LiveObject] = []
+    objs: list[GroundTruthObject] = []
     used_cells = set()
     for _ in range(count):
         for _attempt in range(200):
@@ -144,12 +135,12 @@ def _spawn_objects(scene: SceneSpec, cfg: StreamConfig, rng, next_id: int) -> tu
             continue  # grid too crowded, drop the extra object
         used_cells.add(_cell_of(box, s))
         class_id = int(rng.choice(len(scene.class_probs), p=np.asarray(scene.class_probs)))
-        objs.append(_LiveObject(box=box, class_id=class_id, object_id=next_id))
+        objs.append(GroundTruthObject(box=box, class_id=class_id, object_id=next_id))
         next_id += 1
     return objs, next_id
 
 
-def _move_objects(objs: list[_LiveObject], sigma: float, rng, s: int) -> list[_LiveObject]:
+def _move_objects(objs: list[GroundTruthObject], sigma: float, rng, s: int) -> list[GroundTruthObject]:
     """Random-walk object centers; a move into an occupied cell is blocked.
 
     A destination counts as occupied if an earlier object already claimed it
@@ -158,7 +149,7 @@ def _move_objects(objs: list[_LiveObject], sigma: float, rng, s: int) -> list[_L
     """
     pending = {id(o): _cell_of(o.box, s) for o in objs}
     claimed: set[tuple[int, int]] = set()
-    moved: list[_LiveObject] = []
+    moved: list[GroundTruthObject] = []
     for obj in objs:
         b = obj.box
         del pending[id(obj)]
@@ -178,7 +169,7 @@ def _move_objects(objs: list[_LiveObject], sigma: float, rng, s: int) -> list[_L
     return moved
 
 
-def _render(objs: list[_LiveObject], cfg: StreamConfig, sig: np.ndarray, rng) -> np.ndarray:
+def _render(objs: list[GroundTruthObject], cfg: StreamConfig, sig: np.ndarray, rng) -> np.ndarray:
     s, d = cfg.grid.s, cfg.feature_dim
     out = rng.normal(0.0, cfg.background_noise, size=(s, s, d))
     for obj in objs:
@@ -215,7 +206,7 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
     next_id = 0
     frame_id = 0
     visit = 0
-    prev_objs: list[_LiveObject] = []
+    prev_objs: list[GroundTruthObject] = []
     prev_scene: SceneSpec | None = None
 
     while frame_id < n_frames:
@@ -242,7 +233,7 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
                 frame_id=frame_id,
                 scene_id=scene_id,
                 features=feat,
-                gt=[o.as_gt() for o in gt_objs],
+                gt=list(gt_objs),
             ))
             frame_id += 1
         prev_objs, prev_scene = objs, scene

@@ -2,9 +2,6 @@
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -227,23 +224,6 @@ class TestDocumentedConfigs:
     def test_bench_losses(self, tmp_path, capsys):
         rows = self.run("bench_losses.json", tmp_path)
         assert [r["n_targets"] for r in rows] == [1, 10]
-
-
-class TestScripts:
-    """The experiment scripts under scripts/ run end to end (shrunk here)."""
-
-    ROOT = Path(__file__).resolve().parent.parent
-
-    def run_script(self, name):
-        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
-        return subprocess.run([sys.executable, str(self.ROOT / "scripts" / name), "--frames", "200"],
-                              env=env, capture_output=True, text=True, timeout=120)
-
-    def test_keyframe_profile(self):
-        done = self.run_script("keyframe_profile.py")
-        assert done.returncode == 0, done.stderr
-        assert "static scene: key fraction" in done.stdout
-        assert "scene changes answered within 5 frames" in done.stdout
 
 
 class TestEvalCommand:

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenedistill.detection import (
+    LOGIT_CLIP,
     Box,
     Detection,
     GridShape,
     decode_tensor,
     decode_tensors,
-    encode_object,
     encode_objects,
     iou,
     iou_table,
@@ -120,11 +120,11 @@ class TestIouTable:
 class TestDecode:
     def test_all_zero_tensor_below_half_threshold(self):
         shape = GridShape(s=3, c=4)
-        assert decode_tensor(shape.zeros(), shape, 0.5) == []
+        assert decode_tensor(np.zeros((shape.s, shape.s, shape.channels)), shape, 0.5) == []
 
     def test_saturated_single_cell(self):
         shape = GridShape(s=3, c=3)
-        t = shape.zeros()
+        t = np.zeros((shape.s, shape.s, shape.channels))
         t[:, :, 0] = -10.0
         t[1, 2, 0] = 10.0
         t[1, 2, 5] = 10.0
@@ -133,6 +133,20 @@ class TestDecode:
         assert len(dets) == 1
         assert dets[0].class_id == 0
         assert dets[0].confidence == pytest.approx(1.0, abs=1e-3)
+
+    def test_size_logit_that_underflows_decodes_at_the_clip(self):
+        # sigmoid(-800) is 0.0 in float64; the size is floored where logit
+        # clips, so a finite logit decodes to a valid box, not an error
+        shape = GridShape(s=3, c=2)
+        t = np.zeros((shape.s, shape.s, shape.channels))
+        t[:, :, 0] = -10.0
+        t[1, 1, 0] = 10.0
+        t[1, 1, 3] = -800.0
+        with np.errstate(over="ignore"):
+            dets = decode_tensor(t, shape, 0.3)
+        assert len(dets) == 1
+        assert dets[0].box.w == LOGIT_CLIP
+        assert dets[0].box.h == 0.5
 
     def test_matches_brute_force_on_random_tensor(self):
         shape = GridShape(s=4, c=5)
@@ -179,10 +193,10 @@ class TestDecode:
 
     def test_encode_decode_round_trip(self):
         shape = GridShape(s=5, c=3)
-        t = shape.zeros()
+        t = np.zeros((shape.s, shape.s, shape.channels))
         t[:, :, 0] = -10.0
         box = Box(0.43, 0.61, 0.2, 0.35)
-        encode_object(t, shape, box, class_id=2, obj_logit=10.0)
+        encode_objects(t, shape, [(box.cx, box.cy, box.w, box.h)], [2], [10.0])
         dets = decode_tensor(t, shape, 0.5)
         assert len(dets) == 1
         d = dets[0]
@@ -212,10 +226,10 @@ class TestDecode:
             boxes = [tuple(b) for b in rng.uniform(0.0, 1.0, size=(n, 4)).tolist()]
             classes = rng.integers(shape.c, size=n).tolist()
             logits = rng.normal(size=n).tolist()
-            want = shape.zeros()
+            want = np.zeros((shape.s, shape.s, shape.channels))
             for args in zip(boxes, classes, logits):
                 reference(want, *args)
-            got = shape.zeros()
+            got = np.zeros((shape.s, shape.s, shape.channels))
             cells = encode_objects(got, shape, boxes, classes, logits)
             assert np.array_equal(got, want)  # later object wins a shared cell
             assert cells == [(min(int(b[1] * 4), 3), min(int(b[0] * 4), 3)) for b in boxes]
@@ -229,12 +243,12 @@ class TestDecode:
         classes = rng.integers(shape.c, size=40).tolist()
         logits = rng.normal(size=40).tolist()
         frames = rng.integers(3, size=40).tolist()
-        want = np.stack([shape.zeros() for _ in range(3)])
+        want = np.zeros((3, shape.s, shape.s, shape.channels))
         for f in range(3):
             picked = [i for i in range(40) if frames[i] == f]
             encode_objects(want[f], shape, [boxes[i] for i in picked],
                            [classes[i] for i in picked], [logits[i] for i in picked])
-        got = np.stack([shape.zeros() for _ in range(3)])
+        got = np.zeros((3, shape.s, shape.s, shape.channels))
         encode_objects(got, shape, boxes, classes, logits, frames=frames)
         assert np.array_equal(got, want)
 
@@ -303,7 +317,7 @@ class TestNms:
 class TestPartition:
     def test_all_low(self):
         shape = GridShape(s=4, c=2)
-        t = shape.zeros()
+        t = np.zeros((shape.s, shape.s, shape.channels))
         t[:, :, 0] = -10.0
         high, low = partition_cells(t, 0.5)
         assert not high.any()
@@ -311,7 +325,7 @@ class TestPartition:
 
     def test_all_high(self):
         shape = GridShape(s=4, c=2)
-        t = shape.zeros()
+        t = np.zeros((shape.s, shape.s, shape.channels))
         t[:, :, 0] = 10.0
         high, low = partition_cells(t, 0.5)
         assert high.all()
@@ -341,7 +355,7 @@ class TestPartition:
     def test_rejects_bad_theta(self):
         shape = GridShape(s=2, c=2)
         with pytest.raises(ValueError):
-            partition_cells(shape.zeros(), 0.0)
+            partition_cells(np.zeros((shape.s, shape.s, shape.channels)), 0.0)
 
 
 class TestActivations:

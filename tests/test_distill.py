@@ -14,7 +14,7 @@ from scenedistill.detection import (
     GridShape,
     GroundTruthObject,
     decode_tensor,
-    encode_object,
+    encode_objects,
     match_detections,
     partition_cells,
     sigmoid,
@@ -222,7 +222,9 @@ class TestNmsDistillLoss:
         oracle[:, :, 0] = -12.0
         gt = [make_gt(0.3, 0.3, 0.2, 0.2, 1), make_gt(0.72, 0.67, 0.15, 0.2, 2, 1)]
         for obj in gt:
-            encode_object(oracle, shape, obj.box, obj.class_id, obj_logit=12.0, class_margin=12.0)
+            b = obj.box
+            encode_objects(oracle, shape, [(b.cx, b.cy, b.w, b.h)], [obj.class_id], [12.0],
+                           class_margin=12.0)
         student = oracle.copy()
         loss = nms_distill_loss(student, oracle, gt, shape)
         assert loss == pytest.approx(0.0, abs=1e-3)
@@ -232,7 +234,7 @@ class TestNmsDistillLoss:
         oracle = np.zeros((3, 3, shape.channels))
         oracle[:, :, 0] = -12.0
         student = oracle.copy()
-        encode_object(student, shape, Box(0.5, 0.5, 0.2, 0.2), 0, obj_logit=6.0)
+        encode_objects(student, shape, [(0.5, 0.5, 0.2, 0.2)], [0], [6.0])
         loss = nms_distill_loss(student, oracle, [], shape)
         conf = sigmoid(6.0) * float(np.max([sigmoid(0.0)]))  # class prob ~ saturated
         dets = decode_tensor(student, shape, 0.5)
@@ -256,7 +258,7 @@ class TestNmsDistillLoss:
                 r, c = divmod(int(cell), 8)
                 box = Box((c + 0.5) / 8, (r + 0.5) / 8, 0.1, 0.1)
                 gt.append(make_gt(box.cx, box.cy, 0.1, 0.1, int(rng.integers(4)), i))
-                encode_object(t, shape, box, gt[-1].class_id, obj_logit=8.0)
+                encode_objects(t, shape, [(box.cx, box.cy, box.w, box.h)], [gt[-1].class_id], [8.0])
             return t, gt
 
         t1, gt1 = build(2)

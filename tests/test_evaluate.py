@@ -35,7 +35,7 @@ from scenedistill.evaluate import (
     match_detections,  # evaluation's name for detection.match_detections
     sweep,
 )
-from scenedistill.pipeline import PipelineConfig, PipelineError, PipelineReport, run_pipeline
+from scenedistill.pipeline import PipelineConfig, PipelineReport, run_pipeline
 from scenedistill.simstream import (
     OracleNoiseSpec,
     SceneSpec,
@@ -433,7 +433,7 @@ class TestSweep:
             return report
 
         monkeypatch.setattr(evaluate_module, "run_pipeline", stopped)
-        with pytest.raises(PipelineError, match="'bad' stopped: frame 3: non-finite loss"):
+        with pytest.raises(RuntimeError, match="'bad' stopped: frame 3: non-finite loss"):
             sweep(stream, PIN_GRID, {"bad": self.PIPE}, EvalConfig())
 
 

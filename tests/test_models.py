@@ -15,7 +15,6 @@ from scenedistill.models import (
     DecoderParams,
     LstmParams,
     advance_lstm,
-    bce,
     decoder_forward,
     init_decoder,
     init_lstm,
@@ -34,6 +33,12 @@ def frame(values):
 
 def random_frame(rng, s=GRID.s, d=D):
     return frame(rng.normal(0, 1, size=(s, s, d)))
+
+
+def bce(score: float, label: int, eps: float = 1e-12) -> float:
+    """Binary cross-entropy of one score: the loss lstm_train_step descends."""
+    p = min(max(score, eps), 1.0 - eps)
+    return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
 
 
 class TestBackbone:
