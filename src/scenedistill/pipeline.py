@@ -28,13 +28,7 @@ import numpy as np
 
 from .detection import Box, Detection, GridShape, decode_tensor, nms
 from .distill import DistillConfig, FeedbackRecord, distill_step
-from .models import (
-    Backbone,
-    DecoderParams,
-    LstmParams,
-    decoder_forward,
-    init_decoder,
-)
+from .models import Backbone, DecoderParams, decoder_forward, init_decoder
 from .selector import (
     AdaptiveSelector,
     Decision,
@@ -69,7 +63,7 @@ class PipelineConfig:
     oracle_noise: OracleNoiseSpec = field(default_factory=OracleNoiseSpec)
     oracle_seed: int | None = None     # defaults to seed
     init_checkpoint: str | None = None  # start the adaptive decoder from here
-    checkpoint_out: str | None = None   # save decoder + selector state at run end
+    checkpoint_out: str | None = None   # save the adaptive decoder at run end
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -135,9 +129,10 @@ def merge_detections(out: np.ndarray, shape: GridShape, conf_threshold: float,
 def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
     """Backbone, the adaptive head's initial weights, selector."""
     d = stream[0].features.shape[2]
-    adapted, selector = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1), None
-    if cfg.init_checkpoint is not None:
-        adapted, selector = checkpoint_load(cfg.init_checkpoint)
+    if cfg.init_checkpoint is None:
+        adapted = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1)
+    else:
+        adapted = checkpoint_load(cfg.init_checkpoint)
         if adapted.w1.shape[0] != d or adapted.w2.shape[1] != grid.channels:
             raise CheckpointError(
                 f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
@@ -146,7 +141,7 @@ def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConf
     if cfg.mode in ("frozen_student", "mixed"):
         selector = NeverSelector()  # non-learning baselines never retrain
     elif cfg.selector == "adaptive":
-        selector = selector or AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
+        selector = AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
     elif cfg.selector == "random":
         selector = RandomSelector(cfg.random_prob, tau=cfg.selector_cfg.tau, seed=cfg.seed + 2)
     elif cfg.selector == "scene_change":
@@ -274,8 +269,7 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
     dropped += len(pending)
 
     if cfg.checkpoint_out is not None:
-        checkpoint_save(cfg.checkpoint_out, params,
-                        selector if isinstance(selector, AdaptiveSelector) else None)
+        checkpoint_save(cfg.checkpoint_out, params)
     n = len(decisions)
     return PipelineReport(
         mode=cfg.mode,
@@ -297,9 +291,9 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
 CHECKPOINT_VERSION = 1
 
 
-def checkpoint_save(path: str, decoder: DecoderParams, selector: AdaptiveSelector | None = None) -> None:
-    """Versioned JSON checkpoint of decoder weights and selector state."""
-    doc: dict = {
+def checkpoint_save(path: str, decoder: DecoderParams) -> None:
+    """Versioned JSON checkpoint of the decoder weights."""
+    doc = {
         "version": CHECKPOINT_VERSION,
         "decoder": {
             "w1": decoder.w1.tolist(),
@@ -308,23 +302,7 @@ def checkpoint_save(path: str, decoder: DecoderParams, selector: AdaptiveSelecto
             "b2": decoder.b2.tolist(),
             "param_version": decoder.version,
         },
-        "selector": None,
     }
-    if selector is not None:
-        doc["selector"] = {
-            "p": selector.p,
-            "frames_since_train": selector.frames_since_train,
-            "cfg": asdict(selector.cfg),
-            "lstm": {
-                "w_gates": selector.lstm.w_gates.tolist(),
-                "b_gates": selector.lstm.b_gates.tolist(),
-                "w_out": selector.lstm.w_out.tolist(),
-                "b_out": selector.lstm.b_out,
-                "h": selector.lstm.h.tolist(),
-                "c": selector.lstm.c.tolist(),
-            },
-            "rng_state": selector.rng.bit_generator.state,
-        }
     with atomic_open(path) as f:
         json.dump(doc, f)
 
@@ -333,7 +311,8 @@ class CheckpointError(ValueError):
     pass
 
 
-def checkpoint_load(path: str) -> tuple[DecoderParams, AdaptiveSelector | None]:
+def checkpoint_load(path: str) -> DecoderParams:
+    """The decoder a checkpoint holds; any other section is ignored."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -347,37 +326,14 @@ def checkpoint_load(path: str) -> tuple[DecoderParams, AdaptiveSelector | None]:
         )
     try:
         dec = doc["decoder"]
-        decoder = DecoderParams(
-            w1=np.asarray(dec["w1"]),
-            b1=np.asarray(dec["b1"]),
-            w2=np.asarray(dec["w2"]),
-            b2=np.asarray(dec["b2"]),
-            version=int(dec["param_version"]),
-        )
-        selector = None
-        if doc.get("selector") is not None:
-            sel = doc["selector"]
-            cfg = SelectorConfig(**sel["cfg"])
-            lstm = sel["lstm"]
-            summary_dim = len(np.asarray(lstm["w_gates"])[0]) - len(lstm["h"])
-            selector = AdaptiveSelector(summary_dim, cfg, seed=0)
-            selector.p = sel["p"]
-            selector.frames_since_train = sel["frames_since_train"]
-            selector.lstm = LstmParams(
-                w_gates=np.asarray(lstm["w_gates"]),
-                b_gates=np.asarray(lstm["b_gates"]),
-                w_out=np.asarray(lstm["w_out"]),
-                b_out=float(lstm["b_out"]),
-                h=np.asarray(lstm["h"]),
-                c=np.asarray(lstm["c"]),
-            )
-            selector.rng = np.random.default_rng()
-            selector.rng.bit_generator.state = sel["rng_state"]
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+        w1, b1, w2, b2 = (np.asarray(dec[k], dtype=float) for k in ("w1", "b1", "w2", "b2"))
+        version = int(dec["param_version"])
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e
-    w1, b1, w2, b2 = decoder.w1, decoder.b1, decoder.w2, decoder.b2
     if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
             and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
         raise CheckpointError(f"decoder shapes in checkpoint {path} disagree: w1 {w1.shape}, "
                               f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    return decoder, selector
+    if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
+        raise CheckpointError(f"non-finite decoder weights in checkpoint {path}")
+    return DecoderParams(w1, b1, w2, b2, version)

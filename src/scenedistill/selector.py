@@ -59,7 +59,7 @@ class _GappedSelector:
     randomness.
     """
 
-    p = 0.0  # written on every decision
+    p = 0.0  # read by every decision; AdaptiveSelector and RandomSelector set it
 
     def __init__(self, tau: int):
         self.tau = tau
@@ -87,6 +87,8 @@ class AdaptiveSelector(_GappedSelector):
     Its state has one owner, run_pipeline's frame loop, on one thread:
     decide() runs once per frame and apply_feedback() only between two
     decide() calls, so each decision sees every feedback delivered before it.
+    Each run builds it from its own SelectorConfig at stream start; a
+    checkpoint holds the decoder only, so no state carries over between runs.
     """
 
     kind = "adaptive"

@@ -441,8 +441,9 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
 def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
     """Read a trace; returns (stream, grid, feature_dim).
 
-    Malformed lines and dimension mismatches are rejected with the offending
-    line number; unknown header versions are rejected outright.
+    Malformed lines, dimension mismatches and frame ids that do not increase
+    are rejected with the offending line number; unknown header versions are
+    rejected outright.
     """
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")
@@ -494,8 +495,12 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
                         f"{path}: oracle length {oracle.size} != {grid.n_values} (line {lineno})"
                     )
                 oracle = oracle.reshape(s, s, grid.channels)
+            frame_id = int(row["frame_id"])
+            if records and frame_id <= records[-1].frame_id:
+                raise TraceError(f"{path}: frame_id {frame_id} does not follow "
+                                 f"{records[-1].frame_id} (line {lineno})")
             records.append(FrameRecord(
-                frame_id=int(row["frame_id"]),
+                frame_id=frame_id,
                 scene_id=int(row["scene_id"]),
                 features=feats.reshape(s, s, d),
                 gt=gt,

@@ -29,7 +29,7 @@ from scenedistill.pipeline import (
     merge_detections,
     run_pipeline,
 )
-from scenedistill.selector import AdaptiveSelector, SelectorConfig
+from scenedistill.selector import SelectorConfig
 from scenedistill.simstream import SceneSpec, StreamConfig, generate_stream
 
 GRID = GridShape(s=4, c=3)
@@ -252,7 +252,7 @@ class TestParallelMode:
         assert [(f["frame_id"], f["error"]) for f in report.feedbacks] == [
             (0, None), (1, "non-finite loss")]
         k = cfg.distill.steps_per_event
-        assert report.versions[-1] == checkpoint_load(path)[0].version == k
+        assert report.versions[-1] == checkpoint_load(path).version == k
         # every key frame is committed, dropped or errored
         assert report.n_key_frames == 6 and report.dropped_key_frames == 4
 
@@ -363,7 +363,7 @@ class TestBothModes:
         # sequential stops on the failed frame; parallel trains on frame 16's
         # answer, due at once, at the next frame boundary and stops there
         assert report.decisions[-1]["frame_id"] == 16
-        assert checkpoint_load(path)[0].version == 2 * cfg.distill.steps_per_event
+        assert checkpoint_load(path).version == 2 * cfg.distill.steps_per_event
 
     def test_raising_step_propagates(self, mode, monkeypatch):
         exploded = RuntimeError("step exploded")
@@ -431,32 +431,37 @@ def test_perfbench_package_names_resolve():
 
 
 class TestCheckpointing:
-    def _selector(self):
-        sel = AdaptiveSelector(2 * CFG.feature_dim, SelectorConfig(), seed=5)
-        rng = np.random.default_rng(0)
-        for i in range(7):
-            features = rng.normal(size=(GRID.s, GRID.s, CFG.feature_dim))
-            d = sel.decide(i, features, rng.normal(size=2 * CFG.feature_dim))
-            if d.train:
-                sel.apply_feedback(FeedbackRecord(i, 1.0, 0.5))
-        return sel
-
     def test_round_trip_preserves_forward_outputs(self, tmp_path):
         rng = np.random.default_rng(1)
         params = init_decoder(CFG.feature_dim, 16, GRID, seed=2)
-        sel = self._selector()
         path = str(tmp_path / "ckpt.json")
-        checkpoint_save(path, params, sel)
-        loaded, sel2 = checkpoint_load(path)
+        checkpoint_save(path, params)
+        loaded = checkpoint_load(path)
         feat = rng.normal(size=(GRID.s, GRID.s, CFG.feature_dim))
         a = decoder_forward(params, feat)
         b = decoder_forward(loaded, feat)
         assert np.max(np.abs(a - b)) <= 1e-6
         assert loaded.version == params.version
-        assert sel2.p == sel.p
-        assert np.array_equal(sel2.lstm.h, sel.lstm.h)
-        # rng state restored: next draws identical
-        assert sel2.rng.random() == sel.rng.random()
+
+    def test_selector_section_of_older_writer_ignored(self, tmp_path):
+        # checkpoints once also held the adaptive selector's state; the
+        # decoder section is unchanged, so they still load
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        plain = checkpoint_load(str(path))
+        doc = json.loads(path.read_text())
+        doc["selector"] = {
+            "p": 0.3, "frames_since_train": 1, "cfg": {"tau": 5},
+            "lstm": {"w_gates": [[0.1]], "b_gates": [0.0], "w_out": [0.0], "b_out": 0.0,
+                     "h": [0.0], "c": [0.0]},
+            "rng_state": {"bit_generator": "PCG64"},
+        }
+        path.write_text(json.dumps(doc))
+        loaded = checkpoint_load(str(path))
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(loaded, name), getattr(plain, name))
+        assert loaded.version == plain.version
 
     def test_wrong_version_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
@@ -475,12 +480,31 @@ class TestCheckpointing:
     def test_malformed_value_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
         path = tmp_path / "ckpt.json"
-        checkpoint_save(str(path), params, self._selector())
+        checkpoint_save(str(path), params)
         doc = json.loads(path.read_text())
         doc["decoder"]["param_version"] = "seven"
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="malformed"):
             checkpoint_load(str(path))
+
+    def test_non_numeric_weights_rejected(self, tmp_path):
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        doc = json.loads(path.read_text())
+        doc["decoder"]["b2"] = ["x"] * len(doc["decoder"]["b2"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"malformed checkpoint {re.escape(str(path))}"):
+            checkpoint_load(str(path))
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        params.w1[2, 3] = np.nan
+        path = str(tmp_path / "ckpt.json")
+        checkpoint_save(path, params)
+        with pytest.raises(CheckpointError,
+                           match=f"non-finite decoder weights in checkpoint {re.escape(path)}"):
+            checkpoint_load(path)
 
     def test_truncated_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
@@ -514,15 +538,14 @@ class TestCheckpointing:
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
-        sel = self._selector()
         path = tmp_path / "ckpt.json"
-        checkpoint_save(str(path), params, sel)
+        checkpoint_save(str(path), params)
         before = path.read_bytes()
-        # the decoder weights serialize before the selector's p, so the dump
-        # fails partway through the document
-        sel.p = object()
+        # the weights serialize before param_version, so the dump fails
+        # partway through the document
+        broken = replace(init_decoder(CFG.feature_dim, 8, GRID, seed=1), version=object())
         with pytest.raises(TypeError):
-            checkpoint_save(str(path), init_decoder(CFG.feature_dim, 8, GRID, seed=1), sel)
+            checkpoint_save(str(path), broken)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
@@ -531,15 +554,23 @@ class TestCheckpointing:
         path = str(tmp_path / "run.ckpt")
         adapt = run_pipeline(stream, GRID, pipe_cfg(checkpoint_out=path))
         assert adapt.versions[-1] >= 0
-        decoder, selector = checkpoint_load(path)
+        decoder = checkpoint_load(path)
         assert decoder.version >= max(adapt.versions) > 0
-        assert selector is not None
         # a frozen run started from the checkpoint reproduces adapted behavior
         frozen_from_ckpt = run_pipeline(stream, GRID, pipe_cfg(
             mode="frozen_student", init_checkpoint=path))
         assert frozen_from_ckpt.versions == [decoder.version] * len(stream)
         frozen_fresh = run_pipeline(stream, GRID, pipe_cfg(mode="frozen_student"))
         assert frozen_from_ckpt.detections != frozen_fresh.detections
+
+    def test_resumed_run_starts_selector_from_its_own_config(self, tmp_path):
+        stream = make_stream(n=200)
+        path = str(tmp_path / "run.ckpt")
+        run_pipeline(stream, GRID, pipe_cfg(checkpoint_out=path))  # tau 2
+        eager = SelectorConfig(tau=0, p_init=1.0)
+        resumed = run_pipeline(stream, GRID, pipe_cfg(selector_cfg=eager, init_checkpoint=path))
+        assert not any(d["suppressed"] for d in resumed.decisions)
+        assert resumed.decisions[0]["p"] == 1.0
 
 
 class TestReportSerialization:

@@ -353,6 +353,15 @@ class TestTraceIO:
         with pytest.raises(TraceError, match="line 2"):
             read_trace(bad)
 
+    def test_repeated_frame_id_names_line(self, tmp_path):
+        # ids that restart would collide in the selector's per-frame feedback
+        stream = self.make_stream()
+        stream[5].frame_id = 0
+        path = str(tmp_path / "trace.jsonl")
+        write_trace(stream, path, grid=GRID)
+        with pytest.raises(TraceError, match=r"frame_id 0 does not follow 4 \(line 7\)"):
+            read_trace(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         stream = self.make_stream(n=2)
         path = str(tmp_path / "trace.jsonl")
