@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOGIT_CLIP = 1e-6
+CONF_THRESHOLD = 0.5  # every decode of a run: student frames, oracle answers, oracle ground truth
+NMS_IOU = 0.5         # same-class overlap above which the student's NMS drops a detection
 
 
 @dataclass(frozen=True)

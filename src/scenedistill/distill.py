@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (
+    CONF_THRESHOLD,
+    NMS_IOU,
     GridShape,
     GroundTruthObject,
     decode_tensor,
@@ -130,8 +132,7 @@ def _pair_loss(matches, missed) -> float:
 
 
 def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt: list[GroundTruthObject],
-                     shape: GridShape, conf_threshold: float = 0.5,
-                     iou_threshold: float = 0.5) -> float:
+                     shape: GridShape) -> float:
     """Decode-and-match distillation loss (box + class + objectness terms).
 
     Decodes both tensors, suppresses duplicates, then scores the student's
@@ -139,8 +140,8 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt: list[GroundTru
     so its wall-clock cost (which grows with the number of decoded targets)
     can be benchmarked against the tensor-space loss.
     """
-    student_dets = nms(decode_tensor(student, shape, conf_threshold), iou_threshold)
-    oracle_dets = nms(decode_tensor(oracle, shape, conf_threshold), iou_threshold)
+    student_dets = nms(decode_tensor(student, shape, CONF_THRESHOLD), NMS_IOU)
+    oracle_dets = nms(decode_tensor(oracle, shape, CONF_THRESHOLD), NMS_IOU)
     l_gt = _pair_loss(*match_detections(student_dets, gt, 0.5, class_aware=False))
     l_t = _pair_loss(*match_detections(student_dets, oracle_dets, 0.5, class_aware=False))
     return l_gt + l_t

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (
+    CONF_THRESHOLD,
     Box,
     Detection,
     GridShape,
@@ -40,9 +41,7 @@ GT_BLOCK_FRAMES = 32
 @dataclass(frozen=True)
 class EvalConfig:
     iou_thresholds: tuple[float, ...] = (0.5, 0.6, 0.75)
-    conf_threshold: float = 0.5
     gt_source: str = "true_gt"
-    oracle_conf_threshold: float | None = None  # decode threshold for oracle-as-GT
 
     def __post_init__(self):
         if self.gt_source not in GT_SOURCES:
@@ -50,10 +49,6 @@ class EvalConfig:
         thr = self.iou_thresholds
         if any(not 0.0 < t < 1.0 for t in thr) or list(thr) != sorted(set(thr)):
             raise ValueError(f"iou_thresholds must be strictly increasing in (0, 1), got {thr}")
-
-    @property
-    def gt_conf(self) -> float:
-        return self.oracle_conf_threshold if self.oracle_conf_threshold is not None else self.conf_threshold
 
 
 def average_precision(tp_flags: list[bool], n_gt: int) -> float:
@@ -193,7 +188,7 @@ def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalC
         out.extend(
             [GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
              for i, d in enumerate(dets)]
-            for dets in decode_tensors(tensors, grid, eval_cfg.gt_conf)
+            for dets in decode_tensors(tensors, grid, CONF_THRESHOLD)
         )
     return out
 
@@ -211,7 +206,7 @@ def evaluate_report(report: PipelineReport, stream: list[FrameRecord], grid: Gri
     gt = ground_truth_for(stream[:len(report.detections)], grid, eval_cfg, noise, oracle_seed)
     summary = EvalSummary(
         gt_source=eval_cfg.gt_source,
-        conf_threshold=eval_cfg.conf_threshold,
+        conf_threshold=CONF_THRESHOLD,
         per_threshold=evaluate_thresholds(report.detections, gt, eval_cfg.iou_thresholds),
     )
     report.evaluation = summary.to_dict()

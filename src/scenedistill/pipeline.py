@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detection import Box, Detection, GridShape, decode_tensor, nms
+from .detection import CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, decode_tensor, nms
 from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import Backbone, DecoderParams, decoder_forward, init_decoder
 from .selector import (
@@ -55,8 +55,6 @@ class PipelineConfig:
     p_oracle: float = 0.27             # mixed mode: fraction answered by oracle
     oracle_delay: float = 0.0          # simulated oracle compute time (s)
     queue_capacity: int = 4
-    conf_threshold: float = 0.5
-    iou_threshold: float = 0.5
     decoder_hidden: int = 32
     distill: DistillConfig = field(default_factory=DistillConfig)
     selector_cfg: SelectorConfig = field(default_factory=SelectorConfig)
@@ -74,6 +72,10 @@ class PipelineConfig:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
         if not 0.0 <= self.p_oracle <= 1.0:
             raise ValueError(f"p_oracle must be in [0, 1], got {self.p_oracle}")
+        if self.oracle_delay < 0:
+            raise ValueError(f"oracle_delay must be >= 0, got {self.oracle_delay}")
+        if self.decoder_hidden < 1:
+            raise ValueError(f"decoder_hidden must be >= 1, got {self.decoder_hidden}")
 
     @property
     def effective_oracle_seed(self) -> int:
@@ -120,10 +122,9 @@ class PipelineReport:
         return cls(**{**data, "detections": dets})
 
 
-def merge_detections(out: np.ndarray, shape: GridShape, conf_threshold: float,
-                     iou_threshold: float) -> list[Detection]:
+def merge_detections(out: np.ndarray, shape: GridShape) -> list[Detection]:
     """The decoder output's detections, deduplicated by class-aware NMS."""
-    return nms(decode_tensor(out, shape, conf_threshold), iou_threshold)
+    return nms(decode_tensor(out, shape, CONF_THRESHOLD), NMS_IOU)
 
 
 def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
@@ -153,27 +154,6 @@ def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConf
     return Backbone(d, seed=cfg.seed), adapted, selector
 
 
-def _decision_row(decision: Decision) -> dict:
-    return {
-        "frame_id": decision.frame_id,
-        "train": decision.train,
-        "lstm_vote": decision.lstm_vote,
-        "random_vote": decision.random_vote,
-        "suppressed": decision.suppressed,
-        "p": decision.p,
-    }
-
-
-def _feedback_row(fb: FeedbackRecord) -> dict:
-    return {
-        "frame_id": fb.frame_id,
-        "loss_before": fb.loss_before,
-        "loss_after": fb.loss_after,
-        "delta_l": fb.delta_l,
-        "error": fb.error,
-    }
-
-
 def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
     if not stream:
         raise ValueError("empty stream")
@@ -200,7 +180,7 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         new_params, fb = distill_step(params, feats, target, cfg.distill, frame_id=rec.frame_id)
         if fb.error is None:
             params = new_params
-        feedbacks.append(_feedback_row(fb))
+        feedbacks.append({**vars(fb), "delta_l": fb.delta_l})
         selector.apply_feedback(fb)
         if fb.error is not None:
             error = error or f"frame {fb.frame_id}: {fb.error}"
@@ -240,18 +220,17 @@ def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig
         feats, summary = backbone.forward(rec.features)
         versions.append(params.version)
         if cfg.mode == "mixed" and mix_rng.random() < cfg.p_oracle:
-            dets = decode_tensor(oracle(rec), grid, cfg.conf_threshold)
+            dets = decode_tensor(oracle(rec), grid, CONF_THRESHOLD)
             oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
-            dets = merge_detections(decoder_forward(params, feats), grid,
-                                    cfg.conf_threshold, cfg.iou_threshold)
+            dets = merge_detections(decoder_forward(params, feats), grid)
             decision = selector.decide(rec.frame_id, feats, summary)
             if decision.train and cfg.mode == "parallel":
                 submit(rec, feats)
             elif decision.train:
                 distill_event(rec, feats, oracle(rec))
-        decisions.append(_decision_row(decision))
+        decisions.append(dict(vars(decision)))
         return dets
 
     t_start = time.perf_counter()

@@ -19,6 +19,10 @@ import numpy as np
 from .distill import FeedbackRecord
 from .models import advance_lstm, init_lstm, lstm_train_step
 
+P_STEP = 0.05      # decrement of p after a correct gate call
+LSTM_HIDDEN = 8    # the gate's hidden units
+LSTM_LR = 0.05     # the gate's step size on each event's feedback
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -34,11 +38,8 @@ class Decision:
 class SelectorConfig:
     p_init: float = 0.5
     p_min: float = 0.05
-    p_step: float = 0.05     # decrement applied after a correct gate call
     tau: int = 2             # min frames between consecutive trainings
     sigma: float = -0.1      # loss delta below which an event counts as helpful
-    lstm_hidden: int = 8
-    lstm_lr: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.p_min <= 1.0:
@@ -97,7 +98,7 @@ class AdaptiveSelector(_GappedSelector):
         super().__init__(cfg.tau)
         self.cfg = cfg
         self.p = cfg.p_init
-        self.lstm = init_lstm(summary_dim, cfg.lstm_hidden, seed)
+        self.lstm = init_lstm(summary_dim, LSTM_HIDDEN, seed)
         self.rng = np.random.default_rng(seed)
         self._pending: dict[int, tuple[np.ndarray, bool]] = {}  # frame_id -> (summary, lstm_vote)
 
@@ -133,11 +134,10 @@ class AdaptiveSelector(_GappedSelector):
         helpful = fb.delta_l < self.cfg.sigma
         gate_correct = gate_voted == helpful
         if gate_correct:
-            self.p = max(self.p - self.cfg.p_step, self.cfg.p_min)
+            self.p = max(self.p - P_STEP, self.cfg.p_min)
         else:
             self.p = min(2.0 * self.p, 1.0)
-        self.lstm = lstm_train_step(self.lstm, summary, 1 if helpful else 0,
-                                    self.cfg.lstm_lr)
+        self.lstm = lstm_train_step(self.lstm, summary, 1 if helpful else 0, LSTM_LR)
 
 
 class RandomSelector(_GappedSelector):

@@ -29,6 +29,10 @@ from .detection import Box, GridShape, GroundTruthObject, encode_objects
 
 SIGNATURE_SEED = 90131  # class signatures are global, not per stream
 LAYOUT_TAG = 1000003    # namespaces the per-scene oracle noise layout
+SIGNATURE_SCALE = 2.0   # gain of an object's class signature over the background
+SIZE_RANGE = (0.12, 0.3)  # uniform range of a spawned object's width and height
+OBJ_LOGIT = 4.0         # the oracle's objectness logit for true objects
+EMPTY_LOGIT = -6.0      # the oracle's objectness logit baseline for empty cells
 
 
 class TraceError(ValueError):
@@ -59,8 +63,6 @@ class StreamConfig:
     feature_dim: int = 12
     transition_len: int = 4
     background_noise: float = 0.05
-    signature_scale: float = 2.0
-    size_range: tuple[float, float] = (0.12, 0.3)
 
 
 @dataclass
@@ -86,8 +88,6 @@ class OracleNoiseSpec:
     noise_logit_range: tuple[float, float] = (-4.0, -1.0)
     box_jitter_sigma: float = 0.0
     class_flip_prob: float = 0.0
-    obj_logit: float = 4.0        # objectness logit for true objects
-    empty_logit: float = -6.0     # objectness logit baseline for empty cells
     noise_wobble: float = 0.1     # per-frame jitter on spurious logits
 
     def __post_init__(self):
@@ -124,8 +124,8 @@ def _spawn_objects(scene: SceneSpec, cfg: StreamConfig, rng,
     used_cells = set()
     for _ in range(count):
         for _attempt in range(200):
-            w = float(rng.uniform(*cfg.size_range))
-            h = float(rng.uniform(*cfg.size_range))
+            w = float(rng.uniform(*SIZE_RANGE))
+            h = float(rng.uniform(*SIZE_RANGE))
             cx = float(rng.uniform(w / 2 + 0.01, 1 - w / 2 - 0.01))
             cy = float(rng.uniform(h / 2 + 0.01, 1 - h / 2 - 0.01))
             box = Box(cx, cy, w, h)
@@ -177,7 +177,7 @@ def _render(objs: list[GroundTruthObject], cfg: StreamConfig, sig: np.ndarray, r
         dx = obj.box.cx * s - col
         dy = obj.box.cy * s - row
         attrs = np.array([1.0, dx, dy, obj.box.w, obj.box.h])
-        out[row, col] += cfg.signature_scale * (sig[obj.class_id] @ attrs)
+        out[row, col] += SIGNATURE_SCALE * (sig[obj.class_id] @ attrs)
     return out
 
 
@@ -327,7 +327,7 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
     wobble, sigma = noise.noise_wobble, noise.box_jitter_sigma
     n_draws = (wobble > 0) + 4 * (sigma > 0)  # per spurious detection: wobble, box jitter
     tensors = np.zeros((len(records), shape.s, shape.s, shape.channels))
-    tensors[..., 0] = noise.empty_logit
+    tensors[..., 0] = EMPTY_LOGIT
     # every detection in write order, spurious ones first and true objects on top
     frames, boxes, normals, classes, logits = [], [], [], [], []
     for i, rec in enumerate(records):
@@ -354,7 +354,7 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
             boxes.append((b.cx, b.cy, b.w, b.h))
             normals.append(rng.standard_normal(4).tolist() if sigma > 0 else None)
             classes.append(cls)
-            logits.append(noise.obj_logit)
+            logits.append(OBJ_LOGIT)
         frames += [i] * (len(boxes) - len(frames))
 
     geo = np.array(boxes, dtype=float).reshape(-1, 4)
@@ -441,9 +441,9 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
 def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
     """Read a trace; returns (stream, grid, feature_dim).
 
-    Malformed lines, dimension mismatches and frame ids that do not increase
-    are rejected with the offending line number; unknown header versions are
-    rejected outright.
+    Malformed lines, dimension mismatches, class ids outside [0, c) and frame
+    ids that do not increase are rejected with the offending line number;
+    unknown header versions are rejected outright.
     """
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")
@@ -487,6 +487,10 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
                                   class_id=int(g[4]), object_id=int(g[5]))
                 for g in row["gt"]
             ]
+            for obj in gt:
+                if not 0 <= obj.class_id < c:
+                    raise TraceError(f"{path}: class id {obj.class_id} not in [0, {c}) "
+                                     f"(line {lineno})")
             oracle = None
             if row.get("oracle") is not None:
                 oracle = np.asarray(row["oracle"], dtype=float)

@@ -312,6 +312,17 @@ class TestExitCodes:
     def test_unreadable_config_is_one(self, capsys):
         assert main(["run", "--config", "/does/not/exist.json"]) == 1
 
+    @pytest.mark.parametrize("override", [
+        "pipeline.conf_threshold=0.5", "selector_cfg.lstm_lr=0.05", "noise.obj_logit=4.0",
+        "stream.size_range=[0.12,0.3]", "eval.oracle_conf_threshold=0.5",
+    ])
+    def test_removed_field_is_one(self, tmp_path, capsys, override):
+        # these settings are module constants, not config fields
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["run", "--config", cfg_path, "--set", override]) == 1
+        section, field = override.split("=")[0].split(".")
+        assert f"unknown field(s) [{field!r}] in {section}" in capsys.readouterr().err
+
     def test_runtime_error_is_two(self, tmp_path, capsys):
         cfg = base_config()
         del cfg["stream"]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import scenedistill.evaluate as evaluate_module
 from scenedistill.detection import (
+    CONF_THRESHOLD,
     Box,
     Detection,
     GridShape,
@@ -354,19 +355,18 @@ class TestEvaluateReportLength:
             evaluate_report(report, stream[:30], PIN_GRID, eval_cfg, PIN_NOISE, 23)
 
 
-def reference_ground_truth(stream, grid, eval_cfg, noise, seed):
+def reference_ground_truth(stream, grid, noise, seed):
     """oracle_as_gt ground truth built one frame at a time."""
     out = []
     for rec in stream:
-        dets = decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, eval_cfg.gt_conf)
+        dets = decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, CONF_THRESHOLD)
         out.append([GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
                     for i, d in enumerate(dets)])
     return out
 
 
 class TestGroundTruthFor:
-    @pytest.mark.parametrize("oracle_conf", [None, 0.1])
-    def test_blocks_equal_frame_by_frame_reference(self, oracle_conf):
+    def test_blocks_equal_frame_by_frame_reference(self):
         n = 2 * evaluate_module.GT_BLOCK_FRAMES + 5  # a partial last block
         scenes = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)),
                             motion_sigma=0.01, duration_range=(20, 40)) for i in range(4)]
@@ -374,9 +374,9 @@ class TestGroundTruthFor:
         for rec in stream[::9]:
             rec.oracle_tensor = oracle_for_frame(rec, OracleNoiseSpec(empty_cell_noise_rate=0.5),
                                                  PIN_GRID, 1)
-        eval_cfg = EvalConfig(gt_source="oracle_as_gt", oracle_conf_threshold=oracle_conf)
+        eval_cfg = EvalConfig(gt_source="oracle_as_gt")
         got = ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, 4)
-        assert got == reference_ground_truth(stream, PIN_GRID, eval_cfg, PIN_NOISE, 4)
+        assert got == reference_ground_truth(stream, PIN_GRID, PIN_NOISE, 4)
         assert len(got) == n
 
     def test_empty_stream(self):
@@ -495,8 +495,3 @@ class TestEvalConfig:
     def test_rejects_unsorted_thresholds(self):
         with pytest.raises(ValueError):
             EvalConfig(iou_thresholds=(0.6, 0.5))
-
-    def test_oracle_conf_defaults_to_conf(self):
-        cfg = EvalConfig(conf_threshold=0.4)
-        assert cfg.gt_conf == 0.4
-        assert EvalConfig(conf_threshold=0.4, oracle_conf_threshold=0.2).gt_conf == 0.2

@@ -90,7 +90,7 @@ class TestMergeDetections:
 
     def test_lone_detection_passes_through(self):
         t = self.tensor((Box(0.5, 0.5, 0.2, 0.2), 0, 8.0))
-        merged = merge_detections(t, self.SHAPE, 0.5, 0.5)
+        merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 1
         assert merged == decode_tensor(t, self.SHAPE, 0.5)
 
@@ -98,13 +98,13 @@ class TestMergeDetections:
         # centers in adjacent cells, boxes overlapping at IOU 0.71
         t = self.tensor((Box(0.6, 0.5, 0.6, 0.6), 1, 6.0), (Box(0.7, 0.5, 0.6, 0.6), 1, 8.0))
         assert len(decode_tensor(t, self.SHAPE, 0.5)) == 2
-        merged = merge_detections(t, self.SHAPE, 0.5, 0.5)
+        merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 1
         assert merged[0].box.cx == pytest.approx(0.7)  # the more confident one
 
     def test_distinct_detections_both_survive(self):
         t = self.tensor((Box(0.2, 0.2, 0.15, 0.15), 0, 8.0), (Box(0.8, 0.8, 0.15, 0.15), 1, 8.0))
-        merged = merge_detections(t, self.SHAPE, 0.5, 0.5)
+        merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 2
         assert {d.class_id for d in merged} == {0, 1}
 
@@ -592,7 +592,7 @@ class TestReportSerialization:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"mode": "warp"}, {"selector": "psychic"}, {"queue_capacity": 0},
-        {"p_oracle": 1.5},
+        {"p_oracle": 1.5}, {"oracle_delay": -1.0}, {"decoder_hidden": 0}, {"decoder_hidden": -3},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Stream generator, synthetic oracle, and trace round-trips."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from scenedistill.detection import Box, GridShape, GroundTruthObject, decode_tensor, iou
 from scenedistill.evaluate import evaluate_frames
 from scenedistill.simstream import (
+    EMPTY_LOGIT,
+    OBJ_LOGIT,
     FrameRecord,
     OracleNoiseSpec,
     SceneSpec,
@@ -284,9 +287,9 @@ class TestOracleTensors:
         got = self.assert_matches_one_record_calls(records, noise, GRID, 8)
         # where the first object left its cell (2, 2), that cell is empty and
         # the object sits on a neighbour that held a spurious detection
-        moved = got[:, 2, 2, 0] == noise.empty_logit
+        moved = got[:, 2, 2, 0] == EMPTY_LOGIT
         assert moved.any()
-        assert np.all((got[moved, 1:4, 1:4, 0] == noise.obj_logit).any(axis=(1, 2)))
+        assert np.all((got[moved, 1:4, 1:4, 0] == OBJ_LOGIT).any(axis=(1, 2)))
 
     def test_empty_list(self):
         assert oracle_tensors([], QUIET_NOISE, GRID, 0).shape == (0, GRID.s, GRID.s, GRID.channels)
@@ -360,6 +363,16 @@ class TestTraceIO:
         path = str(tmp_path / "trace.jsonl")
         write_trace(stream, path, grid=GRID)
         with pytest.raises(TraceError, match=r"frame_id 0 does not follow 4 \(line 7\)"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("class_id", [GRID.c, -1])
+    def test_class_id_outside_grid_names_line(self, tmp_path, class_id):
+        # an id past c breaks encoding; a negative one lands in a box channel
+        stream = self.make_stream()
+        stream[5].gt[0] = replace(stream[5].gt[0], class_id=class_id)
+        path = str(tmp_path / "trace.jsonl")
+        write_trace(stream, path, grid=GRID)
+        with pytest.raises(TraceError, match=rf"class id {class_id} not in \[0, 3\) \(line 7\)"):
             read_trace(path)
 
     def test_unknown_version_rejected(self, tmp_path):
