@@ -80,8 +80,12 @@ def sigmoid(x):
 
 
 def logit(p):
-    """Inverse sigmoid, clipped away from 0/1 so encoding stays finite."""
-    p = np.clip(p, LOGIT_CLIP, 1.0 - LOGIT_CLIP)
+    """Inverse sigmoid, clipped away from 0/1 so encoding stays finite.
+
+    The clip is np.maximum then np.minimum, np.clip's own rule, without
+    np.clip's Python wrapper.
+    """
+    p = np.minimum(np.maximum(p, LOGIT_CLIP), 1.0 - LOGIT_CLIP)
     return np.log(p / (1.0 - p))
 
 
@@ -167,22 +171,25 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     coordinates up to the logit clip.
     """
     s = shape.s
-    geo = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    n = len(geo)
+    geo = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    n = geo.shape[1]
     if not n:
         return []
-    scaled = geo[:, :2] * s
+    # one row per channel and per box value: each step below reads and
+    # writes whole rows, contiguous in memory, and the rows go into the
+    # tensor transposed, one column per object
+    scaled = geo[:2] * s
     cells = scaled.astype(np.intp)  # (col, row); truncates like int() on these floats
     np.minimum(cells, s - 1, out=cells)
-    block = np.empty((n, shape.channels))
-    block[:, 0] = obj_logits
-    np.subtract(scaled, cells, out=block[:, 1:3])
-    block[:, 3:5] = geo[:, 2:]
-    block[:, 1:5] = logit(block[:, 1:5])
-    block[:, 5:] = -class_margin
-    block[np.arange(n), np.add(class_ids, 5)] = class_margin
+    block = np.empty((shape.channels, n))
+    block[0] = obj_logits
+    np.subtract(scaled, cells, out=block[1:3])
+    block[3:5] = geo[2:]
+    block[1:5] = logit(block[1:5])
+    block[5:] = -class_margin
+    block[np.add(class_ids, 5), np.arange(n)] = class_margin
 
-    cols, rows = cells[:, 0], cells[:, 1]
+    cols, rows = cells
     keys = rows * s + cols
     if frames is not None:
         frames = np.asarray(frames)
@@ -193,8 +200,8 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     # repeated indices, whose order numpy does not define
     last = list({k: i for i, k in enumerate(keys.tolist())}.values())
     if len(last) < n:
-        block, index = block[last], tuple(ix[last] for ix in index)
-    tensor[index] = block
+        block, index = block[:, last], tuple(ix[last] for ix in index)
+    tensor[index] = block.T
     return list(zip(rows.tolist(), cols.tolist()))
 
 

@@ -9,6 +9,7 @@ decode+NMS based loss exists as a compute-cost baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,11 @@ def cell_weights(oracle: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     difference reproduces the gated loss with plain elementwise arithmetic,
     which keeps each key frame's training step cheap.
     """
-    high, low = partition_cells(oracle, cfg.gate)
+    high, _ = partition_cells(oracle, cfg.gate)
+    count = np.count_nonzero(high)
     channels = oracle.shape[-1]
-    n_high = int(high.sum()) * channels
-    n_low = int(low.sum()) * channels
+    n_high = count * channels
+    n_low = (high.size - count) * channels
     w_high = 1.0 / n_high if n_high else 0.0
     w_low = (1.0 - cfg.lam) ** 2 / n_low if n_low else 0.0
     return np.where(high, w_high, w_low)[:, :, None]
@@ -160,7 +162,7 @@ def distill_step(params: DecoderParams, features: np.ndarray, oracle: np.ndarray
     weights = cell_weights(oracle, cfg)
     loss_before, loss_after, trained = train_decoder(params, features, oracle, weights,
                                                      cfg.lr, cfg.steps_per_event)
-    if not (np.isfinite(loss_before) and np.isfinite(loss_after)
+    if not (math.isfinite(loss_before) and math.isfinite(loss_after)
             and np.isfinite(trained[0].base).all()):  # one buffer holds all four arrays
         return params, FeedbackRecord(frame_id, loss_before, loss_before, error="non-finite loss")
     new_params = DecoderParams(*trained, version=params.version + cfg.steps_per_event)

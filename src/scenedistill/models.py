@@ -11,6 +11,7 @@ one flat buffer, updated and checked for finiteness as a whole.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,10 @@ def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarra
     Every key frame runs it on the inference thread, between two frames,
     so it counts numpy calls: gradients go into views of a
     second flat buffer, the update is two calls over all of it, and each
-    step's forward pass also serves the next step or the final loss.
+    step's forward pass also serves the next step or the final loss.  At
+    these shapes np.dot with out= costs less than np.matmul for the same
+    bits, and scalars enter the step loop as 0-d arrays, which the ufuncs
+    take without converting them again on every call.
     """
     x = features.reshape(-1, params.w1.shape[0])
     n = x.shape[0]
@@ -107,45 +111,48 @@ def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarra
     w1, b1, w2, b2 = views(flat)
     gw1, gb1, gw2, gb2 = views(grad)
     # the weight map spelled out per channel: same-shape products skip broadcasting
-    w_flat = np.repeat(weights.reshape(-1, 1), channels, axis=1)
+    w_flat = np.empty((n, channels))
+    w_flat[...] = weights.reshape(n, 1)
     w_twice = w_flat * 2.0  # d(diff^2)/d(diff) = 2 * diff; doubling is exact
     target_flat = target.reshape(-1, channels)
+    one, step = np.array(1.0), np.array(lr)
 
     a = np.empty((n, hidden_dim))
     out = np.empty((n, channels))
     g = np.empty((n, channels))
     dz = np.empty((n, hidden_dim))
     ones = np.empty((n, hidden_dim))
+    a_t, x_t, w2_t = a.T, x.T, w2.T  # views: they follow every in-place update
 
     def forward():
-        np.matmul(x, w1, out=a)
+        np.dot(x, w1, out=a)
         np.add(a, b1, out=a)
         np.tanh(a, out=a)
-        np.matmul(a, w2, out=out)
+        np.dot(a, w2, out=out)
         np.add(out, b2, out=out)
 
     def loss():
         np.subtract(out, target_flat, out=g)
         np.multiply(g, g, out=g)
         np.multiply(g, w_flat, out=g)
-        return float(g.sum())
+        return float(np.add.reduce(g, axis=None))  # g.sum() without its Python wrapper
 
     forward()
     loss_before = loss()
-    for _ in range(steps if np.isfinite(loss_before) else 0):
+    for _ in range(steps if math.isfinite(loss_before) else 0):
         np.subtract(out, target_flat, out=g)
-        g *= w_twice
+        np.multiply(g, w_twice, out=g)
         # backprop through the two-layer head, then the SGD update in place
-        np.matmul(a.T, g, out=gw2)
+        np.dot(a_t, g, out=gw2)
         np.add.reduce(g, axis=0, out=gb2)  # np.sum without its Python wrapper
-        np.matmul(g, w2.T, out=dz)
+        np.dot(g, w2_t, out=dz)
         np.multiply(a, a, out=ones)
-        np.subtract(1.0, ones, out=ones)
-        dz *= ones
-        np.matmul(x.T, dz, out=gw1)
+        np.subtract(one, ones, out=ones)
+        np.multiply(dz, ones, out=dz)
+        np.dot(x_t, dz, out=gw1)
         np.add.reduce(dz, axis=0, out=gb1)
-        grad *= lr
-        flat -= grad
+        np.multiply(grad, step, out=grad)
+        np.subtract(flat, grad, out=flat)
         forward()
     return loss_before, loss(), (w1, b1, w2, b2)
 
@@ -185,15 +192,27 @@ def init_lstm(input_dim: int, hidden: int, seed: int, scale: float = 0.1) -> Lst
 
 
 def _lstm_cell(params: LstmParams, x: np.ndarray):
-    """(z, ifo, g, c_new, h_new); ifo stacks the input, forget and output gate activations."""
+    """(z, ifo, g, c_new, tanh(c_new), h_new); ifo stacks the input, forget
+    and output gate activations.
+
+    Runs on every frame, so the activations are computed in place: ifo and
+    g are the two ends of one pre-activation buffer, and each array is the
+    same product, sum or activation the textbook cell computes.
+    """
     n = params.hidden
     z = np.concatenate([x, params.h])
-    pre = params.w_gates @ z + params.b_gates
-    ifo = sigmoid(pre[:3 * n])
-    g = np.tanh(pre[3 * n:])
-    c_new = ifo[n:2 * n] * params.c + ifo[:n] * g
-    h_new = ifo[2 * n:] * np.tanh(c_new)
-    return z, ifo, g, c_new, h_new
+    pre = np.dot(params.w_gates, z)
+    pre += params.b_gates
+    ifo, g = pre[:3 * n], pre[3 * n:]
+    np.negative(ifo, out=ifo)  # sigmoid(v) = 1 / (1 + exp(-v)), in place
+    np.exp(ifo, out=ifo)
+    ifo += 1.0
+    np.divide(1.0, ifo, out=ifo)
+    np.tanh(g, out=g)
+    c_new = ifo[n:2 * n] * params.c
+    c_new += ifo[:n] * g
+    th = np.tanh(c_new)
+    return z, ifo, g, c_new, th, ifo[2 * n:] * th
 
 
 def advance_lstm(params: LstmParams, summary: np.ndarray) -> tuple[float, LstmParams]:
@@ -207,7 +226,7 @@ def advance_lstm(params: LstmParams, summary: np.ndarray) -> tuple[float, LstmPa
             f"summary dim {summary.shape[0]} does not match LSTM input "
             f"{params.w_gates.shape[1] - params.hidden}"
         )
-    *_, c_new, h_new = _lstm_cell(params, summary)
+    *_, c_new, _, h_new = _lstm_cell(params, summary)
     score = float(sigmoid(params.w_out @ h_new + params.b_out))
     return score, LstmParams(params.w_gates, params.b_gates, params.w_out, params.b_out,
                              h_new, c_new)
@@ -222,8 +241,7 @@ def lstm_train_step(params: LstmParams, summary: np.ndarray, label: int, lr: flo
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     n = params.hidden
-    z, ifo, g, c_new, h_new = _lstm_cell(params, summary)
-    th = np.tanh(c_new)
+    z, ifo, g, c_new, th, h_new = _lstm_cell(params, summary)
     score = sigmoid(params.w_out @ h_new + params.b_out)
 
     d_u = score - label  # d BCE / d readout-logit
@@ -243,4 +261,3 @@ def lstm_train_step(params: LstmParams, summary: np.ndarray, label: int, lr: flo
         b_out=params.b_out - lr * d_u,
         h=params.h, c=params.c,
     )
-

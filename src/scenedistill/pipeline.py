@@ -70,6 +70,10 @@ class PipelineConfig:
             raise ValueError(f"unknown selector {self.selector!r}, expected one of {SELECTORS}")
         if self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
+        if not 0.0 <= self.random_prob <= 1.0:
+            raise ValueError(f"random_prob must be in [0, 1], got {self.random_prob}")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
         if not 0.0 <= self.p_oracle <= 1.0:
             raise ValueError(f"p_oracle must be in [0, 1], got {self.p_oracle}")
         if self.oracle_delay < 0:

@@ -64,6 +64,14 @@ class StreamConfig:
     transition_len: int = 4
     background_noise: float = 0.05
 
+    def __post_init__(self):
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.transition_len < 2:
+            raise ValueError(f"transition_len must be >= 2, got {self.transition_len}")
+        if self.background_noise < 0:
+            raise ValueError(f"background_noise must be >= 0, got {self.background_noise}")
+
 
 @dataclass
 class FrameRecord:
@@ -95,6 +103,12 @@ class OracleNoiseSpec:
             raise ValueError(f"noise rate must be in [0, 1], got {self.empty_cell_noise_rate}")
         if self.noise_logit_range[0] > self.noise_logit_range[1]:
             raise ValueError(f"bad noise_logit_range {self.noise_logit_range}")
+        if self.box_jitter_sigma < 0:
+            raise ValueError(f"box_jitter_sigma must be >= 0, got {self.box_jitter_sigma}")
+        if not 0.0 <= self.class_flip_prob <= 1.0:
+            raise ValueError(f"class_flip_prob must be in [0, 1], got {self.class_flip_prob}")
+        if self.noise_wobble < 0:
+            raise ValueError(f"noise_wobble must be >= 0, got {self.noise_wobble}")
 
 
 def class_signatures(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -191,8 +205,6 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
         raise ValueError("at least one scene is required")
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if cfg.transition_len < 2:
-        raise ValueError(f"transition_len must be >= 2, got {cfg.transition_len}")
 
     for spec in scenes:
         if len(spec.class_probs) != cfg.grid.c:
@@ -328,8 +340,9 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
     n_draws = (wobble > 0) + 4 * (sigma > 0)  # per spurious detection: wobble, box jitter
     tensors = np.zeros((len(records), shape.s, shape.s, shape.channels))
     tensors[..., 0] = EMPTY_LOGIT
-    # every detection in write order, spurious ones first and true objects on top
-    frames, boxes, normals, classes, logits = [], [], [], [], []
+    # every detection in write order, spurious ones first and true objects on
+    # top: its box, then, with a jitter, the box's four normals
+    frames, rows, classes, logits = [], [], [], []
     for i, rec in enumerate(records):
         if rec.oracle_tensor is not None:
             tensors[i] = rec.oracle_tensor
@@ -343,32 +356,37 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
         draws = rng.standard_normal((len(layout), n_draws)).tolist()
         for (base_logit, box, cls), z in zip(layout, draws):
             logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
-            boxes.append(box)
-            normals.append(z[-4:])
+            rows.append(box + tuple(z[-4:]) if sigma > 0 else box)
             classes.append(cls)
         for obj in by_cell.values():
             cls = obj.class_id
             if noise.class_flip_prob > 0 and rng.random() < noise.class_flip_prob:
                 cls = int((cls + 1 + rng.integers(c - 1)) % c) if c > 1 else cls
             b = obj.box
-            boxes.append((b.cx, b.cy, b.w, b.h))
-            normals.append(rng.standard_normal(4).tolist() if sigma > 0 else None)
+            box = (b.cx, b.cy, b.w, b.h)
+            rows.append(box + tuple(rng.standard_normal(4).tolist()) if sigma > 0 else box)
             classes.append(cls)
             logits.append(OBJ_LOGIT)
-        frames += [i] * (len(boxes) - len(frames))
+        frames += [i] * (len(rows) - len(frames))
 
-    geo = np.array(boxes, dtype=float).reshape(-1, 4)
-    if sigma > 0 and len(geo):
+    # one row per box value, so each step of the jitter runs on contiguous
+    # memory; geo is the (n, 4) view encode_objects reads
+    values = np.array(list(zip(*rows)), dtype=float).reshape(8 if sigma > 0 else 4, len(rows))
+    geo = values[:4].T
+    if sigma > 0:
         # the per-box rule w = min(max(w + sigma * zw, 0.02), 0.98), then
         # cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2), in place:
         # np.minimum/np.maximum equal float min/max on finite values
-        geo = geo + sigma * np.array(normals)
-        wh, centers = geo[:, 2:], geo[:, :2]
+        jittered = values[4:]
+        jittered *= sigma
+        jittered += values[:4]
+        wh, centers = jittered[2:], jittered[:2]
         np.maximum(wh, 0.02, out=wh)
         np.minimum(wh, 0.98, out=wh)
         half = wh / 2
         np.maximum(centers, half, out=centers)
         np.minimum(centers, 1 - half, out=centers)
+        geo = jittered.T
     if len(tensors) == 1:  # one frame needs no frame index
         encode_objects(tensors[0], shape, geo, classes, logits)
     else:

@@ -323,6 +323,22 @@ class TestExitCodes:
         section, field = override.split("=")[0].split(".")
         assert f"unknown field(s) [{field!r}] in {section}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ["pipeline.selector=random", "pipeline.random_prob=2"],
+        ["pipeline.selector=periodic", "pipeline.period=0"],
+        ["stream.background_noise=-1"], ["stream.feature_dim=0"],
+        ["noise.box_jitter_sigma=-0.5"], ["noise.class_flip_prob=2"],
+    ])
+    def test_out_of_range_value_is_one(self, tmp_path, capsys, overrides):
+        # rejected as a config error, before any run starts
+        cfg_path = write_config(tmp_path, base_config())
+        args = ["run", "--config", cfg_path]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 1
+        field = overrides[-1].split("=")[0].split(".")[-1]
+        assert field in capsys.readouterr().err
+
     def test_runtime_error_is_two(self, tmp_path, capsys):
         cfg = base_config()
         del cfg["stream"]

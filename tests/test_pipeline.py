@@ -593,6 +593,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"mode": "warp"}, {"selector": "psychic"}, {"queue_capacity": 0},
         {"p_oracle": 1.5}, {"oracle_delay": -1.0}, {"decoder_hidden": 0}, {"decoder_hidden": -3},
+        {"random_prob": 2.0}, {"random_prob": -0.1}, {"period": 0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

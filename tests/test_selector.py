@@ -278,6 +278,15 @@ DECISION_PINS = [
     ("periodic", 5, 50, "24eecd0f93517805ffd3f9b6947461b02f88703c610df067d7bdd7a574e09c50"),
 ]
 
+# (tau, SHA-256 of the gate's w_gates, b_gates, w_out, b_out, h and c as float64
+# bytes) after the adaptive rows of DECISION_PINS: the decisions see the LSTM
+# only through score >= 0.5, these see every bit of it.
+GATE_PINS = [
+    (0, "6190bb393a35a5a188872189a1a0bb1d1b5afd488c14c20c80f1c66b0937a5fc"),
+    (2, "a6280dbd2b164da1716e4ec880881dc12192c4c4a6312f9c786857f2bef45d46"),
+    (5, "37ff61429c5d09a22bc8ced0269160641daa91beef24c2bb49553b57b968e08b"),
+]
+
 
 class TestPinnedDecisions:
     """Full decision rows over a fixed 300-frame stream, with feedback."""
@@ -291,8 +300,9 @@ class TestPinnedDecisions:
         backbone = Backbone(D, seed=0)
         return [(rec.frame_id, *backbone.forward(rec.features)) for rec in stream]
 
-    @pytest.mark.parametrize("kind,tau,n_train,digest", DECISION_PINS)
-    def test_rows_match_pinned_digest(self, frames, kind, tau, n_train, digest):
+    @staticmethod
+    def run(frames, kind, tau):
+        """(selector, decision rows) after the pinned sequence with feedback."""
         sel = {
             "adaptive": lambda: AdaptiveSelector(SUMMARY_DIM, SelectorConfig(tau=tau), seed=3),
             "random": lambda: RandomSelector(0.3, tau=tau, seed=4),
@@ -306,6 +316,18 @@ class TestPinnedDecisions:
             if d.train:
                 delta = -0.3 if d.frame_id % 5 == 0 else 0.05
                 sel.apply_feedback(FeedbackRecord(d.frame_id, 1.0, 1.0 + delta))
+        return sel, rows
+
+    @pytest.mark.parametrize("kind,tau,n_train,digest", DECISION_PINS)
+    def test_rows_match_pinned_digest(self, frames, kind, tau, n_train, digest):
+        sel, rows = self.run(frames, kind, tau)
         doc = json.dumps([rows, sel.frames_since_train])
         assert sum(r["train"] for r in rows) == n_train
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("tau,digest", GATE_PINS)
+    def test_gate_bytes_match_pinned_digest(self, frames, tau, digest):
+        lstm = self.run(frames, "adaptive", tau)[0].lstm
+        blob = b"".join(np.asarray(getattr(lstm, name), dtype=np.float64).tobytes()
+                        for name in ("w_gates", "b_gates", "w_out", "b_out", "h", "c"))
+        assert hashlib.sha256(blob).hexdigest() == digest

@@ -450,3 +450,19 @@ class TestSpecValidation:
             SceneSpec(scene_id=0, class_probs=(1.0,), object_count_range=(5, 2))
         with pytest.raises(ValueError):
             OracleNoiseSpec(empty_cell_noise_rate=1.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"box_jitter_sigma": -0.5}, {"noise_wobble": -0.1},
+        {"class_flip_prob": 2.0}, {"class_flip_prob": -0.1},
+    ])
+    def test_oracle_noise_rejects_bad_values(self, kwargs):
+        # a negative sigma or wobble would silently switch that noise off
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            OracleNoiseSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"feature_dim": 0}, {"background_noise": -1.0}, {"transition_len": 1},
+    ])
+    def test_stream_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            StreamConfig(grid=GRID, **kwargs)
