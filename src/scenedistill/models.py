@@ -2,11 +2,12 @@
 
 All networks here are deliberately small: a frozen per-cell backbone, a
 two-layer per-cell decoder head (the only trainable detection component),
-and a single-cell LSTM with a scalar readout.  Gradients are written out
+and a single-cell LSTM gate with a scalar readout.  Gradients are written out
 analytically.  The finite-difference tests check the decoder's training step
 itself (train_decoder, as distill_step runs it), reading the gradient off one
 step at a tiny learning rate.  A trained decoder's four arrays are views into
-one flat buffer, updated and checked for finiteness as a whole.
+one flat buffer, updated and checked for finiteness as a whole.  The gate's
+state advances and its weights train in place; its score is read on demand.
 """
 
 from __future__ import annotations
@@ -157,107 +158,85 @@ def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarra
     return loss_before, loss(), (w1, b1, w2, b2)
 
 
-@dataclass(frozen=True)
-class LstmParams:
-    """Single LSTM cell plus scalar sigmoid readout.
+class LstmGate:
+    """Single LSTM cell plus scalar sigmoid readout, built and owned by one
+    AdaptiveSelector.
 
     w_gates stacks the input, forget, output and candidate gates, each of
-    size hidden, applied to [x, h_prev].  h and c are the recurrent state;
-    they are reset only at stream start.
+    size hidden, applied to [x, h_prev].  h and c are the recurrent state,
+    reset only at stream start.  The readout starts at zero: score 0.5.
     """
 
-    w_gates: np.ndarray  # (4 * hidden, input + hidden)
-    b_gates: np.ndarray  # (4 * hidden,)
-    w_out: np.ndarray    # (hidden,)
-    b_out: float
-    h: np.ndarray
-    c: np.ndarray
+    def __init__(self, input_dim: int, hidden: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.w_gates = rng.normal(0.0, 0.1, size=(4 * hidden, input_dim + hidden))
+        self.b_gates = np.zeros(4 * hidden)
+        self.w_out = np.zeros(hidden)
+        self.b_out = 0.0
+        self.h = np.zeros(hidden)
+        self.c = np.zeros(hidden)
 
-    @property
-    def hidden(self) -> int:
-        return self.h.shape[0]
+    def _cell(self, x: np.ndarray):
+        """(z, ifo, g, c_new, tanh(c_new), h_new) of the cell on [x, h], changing
+        nothing; ifo stacks the input, forget and output gate activations.
 
+        Runs on every frame, so the activations are computed in place: ifo
+        and g are the two ends of one pre-activation buffer, and each array
+        is the same product, sum or activation the textbook cell computes.
+        """
+        n = self.h.shape[0]
+        z = np.concatenate([x, self.h])
+        pre = np.dot(self.w_gates, z)
+        pre += self.b_gates
+        ifo, g = pre[:3 * n], pre[3 * n:]
+        np.negative(ifo, out=ifo)  # sigmoid(v) = 1 / (1 + exp(-v)), in place
+        np.exp(ifo, out=ifo)
+        ifo += 1.0
+        np.divide(1.0, ifo, out=ifo)
+        np.tanh(g, out=g)
+        c_new = ifo[n:2 * n] * self.c
+        c_new += ifo[:n] * g
+        th = np.tanh(c_new)
+        return z, ifo, g, c_new, th, ifo[2 * n:] * th
 
-def init_lstm(input_dim: int, hidden: int, seed: int, scale: float = 0.1) -> LstmParams:
-    """Gate weights small random, readout zero so the initial score is 0.5."""
-    rng = np.random.default_rng(seed)
-    return LstmParams(
-        w_gates=rng.normal(0.0, scale, size=(4 * hidden, input_dim + hidden)),
-        b_gates=np.zeros(4 * hidden),
-        w_out=np.zeros(hidden),
-        b_out=0.0,
-        h=np.zeros(hidden),
-        c=np.zeros(hidden),
-    )
+    def step(self, summary: np.ndarray) -> None:
+        """Advance h and c by one cell update; the arrays they held are not written."""
+        if summary.shape[0] + self.h.shape[0] != self.w_gates.shape[1]:
+            raise ValueError(
+                f"summary dim {summary.shape[0]} does not match LSTM input "
+                f"{self.w_gates.shape[1] - self.h.shape[0]}"
+            )
+        *_, self.c, _, self.h = self._cell(summary)
 
+    def score(self) -> float:
+        """The sigmoid readout of the current hidden state."""
+        return float(sigmoid(self.w_out @ self.h + self.b_out))
 
-def _lstm_cell(params: LstmParams, x: np.ndarray):
-    """(z, ifo, g, c_new, tanh(c_new), h_new); ifo stacks the input, forget
-    and output gate activations.
+    def train(self, summary: np.ndarray, label: int, lr: float) -> None:
+        """One SGD step on binary cross-entropy between label and the score
+        of the cell applied to [summary, h]; h and c stay constant.
 
-    Runs on every frame, so the activations are computed in place: ifo and
-    g are the two ends of one pre-activation buffer, and each array is the
-    same product, sum or activation the textbook cell computes.
-    """
-    n = params.hidden
-    z = np.concatenate([x, params.h])
-    pre = np.dot(params.w_gates, z)
-    pre += params.b_gates
-    ifo, g = pre[:3 * n], pre[3 * n:]
-    np.negative(ifo, out=ifo)  # sigmoid(v) = 1 / (1 + exp(-v)), in place
-    np.exp(ifo, out=ifo)
-    ifo += 1.0
-    np.divide(1.0, ifo, out=ifo)
-    np.tanh(g, out=g)
-    c_new = ifo[n:2 * n] * params.c
-    c_new += ifo[:n] * g
-    th = np.tanh(c_new)
-    return z, ifo, g, c_new, th, ifo[2 * n:] * th
+        The selector trains after step() ran on the key frame, so on
+        [summary_f, h_f], not the [summary_f, h_{f-1}] that voted; in
+        parallel mode h is later still.  ROADMAP item 8, step 2 mends this.
+        """
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
+        n = self.h.shape[0]
+        z, ifo, g, c_new, th, h_new = self._cell(summary)
+        score = sigmoid(self.w_out @ h_new + self.b_out)
 
+        d_u = score - label  # d BCE / d readout-logit
+        dh = d_u * self.w_out
+        dc = dh * ifo[2 * n:] * (1.0 - th * th)
+        # d loss / d activation of the input, forget, output and candidate gates,
+        # then through each activation: sigmoid' = a * (1 - a), tanh' = 1 - a^2
+        d_pre = np.concatenate([dc * g, dc * self.c, dh * th, dc * ifo[:n] * (1.0 - g * g)])
+        d_sigmoid = d_pre[:3 * n]
+        d_sigmoid *= ifo
+        d_sigmoid *= 1.0 - ifo
 
-def advance_lstm(params: LstmParams, summary: np.ndarray) -> tuple[float, LstmParams]:
-    """One cell update followed by the sigmoid readout.
-
-    Pure: returns (score, params advanced to the new hidden state) without
-    touching params.
-    """
-    if summary.shape[0] + params.hidden != params.w_gates.shape[1]:
-        raise ValueError(
-            f"summary dim {summary.shape[0]} does not match LSTM input "
-            f"{params.w_gates.shape[1] - params.hidden}"
-        )
-    *_, c_new, _, h_new = _lstm_cell(params, summary)
-    score = float(sigmoid(params.w_out @ h_new + params.b_out))
-    return score, LstmParams(params.w_gates, params.b_gates, params.w_out, params.b_out,
-                             h_new, c_new)
-
-
-def lstm_train_step(params: LstmParams, summary: np.ndarray, label: int, lr: float) -> LstmParams:
-    """One SGD step on binary cross-entropy between the gate score and label.
-
-    The gradient is truncated at the current step: h and c held in params are
-    treated as constants, and the returned params keep them unchanged.
-    """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    n = params.hidden
-    z, ifo, g, c_new, th, h_new = _lstm_cell(params, summary)
-    score = sigmoid(params.w_out @ h_new + params.b_out)
-
-    d_u = score - label  # d BCE / d readout-logit
-    dh = d_u * params.w_out
-    dc = dh * ifo[2 * n:] * (1.0 - th * th)
-    # d loss / d activation of the input, forget, output and candidate gates,
-    # then through each activation: sigmoid' = a * (1 - a), tanh' = 1 - a^2
-    d_pre = np.concatenate([dc * g, dc * params.c, dh * th, dc * ifo[:n] * (1.0 - g * g)])
-    d_sigmoid = d_pre[:3 * n]
-    d_sigmoid *= ifo
-    d_sigmoid *= 1.0 - ifo
-
-    return LstmParams(
-        w_gates=params.w_gates - lr * (d_pre[:, None] * z),
-        b_gates=params.b_gates - lr * d_pre,
-        w_out=params.w_out - lr * (d_u * h_new),
-        b_out=params.b_out - lr * d_u,
-        h=params.h, c=params.c,
-    )
+        self.w_gates -= lr * (d_pre[:, None] * z)
+        self.b_gates -= lr * d_pre
+        self.w_out -= lr * (d_u * h_new)
+        self.b_out -= lr * d_u

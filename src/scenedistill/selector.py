@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill import FeedbackRecord
-from .models import advance_lstm, init_lstm, lstm_train_step
+from .models import LstmGate
 
 P_STEP = 0.05      # decrement of p after a correct gate call
 LSTM_HIDDEN = 8    # the gate's hidden units
@@ -57,7 +57,7 @@ class _GappedSelector:
     _observe on every frame, so state that follows the stream (the LSTM, the
     previous frame, the frame counter) advances even while suppressed, and
     the subclass's _vote only outside the gap, so suppressed frames draw no
-    randomness.
+    randomness and read out no gate score.
     """
 
     p = 0.0  # read by every decision; AdaptiveSelector and RandomSelector set it
@@ -98,16 +98,15 @@ class AdaptiveSelector(_GappedSelector):
         super().__init__(cfg.tau)
         self.cfg = cfg
         self.p = cfg.p_init
-        self.lstm = init_lstm(summary_dim, LSTM_HIDDEN, seed)
+        self.lstm = LstmGate(summary_dim, LSTM_HIDDEN, seed)
         self.rng = np.random.default_rng(seed)
         self._pending: dict[int, tuple[np.ndarray, bool]] = {}  # frame_id -> (summary, lstm_vote)
 
-    def _observe(self, features: np.ndarray, summary: np.ndarray) -> float:
-        score, self.lstm = advance_lstm(self.lstm, summary)
-        return score
+    def _observe(self, features: np.ndarray, summary: np.ndarray) -> None:
+        self.lstm.step(summary)
 
-    def _vote(self, frame_id: int, features: np.ndarray, summary: np.ndarray, score: float) -> Decision:
-        lstm_vote = score >= 0.5
+    def _vote(self, frame_id: int, features: np.ndarray, summary: np.ndarray, observed) -> Decision:
+        lstm_vote = self.lstm.score() >= 0.5
         random_vote = bool(self.rng.random() < self.p)
         train = lstm_vote or random_vote
         if train:
@@ -119,11 +118,13 @@ class AdaptiveSelector(_GappedSelector):
         """Consume the outcome of a distillation event this selector triggered.
 
         The LSTM is trained toward "helpful or not" on the summary this
-        selector kept for the frame.  p moves by the correctness of the gate
-        vote it kept with it: a gate that voted train on a helpful frame (or
-        stayed silent on an unhelpful random probe) was right and p decays
-        toward p_min; a gate caught voting wrong doubles p so the safeguard
-        picks up the slack while the gate relearns.
+        selector kept for the frame, but from the state it holds now: one
+        frame past the state that voted, more in parallel mode (ROADMAP item
+        8, step 2).  p moves by the correctness of the gate vote kept with
+        it: a gate that voted train on a helpful frame (or stayed silent on
+        an unhelpful random probe) was right and p decays toward p_min; a
+        gate caught voting wrong doubles p so the safeguard picks up the
+        slack while the gate relearns.
         """
         pending = self._pending.pop(fb.frame_id, None)
         if pending is None:
@@ -137,7 +138,7 @@ class AdaptiveSelector(_GappedSelector):
             self.p = max(self.p - P_STEP, self.cfg.p_min)
         else:
             self.p = min(2.0 * self.p, 1.0)
-        self.lstm = lstm_train_step(self.lstm, summary, 1 if helpful else 0, LSTM_LR)
+        self.lstm.train(summary, 1 if helpful else 0, LSTM_LR)
 
 
 class RandomSelector(_GappedSelector):

@@ -147,7 +147,7 @@ class TestCriterion2SelectorStateMachine:
 
         def selector(p_init, tau=0, bias=20.0, seed=0):
             sel = AdaptiveSelector(summary_dim, SelectorConfig(p_init=p_init, tau=tau), seed=seed)
-            sel.lstm = replace(sel.lstm, b_out=bias)
+            sel.lstm.b_out = bias
             return sel
 
         features = np.zeros((2, 2, STREAM_CFG.feature_dim))

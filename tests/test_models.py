@@ -1,7 +1,7 @@
-"""Models: frozen backbone, the decoder training step, LSTM cell."""
+"""Models: frozen backbone, the decoder training step, the LSTM gate."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,12 +13,9 @@ from scenedistill.distill import DistillConfig, cell_weights, distill_step
 from scenedistill.models import (
     Backbone,
     DecoderParams,
-    LstmParams,
-    advance_lstm,
+    LstmGate,
     decoder_forward,
     init_decoder,
-    init_lstm,
-    lstm_train_step,
     train_decoder,
 )
 
@@ -36,7 +33,7 @@ def random_frame(rng, s=GRID.s, d=D):
 
 
 def bce(score: float, label: int, eps: float = 1e-12) -> float:
-    """Binary cross-entropy of one score: the loss lstm_train_step descends."""
+    """Binary cross-entropy of one score: the loss LstmGate.train descends."""
     p = min(max(score, eps), 1.0 - eps)
     return -(label * np.log(p) + (1 - label) * np.log(1.0 - p))
 
@@ -278,9 +275,43 @@ class TestSgdStep:
         assert losses[-1] < losses[0]
 
 
-def scalar_lstm_oracle(params: LstmParams, x):
+@dataclass(frozen=True)
+class LstmRecord:
+    """The gate as a frozen record: what the references below take and return."""
+
+    w_gates: np.ndarray
+    b_gates: np.ndarray
+    w_out: np.ndarray
+    b_out: float
+    h: np.ndarray
+    c: np.ndarray
+
+    @property
+    def hidden(self) -> int:
+        return self.h.shape[0]
+
+
+def make_gate(src) -> LstmGate:
+    """A gate holding copies of src's weights and state, so that its in-place
+    updates never reach src (a record or another gate)."""
+    hidden = src.h.shape[0]
+    gate = LstmGate(src.w_gates.shape[1] - hidden, hidden, seed=0)
+    for name in ("w_gates", "b_gates", "w_out", "b_out", "h", "c"):
+        value = getattr(src, name)
+        setattr(gate, name, value.copy() if isinstance(value, np.ndarray) else value)
+    return gate
+
+
+def score_after_step(src, x) -> float:
+    """The score a step on x would read out, leaving src as it is."""
+    gate = make_gate(src)
+    gate.step(x)
+    return gate.score()
+
+
+def scalar_lstm_oracle(params, x):
     """Element-by-element re-implementation of the cell equations."""
-    n = params.hidden
+    n = len(params.h)
     z = list(x) + list(params.h)
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     pre = [sum(params.w_gates[r][k] * z[k] for k in range(len(z))) + params.b_gates[r]
@@ -297,51 +328,57 @@ def scalar_lstm_oracle(params: LstmParams, x):
 
 class TestLstm:
     def test_zero_weights_score_exactly_half(self):
-        p = LstmParams(
-            w_gates=np.zeros((4 * 3, D + 3)), b_gates=np.zeros(4 * 3),
-            w_out=np.zeros(3), b_out=0.0, h=np.zeros(3), c=np.zeros(3),
-        )
-        score, _ = advance_lstm(p, np.ones(D))
-        assert score == 0.5
+        gate = LstmGate(D, 3, seed=0)
+        gate.w_gates = np.zeros((4 * 3, D + 3))
+        gate.step(np.ones(D))
+        assert gate.score() == 0.5
 
     def test_initial_score_half_from_init(self):
-        p = init_lstm(D, 4, seed=0)
-        score, _ = advance_lstm(p, np.random.default_rng(0).normal(size=D))
-        assert score == 0.5  # readout starts at zero
+        gate = LstmGate(D, 4, seed=0)
+        gate.step(np.random.default_rng(0).normal(size=D))
+        assert gate.score() == 0.5  # readout starts at zero
 
     def test_hidden_state_bounded_under_repeated_input(self):
-        p = init_lstm(D, 4, seed=1)
+        gate = LstmGate(D, 4, seed=1)
         x = np.random.default_rng(1).normal(size=D)
         for _ in range(100):
-            _, p = advance_lstm(p, x)
-            assert np.all(np.abs(p.h) <= 1.0)
+            gate.step(x)
+            assert np.all(np.abs(gate.h) <= 1.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        p = init_lstm(D, 3, seed=seed, scale=0.7)
-        p = LstmParams(
-            w_gates=p.w_gates, b_gates=rng.normal(0, 0.3, size=p.b_gates.shape),
-            w_out=rng.normal(0, 1, size=3), b_out=float(rng.normal()),
-            h=rng.normal(0, 0.5, size=3), c=rng.normal(0, 0.5, size=3),
-        )
+        gate = LstmGate(D, 3, seed=seed)
+        gate.w_gates = np.random.default_rng(seed).normal(0.0, 0.7, size=gate.w_gates.shape)
+        gate.b_gates = rng.normal(0, 0.3, size=gate.b_gates.shape)
+        gate.w_out, gate.b_out = rng.normal(0, 1, size=3), float(rng.normal())
+        gate.h, gate.c = rng.normal(0, 0.5, size=3), rng.normal(0, 0.5, size=3)
         x = rng.normal(size=D)
-        score, advanced = advance_lstm(p, x)
-        want_score, want_h, want_c = scalar_lstm_oracle(p, x)
-        assert score == pytest.approx(want_score)
-        assert np.allclose(advanced.h, want_h)
-        assert np.allclose(advanced.c, want_c)
+        want_score, want_h, want_c = scalar_lstm_oracle(gate, x)
+        gate.step(x)
+        assert gate.score() == pytest.approx(want_score)
+        assert np.allclose(gate.h, want_h)
+        assert np.allclose(gate.c, want_c)
+
+    def test_step_leaves_the_arrays_it_replaces_alone(self):
+        gate = make_gate(random_lstm(np.random.default_rng(2), D, 3))
+        h, c = gate.h, gate.c
+        h_before, c_before = h.copy(), c.copy()
+        gate.step(np.random.default_rng(3).normal(size=D))
+        assert not np.array_equal(gate.h, h_before)
+        assert np.array_equal(h, h_before) and np.array_equal(c, c_before)
 
     def test_dim_mismatch_raises(self):
-        p = init_lstm(D, 3, seed=0)
+        gate = LstmGate(D, 3, seed=0)
         with pytest.raises(ValueError):
-            advance_lstm(p, np.zeros(D + 2))
+            gate.step(np.zeros(D + 2))
+        assert not gate.h.any() and not gate.c.any()  # the state did not move
 
 
 def numeric_lstm_grad(params, x, label, eps=1e-5):
     grads = {}
-    arrays = {"w_gates": params.w_gates, "b_gates": params.b_gates, "w_out": params.w_out}
-    for name, base in arrays.items():
+    for name in ("w_gates", "b_gates", "w_out"):
+        base = getattr(params, name)
         g = np.zeros_like(base)
         it = np.nditer(base, flags=["multi_index"])
         for _ in it:
@@ -350,21 +387,13 @@ def numeric_lstm_grad(params, x, label, eps=1e-5):
             for sign in (+1, -1):
                 perturbed = base.copy()
                 perturbed[idx] += sign * eps
-                p2 = LstmParams(**{
-                    "w_gates": params.w_gates, "b_gates": params.b_gates,
-                    "w_out": params.w_out, "b_out": params.b_out,
-                    "h": params.h, "c": params.c, name: perturbed,
-                })
-                score, _ = advance_lstm(p2, x)
+                score = score_after_step(replace(params, **{name: perturbed}), x)
                 vals.append(bce(score, label))
             g[idx] = (vals[0] - vals[1]) / (2 * eps)
         grads[name] = g
     vals = []
     for sign in (+1, -1):
-        p2 = LstmParams(w_gates=params.w_gates, b_gates=params.b_gates,
-                        w_out=params.w_out, b_out=params.b_out + sign * eps,
-                        h=params.h, c=params.c)
-        score, _ = advance_lstm(p2, x)
+        score = score_after_step(replace(params, b_out=params.b_out + sign * eps), x)
         vals.append(bce(score, label))
     grads["b_out"] = (vals[0] - vals[1]) / (2 * eps)
     return grads
@@ -372,60 +401,68 @@ def numeric_lstm_grad(params, x, label, eps=1e-5):
 
 class TestLstmTraining:
     def test_saturated_correct_prediction_barely_moves(self):
-        p = init_lstm(D, 3, seed=0)
-        p = LstmParams(w_gates=p.w_gates, b_gates=p.b_gates,
-                       w_out=np.ones(3), b_out=12.0, h=p.h, c=p.c)
+        gate = LstmGate(D, 3, seed=0)
+        gate.w_out, gate.b_out = np.ones(3), 12.0
         x = np.random.default_rng(0).normal(size=D)
-        score, _ = advance_lstm(p, x)
-        assert score > 0.999
-        p2 = lstm_train_step(p, x, label=1, lr=0.5)
-        assert np.max(np.abs(p2.w_gates - p.w_gates)) < 1e-4
-        assert abs(p2.b_out - p.b_out) < 1e-4
+        assert score_after_step(gate, x) > 0.999
+        w_before = gate.w_gates.copy()
+        gate.train(x, label=1, lr=0.5)
+        assert np.max(np.abs(gate.w_gates - w_before)) < 1e-4
+        assert abs(gate.b_out - 12.0) < 1e-4
 
     @pytest.mark.parametrize("seed,label", [(0, 1), (1, 0), (2, 1)])
     def test_gradient_matches_finite_differences(self, seed, label):
         rng = np.random.default_rng(seed)
-        p = init_lstm(D, 3, seed=seed, scale=0.5)
-        p = LstmParams(
-            w_gates=p.w_gates, b_gates=p.b_gates,
+        p = LstmRecord(
+            w_gates=np.random.default_rng(seed).normal(0.0, 0.5, size=(4 * 3, D + 3)),
+            b_gates=np.zeros(4 * 3),
             w_out=rng.normal(0, 0.8, size=3), b_out=float(rng.normal(0, 0.5)),
             h=rng.normal(0, 0.4, size=3), c=rng.normal(0, 0.4, size=3),
         )
         x = rng.normal(size=D)
         lr = 1.0
-        p2 = lstm_train_step(p, x, label, lr)
+        gate = make_gate(p)
+        gate.train(x, label, lr)
         numeric = numeric_lstm_grad(p, x, label)
         for name in ("w_gates", "b_gates", "w_out"):
-            analytic = (getattr(p, name) - getattr(p2, name)) / lr
+            analytic = (getattr(p, name) - getattr(gate, name)) / lr
             denom = np.maximum(np.abs(numeric[name]), 1e-5)
             assert np.max(np.abs(analytic - numeric[name]) / denom) < 1e-4, name
-        analytic_b = (p.b_out - p2.b_out) / lr
+        analytic_b = (p.b_out - gate.b_out) / lr
         assert abs(analytic_b - numeric["b_out"]) / max(abs(numeric["b_out"]), 1e-5) < 1e-4
 
     def test_learns_linearly_separable_mapping(self):
         rng = np.random.default_rng(42)
-        p = init_lstm(D, 6, seed=42)
+        gate = LstmGate(D, 6, seed=42)
         w_true = rng.normal(size=D)
         samples = [(x, int(x @ w_true > 0)) for x in rng.normal(size=(40, D))]
         for _ in range(5):
             for x, label in samples:
-                p = lstm_train_step(p, x, label, lr=0.3)
+                gate.train(x, label, lr=0.3)
         correct = 0
         for x, label in samples:
-            score, _ = advance_lstm(p, x)
-            correct += (score >= 0.5) == bool(label)
+            correct += (score_after_step(gate, x) >= 0.5) == bool(label)
         assert correct / len(samples) >= 0.95
 
     def test_rejects_bad_label(self):
-        p = init_lstm(D, 3, seed=0)
+        gate = LstmGate(D, 3, seed=0)
         with pytest.raises(ValueError):
-            lstm_train_step(p, np.zeros(D), label=2, lr=0.1)
+            gate.train(np.zeros(D), label=2, lr=0.1)
+
+    def test_train_leaves_state_unchanged(self):
+        rng = np.random.default_rng(5)
+        gate = make_gate(random_lstm(rng, D, 3))
+        h, c, w_before = gate.h.copy(), gate.c.copy(), gate.w_gates.copy()
+        gate.train(rng.normal(size=D), label=1, lr=0.3)
+        assert np.array_equal(gate.h, h) and np.array_equal(gate.c, c)
+        assert not np.array_equal(gate.w_gates, w_before)  # the weights did move
 
 
 # Reference implementations: the decoder training step and the LSTM updates
 # as written before their numpy calls were cut (one copy per array, separate
-# gate activations, dataclasses.replace).  The arithmetic is unchanged, so
-# results must be equal, not close.
+# gate activations) and before the gate changed in place: the LSTM references
+# take an LstmRecord and return a new one with dataclasses.replace.  The
+# arithmetic is unchanged, so results must be equal, not close.
 
 def reference_train_decoder(params, features, target, weights, lr, steps):
     x = features.reshape(-1, params.w1.shape[0])
@@ -503,6 +540,10 @@ def reference_advance_lstm(params, summary):
     return score, replace(params, h=h_new, c=c_new)
 
 
+def reference_score(params):
+    return float(sigmoid(params.w_out @ params.h + params.b_out))
+
+
 def reference_lstm_train_step(params, summary, label, lr):
     z, i, f, o, g, c_new, h_new = reference_lstm_cell(params, summary)
     th = np.tanh(c_new)
@@ -536,7 +577,7 @@ LEARNING_RATES = st.sampled_from([1e-4, 0.01, 0.05, 0.3, 1.0])
 
 
 def random_lstm(rng, input_dim, hidden):
-    return LstmParams(
+    return LstmRecord(
         w_gates=rng.normal(0, 0.5, size=(4 * hidden, input_dim + hidden)),
         b_gates=rng.normal(0, 0.3, size=4 * hidden),
         w_out=rng.normal(0, 1, size=hidden), b_out=float(rng.normal()),
@@ -545,6 +586,7 @@ def random_lstm(rng, input_dim, hidden):
 
 
 def assert_lstm_equal(got, want):
+    """got is a gate, want a reference record."""
     for name in ("w_gates", "b_gates", "w_out", "h", "c"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.b_out == want.b_out
@@ -578,20 +620,44 @@ class TestBitIdentity:
     @settings(max_examples=100, deadline=None)
     def test_advance_lstm_matches_reference(self, seed, hidden, input_dim):
         rng = np.random.default_rng(seed)
-        got = want = random_lstm(rng, input_dim, hidden)
+        want = random_lstm(rng, input_dim, hidden)
+        gate = make_gate(want)
         for x in rng.normal(size=(3, input_dim)):
-            score, got = advance_lstm(got, x)
+            gate.step(x)
             want_score, want = reference_advance_lstm(want, x)
-            assert score == want_score
-            assert_lstm_equal(got, want)
+            assert gate.score() == want_score
+            assert_lstm_equal(gate, want)
 
     @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, input_dim=st.integers(1, 24),
            label=st.sampled_from([0, 1]), lr=LEARNING_RATES)
     @settings(max_examples=100, deadline=None)
     def test_lstm_train_step_matches_reference(self, seed, hidden, input_dim, label, lr):
         rng = np.random.default_rng(seed)
-        got = want = random_lstm(rng, input_dim, hidden)
+        want = random_lstm(rng, input_dim, hidden)
+        gate = make_gate(want)
         for x in rng.normal(size=(3, input_dim)):
-            got = lstm_train_step(got, x, label, lr)
+            gate.train(x, label, lr)
             want = reference_lstm_train_step(want, x, label, lr)
-            assert_lstm_equal(got, want)
+            assert_lstm_equal(gate, want)
+
+    @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, input_dim=st.integers(1, 24),
+           ops=st.lists(st.sampled_from(["step", "score", "train 0", "train 1"]),
+                        min_size=1, max_size=12),
+           lr=LEARNING_RATES)
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_gate_calls_match_references(self, seed, hidden, input_dim, ops, lr):
+        # one gate through any order of calls: an in-place update that aliased
+        # the state or the weights would show here and not in the tests above
+        rng = np.random.default_rng(seed)
+        want = random_lstm(rng, input_dim, hidden)
+        gate = make_gate(want)
+        for op, x in zip(ops, rng.normal(size=(len(ops), input_dim))):
+            if op == "step":
+                gate.step(x)
+                _, want = reference_advance_lstm(want, x)
+            elif op == "score":
+                assert gate.score() == reference_score(want)
+            else:
+                gate.train(x, int(op[-1]), lr)
+                want = reference_lstm_train_step(want, x, int(op[-1]), lr)
+            assert_lstm_equal(gate, want)

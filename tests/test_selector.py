@@ -10,7 +10,7 @@ import pytest
 
 from scenedistill.detection import GridShape
 from scenedistill.distill import FeedbackRecord
-from scenedistill.models import Backbone, LstmParams
+from scenedistill.models import Backbone, LstmGate
 from scenedistill.selector import (
     AdaptiveSelector,
     PeriodicSelector,
@@ -36,10 +36,7 @@ def make_selector(p_init=0.5, p_min=0.05, tau=2, lstm_bias=0.0, seed=0, sigma=-0
     cfg = SelectorConfig(p_init=p_init, p_min=p_min, tau=tau, sigma=sigma)
     sel = AdaptiveSelector(SUMMARY_DIM, cfg, seed=seed)
     if lstm_bias != 0.0:
-        sel.lstm = LstmParams(
-            w_gates=sel.lstm.w_gates, b_gates=sel.lstm.b_gates,
-            w_out=sel.lstm.w_out, b_out=lstm_bias, h=sel.lstm.h, c=sel.lstm.c,
-        )
+        sel.lstm.b_out = lstm_bias
     return sel
 
 
@@ -85,6 +82,20 @@ class TestDecide:
         h_before = sel.lstm.h.copy()
         sel.decide(1, ZEROS, summary(1))  # suppressed
         assert not np.array_equal(sel.lstm.h, h_before)
+
+    def test_gate_read_out_once_per_unsuppressed_decision(self, monkeypatch):
+        calls = []
+        score = LstmGate.score
+        monkeypatch.setattr(LstmGate, "score", lambda gate: calls.append(1) or score(gate))
+        sel = make_selector(p_init=0.5, tau=2, seed=4)
+        suppressed = []
+        for i in range(60):
+            d = sel.decide(i, ZEROS, summary(i))
+            suppressed.append(d.suppressed)
+            if d.train:
+                sel.apply_feedback(feedback(sel, i, delta_l=-0.2))
+        assert 0 < suppressed.count(False) < len(suppressed)
+        assert len(calls) == suppressed.count(False)
 
 
 class TestApplyFeedback:
