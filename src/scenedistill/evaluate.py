@@ -4,7 +4,10 @@ key-frame adaptivity analysis.
 AP uses all-point (precision envelope) interpolation.  Ground truth can be
 the stream's true labels or the oracle's own decoded detections, matching
 how the adapted student is normally scored against the model it distills
-from.
+from.  Scoring runs on arrays: a frame's detections as [cx, cy, w, h,
+class, conf] rows, its ground truth as a (g, 5) array of [cx, cy, w, h,
+class] rows, and the IOUs of a block of frames' same-frame pairs from one
+pass.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .detection import (
     GridShape,
     GroundTruthObject,
     decode_tensors,
+    detection_rows,
     greedy_match,
-    iou_table,
     match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
@@ -31,10 +34,12 @@ from .pipeline import PipelineConfig, PipelineReport, run_pipeline
 from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, oracle_tensors
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
-# oracle ground truth is synthesized and decoded this many frames at a time;
-# on a 1000-frame 6x6 stream blocks of 16 to 256 frames take about the same
-# time, and peak RSS rose by 2.0 MB at 32 and 11 MB at 1000, against 1.8 MB
-# frame by frame
+# oracle ground truth is synthesized and decoded, and scoring pairs detections
+# with targets, this many frames at a time.  On a 1000-frame 6x6 stream, with
+# decoded rows as arrays, 32-frame ground-truth blocks took 63-76 ms against
+# 78-110 ms at 16 and 67-113 ms at 256, and peak RSS rose by 1.4 MB at 32,
+# 4.4 MB at 256 and 11.9 MB at 1000, against 1.1 MB frame by frame; pairing
+# the whole run at once raised scoring's peak by 2.4 MB
 GT_BLOCK_FRAMES = 32
 
 
@@ -59,8 +64,8 @@ def average_precision(tp_flags: list[bool], n_gt: int) -> float:
     exists.
     """
     if n_gt == 0:
-        return 1.0 if not tp_flags else 0.0
-    if not tp_flags:
+        return 1.0 if len(tp_flags) == 0 else 0.0
+    if len(tp_flags) == 0:
         return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=float))
     fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
@@ -115,46 +120,87 @@ class EvalSummary:
         }
 
 
-def evaluate_thresholds(per_frame_dets: list[list[Detection]],
-                        per_frame_gt: list[list[GroundTruthObject]],
+def _pair_iou(dets: np.ndarray, n_dets: np.ndarray, gt: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
+    """IOU of every same-frame (detection, target) pair of a run of frames,
+    frame after frame, each frame's (k, g) table row-major; -inf where the
+    classes differ, which no threshold accepts.
+
+    dets and gt are the frames' rows, frame after frame; n_dets and n_gt are
+    each frame's counts.  The arithmetic is detection.iou's, in its order,
+    so overlapping boxes get its bits and the rest 0.0; each side is clamped
+    at 0 before the product, so that two negative sides cannot cancel the
+    union.
+    """
+    det_frame = np.repeat(np.arange(len(n_dets)), n_dets)
+    per_det = n_gt[det_frame]
+    pair_start = np.cumsum(per_det) - per_det
+    gt_start = np.cumsum(n_gt) - n_gt
+    a = np.repeat(dets, per_det, axis=0)
+    b = gt[np.arange(len(a)) + np.repeat(gt_start[det_frame] - pair_start, per_det)]
+    half_a, half_b = a[:, 2:4] / 2, b[:, 2:4] / 2
+    side = (np.minimum(a[:, :2] + half_a, b[:, :2] + half_b)
+            - np.maximum(a[:, :2] - half_a, b[:, :2] - half_b))
+    np.maximum(side, 0.0, out=side)
+    inter = side[:, 0] * side[:, 1]
+    out = inter / (a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter)
+    out[a[:, 4] != b[:, 4]] = -np.inf
+    return out
+
+
+def evaluate_thresholds(per_frame_dets: list[list[Detection]], per_frame_gt: list[np.ndarray],
                         thresholds: Sequence[float]) -> list[ThresholdMetrics]:
     """Score a whole run at each IOU threshold (counts plus per-class AP).
 
-    Each frame's detections are sorted and their IOUs against the frame's
-    ground truth computed once; only the greedy step runs per threshold.
-    Equal to scoring each threshold on its own with evaluate_frames.
+    A frame's ground truth is a (g, 5) array of [cx, cy, w, h, class] rows,
+    as ground_truth_for returns it.  GT_BLOCK_FRAMES frames at a time, the
+    detections become detection_rows sorted within each frame by descending
+    confidence, and the IOUs of all same-frame pairs come from one pass;
+    only the greedy step runs per frame and threshold.  Equal to scoring
+    each threshold on its own with evaluate_frames.
     """
-    n_gt_per_class: dict[int, int] = {}
-    confidences, classes = [], []
+    n = min(len(per_frame_dets), len(per_frame_gt))
     tp_flags = [[] for _ in thresholds]  # per threshold, per detection in scoring order
     fn_totals = [0] * len(thresholds)
-    for dets, gt in zip(per_frame_dets, per_frame_gt):
-        for obj in gt:
-            n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
-        order = sorted(dets, key=lambda d: -d.confidence)
-        confidences.extend(d.confidence for d in order)
-        classes.extend(d.class_id for d in order)
-        table = iou_table(order, gt)
-        for t, thr in enumerate(thresholds):
-            matched = [j >= 0 for j in greedy_match(table, thr)]
-            tp_flags[t].extend(matched)
-            fn_totals[t] += len(gt) - sum(matched)
+    scored = [np.empty((0, 2))]  # each detection's class and confidence, in scoring order
+    gt_classes = [np.empty(0)]
+    for start in range(0, n, GT_BLOCK_FRAMES):
+        block = slice(start, min(start + GT_BLOCK_FRAMES, n))
+        n_dets = np.array([len(d) for d in per_frame_dets[block]], dtype=np.intp)
+        n_gt = np.array([len(g) for g in per_frame_gt[block]], dtype=np.intp)
+        dets = np.array([r for frame in per_frame_dets[block] for r in detection_rows(frame)],
+                        dtype=float).reshape(-1, 6)
+        # one stable sort: by frame, then by descending confidence
+        dets = dets[np.lexsort((-dets[:, 5], np.repeat(np.arange(len(n_dets)), n_dets)))]
+        gt = np.concatenate([np.empty((0, 5)), *per_frame_gt[block]])
+        pairs = _pair_iou(dets, n_dets, gt, n_gt).tolist()
+        pos = 0
+        for k, g in zip(n_dets.tolist(), n_gt.tolist()):
+            table = [pairs[pos + i * g:pos + (i + 1) * g] for i in range(k)]
+            pos += k * g
+            for t, thr in enumerate(thresholds):
+                matched = [j >= 0 for j in greedy_match(table, thr)]
+                tp_flags[t].extend(matched)
+                fn_totals[t] += g - sum(matched)
+        # copies, so that each block's rows are freed with the block
+        scored.append(dets[:, 4:].copy())
+        gt_classes.append(gt[:, 4].copy())
 
     # one stable ranking by confidence serves every threshold's per-class AP
-    ranked = sorted(range(len(confidences)), key=lambda i: -confidences[i])
-    ranked_by_class = {cls: [i for i in ranked if classes[i] == cls]
-                       for cls in sorted(n_gt_per_class)}
+    scored = np.concatenate(scored)
+    ranked = np.argsort(-scored[:, 1], kind="stable")
+    ranked_by_class = {int(cls): (ranked[scored[ranked, 0] == cls], int(count))
+                       for cls, count in zip(*np.unique(np.concatenate(gt_classes),
+                                                        return_counts=True))}
     out = []
     for thr, flags, fn_total in zip(thresholds, tp_flags, fn_totals):
-        tp_total = sum(flags)
+        flags = np.array(flags, dtype=bool)
+        tp_total = int(flags.sum())
         fp_total = len(flags) - tp_total
-        precision = tp_total / (tp_total + fp_total) if flags else 0.0
+        precision = tp_total / (tp_total + fp_total) if len(flags) else 0.0
         recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        ap_per_class = {
-            cls: average_precision([flags[i] for i in idx], n_gt_per_class[cls])
-            for cls, idx in ranked_by_class.items()
-        }
+        ap_per_class = {cls: average_precision(flags[idx], count)
+                        for cls, (idx, count) in ranked_by_class.items()}
         mean_ap = float(np.mean(list(ap_per_class.values()))) if ap_per_class else 0.0
         out.append(ThresholdMetrics(
             iou=thr, tp=tp_total, fp=fp_total, fn=fn_total,
@@ -164,8 +210,7 @@ def evaluate_thresholds(per_frame_dets: list[list[Detection]],
     return out
 
 
-def evaluate_frames(per_frame_dets: list[list[Detection]],
-                    per_frame_gt: list[list[GroundTruthObject]],
+def evaluate_frames(per_frame_dets: list[list[Detection]], per_frame_gt: list[np.ndarray],
                     iou_threshold: float) -> ThresholdMetrics:
     """Score a whole run at one IOU threshold (counts plus per-class AP)."""
     return evaluate_thresholds(per_frame_dets, per_frame_gt, (iou_threshold,))[0]
@@ -173,23 +218,25 @@ def evaluate_frames(per_frame_dets: list[list[Detection]],
 
 def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalConfig,
                      noise: OracleNoiseSpec | None = None,
-                     oracle_seed: int = 0) -> list[list[GroundTruthObject]]:
-    """Per-frame ground truth: labels, or the oracle's decoded detections.
+                     oracle_seed: int = 0) -> list[np.ndarray]:
+    """Per-frame ground truth, each frame a (g, 5) array of [cx, cy, w, h,
+    class] rows: the labels, or the oracle's decoded detections in
+    descending confidence.
 
     Oracle tensors are synthesized and decoded GT_BLOCK_FRAMES frames at a
     time, equal to oracle_for_frame and decode_tensor frame by frame.
     """
     if eval_cfg.gt_source == "true_gt":
-        return [rec.gt for rec in stream]
+        rows = np.fromiter((v for rec in stream for o in rec.gt
+                            for v in (o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id)),
+                           dtype=float).reshape(-1, 5)
+        ends = np.cumsum([len(rec.gt) for rec in stream], dtype=np.intp).tolist()
+        return [rows[a:b] for a, b in zip([0] + ends, ends)]
     noise = noise if noise is not None else OracleNoiseSpec()
     out = []
     for start in range(0, len(stream), GT_BLOCK_FRAMES):
         tensors = oracle_tensors(stream[start:start + GT_BLOCK_FRAMES], noise, grid, oracle_seed)
-        out.extend(
-            [GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
-             for i, d in enumerate(dets)]
-            for dets in decode_tensors(tensors, grid, CONF_THRESHOLD)
-        )
+        out.extend(rows[:, :5] for rows in decode_tensors(tensors, grid, CONF_THRESHOLD))
     return out
 
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import collections
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detection import CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, decode_tensor, nms
+from .detection import (CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, decode_tensor,
+                        detection_rows, nms)
 from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import Backbone, DecoderParams, decoder_forward, init_decoder
 from .selector import (
@@ -110,19 +112,24 @@ class PipelineReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["detections"] = [
-            [[d.box.cx, d.box.cy, d.box.w, d.box.h, d.class_id, d.confidence] for d in frame]
-            for frame in self.detections
-        ]
+        out["detections"] = [detection_rows(frame) for frame in self.detections]
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineReport":
-        dets = [
-            [Detection(box=Box(v[0], v[1], v[2], v[3]), class_id=int(v[4]), confidence=v[5])
-             for v in frame]
-            for frame in data["detections"]
-        ]
+        """The report to_dict wrote.  A row that is not 6 finite numbers [cx,
+        cy, w, h, class, conf] with w, h > 0, an integral class >= 0 and conf
+        in [0, 1] raises ValueError naming its frame and row."""
+        dets = [[] for _ in data["detections"]]
+        for f, (frame, out) in enumerate(zip(data["detections"], dets)):
+            for i, v in enumerate(frame):
+                # abs(x) <= the largest float: finite, also as a float, and not NaN
+                if not (isinstance(v, list) and len(v) == 6 and all(
+                        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in v)
+                        and v[2] > 0 and v[3] > 0 and v[4] >= 0 and v[4] == int(v[4])
+                        and 0 <= v[5] <= 1):
+                    raise ValueError(f"frame {f} row {i}: {v!r} is not a detection")
+                out.append(Detection(Box(*v[:4]), int(v[4]), v[5]))
         return cls(**{**data, "detections": dets})
 
 

@@ -425,7 +425,7 @@ class TestCriterion8Transfer:
         baseline = run_pipeline(stream_b, GRID, base_pipe(31, mode="frozen_student"))
 
         eval_cfg = EvalConfig(gt_source="true_gt", iou_thresholds=(0.5,))
-        gt = [rec.gt for rec in stream_b]
+        gt = ground_truth_for(stream_b, GRID, eval_cfg)
         f1_transfer = evaluate_frames(transferred.detections, gt, 0.5).f1
         f1_baseline = evaluate_frames(baseline.detections, gt, 0.5).f1
         elapsed = time.perf_counter() - t0

@@ -291,6 +291,30 @@ class TestEvalCommand:
         else:
             assert "cannot load report" in captured.err
 
+    @pytest.mark.parametrize("bad_row", [
+        [float("nan"), 0.5, 0.2, 0.2, 0, 0.9], [0.5, 0.5, 0.2, 0.2, 0, float("nan")],
+        [0.5, 0.5, 0.2, float("inf"), 0, 0.9], [0.5, 0.5, 0.2, 0.2, 0, 0.9, 1.0],
+        [0.5, 0.5, 0.2, 0.2, 1.5, 0.9], [0.5, 0.5, 0.2, 0.2, -1, 0.9],
+        [0.5, 0.5, 0.2, 0.2, 0, 1.5], [0.5, 0.5, 0.2, 0.2, 0, -0.1],
+        [0.5, 0.5, 0.2, 0.2, True, 0.9], [0.5, "0.5", 0.2, 0.2, 0, 0.9],
+        [0.5, 0.5, 10 ** 400, 0.2, 0, 0.9],
+    ], ids=["nan_cx", "nan_conf", "inf_h", "seven_values", "fractional_class", "negative_class",
+            "conf_above_1", "conf_below_0", "bool_class", "string_cy", "huge_int_w"])
+    def test_corrupt_detection_row_is_config_error(self, tmp_path, capsys, bad_row):
+        trace = str(tmp_path / "trace.jsonl")
+        cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
+        assert main(["generate", "--config", cfg_path, "--out", trace]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--config", cfg_path, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        report["detections"][2] = [[0.5, 0.5, 0.2, 0.2, 1, 0.9], bad_row]
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["eval", "--report", str(report_path), "--trace", trace]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot load report" in captured.err and "frame 2 row 1" in captured.err
+
     def test_shorter_report_scores_its_prefix(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
         traces = {n: str(tmp_path / f"trace{n}.jsonl") for n in (60, 30)}

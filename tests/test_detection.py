@@ -14,6 +14,7 @@ from scenedistill.detection import (
     GridShape,
     decode_tensor,
     decode_tensors,
+    detection_rows,
     encode_objects,
     iou,
     iou_table,
@@ -108,6 +109,88 @@ def brute_force_decode(tensor, shape, conf_threshold):
     return out
 
 
+def reference_decode_tensors(stack, shape, conf_threshold):
+    """decode_tensors as written before it returned arrays: the activations
+    over the stack, then per candidate four scalar sigmoids and a stable
+    sort by descending confidence; rows [cx, cy, w, h, class, conf]."""
+    s = shape.s
+    obj = sigmoid(stack[..., 0])
+    cls_prob = softmax(stack[..., 5:], axis=-1)
+    best_cls = cls_prob.argmax(axis=-1)
+    conf = obj * cls_prob.max(axis=-1)
+    out = []
+    for tensor, frame_keep, frame_conf, frame_cls in zip(stack, conf >= conf_threshold,
+                                                         conf, best_cls):
+        rows = []
+        for r, col in zip(*np.nonzero(frame_keep)):
+            tx, ty, tw, th = tensor[r, col, 1:5]
+            rows.append([(col + float(sigmoid(tx))) / s, (r + float(sigmoid(ty))) / s,
+                         max(float(sigmoid(tw)), LOGIT_CLIP), max(float(sigmoid(th)), LOGIT_CLIP),
+                         int(frame_cls[r, col]), float(frame_conf[r, col])])
+        rows.sort(key=lambda v: -v[5])
+        out.append(rows)
+    return out
+
+
+class TestDecodeMatchesScalarReference:
+    """decode_tensors' rows, and decode_tensor's Detections tensor by tensor,
+    equal the scalar decode's bit for bit: lists of Python floats compare
+    equal only when every value does."""
+
+    @staticmethod
+    def assert_same(stack, shape, threshold):
+        want = reference_decode_tensors(stack, shape, threshold)
+        got = decode_tensors(stack, shape, threshold)
+        assert len(got) == len(stack)
+        assert all(rows.shape == (len(rows), 6) for rows in got)
+        assert [rows.tolist() for rows in got] == want
+        assert [detection_rows(decode_tensor(t, shape, threshold)) for t in stack] == want
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = GridShape(s=int(rng.integers(1, 8)), c=int(rng.integers(1, 6)))
+        stack = rng.normal(0, 3, size=(int(rng.integers(1, 40)), shape.s, shape.s, shape.channels))
+        for threshold in (0.0, 0.3, 0.5, 0.9):
+            self.assert_same(stack, shape, threshold)
+
+    def test_equal_confidences_keep_cell_order(self):
+        shape = GridShape(s=4, c=3)
+        rng = np.random.default_rng(7)
+        stack = rng.normal(0, 1, size=(5, 4, 4, shape.channels))
+        stack[..., 0] = 3.0  # every cell at one of two confidences
+        stack[..., 5:] = 0.0
+        stack[:, ::2, :, 5] = 2.0
+        got = self.assert_same(stack, shape, 0.3)
+        confs = got[0][:, 5]
+        assert len(set(confs.tolist())) == 2 and len(confs) == 16
+        assert list(confs) == sorted(confs, reverse=True)
+
+    def test_sizes_floored_at_the_clip(self):
+        shape = GridShape(s=3, c=2)
+        stack = np.zeros((4, 3, 3, shape.channels))
+        stack[..., 0] = stack[..., 5] = 10.0  # every cell a candidate of class 0
+        stack[1, :, :, 3] = -800.0  # sigmoid underflows to 0.0
+        stack[2, :, :, 4] = -14.0   # sigmoid below LOGIT_CLIP, above 0.0
+        with np.errstate(over="ignore"):
+            got = self.assert_same(stack, shape, 0.5)
+        assert [len(rows) for rows in got] == [9] * 4
+        assert (got[1][:, 2] == LOGIT_CLIP).all() and (got[2][:, 3] == LOGIT_CLIP).all()
+
+    def test_empty_stack_and_partial_last_block(self):
+        shape = GridShape(s=4, c=2)
+        assert self.assert_same(np.zeros((0, 4, 4, shape.channels)), shape, 0.5) == []
+        rng = np.random.default_rng(3)
+        stack = rng.normal(0, 3, size=(37, 4, 4, shape.channels))
+        stack[-5:, :, :, 0] = -20.0  # the last tensors decode to nothing
+        got = self.assert_same(stack, shape, 0.5)
+        assert [len(rows) for rows in got[-5:]] == [0] * 5
+        for start in range(0, len(stack), 16):  # 16, 16, then a block of 5
+            assert ([rows.tolist() for rows in decode_tensors(stack[start:start + 16], shape, 0.5)]
+                    == [rows.tolist() for rows in got[start:start + 16]])
+
+
 class TestIouTable:
     def test_table_rows_follow_detections_none_across_classes(self):
         dets = [Detection(Box(0.5, 0.5, 0.5, 0.5), 0, 0.9),
@@ -174,7 +257,9 @@ class TestDecode:
         stack = rng.normal(0, 3, size=(20, s, s, shape.channels))
         stack[3, :, :, 0] = stack[3, :, :, 5] = 80.0  # every cell of one tensor at confidence 1
         got = decode_tensors(stack, shape, threshold)
-        assert got == [decode_tensor(t, shape, threshold) for t in stack]
+        assert all(rows.shape == (len(rows), 6) for rows in got)
+        assert ([rows.tolist() for rows in got]
+                == [detection_rows(decode_tensor(t, shape, threshold)) for t in stack])
         assert sum(map(len, got)) > 0
 
     def test_stack_of_none_and_wrong_grid(self):

@@ -54,6 +54,13 @@ def gt(cx, cy, w, h, cls, oid=0):
     return GroundTruthObject(Box(cx, cy, w, h), cls, oid)
 
 
+def gt_rows(frames_gt):
+    """Per-frame labelled objects as the (g, 5) [cx, cy, w, h, class] arrays
+    scoring reads."""
+    return [np.array([[o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id] for o in objects],
+                     dtype=float).reshape(-1, 5) for objects in frames_gt]
+
+
 # Reference implementations: the greedy matcher, the precision envelope and
 # the per-threshold scoring as written before they were batched.  The
 # arithmetic is unchanged, so results must be equal, not close.
@@ -251,7 +258,7 @@ class TestEvaluateFrames:
     def test_counts_and_f1(self):
         objects = [[gt(0.2, 0.2, 0.2, 0.2, 0, 0), gt(0.7, 0.7, 0.2, 0.2, 1, 1)]]
         dets = [[det(0.2, 0.2, 0.2, 0.2, 0, 0.9), det(0.4, 0.9, 0.1, 0.1, 0, 0.8)]]
-        m = evaluate_frames(dets, objects, 0.5)
+        m = evaluate_frames(dets, gt_rows(objects), 0.5)
         assert (m.tp, m.fp, m.fn) == (1, 1, 1)
         assert m.precision == pytest.approx(0.5)
         assert m.recall == pytest.approx(0.5)
@@ -259,13 +266,13 @@ class TestEvaluateFrames:
         assert m.tp + m.fn == 2  # all ground truth accounted for
 
     def test_f1_zero_when_nothing_detected(self):
-        m = evaluate_frames([[]], [[gt(0.5, 0.5, 0.2, 0.2, 0)]], 0.5)
+        m = evaluate_frames([[]], gt_rows([[gt(0.5, 0.5, 0.2, 0.2, 0)]]), 0.5)
         assert m.f1 == 0.0 and m.fn == 1
 
     def test_per_class_ap_and_mean(self):
         frames_gt = [[gt(0.2, 0.2, 0.2, 0.2, 0, 0)], [gt(0.7, 0.7, 0.2, 0.2, 1, 1)]]
         frames_dets = [[det(0.2, 0.2, 0.2, 0.2, 0, 0.9)], []]
-        m = evaluate_frames(frames_dets, frames_gt, 0.5)
+        m = evaluate_frames(frames_dets, gt_rows(frames_gt), 0.5)
         assert m.ap_per_class[0] == pytest.approx(1.0)
         assert m.ap_per_class[1] == 0.0
         assert m.mean_ap == pytest.approx(0.5)
@@ -286,7 +293,7 @@ class TestEvaluateFrames:
                     0.2, 0.2, int(rng.integers(2)), float(rng.uniform(0.1, 1)))
                 for _ in range(rng.integers(0, 4))
             ])
-        m = evaluate_frames(frames_dets, frames_gt, 0.5)
+        m = evaluate_frames(frames_dets, gt_rows(frames_gt), 0.5)
         assert 0.0 <= m.precision <= 1.0
         assert 0.0 <= m.recall <= 1.0
         assert 0.0 <= m.f1 <= min(2 * m.precision, 2 * m.recall) + 1e-12
@@ -301,10 +308,77 @@ class TestEvaluateThresholds:
     def test_equals_per_threshold_reference(self, frames, thresholds):
         dets = [d for d, _ in frames]
         objects = [g for _, g in frames]
-        got = [m.to_dict() for m in evaluate_thresholds(dets, objects, thresholds)]
+        got = [m.to_dict() for m in evaluate_thresholds(dets, gt_rows(objects), thresholds)]
         want = [reference_evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds]
         assert got == want
-        assert [evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds] == want
+        assert [evaluate_frames(dets, gt_rows(objects), thr).to_dict()
+                for thr in thresholds] == want
+
+
+class TestArrayScoringMatchesReference:
+    """evaluate_thresholds, which scores rows and takes the IOUs of a block of
+    frames in one pass, against the object-by-object reference on every
+    summary field.  Coordinates are multiples of 1/16, so boxes touch at an
+    edge (iw == 0) and products cancel exactly."""
+
+    @staticmethod
+    def assert_same(dets, objects, thresholds):
+        want = [reference_evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds]
+        got = evaluate_thresholds(dets, gt_rows(objects), thresholds)
+        assert [m.to_dict() for m in got] == want
+
+    def test_edge_cases(self):
+        # touching at an edge, iw == 0: IOU 0.0, accepted by no threshold above 0
+        touching = ([det(0.25, 0.5, 0.25, 0.25, 0, 0.9)], [gt(0.5, 0.5, 0.25, 0.25, 0)])
+        # disjoint with iw == ih == -0.25: iw * ih is exactly the two areas'
+        # sum, 2 * 0.25 * 0.125, so the unclamped union would be 0
+        cancelling = ([det(0.25, 0.25, 0.25, 0.125, 1, 0.8)],
+                      [gt(0.75, 0.625, 0.25, 0.125, 1)])
+        mismatch = ([det(0.5, 0.5, 0.25, 0.25, 2, 0.7)], [gt(0.5, 0.5, 0.25, 0.25, 0)])
+        # two targets at equal IOU: the later one is taken
+        tie = ([det(0.5, 0.5, 0.25, 0.25, 0, 0.6)],
+               [gt(0.4375, 0.5, 0.25, 0.25, 0, 0), gt(0.5625, 0.5, 0.25, 0.25, 0, 1)])
+        no_gt = ([det(0.5, 0.5, 0.25, 0.25, 0, 0.6)], [])
+        no_dets = ([], [gt(0.5, 0.5, 0.25, 0.25, 1)])
+        frames = [touching, cancelling, mismatch, tie, no_gt, no_dets, ([], [])]
+        dets, objects = [f[0] for f in frames], [f[1] for f in frames]
+        self.assert_same(dets, objects, (0.0, 0.25, 0.5, 0.75, 1.0))
+        m = evaluate_thresholds(dets, gt_rows(objects), (0.5,))[0]
+        assert (m.tp, m.fp, m.fn) == (1, 4, 5)
+
+    def test_thresholds_at_exact_pair_ious(self):
+        # a threshold equal to a pair's scalar IOU takes the pair and the next
+        # float above it does not, so the array IOUs must carry iou's bits
+        rng = np.random.default_rng(11)
+        dets, objects, thresholds = [], [], []
+        for _ in range(40):
+            d = det(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0, 0.9)
+            o = gt(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0)
+            v = iou(d.box, o.box)
+            if 0.0 < v < 1.0:
+                thresholds += [v, math.nextafter(v, 1.0)]
+            dets.append([d])
+            objects.append([o])
+        assert len(thresholds) > 20
+        self.assert_same(dets, objects, thresholds)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_frames(self, seed):
+        # up to 80 frames: several GT_BLOCK_FRAMES blocks, the last one partial
+        rng = np.random.default_rng(seed)
+        sixteenths = np.arange(1, 16) / 16
+
+        def boxes(k):
+            return zip(rng.choice(sixteenths, k).tolist(), rng.choice(sixteenths, k).tolist(),
+                       rng.choice([0.125, 0.25, 0.5], k).tolist(),
+                       rng.choice([0.125, 0.25, 0.5], k).tolist(), rng.integers(0, 3, k).tolist())
+
+        dets, objects = [], []
+        for _ in range(int(rng.integers(1, 80))):
+            confs = rng.choice([0.55, 0.7, 0.9], 6).tolist()
+            dets.append([det(*b, conf) for b, conf in zip(boxes(int(rng.integers(0, 6))), confs)])
+            objects.append([gt(*b) for b in boxes(int(rng.integers(0, 5)))])
+        self.assert_same(dets, objects, (0.0, 1 / 3, 0.5, 0.6, 0.75, 1.0))
 
 
 PIN_GRID = GridShape(s=6, c=4)
@@ -356,12 +430,12 @@ class TestEvaluateReportLength:
 
 
 def reference_ground_truth(stream, grid, noise, seed):
-    """oracle_as_gt ground truth built one frame at a time."""
+    """oracle_as_gt ground truth built one frame at a time, as
+    [cx, cy, w, h, class] rows."""
     out = []
     for rec in stream:
         dets = decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, CONF_THRESHOLD)
-        out.append([GroundTruthObject(box=d.box, class_id=d.class_id, object_id=i)
-                    for i, d in enumerate(dets)])
+        out.append([[d.box.cx, d.box.cy, d.box.w, d.box.h, d.class_id] for d in dets])
     return out
 
 
@@ -376,7 +450,8 @@ class TestGroundTruthFor:
                                                  PIN_GRID, 1)
         eval_cfg = EvalConfig(gt_source="oracle_as_gt")
         got = ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, 4)
-        assert got == reference_ground_truth(stream, PIN_GRID, PIN_NOISE, 4)
+        assert all(g.shape == (len(g), 5) for g in got)
+        assert [g.tolist() for g in got] == reference_ground_truth(stream, PIN_GRID, PIN_NOISE, 4)
         assert len(got) == n
 
     def test_empty_stream(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scenedistill.detection import Box, GridShape, GroundTruthObject, decode_tensor, iou
-from scenedistill.evaluate import evaluate_frames
+from scenedistill.evaluate import EvalConfig, evaluate_frames, ground_truth_for
 from scenedistill.simstream import (
     EMPTY_LOGIT,
     OBJ_LOGIT,
@@ -178,8 +178,7 @@ class TestSynthOracle:
         stream = generate_stream(scenes, 200, CFG, seed=6)
         attach_oracle(stream, OracleNoiseSpec(), GRID, seed=6)
         dets = [decode_tensor(rec.oracle_tensor, GRID, 0.5) for rec in stream]
-        gt = [rec.gt for rec in stream]
-        metrics = evaluate_frames(dets, gt, 0.5)
+        metrics = evaluate_frames(dets, ground_truth_for(stream, GRID, EvalConfig()), 0.5)
         assert metrics.f1 == pytest.approx(1.0)
         assert metrics.mean_ap == pytest.approx(1.0)
 
@@ -326,7 +325,7 @@ class TestTraceIO:
 
         def score(recs):
             dets = [decode_tensor(r.oracle_tensor, GRID, 0.4) for r in recs]
-            return evaluate_frames(dets, [r.gt for r in recs], 0.5)
+            return evaluate_frames(dets, ground_truth_for(recs, GRID, EvalConfig()), 0.5)
 
         a, b = score(stream), score(loaded)
         assert (a.tp, a.fp, a.fn, a.f1, a.mean_ap) == (b.tp, b.fp, b.fn, b.f1, b.mean_ap)
