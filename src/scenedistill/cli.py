@@ -149,10 +149,10 @@ def cmd_generate(args) -> int:
     histogram: dict[int, int] = {}
     seen = set()
     for rec in stream:
-        for obj in rec.gt:
-            if obj.object_id not in seen:
-                seen.add(obj.object_id)
-                histogram[obj.class_id] = histogram.get(obj.class_id, 0) + 1
+        for class_id, object_id in rec.gt[:, 4:].astype(int).tolist():
+            if object_id not in seen:
+                seen.add(object_id)
+                histogram[class_id] = histogram.get(class_id, 0) + 1
     print(f"wrote {len(stream)} frames to {args.out}")
     print("objects per class: " + json.dumps({str(k): v for k, v in sorted(histogram.items())}))
     return 0

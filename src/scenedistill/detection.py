@@ -6,6 +6,11 @@ channels 5.. are class logits.  All activations (sigmoid / softmax) are
 applied at decode time; tensors always store pre-activation values.  The
 greedy detection-to-target matcher used by evaluation and by the reference
 losses lives here too.
+
+One row layout, [cx, cy, w, h, class, x], holds decoded detections
+(decode_tensors, detection_rows), where x is the confidence, and ground
+truth, where x is the object id; the matcher's targets are such rows.  The
+frame loop still decodes into Detection objects (ROADMAP item 7, step 2).
 """
 
 from __future__ import annotations
@@ -64,15 +69,6 @@ class Detection:
     box: Box
     class_id: int
     confidence: float
-
-
-@dataclass(frozen=True)
-class GroundTruthObject:
-    """Labeled object: box, class, and a persistent identity within a stream."""
-
-    box: Box
-    class_id: int
-    object_id: int = 0
 
 
 def sigmoid(x):
@@ -246,15 +242,15 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     return keep
 
 
-def iou_table(dets: list[Detection], targets: list,
-              class_aware: bool = True) -> list[list[float | None]]:
+def iou_table(dets: list[Detection], targets, class_aware: bool = True) -> list[list[float | None]]:
     """IOU of every detection-target pair: one row per detection, in the
-    given order, one entry per target; None where class_aware and the
-    classes differ.
+    given order, one entry per target row [cx, cy, w, h, class, ...]; None
+    where class_aware and the classes differ.
     """
+    boxes = [(Box(*tgt[:4]), tgt[4]) for tgt in targets]
     return [
-        [iou(det.box, tgt.box) if not class_aware or tgt.class_id == det.class_id else None
-         for tgt in targets]
+        [iou(det.box, box) if not class_aware or cls == det.class_id else None
+         for box, cls in boxes]
         for det in dets
     ]
 
@@ -279,11 +275,11 @@ def greedy_match(table: list[list[float | None]], iou_threshold: float) -> list[
     return picks
 
 
-def match_detections(dets: list[Detection], targets: list, iou_threshold: float,
+def match_detections(dets: list[Detection], targets, iou_threshold: float,
                      class_aware: bool = True):
     """Greedy matcher: each detection, highest confidence first, takes the
-    highest-IOU untaken target at or above the threshold (of its own class
-    when class_aware).
+    highest-IOU untaken target row [cx, cy, w, h, class, ...] at or above
+    the threshold (of its own class when class_aware).
 
     Returns (matches, missed): matches pairs every detection, in descending
     confidence order, with its target or None; missed lists the untaken

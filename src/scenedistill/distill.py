@@ -18,8 +18,8 @@ from .detection import (
     CONF_THRESHOLD,
     NMS_IOU,
     GridShape,
-    GroundTruthObject,
     decode_tensor,
+    detection_rows,
     match_detections,
     nms,
     partition_cells,
@@ -108,19 +108,20 @@ def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillCo
 
 
 def _pair_loss(matches, missed) -> float:
-    """Quadratic objectness + box + class penalty over a matching, summed
-    over the matched pairs, then the unmatched detections, then the misses."""
+    """Quadratic objectness + box + class penalty over a matching of
+    detections to target rows, summed over the matched pairs, then the
+    unmatched detections, then the misses."""
     total, n = 0.0, 0
     for det, tgt in matches:
         if tgt is None:
             continue
         box_mse = np.mean([
-            (det.box.cx - tgt.box.cx) ** 2,
-            (det.box.cy - tgt.box.cy) ** 2,
-            (det.box.w - tgt.box.w) ** 2,
-            (det.box.h - tgt.box.h) ** 2,
+            (det.box.cx - tgt[0]) ** 2,
+            (det.box.cy - tgt[1]) ** 2,
+            (det.box.w - tgt[2]) ** 2,
+            (det.box.h - tgt[3]) ** 2,
         ])
-        cls = 0.0 if det.class_id == tgt.class_id else 1.0
+        cls = 0.0 if det.class_id == tgt[4] else 1.0
         total += (det.confidence - 1.0) ** 2 + box_mse + cls
         n += 1
     for det, tgt in matches:
@@ -133,19 +134,22 @@ def _pair_loss(matches, missed) -> float:
     return total / n if n else 0.0
 
 
-def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt: list[GroundTruthObject],
-                     shape: GridShape) -> float:
+def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt, shape: GridShape) -> float:
     """Decode-and-match distillation loss (box + class + objectness terms).
 
     Decodes both tensors, suppresses duplicates, then scores the student's
-    boxes against ground truth and against the oracle's boxes.  Exists mainly
-    so its wall-clock cost (which grows with the number of decoded targets)
-    can be benchmarked against the tensor-space loss.
+    boxes against ground truth, rows [cx, cy, w, h, class, object_id], and
+    against the oracle's boxes.  Exists mainly so its wall-clock cost (which
+    grows with the number of decoded targets) can be benchmarked against the
+    tensor-space loss.
     """
     student_dets = nms(decode_tensor(student, shape, CONF_THRESHOLD), NMS_IOU)
     oracle_dets = nms(decode_tensor(oracle, shape, CONF_THRESHOLD), NMS_IOU)
-    l_gt = _pair_loss(*match_detections(student_dets, gt, 0.5, class_aware=False))
-    l_t = _pair_loss(*match_detections(student_dets, oracle_dets, 0.5, class_aware=False))
+    # rows of Python floats: matching runs about a fifth slower on numpy scalars
+    l_gt = _pair_loss(*match_detections(student_dets, np.asarray(gt).tolist(), 0.5,
+                                        class_aware=False))
+    l_t = _pair_loss(*match_detections(student_dets, detection_rows(oracle_dets), 0.5,
+                                       class_aware=False))
     return l_gt + l_t
 
 

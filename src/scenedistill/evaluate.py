@@ -20,10 +20,8 @@ import numpy as np
 
 from .detection import (
     CONF_THRESHOLD,
-    Box,
     Detection,
     GridShape,
-    GroundTruthObject,
     decode_tensors,
     detection_rows,
     greedy_match,
@@ -220,18 +218,14 @@ def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalC
                      noise: OracleNoiseSpec | None = None,
                      oracle_seed: int = 0) -> list[np.ndarray]:
     """Per-frame ground truth, each frame a (g, 5) array of [cx, cy, w, h,
-    class] rows: the labels, or the oracle's decoded detections in
-    descending confidence.
+    class] rows: views of the records' labels, or the oracle's decoded
+    detections in descending confidence.
 
     Oracle tensors are synthesized and decoded GT_BLOCK_FRAMES frames at a
     time, equal to oracle_for_frame and decode_tensor frame by frame.
     """
     if eval_cfg.gt_source == "true_gt":
-        rows = np.fromiter((v for rec in stream for o in rec.gt
-                            for v in (o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id)),
-                           dtype=float).reshape(-1, 5)
-        ends = np.cumsum([len(rec.gt) for rec in stream], dtype=np.intp).tolist()
-        return [rows[a:b] for a, b in zip([0] + ends, ends)]
+        return [rec.gt[:, :5] for rec in stream]
     noise = noise if noise is not None else OracleNoiseSpec()
     out = []
     for start in range(0, len(stream), GT_BLOCK_FRAMES):
@@ -306,13 +300,9 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
     cases = []
     for n in target_counts:
         cells = rng.choice(grid.s * grid.s, size=n, replace=False) if n else []
-        gt = []
-        for i, cell in enumerate(cells):
-            row, col = divmod(int(cell), grid.s)
-            gt.append(GroundTruthObject(
-                box=Box((col + 0.5) / grid.s, (row + 0.5) / grid.s, 0.1, 0.1),
-                class_id=int(rng.integers(grid.c)), object_id=i,
-            ))
+        gt = np.array([[(cell % grid.s + 0.5) / grid.s, (cell // grid.s + 0.5) / grid.s,
+                        0.1, 0.1, rng.integers(grid.c), i]
+                       for i, cell in enumerate(map(int, cells))], dtype=float).reshape(-1, 6)
         record = FrameRecord(frame_id=0, scene_id=0, features=None, gt=gt)  # the oracle reads no features
         oracle = oracle_for_frame(record, OracleNoiseSpec(), grid, seed)  # noise-free
         student = oracle + rng.normal(0.0, 0.05, size=oracle.shape)

@@ -317,9 +317,12 @@ def checkpoint_load(path: str) -> DecoderParams:
     try:
         dec = doc["decoder"]
         w1, b1, w2, b2 = (np.asarray(dec[k], dtype=float) for k in ("w1", "b1", "w2", "b2"))
-        version = int(dec["param_version"])
+        version = dec["param_version"]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e
+    if type(version) is not int or version < 0:  # decoder versions only increase from 0
+        raise CheckpointError(f"malformed checkpoint {path}: param_version {version!r} is "
+                              f"not an integer >= 0")
     if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
             and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
         raise CheckpointError(f"decoder shapes in checkpoint {path} disagree: w1 {w1.shape}, "

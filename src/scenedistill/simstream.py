@@ -4,15 +4,18 @@ Streams carry pre-featurized frames: each object is rendered into its grid
 cell as a class-specific feature signature modulated by the object's
 position and size, over a low-amplitude noise background.  Scenes follow
 each other with linear feature blending across a short transition window.
-The synthetic oracle, one synthesizer (oracle_tensors) for a block of
-frames or for one (oracle_for_frame), emits near-ground-truth logit tensors
-with jittered boxes, occasional class flips, and sub-threshold spurious
-objectness on empty cells, like the systematic noise a real heavy detector
-produces in a fixed environment.  Each frame's draws come from its own
-generator, seeded by (seed, scene, frame).  The spurious layout depends on
-the seed, the scene and the set of cells that hold objects, so within a
-scene it stays put until an object enters or leaves a cell, and then shifts
-(ROADMAP, "One noise layout per scene").
+A frame's ground truth is a (g, 6) float array of [cx, cy, w, h, class,
+object_id] rows: the row layout of a trace and of a decoded detection,
+whose sixth column is its confidence instead.  The synthetic oracle, one
+synthesizer (oracle_tensors) for a block of frames or for one
+(oracle_for_frame), emits near-ground-truth logit tensors with jittered
+boxes, occasional class flips, and sub-threshold spurious objectness on
+empty cells, like the systematic noise a real heavy detector produces in a
+fixed environment.  Each frame's draws come from its own generator, seeded
+by (seed, scene, frame).  The spurious layout depends on the seed, the
+scene and the set of cells that hold objects, so within a scene it stays
+put until an object enters or leaves a cell, and then shifts (ROADMAP, "One
+noise layout per scene").
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import contextlib
 import functools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import Box, GridShape, GroundTruthObject, encode_objects
+from .detection import GridShape, encode_objects
 
 SIGNATURE_SEED = 90131  # class signatures are global, not per stream
 LAYOUT_TAG = 1000003    # namespaces the per-scene oracle noise layout
@@ -78,7 +81,7 @@ class FrameRecord:
     frame_id: int
     scene_id: int
     features: np.ndarray  # (s, s, d)
-    gt: list[GroundTruthObject]
+    gt: np.ndarray        # (g, 6) rows [cx, cy, w, h, class, object_id]
     oracle_tensor: np.ndarray | None = None
 
 
@@ -125,16 +128,17 @@ def class_signatures(n_classes: int, feature_dim: int) -> np.ndarray:
     return sig
 
 
-def _cell_of(box: Box, s: int) -> tuple[int, int]:
-    return min(int(box.cy * s), s - 1), min(int(box.cx * s), s - 1)
+def _cell_of(cx: float, cy: float, s: int) -> tuple[int, int]:
+    return min(int(cy * s), s - 1), min(int(cx * s), s - 1)
 
 
 def _spawn_objects(scene: SceneSpec, cfg: StreamConfig, rng,
-                   next_id: int) -> tuple[list[GroundTruthObject], int]:
+                   next_id: int) -> tuple[list[tuple], int]:
+    """A scene's objects as (cx, cy, w, h, class, id) tuples, one per cell."""
     lo, hi = scene.object_count_range
     count = int(rng.integers(lo, hi + 1))
     s = cfg.grid.s
-    objs: list[GroundTruthObject] = []
+    objs = []
     used_cells = set()
     for _ in range(count):
         for _attempt in range(200):
@@ -142,56 +146,50 @@ def _spawn_objects(scene: SceneSpec, cfg: StreamConfig, rng,
             h = float(rng.uniform(*SIZE_RANGE))
             cx = float(rng.uniform(w / 2 + 0.01, 1 - w / 2 - 0.01))
             cy = float(rng.uniform(h / 2 + 0.01, 1 - h / 2 - 0.01))
-            box = Box(cx, cy, w, h)
-            if _cell_of(box, s) not in used_cells:
+            if _cell_of(cx, cy, s) not in used_cells:
                 break
         else:
             continue  # grid too crowded, drop the extra object
-        used_cells.add(_cell_of(box, s))
+        used_cells.add(_cell_of(cx, cy, s))
         class_id = int(rng.choice(len(scene.class_probs), p=np.asarray(scene.class_probs)))
-        objs.append(GroundTruthObject(box=box, class_id=class_id, object_id=next_id))
+        objs.append((cx, cy, w, h, class_id, next_id))
         next_id += 1
     return objs, next_id
 
 
-def _move_objects(objs: list[GroundTruthObject], sigma: float, rng, s: int) -> list[GroundTruthObject]:
+def _move_objects(objs: list[tuple], sigma: float, rng, s: int) -> list[tuple]:
     """Random-walk object centers; a move into an occupied cell is blocked.
 
     A destination counts as occupied if an earlier object already claimed it
     or a later object still sits there, so a blocked object can always keep
     its own cell and per-frame cell uniqueness is preserved.
     """
-    pending = {id(o): _cell_of(o.box, s) for o in objs}
+    cells = [_cell_of(o[0], o[1], s) for o in objs]
     claimed: set[tuple[int, int]] = set()
-    moved: list[GroundTruthObject] = []
-    for obj in objs:
-        b = obj.box
-        del pending[id(obj)]
+    moved = []
+    for i, (cx, cy, w, h, class_id, object_id) in enumerate(objs):
+        old_cell = cells[i]
         if sigma > 0:
             dx, dy = rng.normal(0.0, sigma, size=2)
         else:
             dx = dy = 0.0
-        cx = float(np.clip(b.cx + dx, b.w / 2 + 0.01, 1 - b.w / 2 - 0.01))
-        cy = float(np.clip(b.cy + dy, b.h / 2 + 0.01, 1 - b.h / 2 - 0.01))
-        new_box = Box(cx, cy, b.w, b.h)
-        cell = _cell_of(new_box, s)
-        old_cell = _cell_of(b, s)
-        if cell != old_cell and (cell in claimed or cell in pending.values()):
-            new_box, cell = b, old_cell
+        new_cx = float(np.clip(cx + dx, w / 2 + 0.01, 1 - w / 2 - 0.01))
+        new_cy = float(np.clip(cy + dy, h / 2 + 0.01, 1 - h / 2 - 0.01))
+        cell = _cell_of(new_cx, new_cy, s)
+        if cell != old_cell and (cell in claimed or cell in cells[i + 1:]):
+            new_cx, new_cy, cell = cx, cy, old_cell
         claimed.add(cell)
-        moved.append(replace(obj, box=new_box))
+        moved.append((new_cx, new_cy, w, h, class_id, object_id))
     return moved
 
 
-def _render(objs: list[GroundTruthObject], cfg: StreamConfig, sig: np.ndarray, rng) -> np.ndarray:
+def _render(objs: list[tuple], cfg: StreamConfig, sig: np.ndarray, rng) -> np.ndarray:
     s, d = cfg.grid.s, cfg.feature_dim
     out = rng.normal(0.0, cfg.background_noise, size=(s, s, d))
-    for obj in objs:
-        row, col = _cell_of(obj.box, s)
-        dx = obj.box.cx * s - col
-        dy = obj.box.cy * s - row
-        attrs = np.array([1.0, dx, dy, obj.box.w, obj.box.h])
-        out[row, col] += SIGNATURE_SCALE * (sig[obj.class_id] @ attrs)
+    for cx, cy, w, h, class_id, _ in objs:
+        row, col = _cell_of(cx, cy, s)
+        attrs = np.array([1.0, cx * s - col, cy * s - row, w, h])
+        out[row, col] += SIGNATURE_SCALE * (sig[class_id] @ attrs)
     return out
 
 
@@ -218,7 +216,7 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
     next_id = 0
     frame_id = 0
     visit = 0
-    prev_objs: list[GroundTruthObject] = []
+    prev_objs: list[tuple] = []
     prev_scene: SceneSpec | None = None
 
     while frame_id < n_frames:
@@ -245,7 +243,7 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
                 frame_id=frame_id,
                 scene_id=scene_id,
                 features=feat,
-                gt=list(gt_objs),
+                gt=np.array(gt_objs, dtype=float).reshape(-1, 6),
             ))
             frame_id += 1
         prev_objs, prev_scene = objs, scene
@@ -261,19 +259,20 @@ def scene_change_frames(stream: list[FrameRecord]) -> list[int]:
     ]
 
 
-def _objects_by_cell(gt: list[GroundTruthObject], s: int) -> dict[tuple[int, int], GroundTruthObject]:
-    by_cell: dict[tuple[int, int], GroundTruthObject] = {}
+def _objects_by_cell(gt: list[list[float]], s: int) -> dict[tuple[int, int], list[float]]:
+    """Each occupied cell's ground-truth row, the one nearest the cell center."""
+    by_cell: dict[tuple[int, int], list[float]] = {}
     for obj in gt:
-        cell = _cell_of(obj.box, s)
+        cell = _cell_of(obj[0], obj[1], s)
         incumbent = by_cell.get(cell)
-        if incumbent is None or _center_dist(obj.box, cell, s) < _center_dist(incumbent.box, cell, s):
+        if incumbent is None or _center_dist(obj, cell, s) < _center_dist(incumbent, cell, s):
             by_cell[cell] = obj
     return by_cell
 
 
-def _center_dist(box: Box, cell: tuple[int, int], s: int) -> float:
+def _center_dist(obj: list[float], cell: tuple[int, int], s: int) -> float:
     row, col = cell
-    return float(np.hypot(box.cx * s - (col + 0.5), box.cy * s - (row + 0.5)))
+    return float(np.hypot(obj[0] * s - (col + 0.5), obj[1] * s - (row + 0.5)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -347,7 +346,7 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
         if rec.oracle_tensor is not None:
             tensors[i] = rec.oracle_tensor
             continue
-        by_cell = _objects_by_cell(rec.gt, shape.s)
+        by_cell = _objects_by_cell(rec.gt.tolist(), shape.s)
         layout = _noise_layout(seed, rec.scene_id, noise.empty_cell_noise_rate,
                                tuple(noise.noise_logit_range), shape, frozenset(by_cell))
         rng = np.random.default_rng([seed, rec.scene_id, rec.frame_id])
@@ -358,12 +357,11 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
             logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
             rows.append(box + tuple(z[-4:]) if sigma > 0 else box)
             classes.append(cls)
-        for obj in by_cell.values():
-            cls = obj.class_id
+        for cx, cy, w, h, cls, _ in by_cell.values():
+            cls = int(cls)
             if noise.class_flip_prob > 0 and rng.random() < noise.class_flip_prob:
                 cls = int((cls + 1 + rng.integers(c - 1)) % c) if c > 1 else cls
-            b = obj.box
-            box = (b.cx, b.cy, b.w, b.h)
+            box = (cx, cy, w, h)
             rows.append(box + tuple(rng.standard_normal(4).tolist()) if sigma > 0 else box)
             classes.append(cls)
             logits.append(OBJ_LOGIT)
@@ -446,22 +444,57 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
                 "frame_id": rec.frame_id,
                 "scene_id": rec.scene_id,
                 "features": rec.features.reshape(-1).tolist(),
-                "gt": [
-                    [o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id, o.object_id]
-                    for o in rec.gt
-                ],
+                "gt": [[cx, cy, w, h, int(cls), int(oid)]
+                       for cx, cy, w, h, cls, oid in rec.gt.tolist()],
                 "oracle": (rec.oracle_tensor.reshape(-1).tolist()
                            if rec.oracle_tensor is not None else None),
             }
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _frame_record(row: dict, grid: GridShape, d: int, prev_id: int | None) -> FrameRecord:
+    """One trace line's frame; TraceError says what is wrong with it."""
+    for name in ("frame_id", "scene_id"):
+        if type(row[name]) is not int:
+            raise TraceError(f"{name} {row[name]!r} is not an integer")
+    if prev_id is not None and row["frame_id"] <= prev_id:
+        raise TraceError(f"frame_id {row['frame_id']} does not follow {prev_id}")
+    gt = row["gt"]
+    if not (isinstance(gt, list) and all(
+            isinstance(g, list) and len(g) == 6 and all(type(x) in (int, float) for x in g)
+            for g in gt)):
+        raise TraceError("gt is not a list of [cx, cy, w, h, class, object_id] rows")
+    s = grid.s
+    gt = np.array(gt, dtype=float).reshape(-1, 6)
+    feats = np.asarray(row["features"], dtype=float)
+    oracle = None if row.get("oracle") is None else np.asarray(row["oracle"], dtype=float)
+    for name, values, size in (("features", feats, s * s * d), ("oracle", oracle, grid.n_values)):
+        if values is not None and values.size != size:
+            raise TraceError(f"{name} length {values.size} != {size}")
+    for name, values in (("features", feats), ("gt", gt), ("oracle", oracle)):
+        if values is not None and not np.isfinite(values).all():
+            raise TraceError(f"non-finite value in {name}")
+    fractional = gt[:, 4:][gt[:, 4:] % 1 != 0]
+    if fractional.size:
+        raise TraceError(f"class or object id {fractional[0]} is not an integer")
+    flat = gt[:, 2:4][gt[:, 2:4] <= 0]
+    if flat.size:
+        raise TraceError(f"box w or h {flat[0]} is not > 0")
+    outside = (gt[:, 4] < 0) | (gt[:, 4] >= grid.c)
+    if outside.any():
+        raise TraceError(f"class id {int(gt[outside, 4][0])} not in [0, {grid.c})")
+    return FrameRecord(row["frame_id"], row["scene_id"], feats.reshape(s, s, d), gt,
+                       None if oracle is None else oracle.reshape(s, s, grid.channels))
+
+
 def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
     """Read a trace; returns (stream, grid, feature_dim).
 
-    Malformed lines, dimension mismatches, class ids outside [0, c) and frame
-    ids that do not increase are rejected with the offending line number;
-    unknown header versions are rejected outright.
+    Malformed lines, dimension mismatches, non-finite values, ground truth
+    that is not [cx, cy, w, h, class, object_id] rows with w, h > 0 and
+    integral ids, class ids outside [0, c) and frame or scene ids that are
+    not integers, or frame ids that do not increase, are rejected with the
+    offending line number; unknown header versions are rejected outright.
     """
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")
@@ -494,43 +527,11 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-            feats = np.asarray(row["features"], dtype=float)
-            if feats.size != s * s * d:
-                raise TraceError(
-                    f"{path}: feature length {feats.size} != {s * s * d} (line {lineno})"
-                )
-            gt = [
-                GroundTruthObject(box=Box(g[0], g[1], g[2], g[3]),
-                                  class_id=int(g[4]), object_id=int(g[5]))
-                for g in row["gt"]
-            ]
-            for obj in gt:
-                if not 0 <= obj.class_id < c:
-                    raise TraceError(f"{path}: class id {obj.class_id} not in [0, {c}) "
-                                     f"(line {lineno})")
-            oracle = None
-            if row.get("oracle") is not None:
-                oracle = np.asarray(row["oracle"], dtype=float)
-                if oracle.size != grid.n_values:
-                    raise TraceError(
-                        f"{path}: oracle length {oracle.size} != {grid.n_values} (line {lineno})"
-                    )
-                oracle = oracle.reshape(s, s, grid.channels)
-            frame_id = int(row["frame_id"])
-            if records and frame_id <= records[-1].frame_id:
-                raise TraceError(f"{path}: frame_id {frame_id} does not follow "
-                                 f"{records[-1].frame_id} (line {lineno})")
-            records.append(FrameRecord(
-                frame_id=frame_id,
-                scene_id=int(row["scene_id"]),
-                features=feats.reshape(s, s, d),
-                gt=gt,
-                oracle_tensor=oracle,
-            ))
-        except TraceError:
-            raise
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as e:
+            records.append(_frame_record(json.loads(line), grid, d,
+                                         records[-1].frame_id if records else None))
+        except TraceError as e:
+            raise TraceError(f"{path}: {e} (line {lineno})") from None
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
             raise TraceError(f"{path}: malformed record (line {lineno}): {e}") from e
     if len(records) != n_frames:
         raise TraceError(

@@ -195,9 +195,10 @@ class TestIouTable:
     def test_table_rows_follow_detections_none_across_classes(self):
         dets = [Detection(Box(0.5, 0.5, 0.5, 0.5), 0, 0.9),
                 Detection(Box(0.1, 0.1, 0.1, 0.1), 1, 0.8)]
-        targets = [Detection(Box(0.5, 0.5, 0.5, 0.5), 0, 1.0)]
+        targets = [[0.5, 0.5, 0.5, 0.5, 0, 1.0]]
         assert iou_table(dets, targets) == [[1.0], [None]]
         assert iou_table(dets, targets, class_aware=False) == [[1.0], [0.0]]
+        assert iou_table(dets, np.array(targets)) == [[1.0], [None]]
 
 
 class TestDecode:

@@ -12,7 +12,6 @@ from scenedistill.detection import (
     Box,
     Detection,
     GridShape,
-    GroundTruthObject,
     decode_tensor,
     encode_objects,
     match_detections,
@@ -196,7 +195,8 @@ def make_det(cx, cy, w, h, class_id, conf):
 
 
 def make_gt(cx, cy, w, h, class_id, oid=0):
-    return GroundTruthObject(Box(cx, cy, w, h), class_id, oid)
+    """A labelled object as the row [cx, cy, w, h, class, object_id]."""
+    return [cx, cy, w, h, class_id, oid]
 
 
 class TestPairLoss:
@@ -222,12 +222,12 @@ class TestNmsDistillLoss:
         oracle[:, :, 0] = -12.0
         gt = [make_gt(0.3, 0.3, 0.2, 0.2, 1), make_gt(0.72, 0.67, 0.15, 0.2, 2, 1)]
         for obj in gt:
-            b = obj.box
-            encode_objects(oracle, shape, [(b.cx, b.cy, b.w, b.h)], [obj.class_id], [12.0],
-                           class_margin=12.0)
+            encode_objects(oracle, shape, [obj[:4]], [obj[4]], [12.0], class_margin=12.0)
         student = oracle.copy()
         loss = nms_distill_loss(student, oracle, gt, shape)
         assert loss == pytest.approx(0.0, abs=1e-3)
+        # ground truth as a frame holds it, a (g, 6) float array
+        assert nms_distill_loss(student, oracle, np.array(gt, dtype=float), shape) == loss
 
     def test_empty_gt_and_oracle_penalizes_spurious_objectness(self):
         shape = GridShape(s=3, c=2)
@@ -258,7 +258,7 @@ class TestNmsDistillLoss:
                 r, c = divmod(int(cell), 8)
                 box = Box((c + 0.5) / 8, (r + 0.5) / 8, 0.1, 0.1)
                 gt.append(make_gt(box.cx, box.cy, 0.1, 0.1, int(rng.integers(4)), i))
-                encode_objects(t, shape, [(box.cx, box.cy, box.w, box.h)], [gt[-1].class_id], [8.0])
+                encode_objects(t, shape, [(box.cx, box.cy, box.w, box.h)], [gt[-1][4]], [8.0])
             return t, gt
 
         t1, gt1 = build(2)

@@ -18,7 +18,6 @@ from scenedistill.detection import (
     Box,
     Detection,
     GridShape,
-    GroundTruthObject,
     decode_tensor,
     iou,
 )
@@ -51,14 +50,15 @@ def det(cx, cy, w, h, cls, conf):
 
 
 def gt(cx, cy, w, h, cls, oid=0):
-    return GroundTruthObject(Box(cx, cy, w, h), cls, oid)
+    """A labelled object as the row [cx, cy, w, h, class, object_id]."""
+    return [cx, cy, w, h, cls, oid]
 
 
 def gt_rows(frames_gt):
     """Per-frame labelled objects as the (g, 5) [cx, cy, w, h, class] arrays
     scoring reads."""
-    return [np.array([[o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id] for o in objects],
-                     dtype=float).reshape(-1, 5) for objects in frames_gt]
+    return [np.array([o[:5] for o in objects], dtype=float).reshape(-1, 5)
+            for objects in frames_gt]
 
 
 # Reference implementations: the greedy matcher, the precision envelope and
@@ -72,9 +72,9 @@ def reference_match(dets, targets, iou_threshold):
     for k in order:
         best_j, best_iou = -1, iou_threshold
         for j, tgt in enumerate(targets):
-            if taken[j] or tgt.class_id != dets[k].class_id:
+            if taken[j] or tgt[4] != dets[k].class_id:
                 continue
-            v = iou(dets[k].box, tgt.box)
+            v = iou(dets[k].box, Box(*tgt[:4]))
             if v >= best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0:
@@ -106,7 +106,7 @@ def reference_evaluate_frames(per_frame_dets, per_frame_gt, iou_threshold):
     fn_total = 0
     for dets, objects in zip(per_frame_dets, per_frame_gt):
         for obj in objects:
-            n_gt_per_class[obj.class_id] = n_gt_per_class.get(obj.class_id, 0) + 1
+            n_gt_per_class[obj[4]] = n_gt_per_class.get(obj[4], 0) + 1
         matches, missed = reference_match(dets, objects, iou_threshold)
         fn_total += len(missed)
         scored.extend((d.confidence, tgt is not None, d.class_id) for d, tgt in matches)
@@ -139,7 +139,7 @@ frame_gt = st.lists(st.builds(gt, coords, coords, sizes, sizes, st.integers(0, 1
 class TestMatchDetections:
     def test_perfect_detections_all_tp(self):
         objects = [gt(0.2, 0.2, 0.1, 0.1, 0, 0), gt(0.7, 0.7, 0.2, 0.2, 1, 1)]
-        dets = [det(o.box.cx, o.box.cy, o.box.w, o.box.h, o.class_id, 0.9) for o in objects]
+        dets = [det(*o[:5], 0.9) for o in objects]
         matches, missed = match_detections(dets, objects, 0.5)
         assert matches == list(zip(dets, objects))
         assert missed == []
@@ -190,7 +190,8 @@ class TestMatchDetections:
         for perm in itertools.permutations(range(len(dets)), len(objects)):
             score = sum(
                 1 for j, k in enumerate(perm)
-                if iou(dets[k].box, objects[j].box) >= 0.5 and dets[k].class_id == objects[j].class_id
+                if iou(dets[k].box, Box(*objects[j][:4])) >= 0.5
+                and dets[k].class_id == objects[j][4]
             )
             best = max(best, score)
         assert sum(tp) == best == 3
@@ -206,7 +207,7 @@ class TestMatchDetections:
     def test_match_exactly_at_threshold(self):
         objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
         dets = [det(0.55, 0.47, 0.2, 0.25, 0, 0.9)]
-        v = iou(dets[0].box, objects[0].box)
+        v = iou(dets[0].box, Box(*objects[0][:4]))
         assert 0.0 < v < 1.0
         assert match_detections(dets, objects, v) == ([(dets[0], objects[0])], [])
         above = math.nextafter(v, 1.0)
@@ -354,7 +355,7 @@ class TestArrayScoringMatchesReference:
         for _ in range(40):
             d = det(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0, 0.9)
             o = gt(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0)
-            v = iou(d.box, o.box)
+            v = iou(d.box, Box(*o[:4]))
             if 0.0 < v < 1.0:
                 thresholds += [v, math.nextafter(v, 1.0)]
             dets.append([d])
@@ -456,6 +457,14 @@ class TestGroundTruthFor:
 
     def test_empty_stream(self):
         assert ground_truth_for([], PIN_GRID, EvalConfig(gt_source="oracle_as_gt"), PIN_NOISE) == []
+
+    def test_true_gt_is_the_records_rows_without_object_ids(self):
+        stream, _ = pin_run(23, n_frames=40)
+        got = ground_truth_for(stream, PIN_GRID, EvalConfig(gt_source="true_gt"))
+        assert len(got) == len(stream)
+        for rows, rec in zip(got, stream):
+            assert rows.shape == (len(rec.gt), 5)
+            assert np.array_equal(rows, rec.gt[:, :5])
 
 
 class TestSweep:

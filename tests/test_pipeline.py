@@ -430,6 +430,49 @@ def test_perfbench_package_names_resolve():
     assert sorted(n for n in names if not hasattr(scenedistill, n)) == []
 
 
+# perfbench's detection digest, taken before ground truth became rows, of a
+# 400-frame perfbench-like stream run in each mode with the oracle answering
+# at once; frozen_student serves a decoder adapted on another stream, as the
+# serve_adapted workload does
+PERFBENCH_DIGESTS = {
+    "frozen_student": "70ae79dbec6bf59c",
+    "sequential": "e9ccc7cfcc81877a",
+    "parallel": "e294ea04fdf5e9c4",
+    "mixed": "13220dd876490857",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PERFBENCH_DIGESTS))
+def test_perfbench_reads_real_reports(mode, monkeypatch, tmp_path):
+    # perfbench hashes and checks every report through derive.py, which reads
+    # the report's detections field by field; a change to their form should
+    # fail here rather than in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import derive
+    grid = GridShape(s=6, c=4)
+    scenes = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)), motion_sigma=0.004,
+                        duration_range=(200, 300)) for i in range(4)]
+    stream_cfg = StreamConfig(grid=grid, feature_dim=12, transition_len=4)
+    noise = scenedistill.OracleNoiseSpec(empty_cell_noise_rate=0.15, noise_logit_range=(-2.0, -0.4),
+                                         box_jitter_sigma=0.002, noise_wobble=0.02,
+                                         class_flip_prob=0.02)
+    base = dict(seed=0, oracle_seed=3000, oracle_noise=noise, decoder_hidden=32, period=16,
+                distill=scenedistill.DistillConfig(lam=0.4, lr=0.05, steps_per_event=10))
+    stream = generate_stream(scenes, 400, stream_cfg, 3000)
+    if mode == "frozen_student":
+        ckpt = str(tmp_path / "adapted.json")
+        run_pipeline(stream, grid, PipelineConfig(**base, checkpoint_out=ckpt))
+        stream = generate_stream(scenes, 400, stream_cfg, 3001)
+        cfg = PipelineConfig(**base, mode=mode, selector="never", init_checkpoint=ckpt)
+    else:
+        selector = {"sequential": "adaptive", "parallel": "periodic", "mixed": "never"}[mode]
+        cfg = PipelineConfig(**base, mode=mode, selector=selector)
+    report = run_pipeline(stream, grid, cfg)
+    assert derive.check_report(report, len(stream)) == []
+    assert sum(map(len, report.detections)) > 0
+    assert derive.detection_digest(report.detections) == PERFBENCH_DIGESTS[mode]
+
+
 class TestCheckpointing:
     def test_round_trip_preserves_forward_outputs(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -485,6 +528,20 @@ class TestCheckpointing:
         doc["decoder"]["param_version"] = "seven"
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="malformed"):
+            checkpoint_load(str(path))
+
+    @pytest.mark.parametrize("value", ["7", 7.9, 7.0, -1, True, None])
+    def test_param_version_must_be_an_integer_at_least_zero(self, tmp_path, value):
+        # int() once loaded "7" and 7.9 as version 7 and any negative value;
+        # decoder versions only increase from 0
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        doc = json.loads(path.read_text())
+        doc["decoder"]["param_version"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"param_version {value!r} is not an integer >= 0")):
             checkpoint_load(str(path))
 
     def test_non_numeric_weights_rejected(self, tmp_path):

@@ -1,12 +1,12 @@
 """Stream generator, synthetic oracle, and trace round-trips."""
 
 import hashlib
-from dataclasses import replace
+import json
 
 import numpy as np
 import pytest
 
-from scenedistill.detection import Box, GridShape, GroundTruthObject, decode_tensor, iou
+from scenedistill.detection import Box, GridShape, decode_tensor, iou
 from scenedistill.evaluate import EvalConfig, evaluate_frames, ground_truth_for
 from scenedistill.simstream import (
     EMPTY_LOGIT,
@@ -41,11 +41,21 @@ def one_scene(probs=(0.5, 0.3, 0.2), motion=0.005, duration=(40, 60), count=(2, 
 
 
 def stream_hash(stream):
+    """SHA-256 of every frame's features and its [cx, cy, w, h, class,
+    object_id] ground-truth rows, the ids as integers."""
     digest = hashlib.sha256()
     for rec in stream:
         digest.update(rec.features.tobytes())
-        digest.update(str([(o.box, o.class_id, o.object_id) for o in rec.gt]).encode())
+        digest.update(json.dumps([[*row[:4], int(row[4]), int(row[5])]
+                                  for row in rec.gt.tolist()]).encode())
     return digest.hexdigest()
+
+
+# perfbench's stream model: a 6x4 grid and four scenes, each favouring one class
+PERF_GRID = GridShape(s=6, c=4)
+PERF_CFG = StreamConfig(grid=PERF_GRID, feature_dim=12, transition_len=4)
+PERF_SCENES = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)), motion_sigma=0.004,
+                         duration_range=(200, 300)) for i in range(4)]
 
 
 class TestGenerateStream:
@@ -53,8 +63,9 @@ class TestGenerateStream:
         scenes = [one_scene(motion=0.0, duration=(100, 100))]
         stream = generate_stream(scenes, 50, CFG, seed=1)
         first = stream[0].gt
+        assert first.shape[0] >= 2
         for rec in stream[1:]:
-            assert rec.gt == first
+            assert np.array_equal(rec.gt, first)
 
     def test_same_seed_bitwise_identical(self):
         scenes = [one_scene(), SceneSpec(scene_id=1, class_probs=(0.0, 0.5, 0.5))]
@@ -68,6 +79,23 @@ class TestGenerateStream:
         b = generate_stream(scenes, 100, CFG, seed=2)
         assert stream_hash(a) != stream_hash(b)
 
+    # SHA-256 of 600 frames of perfbench-like streams, features and ground
+    # truth, taken before ground truth became rows
+    STREAM_PINS = {
+        3000: "fe055b1625a55aaecc421e8429c45b99c2d202a19edcdabfdb508b70dee6d903",
+        999_983: "385bf03527cd174e03462abf3249fc471731e014138e12b396bdb111ff0f80f0",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(STREAM_PINS))
+    def test_perfbench_like_stream_matches_pinned_digest(self, seed):
+        stream = generate_stream(PERF_SCENES, 600, PERF_CFG, seed)
+        assert stream_hash(stream) == self.STREAM_PINS[seed]
+
+    def test_ground_truth_is_a_float_row_array(self):
+        stream = generate_stream(PERF_SCENES, 50, PERF_CFG, 3)
+        for rec in stream:
+            assert rec.gt.dtype == float and rec.gt.ndim == 2 and rec.gt.shape[1] == 6
+
     def test_disjoint_class_supports_across_change(self):
         scenes = [
             SceneSpec(scene_id=0, class_probs=(1.0, 0.0, 0.0), duration_range=(30, 40)),
@@ -77,7 +105,7 @@ class TestGenerateStream:
         changes = scene_change_frames(stream)
         assert changes
         for rec in stream:
-            classes = {o.class_id for o in rec.gt}
+            classes = set(rec.gt[:, 4].tolist())
             if rec.scene_id == 0:
                 assert classes <= {0}
             else:
@@ -95,10 +123,10 @@ class TestGenerateStream:
         seen = {}
         counts = np.zeros(3)
         for rec in stream:
-            for obj in rec.gt:
-                if obj.object_id not in seen:
-                    seen[obj.object_id] = True
-                    counts[obj.class_id] += 1
+            for class_id, object_id in rec.gt[:, 4:].astype(int).tolist():
+                if object_id not in seen:
+                    seen[object_id] = True
+                    counts[class_id] += 1
         freq = counts / counts.sum()
         tv = 0.5 * np.abs(freq - np.asarray(probs)).sum()
         assert tv <= 0.05
@@ -107,18 +135,18 @@ class TestGenerateStream:
         scenes = [one_scene(motion=0.05)]
         stream = generate_stream(scenes, 300, CFG, seed=2)
         for rec in stream:
-            for obj in rec.gt:
-                assert obj.box.cx - obj.box.w / 2 >= 0.0
-                assert obj.box.cx + obj.box.w / 2 <= 1.0
-                assert obj.box.cy - obj.box.h / 2 >= 0.0
-                assert obj.box.cy + obj.box.h / 2 <= 1.0
+            for cx, cy, w, h, _, _ in rec.gt.tolist():
+                assert cx - w / 2 >= 0.0
+                assert cx + w / 2 <= 1.0
+                assert cy - h / 2 >= 0.0
+                assert cy + h / 2 <= 1.0
 
     def test_one_object_per_cell(self):
         scenes = [one_scene(motion=0.08, count=(6, 8))]
         stream = generate_stream(scenes, 300, CFG, seed=5)
         for rec in stream:
-            cells = [(min(int(o.box.cy * GRID.s), GRID.s - 1),
-                      min(int(o.box.cx * GRID.s), GRID.s - 1)) for o in rec.gt]
+            cells = [(min(int(cy * GRID.s), GRID.s - 1), min(int(cx * GRID.s), GRID.s - 1))
+                     for cx, cy, *_ in rec.gt.tolist()]
             assert len(cells) == len(set(cells))
 
     def test_empty_scene_list_rejected(self):
@@ -131,7 +159,10 @@ class TestGenerateStream:
 
 
 def record(gt, frame_id=0):
-    return FrameRecord(frame_id=frame_id, scene_id=0, features=None, gt=gt)
+    """A frame, without features, whose ground truth is the given
+    [cx, cy, w, h, class, object_id] rows."""
+    return FrameRecord(frame_id=frame_id, scene_id=0, features=None,
+                       gt=np.array(gt, dtype=float).reshape(-1, 6))
 
 
 class TestSynthOracle:
@@ -140,32 +171,32 @@ class TestSynthOracle:
         assert decode_tensor(t, GRID, 0.5) == []
 
     def test_one_object_round_trips_through_decode(self):
-        obj = GroundTruthObject(Box(0.52, 0.48, 0.2, 0.25), class_id=1)
+        obj = [0.52, 0.48, 0.2, 0.25, 1, 0]
         t = oracle_for_frame(record([obj]), OracleNoiseSpec(), GRID, seed=1)
         dets = decode_tensor(t, GRID, 0.5)
         assert len(dets) == 1
         assert dets[0].class_id == 1
-        assert iou(dets[0].box, obj.box) >= 0.95
+        assert iou(dets[0].box, Box(*obj[:4])) >= 0.95
         assert dets[0].confidence >= 0.95
 
     def test_noise_stays_out_of_high_partition(self):
         from scenedistill.detection import partition_cells
-        obj = GroundTruthObject(Box(0.5, 0.5, 0.2, 0.2), class_id=0)
+        obj = [0.5, 0.5, 0.2, 0.2, 0, 0]
         noise = OracleNoiseSpec(empty_cell_noise_rate=0.5, noise_logit_range=(-2.0, -0.2))
         t = oracle_for_frame(record([obj]), noise, GRID, seed=2)
         high, _ = partition_cells(t, 0.5)
         assert high.sum() == 1  # only the true object's cell
 
     def test_nearer_object_wins_shared_cell(self):
-        near = GroundTruthObject(Box(0.5, 0.5, 0.1, 0.1), class_id=0, object_id=0)
-        far = GroundTruthObject(Box(0.55, 0.59, 0.1, 0.1), class_id=1, object_id=1)
+        near = [0.5, 0.5, 0.1, 0.1, 0, 0]
+        far = [0.55, 0.59, 0.1, 0.1, 1, 1]
         t = oracle_for_frame(record([far, near]), OracleNoiseSpec(), GRID, seed=3)
         dets = decode_tensor(t, GRID, 0.5)
         assert len(dets) == 1
         assert dets[0].class_id == 0
 
     def test_class_flip_probability(self):
-        obj = GroundTruthObject(Box(0.5, 0.5, 0.2, 0.2), class_id=0)
+        obj = [0.5, 0.5, 0.2, 0.2, 0, 0]
         noise = OracleNoiseSpec(class_flip_prob=0.3)
         flips = 0
         for frame_id in range(2000):
@@ -276,12 +307,8 @@ class TestOracleTensors:
     def test_jittered_object_overwrites_spurious_cell(self):
         # objects on a cell boundary, jitter that moves them across it, and a
         # spurious detection on every empty cell: a moved object lands on one
-        records = [
-            FrameRecord(frame_id=i, scene_id=0, features=None,
-                        gt=[GroundTruthObject(Box(0.4 + 1e-9, 0.5, 0.1, 0.1), 0),
-                            GroundTruthObject(Box(0.9, 0.2 + 1e-9, 0.1, 0.1), 1)])
-            for i in range(12)
-        ]
+        records = [record([[0.4 + 1e-9, 0.5, 0.1, 0.1, 0, 0], [0.9, 0.2 + 1e-9, 0.1, 0.1, 1, 0]], i)
+                   for i in range(12)]
         noise = OracleNoiseSpec(empty_cell_noise_rate=1.0, box_jitter_sigma=0.05, noise_wobble=0.1)
         got = self.assert_matches_one_record_calls(records, noise, GRID, 8)
         # where the first object left its cell (2, 2), that cell is empty and
@@ -314,7 +341,7 @@ class TestTraceIO:
             assert a.frame_id == b.frame_id
             assert a.scene_id == b.scene_id
             assert np.array_equal(a.features, b.features)
-            assert a.gt == b.gt
+            assert np.array_equal(a.gt, b.gt)
             assert np.array_equal(a.oracle_tensor, b.oracle_tensor)
 
     def test_round_trip_preserves_evaluation(self, tmp_path):
@@ -368,7 +395,7 @@ class TestTraceIO:
     def test_class_id_outside_grid_names_line(self, tmp_path, class_id):
         # an id past c breaks encoding; a negative one lands in a box channel
         stream = self.make_stream()
-        stream[5].gt[0] = replace(stream[5].gt[0], class_id=class_id)
+        stream[5].gt[0, 4] = class_id
         path = str(tmp_path / "trace.jsonl")
         write_trace(stream, path, grid=GRID)
         with pytest.raises(TraceError, match=rf"class id {class_id} not in \[0, 3\) \(line 7\)"):
@@ -433,6 +460,75 @@ class TestTraceIO:
         write_trace(stream, str(p1), grid=GRID)
         write_trace(stream, str(p2), grid=GRID)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # SHA-256 of make_stream()'s trace, taken before ground truth became rows
+    TRACE_PIN = "3c9efb668e7696f66affec8162020c8cbc30403178ab4cbeb301f5469420c392"
+
+    def test_trace_bytes_match_pin_and_survive_write_read_write(self, tmp_path):
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_trace(self.make_stream(), str(p1), grid=GRID)
+        assert hashlib.sha256(p1.read_bytes()).hexdigest() == self.TRACE_PIN
+        write_trace(read_trace(str(p1))[0], str(p2), grid=GRID)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    def corrupt(self, tmp_path, mutate):
+        """make_stream()'s trace with frame 5's record (line 7) passed
+        through mutate."""
+        path = tmp_path / "trace.jsonl"
+        write_trace(self.make_stream(), str(path), grid=GRID)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[6])
+        assert row["gt"]
+        mutate(row)
+        lines[6] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("key,index,value", [
+        ("features", 3, float("inf")), ("gt", (0, 0), float("nan")),
+        ("gt", (0, 3), float("-inf")), ("oracle", 0, float("nan")),
+    ])
+    def test_non_finite_value_names_line(self, tmp_path, key, index, value):
+        def mutate(row):
+            if key == "gt":
+                row["gt"][index[0]][index[1]] = value
+            else:
+                row[key][index] = value
+        with pytest.raises(TraceError, match=rf"non-finite value in {key} \(line 7\)"):
+            read_trace(self.corrupt(tmp_path, mutate))
+
+    @pytest.mark.parametrize("gt", [
+        [[0.5, 0.5, 0.2, 0.2, 0]], [[0.5, 0.5, 0.2, 0.2, 0, 1, 7]], [[0.5, "0.5", 0.2, 0.2, 0, 1]],
+        [[0.5, 0.5, 0.2, 0.2, True, 1]], [[0.5, 0.5, 0.2, 0.2, 0, None]], [0.5, 0.5, 0.2, 0.2, 0, 1],
+        {"cx": 0.5},
+    ], ids=["five", "seven", "string", "bool", "null", "flat", "object"])
+    def test_gt_not_rows_of_six_numbers_names_line(self, tmp_path, gt):
+        path = self.corrupt(tmp_path, lambda row: row.update(gt=gt))
+        with pytest.raises(TraceError, match=r"gt is not a list of .* rows \(line 7\)"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("column,value", [(4, 1.5), (5, 2.25), (4, -0.5)])
+    def test_non_integral_class_or_object_id_names_line(self, tmp_path, column, value):
+        # a class id of 1.5 used to load as class 1
+        path = self.corrupt(tmp_path, lambda row: row["gt"][0].__setitem__(column, value))
+        with pytest.raises(TraceError,
+                           match=rf"class or object id {value} is not an integer \(line 7\)"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("column,value", [(2, 0.0), (3, -0.1)])
+    def test_box_without_extent_names_line(self, tmp_path, column, value):
+        path = self.corrupt(tmp_path, lambda row: row["gt"][0].__setitem__(column, value))
+        with pytest.raises(TraceError, match=rf"box w or h {value} is not > 0 \(line 7\)"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("frame_id", 5.0), ("frame_id", "5"), ("scene_id", 0.5), ("scene_id", None),
+    ])
+    def test_non_integer_frame_or_scene_id_names_line(self, tmp_path, key, value):
+        # int() once loaded 5.0 and "5" as frame 5 and scene 0.5 as scene 0
+        path = self.corrupt(tmp_path, lambda row: row.update({key: value}))
+        with pytest.raises(TraceError, match=rf"{key} {value!r} is not an integer \(line 7\)"):
+            read_trace(path)
 
 
 class TestSpecValidation:
