@@ -75,16 +75,6 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def logit(p):
-    """Inverse sigmoid, clipped away from 0/1 so encoding stays finite.
-
-    The clip is np.maximum then np.minimum, np.clip's own rule, without
-    np.clip's Python wrapper.
-    """
-    p = np.minimum(np.maximum(p, LOGIT_CLIP), 1.0 - LOGIT_CLIP)
-    return np.log(p / (1.0 - p))
-
-
 def softmax(x, axis=-1):
     z = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(z)
@@ -203,7 +193,12 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     block[0] = obj_logits
     np.subtract(scaled, cells, out=block[1:3])
     block[3:5] = geo[2:]
-    block[1:5] = logit(block[1:5])
+    # the inverse sigmoid in place, clipped away from 0/1 so encoding stays
+    # finite: np.maximum then np.minimum, np.clip's own rule
+    fractions = block[1:5]
+    np.maximum(fractions, LOGIT_CLIP, out=fractions)
+    np.minimum(fractions, 1.0 - LOGIT_CLIP, out=fractions)
+    np.log(fractions / (1.0 - fractions), out=fractions)
     block[5:] = -class_margin
     block[np.add(class_ids, 5), np.arange(n)] = class_margin
 

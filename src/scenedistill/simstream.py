@@ -11,11 +11,8 @@ synthesizer (oracle_tensors) for a block of frames or for one
 (oracle_for_frame), emits near-ground-truth logit tensors with jittered
 boxes, occasional class flips, and sub-threshold spurious objectness on
 empty cells, like the systematic noise a real heavy detector produces in a
-fixed environment.  Each frame's draws come from its own generator, seeded
-by (seed, scene, frame).  The spurious layout depends on the seed, the
-scene and the set of cells that hold objects, so within a scene it stays
-put until an object enters or leaves a cell, and then shifts (ROADMAP, "One
-noise layout per scene").
+fixed environment.  The spurious layout is persistent per scene, and a
+frame's draws are a pure function of (seed, scene, frame).
 """
 
 from __future__ import annotations
@@ -259,47 +256,30 @@ def scene_change_frames(stream: list[FrameRecord]) -> list[int]:
     ]
 
 
-def _objects_by_cell(gt: list[list[float]], s: int) -> dict[tuple[int, int], list[float]]:
-    """Each occupied cell's ground-truth row, the one nearest the cell center."""
-    by_cell: dict[tuple[int, int], list[float]] = {}
-    for obj in gt:
-        cell = _cell_of(obj[0], obj[1], s)
-        incumbent = by_cell.get(cell)
-        if incumbent is None or _center_dist(obj, cell, s) < _center_dist(incumbent, cell, s):
-            by_cell[cell] = obj
-    return by_cell
-
-
-def _center_dist(obj: list[float], cell: tuple[int, int], s: int) -> float:
-    row, col = cell
-    return float(np.hypot(obj[0] * s - (col + 0.5), obj[1] * s - (row + 0.5)))
-
-
 @functools.lru_cache(maxsize=1024)
 def _noise_layout(seed: int, scene_id: int, rate: float, logit_range: tuple[float, float],
-                  shape: GridShape, occupied: frozenset[tuple[int, int]]) -> tuple:
-    """(base_logit, (cx, cy, w, h), class) of each spurious detection, drawn
-    once per distinct key.
-
-    A cell in occupied skips its six value draws, which shifts every later
-    cell's values: the layout depends on which cells hold objects (ROADMAP,
-    "One noise layout per scene").
-    """
+                  s: int, c: int) -> np.ndarray:
+    """A scene's spurious detections, read-only, a column per cell: [shown,
+    cx, cy, w, h, class, base_logit].  Every cell draws the same values
+    whatever a frame holds, so a scene has exactly one layout."""
     rng = np.random.default_rng([seed, LAYOUT_TAG, scene_id])
-    s = shape.s
-    lo, hi = logit_range
-    layout = []
-    for row in range(s):
-        for col in range(s):
-            if rng.random() >= rate or (row, col) in occupied:
-                continue
-            base_logit = float(rng.uniform(lo, hi))
-            w = float(rng.uniform(0.08, 0.18))
-            h = float(rng.uniform(0.08, 0.18))
-            cx = (col + float(rng.uniform(0.3, 0.7))) / s
-            cy = (row + float(rng.uniform(0.3, 0.7))) / s
-            layout.append((base_logit, (cx, cy, w, h), int(rng.integers(shape.c))))
-    return tuple(layout)
+    shown = rng.random(s * s) < rate
+    base, w, h, dx, dy = rng.uniform([logit_range[0], 0.08, 0.08, 0.3, 0.3],
+                                     [logit_range[1], 0.18, 0.18, 0.7, 0.7], size=(s * s, 5)).T
+    row, col = np.divmod(np.arange(s * s), s)
+    layout = np.array([shown, (col + dx) / s, (row + dy) / s, w, h,
+                       rng.integers(c, size=s * s), base])
+    layout.flags.writeable = False
+    return layout
+
+
+# The one generator every frame draws from: its key is set to (seed, scene)
+# and its counter to (0, frame, 0, 0) before the frame's draws, about a
+# tenth of the cost of seeding a new generator.  Not for concurrent use.
+_PHILOX = np.random.Philox(0)
+_FRAME_DRAWS = np.random.Generator(_PHILOX)
+_PHILOX_STATE = {"bit_generator": "Philox", "state": {"key": [0, 0], "counter": [0, 0, 0, 0]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridShape,
@@ -318,78 +298,90 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
     (n, s, s, 5 + c); a record's cached tensor is copied in.
 
     True objects get high objectness (activated >= 0.95) with jittered boxes
-    and occasionally flipped classes; when two objects fall in one cell the
-    one nearer the cell center wins.  Empty cells get spurious sub-threshold
-    objectness (with a plausible box and class, like a weak false detection)
-    at the configured rate.
-
-    Each record follows its own draw order, from a generator seeded by
-    (seed, scene, frame): each spurious detection's wobble and box jitter,
-    then each true object's class flip and box jitter.  So any consumer
-    (sequential or parallel, any call order, any block) sees identical
-    supervision.  The spurious detections' placement comes from a layout
-    seeded per scene that also depends on which cells hold objects, so it
-    shifts when an object enters or leaves a cell (ROADMAP, "One noise layout
-    per scene"); layouts are cached per (seed, scene, noise rate and range,
-    grid, occupied cells).
-    The box jitter and the encoding then run once for the whole block.
+    and occasional class flips; of two in one cell the one nearer its center
+    wins.  Empty cells show their scene's layout, persistent per scene, of
+    sub-threshold spurious detections with plausible boxes and classes.
+    Each frame draws a fixed slot per cell from one generator keyed by
+    (seed, scene), the frame id its counter: a uniform for the class flip, a
+    normal for the wobble and four for the box jitter.  So no draw depends
+    on which cells hold objects, and any consumer (mode, call order, block)
+    sees the same supervision.  Ids outside [0, 2**64) are a ValueError.
     """
-    c = shape.c
-    wobble, sigma = noise.noise_wobble, noise.box_jitter_sigma
-    n_draws = (wobble > 0) + 4 * (sigma > 0)  # per spurious detection: wobble, box jitter
-    tensors = np.zeros((len(records), shape.s, shape.s, shape.channels))
+    s, c, cells = shape.s, shape.c, shape.s * shape.s
+    wobble, sigma, flip = noise.noise_wobble, noise.box_jitter_sigma, noise.class_flip_prob
+    tensors = np.zeros((len(records), s, s, shape.channels))
     tensors[..., 0] = EMPTY_LOGIT
-    # every detection in write order, spurious ones first and true objects on
-    # top: its box, then, with a jitter, the box's four normals
-    frames, rows, classes, logits = [], [], [], []
     for i, rec in enumerate(records):
         if rec.oracle_tensor is not None:
             tensors[i] = rec.oracle_tensor
-            continue
-        by_cell = _objects_by_cell(rec.gt.tolist(), shape.s)
-        layout = _noise_layout(seed, rec.scene_id, noise.empty_cell_noise_rate,
-                               tuple(noise.noise_logit_range), shape, frozenset(by_cell))
-        rng = np.random.default_rng([seed, rec.scene_id, rec.frame_id])
-        # one call fills row by row, so each spurious detection gets the
-        # normals a loop drawing detection by detection would give it
-        draws = rng.standard_normal((len(layout), n_draws)).tolist()
-        for (base_logit, box, cls), z in zip(layout, draws):
-            logits.append(min(base_logit + (wobble * z[0] if wobble > 0 else 0.0), -1e-3))
-            rows.append(box + tuple(z[-4:]) if sigma > 0 else box)
-            classes.append(cls)
-        for cx, cy, w, h, cls, _ in by_cell.values():
-            cls = int(cls)
-            if noise.class_flip_prob > 0 and rng.random() < noise.class_flip_prob:
-                cls = int((cls + 1 + rng.integers(c - 1)) % c) if c > 1 else cls
-            box = (cx, cy, w, h)
-            rows.append(box + tuple(rng.standard_normal(4).tolist()) if sigma > 0 else box)
-            classes.append(cls)
-            logits.append(OBJ_LOGIT)
-        frames += [i] * (len(rows) - len(frames))
+    live = [i for i, rec in enumerate(records) if rec.oracle_tensor is None]
+    if not live:
+        return tensors
+    recs = [records[i] for i in live]
+    scene_ids, frame_ids = [rec.scene_id for rec in recs], [rec.frame_id for rec in recs]
+    bad = [(name, i) for name, ids in (("seed", [seed]), ("scene", scene_ids), ("frame", frame_ids))
+           for i in ids if not 0 <= i < 2 ** 64]  # each fills a 64-bit word of key or counter
+    if bad:
+        raise ValueError("oracle {} id {} is not in [0, 2**64)".format(*bad[0]))
+    # a frame's slots: a uniform per cell, then five normals per cell as five
+    # blocks; a slot is a cell of a frame of the block, frame * cells + cell
+    draws = np.empty((len(recs), 6, cells))
+    if wobble > 0 or sigma > 0 or flip > 0:
+        key, counter = _PHILOX_STATE["state"]["key"], _PHILOX_STATE["state"]["counter"]
+        for j, (scene, frame) in enumerate(zip(scene_ids, frame_ids)):
+            key[:] = seed, scene
+            counter[1] = frame
+            _PHILOX.state = _PHILOX_STATE
+            _FRAME_DRAWS.random(out=draws[j, 0])
+            _FRAME_DRAWS.standard_normal(out=draws[j, 1:])
+    draws = draws.transpose(1, 0, 2).reshape(6, -1)  # a row per value, a column per slot
 
-    # one row per box value, so each step of the jitter runs on contiguous
-    # memory; geo is the (n, 4) view encode_objects reads
-    values = np.array(list(zip(*rows)), dtype=float).reshape(8 if sigma > 0 else 4, len(rows))
-    geo = values[:4].T
+    # each frame's objects in ground-truth order, as rows cx, cy, w, h,
+    # class, id; only where two share a cell does a lexsort pick the one
+    # nearer the cell center, the first on a tie
+    objects = np.concatenate([rec.gt.T for rec in recs], axis=1)
+    col_row = np.minimum((objects[:2] * s).astype(np.intp), s - 1)  # truncates like int()
+    obj_slots = (1, s) @ col_row
+    obj_slots += np.arange(0, len(recs) * cells, cells).repeat([len(rec.gt) for rec in recs])
+    if len(set(obj_slots.tolist())) < len(obj_slots):
+        order = np.lexsort((np.hypot(*(objects[:2] * s - col_row - 0.5)), obj_slots))
+        keep = np.sort(order[np.diff(obj_slots[order], prepend=-1) != 0])
+        objects, obj_slots = objects.take(keep, axis=1), obj_slots[keep]
+    objects[5] = OBJ_LOGIT  # the id row becomes the logit row
+    if flip > 0:
+        # a flip moves the class on by 1 to c - 1, picked by the same uniform
+        u = draws[0][obj_slots]
+        hit = u < flip
+        if np.count_nonzero(hit):
+            step = np.minimum(np.floor(u[hit] * ((c - 1) / flip)), c - 2)  # c = 1: no change
+            objects[4, hit] = (objects[4, hit] + step + 1) % c
+
+    # spurious detections on cells without objects, written first so that an
+    # object jittered into their cell overwrites them; a row per value
+    rate, logit_range = noise.empty_cell_noise_rate, tuple(noise.noise_logit_range)
+    table = np.concatenate([_noise_layout(seed, scene, rate, logit_range, s, c)
+                            for scene in scene_ids], axis=1)
+    shown = table[0] > 0
+    shown[obj_slots] = False
+    sp_slots = shown.nonzero()[0]
+    slots = np.concatenate([sp_slots, obj_slots])
+    dets = np.concatenate([table.take(sp_slots, axis=1)[1:], objects], axis=1)
+    z = draws.take(slots, axis=1)  # rows: uniform, wobble, jitter of cx, cy, w, h
+    logits = dets[5, :len(sp_slots)]
+    if wobble > 0:
+        logits += wobble * z[1, :len(sp_slots)]
+    np.minimum(logits, -1e-3, out=logits)
     if sigma > 0:
-        # the per-box rule w = min(max(w + sigma * zw, 0.02), 0.98), then
-        # cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2), in place:
-        # np.minimum/np.maximum equal float min/max on finite values
-        jittered = values[4:]
-        jittered *= sigma
-        jittered += values[:4]
-        wh, centers = jittered[2:], jittered[:2]
-        np.maximum(wh, 0.02, out=wh)
-        np.minimum(wh, 0.98, out=wh)
+        # w = min(max(w + sigma * zw, 0.02), 0.98), then
+        # cx = min(max(cx + sigma * zx, w / 2), 1 - w / 2), in place
+        dets[:4] += sigma * z[2:]
+        wh, centers = dets[2:4], dets[:2]
+        np.minimum(np.maximum(wh, 0.02, out=wh), 0.98, out=wh)
         half = wh / 2
-        np.maximum(centers, half, out=centers)
-        np.minimum(centers, 1 - half, out=centers)
-        geo = jittered.T
-    if len(tensors) == 1:  # one frame needs no frame index
-        encode_objects(tensors[0], shape, geo, classes, logits)
-    else:
-        encode_objects(tensors, shape, geo, classes, logits,
-                       frames=np.array(frames, dtype=np.intp))
+        np.minimum(np.maximum(centers, half, out=centers), 1 - half, out=centers)
+    one = len(tensors) == 1  # one frame needs no frame index
+    encode_objects(tensors[0] if one else tensors, shape, dets[:4].T, dets[4].astype(np.intp),
+                   dets[5], frames=None if one else np.array(live)[slots // cells])
     return tensors
 
 
@@ -402,7 +394,7 @@ def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: Grid
     return stream
 
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 @contextlib.contextmanager
@@ -466,8 +458,13 @@ def _frame_record(row: dict, grid: GridShape, d: int, prev_id: int | None) -> Fr
         raise TraceError("gt is not a list of [cx, cy, w, h, class, object_id] rows")
     s = grid.s
     gt = np.array(gt, dtype=float).reshape(-1, 6)
-    feats = np.asarray(row["features"], dtype=float)
-    oracle = None if row.get("oracle") is None else np.asarray(row["oracle"], dtype=float)
+    feats, oracle = row["features"], row.get("oracle")
+    for name, values in (("features", feats), ("oracle", oracle)):
+        if values is not None and not set(map(type, values)) <= {int, float}:
+            bad = next(v for v in values if type(v) not in (int, float))
+            raise TraceError(f"{name} value {bad!r} is not a number")
+    feats = np.asarray(feats, dtype=float)
+    oracle = None if oracle is None else np.asarray(oracle, dtype=float)
     for name, values, size in (("features", feats, s * s * d), ("oracle", oracle, grid.n_values)):
         if values is not None and values.size != size:
             raise TraceError(f"{name} length {values.size} != {size}")
@@ -490,11 +487,12 @@ def _frame_record(row: dict, grid: GridShape, d: int, prev_id: int | None) -> Fr
 def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
     """Read a trace; returns (stream, grid, feature_dim).
 
-    Malformed lines, dimension mismatches, non-finite values, ground truth
-    that is not [cx, cy, w, h, class, object_id] rows with w, h > 0 and
-    integral ids, class ids outside [0, c) and frame or scene ids that are
-    not integers, or frame ids that do not increase, are rejected with the
-    offending line number; unknown header versions are rejected outright.
+    Malformed lines, dimension mismatches, feature or oracle values that are
+    not numbers, non-finite values, ground truth that is not [cx, cy, w, h,
+    class, object_id] rows with w, h > 0 and integral ids, class ids outside
+    [0, c), frame or scene ids that are not integers, and frame ids that do
+    not increase are rejected with the offending line number; unknown
+    header versions are rejected outright.
     """
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")

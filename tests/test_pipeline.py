@@ -430,15 +430,15 @@ def test_perfbench_package_names_resolve():
     assert sorted(n for n in names if not hasattr(scenedistill, n)) == []
 
 
-# perfbench's detection digest, taken before ground truth became rows, of a
+# perfbench's detection digest, taken when the oracle's noise changed, of a
 # 400-frame perfbench-like stream run in each mode with the oracle answering
 # at once; frozen_student serves a decoder adapted on another stream, as the
 # serve_adapted workload does
 PERFBENCH_DIGESTS = {
-    "frozen_student": "70ae79dbec6bf59c",
-    "sequential": "e9ccc7cfcc81877a",
-    "parallel": "e294ea04fdf5e9c4",
-    "mixed": "13220dd876490857",
+    "frozen_student": "57318f30a2b4fee1",
+    "sequential": "0b12a7063f17051e",
+    "parallel": "265974e8b18dbdb3",
+    "mixed": "8f779ca937ccb0fb",
 }
 
 

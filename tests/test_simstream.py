@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scenedistill.evaluate import EvalConfig, evaluate_frames, ground_truth_for
 from scenedistill.simstream import (
     EMPTY_LOGIT,
     OBJ_LOGIT,
+    TRACE_VERSION,
     FrameRecord,
     OracleNoiseSpec,
     SceneSpec,
@@ -225,13 +227,15 @@ class TestSynthOracle:
         c = oracle_for_frame(stream[5], noise, GRID, seed=7)
         assert np.array_equal((a[:, :, 0] > -6.0), (c[:, :, 0] > -6.0))
 
-    # SHA-256 of every oracle tensor of PIN_STREAM in frame order, taken before
-    # oracle synthesis was rewritten for speed; any change to generated
-    # supervision shows here.
+    # SHA-256 of every oracle tensor of PIN_STREAM in frame order; any change
+    # to generated supervision shows here.  The noise-free pin dates from
+    # before oracle synthesis was rewritten for speed; the noisy ones from
+    # when each scene got one noise layout and each frame a counter-keyed
+    # generator.
     PIN_DIGESTS = {
         "default": "451740262343db5b851825561462d19e97010ecf063a84993e3308b14f5f944f",
-        "quiet": "2d3bbb0b52201d78665b5e36f44c72a6f3eedac6592085afffed3dd8e2d34750",
-        "heavy": "ea211c31bce8605628a0962753141d22754e74a508cc771ff325e4274cb486bd",
+        "quiet": "57d99375a085db52715e3e04d9b0f81055a153fc5a41450dd89f0f10f5db427c",
+        "heavy": "f799795f7487b05dce2388a0d0f97a9d18336f4dc77fb61741e094b3d089100d",
     }
 
     @staticmethod
@@ -319,6 +323,93 @@ class TestOracleTensors:
 
     def test_empty_list(self):
         assert oracle_tensors([], QUIET_NOISE, GRID, 0).shape == (0, GRID.s, GRID.s, GRID.channels)
+
+    def test_cells_never_occupied_show_one_layout_through_a_scene(self):
+        # a slowly drifting scene: objects enter and leave cells all the time.
+        # The layout used to be drawn around the occupied cells, so each new
+        # set of them reshuffled the noise elsewhere (8 layouts here).
+        s = PERF_GRID.s
+        scene = SceneSpec(0, (0.7, 0.1, 0.1, 0.1), motion_sigma=0.004, duration_range=(600, 600))
+        stream = generate_stream([scene], 600, PERF_CFG, seed=3000)
+        noise = OracleNoiseSpec(empty_cell_noise_rate=0.3, noise_wobble=0.0, box_jitter_sigma=0.0)
+        tensors = oracle_tensors(stream, noise, PERF_GRID, 3000)
+        occupied = np.zeros((s, s), dtype=bool)
+        for rec in stream:
+            for cx, cy, *_ in rec.gt.tolist():
+                occupied[min(int(cy * s), s - 1), min(int(cx * s), s - 1)] = True
+        never = tensors[:, ~occupied]
+        assert occupied.sum() > 6  # objects did move between cells
+        assert (never[0, :, 0] > EMPTY_LOGIT).any()  # and the layout shows on empty cells
+        assert len({frame.tobytes() for frame in never}) == 1
+
+
+class TestOracleCounter:
+    """Each frame's draws come from one generator keyed by (seed, scene) with
+    the frame id as its counter, so a tensor is a pure function of (seed,
+    scene, frame) whatever else is synthesized, in any block or order."""
+
+    NOISE = OracleNoiseSpec(empty_cell_noise_rate=0.3, box_jitter_sigma=0.03, class_flip_prob=0.3,
+                            noise_wobble=0.1)
+
+    @staticmethod
+    def stream():
+        scenes = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)), motion_sigma=0.01,
+                            duration_range=(20, 30)) for i in range(4)]
+        return generate_stream(scenes, 120, PERF_CFG, seed=31)
+
+    @pytest.mark.parametrize("pick", ["every_seventh", "scene_change", "one", "cached"])
+    def test_block_equals_frame_by_frame(self, pick):
+        stream = self.stream()
+        change = scene_change_frames(stream)[0]
+        if pick == "cached":
+            for rec in stream[::4]:
+                rec.oracle_tensor = oracle_for_frame(rec, QUIET_NOISE, PERF_GRID, 5)
+        records = {"every_seventh": stream[::7], "scene_change": stream[change - 5:change + 5],
+                   "one": stream[17:18], "cached": stream[:40]}[pick]
+        assert len({rec.scene_id for rec in stream[change - 5:change + 5]}) == 2
+        got = oracle_tensors(records, self.NOISE, PERF_GRID, 9)
+        for rec, tensor in zip(records, got):
+            assert np.array_equal(tensor, oracle_for_frame(rec, self.NOISE, PERF_GRID, 9))
+
+    def test_tensor_ignores_call_order_and_other_seeds_and_scenes(self):
+        stream = self.stream()[:30]
+        want = [oracle_for_frame(rec, self.NOISE, PERF_GRID, 9).copy() for rec in stream]
+        for rec in stream[::-1]:
+            oracle_for_frame(rec, self.NOISE, PERF_GRID, 10)
+            oracle_for_frame(replace(rec, scene_id=rec.scene_id + 1), self.NOISE, PERF_GRID, 9)
+        got = oracle_tensors(stream[::-1], self.NOISE, PERF_GRID, 9)[::-1]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the key and the counter do matter
+        assert not np.array_equal(oracle_for_frame(stream[3], self.NOISE, PERF_GRID, 10), want[3])
+        assert not np.array_equal(oracle_for_frame(replace(stream[3], frame_id=4), self.NOISE,
+                                                   PERF_GRID, 9), want[3])
+
+    @pytest.mark.parametrize("field", ["seed", "scene_id", "frame_id"])
+    @pytest.mark.parametrize("value", [-1, 2 ** 64])
+    def test_id_outside_64_bits_names_the_value(self, field, value):
+        rec = self.stream()[0]
+        seed = value if field == "seed" else 9
+        if field != "seed":
+            rec = replace(rec, **{field: value})
+        for noise in (self.NOISE, OracleNoiseSpec()):
+            with pytest.raises(ValueError, match=rf"{field.split('_')[0]} id {value} is not in"):
+                oracle_for_frame(rec, noise, PERF_GRID, seed)
+        top = replace(rec, scene_id=2 ** 64 - 1, frame_id=2 ** 64 - 1)
+        assert np.isfinite(oracle_for_frame(top, self.NOISE, PERF_GRID, 2 ** 64 - 1)).all()
+
+    def test_block_seeds_no_generator_per_frame(self, monkeypatch):
+        # a 64-frame block of one scene builds at most one seeded generator,
+        # for the scene's noise layout; the frames reuse one counter-keyed one
+        scene = SceneSpec(0, (0.4, 0.3, 0.2, 0.1), motion_sigma=0.01, duration_range=(64, 64))
+        stream = generate_stream([scene], 64, PERF_CFG, seed=4)
+        calls = []
+        for name in ("default_rng", "Generator", "Philox", "SeedSequence"):
+            real = getattr(np.random, name)
+            monkeypatch.setattr(np.random, name,
+                                lambda *a, _real=real, _name=name, **k: calls.append(_name)
+                                or _real(*a, **k))
+        oracle_tensors(stream, QUIET_NOISE, PERF_GRID, 987_654_321)  # a seed no other test uses
+        assert calls == ["default_rng"]
 
 
 class TestTraceIO:
@@ -409,7 +500,8 @@ class TestTraceIO:
             lines = f.read().splitlines()
         bad = str(tmp_path / "v9.jsonl")
         with open(bad, "w") as f:
-            f.write("\n".join([lines[0].replace('"version": 1', '"version": 9')] + lines[1:]))
+            f.write("\n".join([lines[0].replace(f'"version": {TRACE_VERSION}', '"version": 9')]
+                              + lines[1:]))
         with pytest.raises(TraceError, match="version"):
             read_trace(bad)
 
@@ -461,8 +553,8 @@ class TestTraceIO:
         write_trace(stream, str(p2), grid=GRID)
         assert p1.read_bytes() == p2.read_bytes()
 
-    # SHA-256 of make_stream()'s trace, taken before ground truth became rows
-    TRACE_PIN = "3c9efb668e7696f66affec8162020c8cbc30403178ab4cbeb301f5469420c392"
+    # SHA-256 of make_stream()'s trace, taken when the trace version became 2
+    TRACE_PIN = "00425a4311bdc0518264d4d3c2fb584db5da3f3c6742a1b551f02e0f5a1615eb"
 
     def test_trace_bytes_match_pin_and_survive_write_read_write(self, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -496,6 +588,24 @@ class TestTraceIO:
                 row[key][index] = value
         with pytest.raises(TraceError, match=rf"non-finite value in {key} \(line 7\)"):
             read_trace(self.corrupt(tmp_path, mutate))
+
+    @pytest.mark.parametrize("key,index,value", [
+        ("features", 0, "0.25"), ("features", 1, True), ("oracle", 2, False), ("oracle", 3, None),
+    ])
+    def test_feature_or_oracle_value_not_a_number_names_line(self, tmp_path, key, index, value):
+        # these used to load as 0.25, 1.0 and 0.0 through a float conversion
+        path = self.corrupt(tmp_path, lambda row: row[key].__setitem__(index, value))
+        with pytest.raises(TraceError, match=rf"{key} value {value!r} is not a number \(line 7\)"):
+            read_trace(path)
+
+    def test_version_1_trace_rejected(self, tmp_path):
+        # a version-1 trace without oracle tensors would replay with the
+        # oracle noise of before each scene got one layout
+        path = tmp_path / "trace.jsonl"
+        write_trace(self.make_stream(n=2, with_oracle=False), str(path), grid=GRID)
+        path.write_text(path.read_text().replace(f'"version": {TRACE_VERSION}', '"version": 1'))
+        with pytest.raises(TraceError, match=r"unsupported trace version 1 \(line 1\)"):
+            read_trace(str(path))
 
     @pytest.mark.parametrize("gt", [
         [[0.5, 0.5, 0.2, 0.2, 0]], [[0.5, 0.5, 0.2, 0.2, 0, 1, 7]], [[0.5, "0.5", 0.2, 0.2, 0, 1]],
