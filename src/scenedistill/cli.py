@@ -91,7 +91,10 @@ def _dataclass_from(cls, data: dict, where: str):
 def _require_seed(config: dict) -> int:
     if "seed" not in config:
         raise ConfigError("config is missing required field 'seed'")
-    return int(config["seed"])
+    seed = config["seed"]
+    if type(seed) is not int or seed < 0:  # numpy seeds only with integers >= 0
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _stream_from_config(config: dict):
@@ -211,8 +214,15 @@ def cmd_bench(args) -> int:
     seed = _require_seed(config)
     bench = config.get("bench", {})
     counts = bench.get("target_counts", [1, 10, 25, 50])
-    trials = int(bench.get("trials", 50))
+    trials = bench.get("trials", 50)
     grid = _dataclass_from(GridShape, bench.get("grid", {"s": 8, "c": 4}), "bench.grid")
+    if type(trials) is not int or trials < 1:
+        raise ConfigError(f"bench.trials must be an integer >= 1, got {trials!r}")
+    cells = grid.s * grid.s
+    if not (isinstance(counts, list) and counts
+            and all(type(n) is int and 0 <= n <= cells for n in counts)):
+        raise ConfigError(f"bench.target_counts must be a non-empty list of integers in "
+                          f"[0, {cells}] on a {grid.s}x{grid.s} grid, got {counts!r}")
     rows = bench_loss_cost(counts, trials, grid, seed=seed)
     _emit_table(rows, ["n_targets", "bounded_ms", "nms_ms"], args.out)
     return 0

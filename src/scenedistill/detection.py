@@ -4,8 +4,9 @@ A detection tensor is an (s, s, 5 + c) float array of per-cell logits:
 channel 0 is objectness, channels 1..4 are box offsets (tx, ty, tw, th),
 channels 5.. are class logits.  All activations (sigmoid / softmax) are
 applied at decode time; tensors always store pre-activation values.  The
-greedy detection-to-target matcher used by evaluation and by the reference
-losses lives here too.
+one IOU-table builder (iou_table, an array pass over every same-frame
+detection-target pair) and the one greedy matcher, used by evaluation and by
+the reference losses, live here too; the scalar iou serves NMS.
 
 One row layout, [cx, cy, w, h, class, x], holds decoded detections
 (decode_tensors, detection_rows), where x is the confidence, and ground
@@ -168,9 +169,9 @@ def detection_rows(dets: list[Detection]) -> list[list]:
 
 
 def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_logits,
-                   class_margin: float = 4.0, frames=None) -> list[tuple[int, int]]:
+                   class_margin: float = 4.0, frames=None) -> None:
     """Write objects, given as (cx, cy, w, h), into the cells containing their
-    centers; returns each object's (row, col).
+    centers.
 
     tensor is one frame, (s, s, 5 + c), or, with frames giving each object's
     frame index, a stack of them, (n, s, s, 5 + c).  Objects are written in
@@ -182,7 +183,7 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     geo = np.asarray(boxes, dtype=float).reshape(-1, 4).T
     n = geo.shape[1]
     if not n:
-        return []
+        return
     # one row per channel and per box value: each step below reads and
     # writes whole rows, contiguous in memory, and the rows go into the
     # tensor transposed, one column per object
@@ -215,7 +216,6 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     if len(last) < n:
         block, index = block[:, last], tuple(ix[last] for ix in index)
     tensor[index] = block.T
-    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
@@ -237,23 +237,39 @@ def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
     return keep
 
 
-def iou_table(dets: list[Detection], targets, class_aware: bool = True) -> list[list[float | None]]:
-    """IOU of every detection-target pair: one row per detection, in the
-    given order, one entry per target row [cx, cy, w, h, class, ...]; None
-    where class_aware and the classes differ.
+def iou_table(dets: np.ndarray, n_dets: np.ndarray, targets: np.ndarray, n_targets: np.ndarray,
+              class_aware: bool = True) -> np.ndarray:
+    """IOU of every same-frame (detection, target) pair of a run of frames,
+    frame after frame, each frame's (k, g) table row-major; -inf where
+    class_aware and the classes differ, which no threshold accepts.
+
+    dets and targets are the frames' rows [cx, cy, w, h, class, ...], frame
+    after frame; n_dets and n_targets are each frame's counts.  The
+    arithmetic is iou's, in its order, so overlapping boxes get its bits and
+    the rest 0.0; each side is clamped at 0 before the product, so that two
+    negative sides cannot cancel the union.
     """
-    boxes = [(Box(*tgt[:4]), tgt[4]) for tgt in targets]
-    return [
-        [iou(det.box, box) if not class_aware or cls == det.class_id else None
-         for box, cls in boxes]
-        for det in dets
-    ]
+    det_frame = np.repeat(np.arange(len(n_dets)), n_dets)
+    per_det = n_targets[det_frame]
+    pair_start = np.cumsum(per_det) - per_det
+    target_start = np.cumsum(n_targets) - n_targets
+    a = np.repeat(dets, per_det, axis=0)
+    b = targets[np.arange(len(a)) + np.repeat(target_start[det_frame] - pair_start, per_det)]
+    half_a, half_b = a[:, 2:4] / 2, b[:, 2:4] / 2
+    side = (np.minimum(a[:, :2] + half_a, b[:, :2] + half_b)
+            - np.maximum(a[:, :2] - half_a, b[:, :2] - half_b))
+    np.maximum(side, 0.0, out=side)
+    inter = side[:, 0] * side[:, 1]
+    out = inter / (a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter)
+    if class_aware:
+        out[a[:, 4] != b[:, 4]] = -np.inf
+    return out
 
 
-def greedy_match(table: list[list[float | None]], iou_threshold: float) -> list[int]:
-    """One greedy pass over an IOU table whose rows are in descending
-    confidence order: each row takes the highest-IOU untaken target at or
-    above the threshold, the later target on equal IOU.
+def greedy_match(table: list[list[float]], iou_threshold: float) -> list[int]:
+    """One greedy pass over a frame's IOU table, iou_table's rows as lists,
+    in descending confidence order: each row takes the highest-IOU untaken
+    target at or above the threshold, the later target on equal IOU.
 
     Returns each row's target index, or -1 where it takes none.
     """
@@ -262,7 +278,7 @@ def greedy_match(table: list[list[float | None]], iou_threshold: float) -> list[
     for row in table:
         best_j, best_iou = -1, iou_threshold
         for j, v in enumerate(row):
-            if v is not None and v >= best_iou and j not in taken:
+            if v >= best_iou and j not in taken:
                 best_j, best_iou = j, v
         if best_j >= 0:
             taken.add(best_j)
@@ -281,7 +297,11 @@ def match_detections(dets: list[Detection], targets, iou_threshold: float,
     targets in their input order.
     """
     order = sorted(dets, key=lambda d: -d.confidence)
-    picks = greedy_match(iou_table(order, targets, class_aware), iou_threshold)
+    k, g = len(order), len(targets)
+    rows = np.array(detection_rows(order), dtype=float).reshape(k, 6)
+    boxes = np.array([t[:5] for t in targets], dtype=float).reshape(g, 5)
+    table = iou_table(rows, np.array([k]), boxes, np.array([g]), class_aware).reshape(k, g)
+    picks = greedy_match(table.tolist(), iou_threshold)
     taken = set(picks)
     matches = [(det, targets[j] if j >= 0 else None) for det, j in zip(order, picks)]
     return matches, [t for j, t in enumerate(targets) if j not in taken]

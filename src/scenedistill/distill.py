@@ -145,7 +145,7 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt, shape: GridSha
     """
     student_dets = nms(decode_tensor(student, shape, CONF_THRESHOLD), NMS_IOU)
     oracle_dets = nms(decode_tensor(oracle, shape, CONF_THRESHOLD), NMS_IOU)
-    # rows of Python floats: matching runs about a fifth slower on numpy scalars
+    # rows of Python floats: _pair_loss runs 7-17% slower on numpy rows (10-50 targets)
     l_gt = _pair_loss(*match_detections(student_dets, np.asarray(gt).tolist(), 0.5,
                                         class_aware=False))
     l_t = _pair_loss(*match_detections(student_dets, detection_rows(oracle_dets), 0.5,

@@ -7,7 +7,7 @@ how the adapted student is normally scored against the model it distills
 from.  Scoring runs on arrays: a frame's detections as [cx, cy, w, h,
 class, conf] rows, its ground truth as a (g, 5) array of [cx, cy, w, h,
 class] rows, and the IOUs of a block of frames' same-frame pairs from one
-pass.
+detection.iou_table pass, the table match_detections builds for one frame.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .detection import (
     decode_tensors,
     detection_rows,
     greedy_match,
+    iou_table,
     match_detections,  # re-exported: evaluation's name for the matcher
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
@@ -50,8 +51,9 @@ class EvalConfig:
         if self.gt_source not in GT_SOURCES:
             raise ValueError(f"unknown gt_source {self.gt_source!r}, expected one of {GT_SOURCES}")
         thr = self.iou_thresholds
-        if any(not 0.0 < t < 1.0 for t in thr) or list(thr) != sorted(set(thr)):
-            raise ValueError(f"iou_thresholds must be strictly increasing in (0, 1), got {thr}")
+        if not thr or any(not 0.0 < t < 1.0 for t in thr) or list(thr) != sorted(set(thr)):
+            raise ValueError(f"iou_thresholds must be non-empty and strictly increasing in "
+                             f"(0, 1), got {thr}")
 
 
 def average_precision(tp_flags: list[bool], n_gt: int) -> float:
@@ -118,33 +120,6 @@ class EvalSummary:
         }
 
 
-def _pair_iou(dets: np.ndarray, n_dets: np.ndarray, gt: np.ndarray, n_gt: np.ndarray) -> np.ndarray:
-    """IOU of every same-frame (detection, target) pair of a run of frames,
-    frame after frame, each frame's (k, g) table row-major; -inf where the
-    classes differ, which no threshold accepts.
-
-    dets and gt are the frames' rows, frame after frame; n_dets and n_gt are
-    each frame's counts.  The arithmetic is detection.iou's, in its order,
-    so overlapping boxes get its bits and the rest 0.0; each side is clamped
-    at 0 before the product, so that two negative sides cannot cancel the
-    union.
-    """
-    det_frame = np.repeat(np.arange(len(n_dets)), n_dets)
-    per_det = n_gt[det_frame]
-    pair_start = np.cumsum(per_det) - per_det
-    gt_start = np.cumsum(n_gt) - n_gt
-    a = np.repeat(dets, per_det, axis=0)
-    b = gt[np.arange(len(a)) + np.repeat(gt_start[det_frame] - pair_start, per_det)]
-    half_a, half_b = a[:, 2:4] / 2, b[:, 2:4] / 2
-    side = (np.minimum(a[:, :2] + half_a, b[:, :2] + half_b)
-            - np.maximum(a[:, :2] - half_a, b[:, :2] - half_b))
-    np.maximum(side, 0.0, out=side)
-    inter = side[:, 0] * side[:, 1]
-    out = inter / (a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter)
-    out[a[:, 4] != b[:, 4]] = -np.inf
-    return out
-
-
 def evaluate_thresholds(per_frame_dets: list[list[Detection]], per_frame_gt: list[np.ndarray],
                         thresholds: Sequence[float]) -> list[ThresholdMetrics]:
     """Score a whole run at each IOU threshold (counts plus per-class AP).
@@ -170,7 +145,7 @@ def evaluate_thresholds(per_frame_dets: list[list[Detection]], per_frame_gt: lis
         # one stable sort: by frame, then by descending confidence
         dets = dets[np.lexsort((-dets[:, 5], np.repeat(np.arange(len(n_dets)), n_dets)))]
         gt = np.concatenate([np.empty((0, 5)), *per_frame_gt[block]])
-        pairs = _pair_iou(dets, n_dets, gt, n_gt).tolist()
+        pairs = iou_table(dets, n_dets, gt, n_gt).tolist()
         pos = 0
         for k, g in zip(n_dets.tolist(), n_gt.tolist()):
             table = [pairs[pos + i * g:pos + (i + 1) * g] for i in range(k)]

@@ -82,6 +82,10 @@ class PipelineConfig:
             raise ValueError(f"oracle_delay must be >= 0, got {self.oracle_delay}")
         if self.decoder_hidden < 1:
             raise ValueError(f"decoder_hidden must be >= 1, got {self.decoder_hidden}")
+        if self.seed < 0:  # numpy seeds only with integers >= 0
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.oracle_seed is not None and self.oracle_seed < 0:
+            raise ValueError(f"oracle_seed must be >= 0, got {self.oracle_seed}")
 
     @property
     def effective_oracle_seed(self) -> int:
@@ -314,12 +318,23 @@ def checkpoint_load(path: str) -> DecoderParams:
         raise CheckpointError(
             f"unsupported checkpoint version {doc.get('version')!r} in {path}"
         )
+    names = ("w1", "b1", "w2", "b2")
     try:
         dec = doc["decoder"]
-        w1, b1, w2, b2 = (np.asarray(dec[k], dtype=float) for k in ("w1", "b1", "w2", "b2"))
+        values = [np.asarray(dec[k], dtype=object) for k in names]
         version = dec["param_version"]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e
+    for name, a in zip(names, values):
+        # a float dtype would also take numeric strings and booleans
+        bad = [v for v in a.ravel().tolist() if type(v) not in (int, float)]
+        if bad:
+            raise CheckpointError(f"malformed checkpoint {path}: {name} value {bad[0]!r} "
+                                  f"is not a number")
+    try:
+        w1, b1, w2, b2 = (a.astype(float) for a in values)
+    except OverflowError as e:  # an integer beyond the float range
+        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
     if type(version) is not int or version < 0:  # decoder versions only increase from 0
         raise CheckpointError(f"malformed checkpoint {path}: param_version {version!r} is "
                               f"not an integer >= 0")

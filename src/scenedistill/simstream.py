@@ -51,9 +51,10 @@ class SceneSpec:
         p = np.asarray(self.class_probs, dtype=float)
         if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
             raise ValueError(f"class_probs must be a distribution, got {self.class_probs}")
-        if self.object_count_range[0] > self.object_count_range[1]:
+        if not 0 <= self.object_count_range[0] <= self.object_count_range[1]:
             raise ValueError(f"bad object_count_range {self.object_count_range}")
-        if self.duration_range[0] > self.duration_range[1]:
+        # a scene of 0 frames would let generate_stream draw scenes forever
+        if not 1 <= self.duration_range[0] <= self.duration_range[1]:
             raise ValueError(f"bad duration_range {self.duration_range}")
 
 

@@ -352,6 +352,7 @@ class TestExitCodes:
         ["pipeline.selector=periodic", "pipeline.period=0"],
         ["stream.background_noise=-1"], ["stream.feature_dim=0"],
         ["noise.box_jitter_sigma=-0.5"], ["noise.class_flip_prob=2"],
+        ["eval.iou_thresholds=[]"], ["seed=-1"], ["pipeline.oracle_seed=-1"],
     ])
     def test_out_of_range_value_is_one(self, tmp_path, capsys, overrides):
         # rejected as a config error, before any run starts
@@ -362,6 +363,24 @@ class TestExitCodes:
         assert main(args) == 1
         field = overrides[-1].split("=")[0].split(".")[-1]
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("durations", [[0, 0], [0, 3]])
+    def test_zero_length_scene_is_one(self, tmp_path, capsys, durations):
+        # a scene of 0 frames once made generate_stream loop forever
+        cfg = base_config()
+        cfg["stream"]["scenes"][1]["duration_range"] = durations
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert "duration_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "bench.trials=0", "bench.trials=2.5", "bench.target_counts=[1,99]",
+        "bench.target_counts=[-1]", "bench.target_counts=[]",
+    ])
+    def test_bench_out_of_range_value_is_one(self, tmp_path, capsys, override):
+        cfg = {"seed": 1, "bench": {"target_counts": [1, 4], "trials": 2,
+                                    "grid": {"s": 4, "c": 2}}}
+        assert main(["bench", "--config", write_config(tmp_path, cfg), "--set", override]) == 1
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_runtime_error_is_two(self, tmp_path, capsys):
         cfg = base_config()

@@ -192,13 +192,41 @@ class TestDecodeMatchesScalarReference:
 
 
 class TestIouTable:
-    def test_table_rows_follow_detections_none_across_classes(self):
-        dets = [Detection(Box(0.5, 0.5, 0.5, 0.5), 0, 0.9),
-                Detection(Box(0.1, 0.1, 0.1, 0.1), 1, 0.8)]
-        targets = [[0.5, 0.5, 0.5, 0.5, 0, 1.0]]
-        assert iou_table(dets, targets) == [[1.0], [None]]
-        assert iou_table(dets, targets, class_aware=False) == [[1.0], [0.0]]
-        assert iou_table(dets, np.array(targets)) == [[1.0], [None]]
+    def test_one_frame_minus_inf_across_classes(self):
+        dets = np.array([[0.5, 0.5, 0.5, 0.5, 0, 0.9], [0.1, 0.1, 0.1, 0.1, 1, 0.8]])
+        targets = np.array([[0.5, 0.5, 0.5, 0.5, 0], [0.12, 0.1, 0.1, 0.1, 0]])
+        two = np.array([2])  # one frame of two detections and two targets
+        got = iou_table(dets, two, targets, two)
+        assert got.tolist() == [1.0, 0.0, -math.inf, -math.inf]
+        got = iou_table(dets, two, targets, two, class_aware=False)
+        assert got.tolist() == [1.0, 0.0, 0.0, iou(Box(0.1, 0.1, 0.1, 0.1), Box(0.12, 0.1, 0.1, 0.1))]
+
+    def test_row_major_frame_after_frame_scalar_bits(self):
+        rng = np.random.default_rng(8)
+        n_dets, n_targets = np.array([3, 0, 2, 4, 0, 1]), np.array([2, 3, 0, 5, 0, 4])
+        dets = np.column_stack([rng.uniform(0.05, 0.95, (10, 2)), rng.uniform(0.02, 0.5, (10, 2)),
+                                rng.integers(2, size=10), rng.uniform(0.5, 1.0, 10)])
+        targets = np.column_stack([rng.uniform(0.05, 0.95, (14, 2)),
+                                   rng.uniform(0.02, 0.5, (14, 2)), rng.integers(2, size=14)])
+        for class_aware in (True, False):
+            want, d0, t0 = [], 0, 0
+            for k, g in zip(n_dets, n_targets):  # frames with k = 0 or g = 0 add no entries
+                for d in dets[d0:d0 + k]:
+                    for t in targets[t0:t0 + g]:
+                        want.append(-math.inf if class_aware and d[4] != t[4]
+                                    else iou(Box(*d[:4]), Box(*t[:4])))
+                d0, t0 = d0 + k, t0 + g
+            got = iou_table(dets, n_dets, targets, n_targets, class_aware)
+            assert len(want) == 3 * 2 + 4 * 5 + 1 * 4
+            # bit for bit: +0.0 on disjoint pairs, the scalar's bits on overlapping ones
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+            assert (got > 0).any() and (got == 0).any()
+            assert np.isneginf(got).any() == class_aware
+
+    def test_no_pairs(self):
+        for k, g in ((0, 0), (2, 0), (0, 3)):
+            got = iou_table(np.full((k, 6), 0.5), np.array([k]), np.full((g, 5), 0.5), np.array([g]))
+            assert got.shape == (0,)
 
 
 class TestDecode:
@@ -316,9 +344,8 @@ class TestDecode:
             for args in zip(boxes, classes, logits):
                 reference(want, *args)
             got = np.zeros((shape.s, shape.s, shape.channels))
-            cells = encode_objects(got, shape, boxes, classes, logits)
+            encode_objects(got, shape, boxes, classes, logits)
             assert np.array_equal(got, want)  # later object wins a shared cell
-            assert cells == [(min(int(b[1] * 4), 3), min(int(b[0] * 4), 3)) for b in boxes]
 
     def test_stack_encode_matches_frame_by_frame(self):
         # objects of three frames interleaved, many sharing a cell within a

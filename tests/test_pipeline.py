@@ -554,6 +554,29 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError, match=f"malformed checkpoint {re.escape(str(path))}"):
             checkpoint_load(str(path))
 
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_weight_that_is_not_a_json_number_rejected(self, tmp_path, value):
+        # a float dtype once loaded [["0.5", true]] as [[0.5, 1.0]]
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        doc = json.loads(path.read_text())
+        doc["decoder"]["w1"][1][2] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"w1 value {value!r} is not a number")):
+            checkpoint_load(str(path))
+
+    def test_weight_beyond_the_float_range_rejected(self, tmp_path):
+        params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
+        path = tmp_path / "ckpt.json"
+        checkpoint_save(str(path), params)
+        doc = json.loads(path.read_text())
+        doc["decoder"]["b1"][0] = 10 ** 400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="int too large to convert to float"):
+            checkpoint_load(str(path))
+
     def test_non_finite_weights_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
         params.w1[2, 3] = np.nan

@@ -653,6 +653,13 @@ class TestSpecValidation:
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(scene_id=0, class_probs=(1.0,), object_count_range=(5, 2))
+        with pytest.raises(ValueError, match="object_count_range"):
+            # once accepted, and spawned no objects
+            SceneSpec(scene_id=0, class_probs=(1.0,), object_count_range=(-1, 2))
+        for durations in ((0, 0), (0, 5)):
+            # a scene of 0 frames once let generate_stream loop forever
+            with pytest.raises(ValueError, match="duration_range"):
+                SceneSpec(scene_id=0, class_probs=(1.0,), duration_range=durations)
         with pytest.raises(ValueError):
             OracleNoiseSpec(empty_cell_noise_rate=1.5)
 
