@@ -88,13 +88,17 @@ def _dataclass_from(cls, data: dict, where: str):
         raise ConfigError(f"invalid {where}: {e}") from e
 
 
+def _integer(value, name: str, low: int) -> int:
+    """value, if it is an integer >= low; a ConfigError naming it otherwise."""
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _require_seed(config: dict) -> int:
     if "seed" not in config:
         raise ConfigError("config is missing required field 'seed'")
-    seed = config["seed"]
-    if type(seed) is not int or seed < 0:  # numpy seeds only with integers >= 0
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+    return _integer(config["seed"], "seed", 0)  # numpy seeds only with integers >= 0
 
 
 def _stream_from_config(config: dict):
@@ -117,7 +121,7 @@ def _stream_from_config(config: dict):
         "stream",
     )
     scenes = [_dataclass_from(SceneSpec, s, f"stream.scenes[{i}]") for i, s in enumerate(spec["scenes"])]
-    stream = generate_stream(scenes, int(spec["n_frames"]), cfg, seed)
+    stream = generate_stream(scenes, _integer(spec["n_frames"], "stream.n_frames", 1), cfg, seed)
     return stream, grid, cfg.feature_dim
 
 
@@ -214,10 +218,8 @@ def cmd_bench(args) -> int:
     seed = _require_seed(config)
     bench = config.get("bench", {})
     counts = bench.get("target_counts", [1, 10, 25, 50])
-    trials = bench.get("trials", 50)
+    trials = _integer(bench.get("trials", 50), "bench.trials", 1)
     grid = _dataclass_from(GridShape, bench.get("grid", {"s": 8, "c": 4}), "bench.grid")
-    if type(trials) is not int or trials < 1:
-        raise ConfigError(f"bench.trials must be an integer >= 1, got {trials!r}")
     cells = grid.s * grid.s
     if not (isinstance(counts, list) and counts
             and all(type(n) is int and 0 <= n <= cells for n in counts)):
@@ -275,37 +277,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a synthetic stream and write a trace file")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("run", help="run a configured pipeline and report metrics")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", help="write the full run report (JSON) here")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="run one stream under each config variant and tabulate metrics")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", help="write the table (JSON) here")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bench", help="benchmark loss cost vs number of targets")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", help="write the table (JSON) here")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("eval", help="re-score a stored report against a trace")
-    p.add_argument("--report", required=True)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--config", help="optional config for eval settings")
-    p.add_argument("--out", help="write the summary (JSON) here")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_eval)
+    commands = {  # name: (handler, help, --out's help)
+        "generate": (cmd_generate, "generate a synthetic stream and write a trace file", None),
+        "run": (cmd_run, "run a configured pipeline and report metrics",
+                "write the full run report (JSON) here"),
+        "sweep": (cmd_sweep, "run one stream under each config variant and tabulate metrics",
+                  "write the table (JSON) here"),
+        "bench": (cmd_bench, "benchmark loss cost vs number of targets",
+                  "write the table (JSON) here"),
+        "eval": (cmd_eval, "re-score a stored report against a trace",
+                 "write the summary (JSON) here"),
+    }
+    for name, (func, help_text, out_help) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "eval":
+            p.add_argument("--report", required=True)
+            p.add_argument("--trace", required=True)
+            p.add_argument("--config", help="optional config for eval settings")
+        else:
+            p.add_argument("--config", required=True)
+        p.add_argument("--out", required=name == "generate", help=out_help)
+        p.add_argument("--set", action="append", metavar="KEY=VALUE")
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

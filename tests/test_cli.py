@@ -364,6 +364,16 @@ class TestExitCodes:
         field = overrides[-1].split("=")[0].split(".")[-1]
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5", '"x"', "2.5"])
+    def test_bad_frame_count_is_one(self, tmp_path, capsys, value):
+        # once read with int(): 0, -5 and "x" exited 2 and 2.5 ran 2 frames
+        cfg_path = write_config(tmp_path, base_config())
+        out = str(tmp_path / "trace.jsonl")
+        assert main(["generate", "--config", cfg_path, "--out", out,
+                     "--set", f"stream.n_frames={value}"]) == 1
+        assert "stream.n_frames" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("durations", [[0, 0], [0, 3]])
     def test_zero_length_scene_is_one(self, tmp_path, capsys, durations):
         # a scene of 0 frames once made generate_stream loop forever

@@ -1,6 +1,7 @@
 """Detection core: IOU, decoding, NMS, cell partition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scenedistill.detection import (
     iou_table,
     nms,
     partition_cells,
+    rank_match,
     sigmoid,
     softmax,
 )
@@ -227,6 +229,147 @@ class TestIouTable:
         for k, g in ((0, 0), (2, 0), (0, 3)):
             got = iou_table(np.full((k, 6), 0.5), np.array([k]), np.full((g, 5), 0.5), np.array([g]))
             assert got.shape == (0,)
+
+
+class TestDecodePrefilter:
+    """decode_tensors runs the class softmax only on cells whose objectness
+    clears the threshold, since conf <= sigmoid(objectness), and the box
+    math only on the candidates left."""
+
+    SHAPE = GridShape(s=3, c=4)
+
+    def stack(self, n=2):
+        stack = np.zeros((n, 3, 3, self.SHAPE.channels))
+        stack[..., 0] = -10.0
+        return stack
+
+    def test_objectness_above_threshold_confidence_below_dropped(self):
+        stack = self.stack()
+        stack[0, 0, 0, 0] = 10.0                  # flat class logits: conf about 0.25
+        stack[0, 1, 1, 0] = stack[0, 1, 1, 6] = 10.0  # conf about 1, class 1
+        assert sigmoid(stack[0, 0, 0, 0]) >= 0.5
+        got = decode_tensors(stack, self.SHAPE, 0.5)
+        assert [len(rows) for rows in got] == [1, 0]
+        assert got[0][0, 4] == 1
+        assert got[0].tolist() == detection_rows(decode_tensor(stack[0], self.SHAPE, 0.5))
+
+    def test_confidence_exactly_at_threshold_kept(self):
+        stack = self.stack(1)
+        stack[0, 2, 1, 0] = 1.5
+        stack[0, 2, 1, 5:] = [0.3, 1.1, -0.4, 0.9]
+        conf = decode_tensors(stack, self.SHAPE, 0.0)[0][0, 5]
+        assert decode_tensors(stack, self.SHAPE, conf)[0][:, 5].tolist() == [conf]
+        assert len(decode_tensors(stack, self.SHAPE, math.nextafter(conf, 1.0))[0]) == 0
+
+    def test_block_without_candidates(self):
+        stack = self.stack(5)
+        stack[..., 0] = 0.5  # objectness about 0.62, below the threshold
+        got = decode_tensors(stack, self.SHAPE, 0.7)
+        assert [rows.shape for rows in got] == [(0, 6)] * 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_decode_tensor_frame_by_frame(self, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(0, 1, size=(30, 3, 3, self.SHAPE.channels))
+        # objectness mostly above the threshold and flat-ish class logits:
+        # many cells clear the prefilter and then fall below it
+        stack[..., 0] = rng.normal(2.0, 1.5, size=(30, 3, 3))
+        for threshold in (0.3, 0.5, 0.7):
+            got = decode_tensors(stack, self.SHAPE, threshold)
+            assert ([rows.tolist() for rows in got]
+                    == [detection_rows(decode_tensor(t, self.SHAPE, threshold)) for t in stack])
+
+    def test_no_overflow_warning_from_non_candidate_box_logits(self):
+        stack = self.stack(3)
+        stack[..., 1:5] = -800.0  # sigmoid overflows exp on any cell it reaches
+        stack[0, 0, 0, 0] = 10.0  # objectness clears the threshold, conf does not
+        stack[1, 2, 2, 0] = 3.0   # neither does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = decode_tensors(stack, self.SHAPE, 0.5)
+        assert [len(rows) for rows in got] == [0, 0, 0]
+
+
+def reference_greedy_match(table, iou_threshold):
+    """detection.greedy_match, the scalar matcher rank_match replaced: one
+    greedy pass over a frame's IOU table, rows as lists, in descending
+    confidence order.  Returns each row's target index, or -1."""
+    taken = set()
+    picks = []
+    for row in table:
+        best_j, best_iou = -1, iou_threshold
+        for j, v in enumerate(row):
+            if v >= best_iou and j not in taken:
+                best_j, best_iou = j, v
+        if best_j >= 0:
+            taken.add(best_j)
+        picks.append(best_j)
+    return picks
+
+
+def padded_run(frames, extra=0):
+    """Per-frame (k, g) IOU tables as rank_match's input: one row per
+    detection, padded with -inf to the widest frame plus extra columns."""
+    width = max((len(rows[0]) for rows in frames if rows), default=0) + extra
+    table = np.full((sum(map(len, frames)), width), -math.inf)
+    i = 0
+    for rows in frames:
+        for row in rows:
+            table[i, :len(row)] = row
+            i += 1
+    return table, np.array([len(rows) for rows in frames], dtype=np.intp)
+
+
+@st.composite
+def iou_runs(draw):
+    """Frames of up to 6 detections and 4 targets, from few IOU levels, so
+    that ties, -inf class mismatches and IOUs equal to a threshold are
+    common; frames with more detections than targets too."""
+    levels = st.sampled_from([-math.inf, 0.0, 0.25, 0.5, 0.75, 1.0])
+    frames = []
+    for k, g in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=8)):
+        frames.append(draw(st.lists(st.lists(levels, min_size=g, max_size=g),
+                                    min_size=k, max_size=k)))
+    return frames
+
+
+class TestRankMatch:
+    THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def assert_same(self, frames, thresholds, extra=0):
+        table, n_dets = padded_run(frames, extra)
+        got = rank_match(table, n_dets, thresholds)
+        assert got.shape == (len(table), len(thresholds))
+        for t, thr in enumerate(thresholds):
+            want = [j for rows in frames for j in reference_greedy_match(rows, thr)]
+            assert got[:, t].tolist() == want
+
+    def test_hand_built_run(self):
+        inf = math.inf
+        frames = [
+            [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],  # equal IOUs, more detections than targets
+            [],                                    # no detections
+            [[-inf, 0.0], [0.0, -inf]],            # class mismatches, IOU 0.0
+            [[], []],                              # no targets
+            [[1.0, 0.75, 0.75], [0.75, 1.0, 0.2]],
+        ]
+        table, n_dets = padded_run(frames)
+        got = rank_match(table, n_dets, self.THRESHOLDS).tolist()
+        # threshold 0.0 takes IOU 0.0 and never -inf; the later target wins ties
+        assert [row[0] for row in got] == [1, 0, -1, 1, 0, -1, -1, 0, 1]
+        assert [row[4] for row in got] == [-1, -1, -1, -1, -1, -1, -1, 0, 1]
+        self.assert_same(frames, self.THRESHOLDS)
+
+    def test_no_detections_or_no_targets(self):
+        for frames in ([], [[], []], [[[]], [[], []]]):
+            table, n_dets = padded_run(frames)
+            assert rank_match(table, n_dets, (0.5,)).tolist() == [[-1]] * len(table)
+
+    @given(iou_runs(), st.lists(st.sampled_from(THRESHOLDS), min_size=1, max_size=5, unique=True),
+           st.integers(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference(self, frames, thresholds, extra):
+        self.assert_same(frames, thresholds, extra)
 
 
 class TestDecode:
