@@ -30,16 +30,10 @@ from .detection import (
 )
 from .distill import DistillConfig, bounded_distill_loss, nms_distill_loss
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
-from .simstream import FrameRecord, OracleNoiseSpec, oracle_for_frame, oracle_tensors
+from .simstream import (GT_BLOCK_FRAMES, FrameRecord, OracleNoiseSpec, oracle_for_frame,
+                        oracle_tensors)
 
 GT_SOURCES = ("true_gt", "oracle_as_gt")
-# oracle ground truth is synthesized and decoded, and scoring pairs detections
-# with targets, this many frames at a time.  At 32, 64 and 128 frames,
-# evaluate_report took 25.2, 23.0 and 22.7 ms (min of 15) on perfbench's
-# adapt_sequential stream 3000 (2-vCPU VM); perfbench's peak_rss_mb read
-# 49.0-49.1, 48.8-49.1 and 49.0-49.3 MB (3 runs each), while scoring's own
-# peak rose by 0.3 MB at 64 and 1.2 MB at 128 over 32 in a one-stream probe
-GT_BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)

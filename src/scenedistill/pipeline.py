@@ -23,7 +23,7 @@ import collections
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,7 +115,8 @@ class PipelineReport:
         return sum(1 for d in self.decisions if d["train"])
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        """JSON values: detections as detection_rows, the rest not copied."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["detections"] = [detection_rows(frame) for frame in self.detections]
         return out
 

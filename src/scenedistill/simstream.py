@@ -4,6 +4,10 @@ Streams carry pre-featurized frames: each object is rendered into its grid
 cell as a class-specific feature signature modulated by the object's
 position and size, over a low-amplitude noise background.  Scenes follow
 each other with linear feature blending across a short transition window.
+The walk and the render keep per-object values in Python floats, with one
+normal draw per object set and frame: with a few objects per frame, a numpy
+call on one value (np.clip, a scalar draw) costs microseconds, more than its
+arithmetic, and every run builds its stream before its first frame.
 A frame's ground truth is a (g, 6) float array of [cx, cy, w, h, class,
 object_id] rows: the row layout of a trace and of a decoded detection,
 whose sixth column is its confidence instead.  The synthetic oracle, one
@@ -33,6 +37,12 @@ SIGNATURE_SCALE = 2.0   # gain of an object's class signature over the backgroun
 SIZE_RANGE = (0.12, 0.3)  # uniform range of a spawned object's width and height
 OBJ_LOGIT = 4.0         # the oracle's objectness logit for true objects
 EMPTY_LOGIT = -6.0      # the oracle's objectness logit baseline for empty cells
+# attach_oracle and scoring synthesize oracle tensors, and scoring decodes and
+# matches, this many frames at a time.  At 32, 64 and 128, evaluate_report took
+# 25.2, 23.0 and 22.7 ms (min of 15) on perfbench's adapt_sequential stream 3000
+# (2-vCPU VM); perfbench's peak_rss_mb read 49.0-49.1, 48.8-49.1 and 49.0-49.3 MB
+# (3 runs each); scoring's own peak rose 0.3 MB at 64 and 1.2 MB at 128 over 32
+GT_BLOCK_FRAMES = 64
 
 
 class TraceError(ValueError):
@@ -56,6 +66,9 @@ class SceneSpec:
         # a scene of 0 frames would let generate_stream draw scenes forever
         if not 1 <= self.duration_range[0] <= self.duration_range[1]:
             raise ValueError(f"bad duration_range {self.duration_range}")
+        # a negative sigma would silently give a static scene; NaN fails every test
+        if not 0 <= self.motion_sigma < float("inf"):
+            raise ValueError(f"motion_sigma must be in [0, inf), got {self.motion_sigma}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +83,8 @@ class StreamConfig:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.transition_len < 2:
             raise ValueError(f"transition_len must be >= 2, got {self.transition_len}")
-        if self.background_noise < 0:
-            raise ValueError(f"background_noise must be >= 0, got {self.background_noise}")
+        if not 0 <= self.background_noise < float("inf"):
+            raise ValueError(f"background_noise must be in [0, inf), got {self.background_noise}")
 
 
 @dataclass
@@ -160,34 +173,32 @@ def _move_objects(objs: list[tuple], sigma: float, rng, s: int) -> list[tuple]:
 
     A destination counts as occupied if an earlier object already claimed it
     or a later object still sits there, so a blocked object can always keep
-    its own cell and per-frame cell uniqueness is preserved.
+    its own cell and per-frame cell uniqueness is preserved.  The set's moves
+    are one (n, 2) draw, none if sigma <= 0 or the set is empty.
     """
     cells = [_cell_of(o[0], o[1], s) for o in objs]
+    steps = (rng.normal(0.0, sigma, size=(len(objs), 2)).tolist() if sigma > 0 and objs
+             else [(0.0, 0.0)] * len(objs))
     claimed: set[tuple[int, int]] = set()
     moved = []
-    for i, (cx, cy, w, h, class_id, object_id) in enumerate(objs):
-        old_cell = cells[i]
-        if sigma > 0:
-            dx, dy = rng.normal(0.0, sigma, size=2)
-        else:
-            dx = dy = 0.0
-        new_cx = float(np.clip(cx + dx, w / 2 + 0.01, 1 - w / 2 - 0.01))
-        new_cy = float(np.clip(cy + dy, h / 2 + 0.01, 1 - h / 2 - 0.01))
+    for i, ((cx, cy, w, h, class_id, object_id), (dx, dy)) in enumerate(zip(objs, steps)):
+        new_cx = min(max(cx + dx, w / 2 + 0.01), 1 - w / 2 - 0.01)
+        new_cy = min(max(cy + dy, h / 2 + 0.01), 1 - h / 2 - 0.01)
         cell = _cell_of(new_cx, new_cy, s)
-        if cell != old_cell and (cell in claimed or cell in cells[i + 1:]):
-            new_cx, new_cy, cell = cx, cy, old_cell
+        if cell != cells[i] and (cell in claimed or cell in cells[i + 1:]):
+            new_cx, new_cy, cell = cx, cy, cells[i]
         claimed.add(cell)
         moved.append((new_cx, new_cy, w, h, class_id, object_id))
     return moved
 
 
 def _render(objs: list[tuple], cfg: StreamConfig, sig: np.ndarray, rng) -> np.ndarray:
+    """One frame's features; sig is the class signatures times SIGNATURE_SCALE."""
     s, d = cfg.grid.s, cfg.feature_dim
     out = rng.normal(0.0, cfg.background_noise, size=(s, s, d))
     for cx, cy, w, h, class_id, _ in objs:
         row, col = _cell_of(cx, cy, s)
-        attrs = np.array([1.0, cx * s - col, cy * s - row, w, h])
-        out[row, col] += SIGNATURE_SCALE * (sig[class_id] @ attrs)
+        out[row, col] += sig[class_id].dot((1.0, cx * s - col, cy * s - row, w, h))
     return out
 
 
@@ -204,12 +215,13 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
 
     for spec in scenes:
         if len(spec.class_probs) != cfg.grid.c:
-            raise ValueError(
-                f"scene {spec.scene_id} has {len(spec.class_probs)} class probs, grid expects {cfg.grid.c}"
-            )
+            raise ValueError(f"scene {spec.scene_id} has {len(spec.class_probs)} class probs, "
+                             f"grid expects {cfg.grid.c}")
 
     rng = np.random.default_rng(seed)
-    sig = class_signatures(cfg.grid.c, cfg.feature_dim)
+    # scaled once here, not per object: exact only because the scale is 2.0,
+    # a power of two, which scales every product and sum without rounding
+    sig = SIGNATURE_SCALE * class_signatures(cfg.grid.c, cfg.feature_dim)
     records: list[FrameRecord] = []
     next_id = 0
     frame_id = 0
@@ -221,28 +233,18 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
         scene = scenes[visit % len(scenes)]
         duration = int(rng.integers(scene.duration_range[0], scene.duration_range[1] + 1))
         objs, next_id = _spawn_objects(scene, cfg, rng, next_id)
-        for i in range(duration):
-            if frame_id >= n_frames:
-                break
+        for i in range(min(duration, n_frames - frame_id)):
             objs = _move_objects(objs, scene.motion_sigma, rng, cfg.grid.s)
-            in_transition = prev_scene is not None and i < cfg.transition_len
-            if in_transition:
+            if prev_scene is not None and i < cfg.transition_len:
                 prev_objs = _move_objects(prev_objs, prev_scene.motion_sigma, rng, cfg.grid.s)
                 w = (i + 1) / cfg.transition_len
                 feat = (1 - w) * _render(prev_objs, cfg, sig, rng) + w * _render(objs, cfg, sig, rng)
-                use_new = w >= 0.5
-                gt_objs = objs if use_new else prev_objs
-                scene_id = scene.scene_id if use_new else prev_scene.scene_id
+                gt_objs, scene_id = ((objs, scene.scene_id) if w >= 0.5
+                                     else (prev_objs, prev_scene.scene_id))
             else:
-                feat = _render(objs, cfg, sig, rng)
-                gt_objs = objs
-                scene_id = scene.scene_id
-            records.append(FrameRecord(
-                frame_id=frame_id,
-                scene_id=scene_id,
-                features=feat,
-                gt=np.array(gt_objs, dtype=float).reshape(-1, 6),
-            ))
+                feat, gt_objs, scene_id = _render(objs, cfg, sig, rng), objs, scene.scene_id
+            records.append(FrameRecord(frame_id, scene_id, feat,
+                                       np.array(gt_objs, dtype=float).reshape(-1, 6)))
             frame_id += 1
         prev_objs, prev_scene = objs, scene
         visit += 1
@@ -388,10 +390,13 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
 
 def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
                   seed: int) -> list[FrameRecord]:
-    """Fill every record's oracle cache in place; returns the stream."""
-    for rec in stream:
-        if rec.oracle_tensor is None:
-            rec.oracle_tensor = oracle_for_frame(rec, noise, shape, seed)
+    """Fill every empty oracle cache in place, GT_BLOCK_FRAMES records per
+    oracle_tensors call; returns the stream."""
+    todo = [rec for rec in stream if rec.oracle_tensor is None]
+    for start in range(0, len(todo), GT_BLOCK_FRAMES):
+        block = todo[start:start + GT_BLOCK_FRAMES]
+        for rec, tensor in zip(block, oracle_tensors(block, noise, shape, seed)):
+            rec.oracle_tensor = tensor
     return stream
 
 

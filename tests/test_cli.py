@@ -364,6 +364,21 @@ class TestExitCodes:
         field = overrides[-1].split("=")[0].split(".")[-1]
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("motion_sigma", float("nan")), ("motion_sigma", -0.01),
+        ("background_noise", float("nan")),
+    ])
+    def test_silent_stream_misconfiguration_is_one(self, tmp_path, capsys, field, value):
+        # json reads NaN, which once passed every range check; a negative
+        # motion_sigma once gave a static scene
+        cfg = base_config()
+        node = cfg["stream"]["scenes"][1] if field == "motion_sigma" else cfg["stream"]
+        node[field] = value
+        out = str(tmp_path / "trace.jsonl")
+        assert main(["generate", "--config", write_config(tmp_path, cfg), "--out", out]) == 1
+        assert field in capsys.readouterr().err
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("value", ["0", "-5", '"x"', "2.5"])
     def test_bad_frame_count_is_one(self, tmp_path, capsys, value):
         # once read with int(): 0, -5 and "x" exited 2 and 2.5 ran 2 frames

@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +17,7 @@ import pytest
 
 import scenedistill
 from scenedistill import pipeline
-from scenedistill.detection import Box, GridShape, decode_tensor, encode_objects
+from scenedistill.detection import Box, GridShape, decode_tensor, detection_rows, encode_objects
 from scenedistill.distill import FeedbackRecord
 from scenedistill.models import decoder_forward, init_decoder
 from scenedistill.pipeline import (
@@ -662,6 +662,21 @@ class TestReportSerialization:
         assert loaded.decisions == report.decisions
         assert loaded.detections == report.detections
         assert loaded.fps == report.fps
+
+    def test_dict_writes_the_json_of_the_asdict_form(self):
+        # to_dict once started from dataclasses.asdict, deep-copying every
+        # detection only to replace it with rows; the written bytes stay
+        from scenedistill.evaluate import EvalConfig, evaluate_report
+        stream = make_stream(n=80, scenes=[
+            SceneSpec(i, (0.5, 0.3, 0.2), motion_sigma=0.01, duration_range=(30, 40))
+            for i in range(2)])
+        report = run_pipeline(stream, GRID, pipe_cfg())
+        evaluate_report(report, stream, GRID, EvalConfig(gt_source="oracle_as_gt"))
+        assert report.evaluation and sum(map(len, report.detections)) > 20
+        assert report.feedbacks and report.n_key_frames
+        want = {**asdict(report),
+                "detections": [detection_rows(frame) for frame in report.detections]}
+        assert json.dumps(report.to_dict()) == json.dumps(want)
 
     def test_key_fraction_is_exact_ratio(self):
         report = run_pipeline(make_stream(n=200), GRID, pipe_cfg())

@@ -11,6 +11,7 @@ from scenedistill.detection import Box, GridShape, decode_tensor, iou
 from scenedistill.evaluate import EvalConfig, evaluate_frames, ground_truth_for
 from scenedistill.simstream import (
     EMPTY_LOGIT,
+    GT_BLOCK_FRAMES,
     OBJ_LOGIT,
     TRACE_VERSION,
     FrameRecord,
@@ -158,6 +159,69 @@ class TestGenerateStream:
     def test_bad_class_prob_length_rejected(self):
         with pytest.raises(ValueError):
             generate_stream([SceneSpec(scene_id=0, class_probs=(1.0,))], 10, CFG, seed=0)
+
+
+def edge_scene(i, sigma=0.01, count=(2, 4), duration=(15, 25), probs=(0.5, 0.3, 0.2)):
+    return SceneSpec(i, probs, object_count_range=count, motion_sigma=sigma,
+                     duration_range=duration)
+
+
+# streams at the edges of the walk, spawn and scene visits, each built on call
+EDGE_STREAMS = {
+    # no draws for the walk at all
+    "static": lambda: generate_stream(
+        [edge_scene(0, 0.0), edge_scene(1, 0.0, probs=(0.2, 0.3, 0.5))], 80, CFG, 21),
+    # walks that draw and walks that do not, blended across a transition
+    "sigma_changes": lambda: generate_stream(
+        [edge_scene(0, 0.03), edge_scene(1, 0.0), edge_scene(2, 0.01, count=(1, 5))],
+        100, CFG, 22),
+    # empty object sets, alone and on either side of a transition
+    "no_objects": lambda: generate_stream(
+        [edge_scene(0, count=(0, 0)), edge_scene(1, 0.02), edge_scene(2, count=(0, 0))],
+        80, CFG, 23),
+    # 5 to 7 objects for 4 cells: spawn drops some, and every move is blocked
+    "crowded": lambda: generate_stream(
+        [edge_scene(0, 0.05, count=(5, 7)), edge_scene(1, 0.05, count=(1, 3))], 80,
+        StreamConfig(grid=GridShape(s=2, c=3), feature_dim=4), 24),
+    "one_cell": lambda: generate_stream(
+        [edge_scene(0, 0.05, count=(1, 3), probs=(0.6, 0.4)),
+         edge_scene(1, 0.0, probs=(0.1, 0.9))], 60,
+        StreamConfig(grid=GridShape(s=1, c=2), feature_dim=4, transition_len=2), 25),
+    # 10-frame visits and 42 frames: the last visit stops inside its transition
+    "truncated_transition": lambda: generate_stream(
+        [edge_scene(0, 0.02, duration=(10, 10)), edge_scene(1, 0.01, duration=(10, 10))], 42,
+        StreamConfig(grid=GRID, feature_dim=8, transition_len=5), 26),
+}
+
+
+class TestEdgeStreamPins:
+    # SHA-256 of each EDGE_STREAMS stream, features and ground truth, taken
+    # while the walk still drew each object's move with its own call
+    PINS = {
+        "static": "d4584c10bc6b5e3cc63db300aa778cea6e1165c95302430d197365692103264f",
+        "sigma_changes": "1032480798a6b9511caca16b28591f6d09bfc5beebcd82ffad0ff670e416dff0",
+        "no_objects": "48188162e8f5077887c32f9b0ee1a87220f8a04a245d98173a5467c2522bcc5a",
+        "crowded": "45b80881b4cf454c2e82ddbd61401983cd97aa20f80f8c54a95c25564520e742",
+        "one_cell": "c41055da0ccc82f9fccd077f2239522e3377b91f7b3cb86633929ce66cf82a72",
+        "truncated_transition": "6e26f9ee2087364b3146982887de8f08e200ec9212fc8e128eca210889bd80af",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_stream_matches_pinned_digest(self, name):
+        assert stream_hash(EDGE_STREAMS[name]()) == self.PINS[name]
+
+    def test_edge_streams_reach_their_edges(self):
+        streams = {name: build() for name, build in EDGE_STREAMS.items()}
+        static = streams["static"]
+        assert all(np.array_equal(a.gt, b.gt) for a, b in zip(static, static[1:])
+                   if a.scene_id == b.scene_id)
+        assert {len(rec.gt) for rec in streams["no_objects"]} >= {0, 2}
+        crowded = [len(rec.gt) for rec in streams["crowded"] if rec.scene_id == 0]
+        assert max(crowded) == 4  # one per cell of the 5 to 7 asked for
+        assert {len(rec.gt) for rec in streams["one_cell"]} == {1}
+        # the cut visit ends before its transition's midpoint
+        truncated = streams["truncated_transition"]
+        assert len(truncated) == 42 and truncated[-1].scene_id == truncated[39].scene_id
 
 
 def record(gt, frame_id=0):
@@ -396,6 +460,24 @@ class TestOracleCounter:
                 oracle_for_frame(rec, noise, PERF_GRID, seed)
         top = replace(rec, scene_id=2 ** 64 - 1, frame_id=2 ** 64 - 1)
         assert np.isfinite(oracle_for_frame(top, self.NOISE, PERF_GRID, 2 ** 64 - 1)).all()
+
+    def test_attach_oracle_in_blocks_equals_frame_by_frame(self):
+        scenes = [SceneSpec(i, tuple(0.7 if j == i else 0.1 for j in range(4)), motion_sigma=0.01,
+                            duration_range=(20, 40)) for i in range(4)]
+        stream = generate_stream(scenes, 2 * GT_BLOCK_FRAMES + 5, PERF_CFG, seed=32)
+        assert len(set(scene_change_frames(stream))) >= 4
+        cached = {rec.frame_id: oracle_for_frame(rec, QUIET_NOISE, PERF_GRID, 5)
+                  for rec in stream[::9]}
+        for rec in stream[::9]:
+            rec.oracle_tensor = cached[rec.frame_id]
+        assert attach_oracle(stream, HEAVY_NOISE, PERF_GRID, 7) is stream
+        for rec in stream:
+            if rec.frame_id in cached:
+                assert rec.oracle_tensor is cached[rec.frame_id]  # a filled cache is kept
+            else:
+                bare = replace(rec, oracle_tensor=None)
+                assert np.array_equal(rec.oracle_tensor,
+                                      oracle_for_frame(bare, HEAVY_NOISE, PERF_GRID, 7))
 
     def test_block_seeds_no_generator_per_frame(self, monkeypatch):
         # a 64-frame block of one scene builds at most one seeded generator,
@@ -678,3 +760,16 @@ class TestSpecValidation:
     def test_stream_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             StreamConfig(grid=GRID, **kwargs)
+
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan"), float("inf")])
+    def test_scene_rejects_negative_or_non_finite_motion_sigma(self, sigma):
+        # a negative sigma once gave a static scene, and NaN passed sigma < 0
+        with pytest.raises(ValueError, match="motion_sigma"):
+            SceneSpec(scene_id=0, class_probs=(1.0,), motion_sigma=sigma)
+        SceneSpec(scene_id=0, class_probs=(1.0,), motion_sigma=0.0)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_stream_config_rejects_non_finite_background_noise(self, noise):
+        with pytest.raises(ValueError, match="background_noise"):
+            StreamConfig(grid=GRID, background_noise=noise)
+        StreamConfig(grid=GRID, background_noise=0.0)
