@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import fields as dc_fields
 
-from .detection import GridShape
+from .detection import GridShape, check_number
 from .distill import DistillConfig
 from .evaluate import EvalConfig, bench_loss_cost, evaluate_report, sweep
 from .pipeline import PipelineConfig, PipelineReport, run_pipeline
@@ -88,17 +88,18 @@ def _dataclass_from(cls, data: dict, where: str):
         raise ConfigError(f"invalid {where}: {e}") from e
 
 
-def _integer(value, name: str, low: int) -> int:
-    """value, if it is an integer >= low; a ConfigError naming it otherwise."""
-    if type(value) is not int or value < low:
-        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    return value
+def _integer(value, name: str, interval: str) -> int:
+    """check_number's integer in interval, its ValueError a ConfigError."""
+    try:
+        return check_number(value, name, interval, integer=True)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _require_seed(config: dict) -> int:
     if "seed" not in config:
         raise ConfigError("config is missing required field 'seed'")
-    return _integer(config["seed"], "seed", 0)  # numpy seeds only with integers >= 0
+    return _integer(config["seed"], "seed", f"[0, {2**64})")  # PipelineConfig.seed's range
 
 
 def _stream_from_config(config: dict):
@@ -121,8 +122,8 @@ def _stream_from_config(config: dict):
         "stream",
     )
     scenes = [_dataclass_from(SceneSpec, s, f"stream.scenes[{i}]") for i, s in enumerate(spec["scenes"])]
-    stream = generate_stream(scenes, _integer(spec["n_frames"], "stream.n_frames", 1), cfg, seed)
-    return stream, grid, cfg.feature_dim
+    n_frames = _integer(spec["n_frames"], "stream.n_frames", "[1, inf)")
+    return generate_stream(scenes, n_frames, cfg, seed), grid, cfg.feature_dim
 
 
 def _pipeline_config(config: dict) -> PipelineConfig:
@@ -218,13 +219,11 @@ def cmd_bench(args) -> int:
     seed = _require_seed(config)
     bench = config.get("bench", {})
     counts = bench.get("target_counts", [1, 10, 25, 50])
-    trials = _integer(bench.get("trials", 50), "bench.trials", 1)
+    trials = _integer(bench.get("trials", 50), "bench.trials", "[1, inf)")
     grid = _dataclass_from(GridShape, bench.get("grid", {"s": 8, "c": 4}), "bench.grid")
-    cells = grid.s * grid.s
-    if not (isinstance(counts, list) and counts
-            and all(type(n) is int and 0 <= n <= cells for n in counts)):
-        raise ConfigError(f"bench.target_counts must be a non-empty list of integers in "
-                          f"[0, {cells}] on a {grid.s}x{grid.s} grid, got {counts!r}")
+    if not (isinstance(counts, list) and counts):
+        raise ConfigError(f"bench.target_counts must be a non-empty list, got {counts!r}")
+    counts = [_integer(n, "bench.target_counts", f"[0, {grid.s * grid.s}]") for n in counts]
     rows = bench_loss_cost(counts, trials, grid, seed=seed)
     _emit_table(rows, ["n_targets", "bounded_ms", "nms_ms"], args.out)
     return 0

@@ -12,10 +12,17 @@ One row layout, [cx, cy, w, h, class, x], holds decoded detections
 (decode_tensors, detection_rows), where x is the confidence, and ground
 truth, where x is the object id; the matcher's targets are such rows.  The
 frame loop still decodes into Detection objects (ROADMAP item 7, step 2).
+
+check_number and check_numbers are the one check for numbers that enter
+from outside: every config's fields, the CLI's, and the values of traces,
+checkpoints and reports.  Each reader wraps their ValueError in its own
+error and location.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,53 @@ import numpy as np
 LOGIT_CLIP = 1e-6
 CONF_THRESHOLD = 0.5  # every decode of a run: student frames, oracle answers, oracle ground truth
 NMS_IOU = 0.5         # same-class overlap above which the student's NMS drops a detection
+
+
+@functools.lru_cache(maxsize=256)
+def _interval(text: str) -> tuple:
+    """An interval like "[lo, hi)" as (lo, hi, lo_open, hi_open, its wording in messages)."""
+    low, high = text[1:-1].split(",")
+    lo_open, hi_open = text[0] == "(", text[-1] == ")"
+    say = ("" if text == "(-inf, inf)" else f" in {text}" if high.strip() != "inf" or not hi_open
+           else f" {'>' if lo_open else '>='} {low}")
+    return float(low), float(high), lo_open, hi_open, say
+
+
+def check_number(value, name: str, interval: str = "(-inf, inf)", integer: bool = False):
+    """value, if it is a number of the field's kind in interval, like "[0, 1)";
+    else a ValueError naming name and value.  A boolean is never a number, an
+    integer field takes only integers (not 6.0), NaN lies in no interval and an
+    infinity only in one closed at it; numpy scalars count as numbers."""
+    lo, hi, lo_open, hi_open, say = _interval(interval)
+    kind = numbers.Integral if integer else numbers.Real  # an int skips this ABC's check
+    if (type(value) is int or isinstance(value, kind)) and type(value) is not bool:
+        x = int(value) if integer else value  # exact against the bounds, numpy integers too
+        if (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi):
+            return value
+    raise ValueError(f"{name} {value!r} is not {'an integer' if integer else 'a number'}{say}")
+
+
+class NonFinite(ValueError):
+    """A NaN or an infinity among numbers read from outside."""
+
+
+def check_numbers(values, name: str) -> np.ndarray:
+    """values, a JSON list of numbers or of such lists, as a float array.  A
+    ValueError names the first value that is not a JSON number (a boolean is
+    none) or says they do not fit an array; a NonFinite says one is not finite."""
+    rows = values if isinstance(values, list) and values and type(values[0]) is list else [values]
+    for row in rows:
+        if type(row) is not list or not set(map(type, row)) <= {int, float}:  # one pass
+            bad = next(v for v in row if type(v) not in (int, float)) if type(row) is list else row
+            raise ValueError(f"{name} value {bad!r} is not a number")
+    try:  # fromiter takes a flat list about 15% faster than np.array
+        array = (np.array(values, dtype=float) if rows is values
+                 else np.fromiter(values, float, len(values)))
+    except (OverflowError, ValueError) as e:  # an int beyond the float range, ragged rows
+        raise ValueError(f"{name}: {e}") from None
+    if not np.isfinite(array).all():
+        raise NonFinite(f"non-finite value in {name}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -33,10 +87,8 @@ class GridShape:
     c: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"cells per side must be >= 1, got {self.s}")
-        if self.c < 1:
-            raise ValueError(f"class count must be >= 1, got {self.c}")
+        check_number(self.s, "s", "[1, inf)", integer=True)
+        check_number(self.c, "c", "[1, inf)", integer=True)
 
     @property
     def channels(self) -> int:

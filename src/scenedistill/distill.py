@@ -18,6 +18,7 @@ from .detection import (
     CONF_THRESHOLD,
     NMS_IOU,
     GridShape,
+    check_number,
     decode_tensor,
     detection_rows,
     match_detections,
@@ -35,14 +36,10 @@ class DistillConfig:
     steps_per_event: int = 5
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if not 0.0 < self.gate < 1.0:
-            raise ValueError(f"gate must be in (0, 1), got {self.gate}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.steps_per_event < 1:
-            raise ValueError(f"steps_per_event must be >= 1, got {self.steps_per_event}")
+        check_number(self.lam, "lam", "[0, 1]")
+        check_number(self.gate, "gate", "(0, 1)")
+        check_number(self.lr, "lr", "(0, inf)")
+        check_number(self.steps_per_event, "steps_per_event", "[1, inf)", integer=True)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .detection import (
     CONF_THRESHOLD,
     Detection,
     GridShape,
+    check_number,
     decode_tensors,
     detection_rows,
     iou_table,
@@ -44,10 +45,10 @@ class EvalConfig:
     def __post_init__(self):
         if self.gt_source not in GT_SOURCES:
             raise ValueError(f"unknown gt_source {self.gt_source!r}, expected one of {GT_SOURCES}")
-        thr = self.iou_thresholds
-        if not thr or any(not 0.0 < t < 1.0 for t in thr) or list(thr) != sorted(set(thr)):
-            raise ValueError(f"iou_thresholds must be non-empty and strictly increasing in "
-                             f"(0, 1), got {thr}")
+        if not self.iou_thresholds:
+            raise ValueError("iou_thresholds must not be empty")
+        for lo, t in zip((0.0, *self.iou_thresholds), self.iou_thresholds):  # strictly increasing
+            check_number(t, "iou_thresholds", f"({float(lo)}, 1)")
 
 
 def average_precision(tp_flags: list[bool], n_gt: int) -> float:
@@ -256,8 +257,7 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
     One warm-up call per loss is excluded from the medians; clocks are
     monotonic.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_number(trials, "trials", "[1, inf)", integer=True)
     if max(target_counts, default=0) > grid.s * grid.s:
         raise ValueError(f"cannot place {max(target_counts)} objects on a {grid.s}x{grid.s} grid")
     cfg = cfg or DistillConfig()
@@ -299,8 +299,7 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
 
 def keyframe_histogram(report: PipelineReport, bin_size: int) -> list[int]:
     """Positive decisions counted per bin of consecutive frames."""
-    if bin_size < 1:
-        raise ValueError(f"bin_size must be >= 1, got {bin_size}")
+    check_number(bin_size, "bin_size", "[1, inf)", integer=True)
     flags = [1 if d["train"] else 0 for d in report.decisions]
     return [
         sum(flags[i:i + bin_size]) for i in range(0, len(flags), bin_size)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import collections
 import json
-import sys
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .detection import (CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, decode_tensor,
-                        detection_rows, nms)
+from .detection import (CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, NonFinite,
+                        check_number, check_numbers, decode_tensor, detection_rows, nms)
 from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import Backbone, DecoderParams, decoder_forward, init_decoder
 from .selector import (
@@ -48,7 +47,7 @@ SELECTORS = ("adaptive", "random", "scene_change", "periodic", "never")
 
 @dataclass
 class PipelineConfig:
-    seed: int = 0
+    seed: int = 0  # numpy seeds only with integers >= 0; the oracle's key words are 64 bits
     mode: str = "sequential"
     selector: str = "adaptive"
     random_prob: float = 0.27          # random selector trigger rate
@@ -70,22 +69,15 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}, expected one of {SELECTORS}")
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if not 0.0 <= self.random_prob <= 1.0:
-            raise ValueError(f"random_prob must be in [0, 1], got {self.random_prob}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if not 0.0 <= self.p_oracle <= 1.0:
-            raise ValueError(f"p_oracle must be in [0, 1], got {self.p_oracle}")
-        if self.oracle_delay < 0:
-            raise ValueError(f"oracle_delay must be >= 0, got {self.oracle_delay}")
-        if self.decoder_hidden < 1:
-            raise ValueError(f"decoder_hidden must be >= 1, got {self.decoder_hidden}")
-        if self.seed < 0:  # numpy seeds only with integers >= 0
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.oracle_seed is not None and self.oracle_seed < 0:
-            raise ValueError(f"oracle_seed must be >= 0, got {self.oracle_seed}")
+        check_number(self.seed, "seed", f"[0, {2**64})", integer=True)
+        check_number(self.effective_oracle_seed, "oracle_seed", f"[0, {2**64})", integer=True)
+        check_number(self.random_prob, "random_prob", "[0, 1]")
+        check_number(self.change_threshold, "change_threshold")
+        check_number(self.period, "period", "[1, inf)", integer=True)
+        check_number(self.p_oracle, "p_oracle", "[0, 1]")
+        check_number(self.oracle_delay, "oracle_delay", "[0, inf)")
+        check_number(self.queue_capacity, "queue_capacity", "[1, inf)", integer=True)
+        check_number(self.decoder_hidden, "decoder_hidden", "[1, inf)", integer=True)
 
     @property
     def effective_oracle_seed(self) -> int:
@@ -128,11 +120,12 @@ class PipelineReport:
         dets = [[] for _ in data["detections"]]
         for f, (frame, out) in enumerate(zip(data["detections"], dets)):
             for i, v in enumerate(frame):
-                # abs(x) <= the largest float: finite, also as a float, and not NaN
-                if not (isinstance(v, list) and len(v) == 6 and all(
-                        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in v)
-                        and v[2] > 0 and v[3] > 0 and v[4] >= 0 and v[4] == int(v[4])
-                        and 0 <= v[5] <= 1):
+                try:
+                    row = check_numbers(v, "row")
+                except ValueError:
+                    row = None
+                if row is None or not (row.shape == (6,) and row[2] > 0 and row[3] > 0
+                                       and row[4] >= 0 and row[4] % 1 == 0 and 0 <= row[5] <= 1):
                     raise ValueError(f"frame {f} row {i}: {v!r} is not a detection")
                 out.append(Detection(Box(*v[:4]), int(v[4]), v[5]))
         return cls(**{**data, "detections": dets})
@@ -316,33 +309,17 @@ def checkpoint_load(path: str) -> DecoderParams:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {doc.get('version')!r} in {path}"
-        )
-    names = ("w1", "b1", "w2", "b2")
+        raise CheckpointError(f"unsupported checkpoint version {doc.get('version')!r} in {path}")
     try:
         dec = doc["decoder"]
-        values = [np.asarray(dec[k], dtype=object) for k in names]
-        version = dec["param_version"]
+        w1, b1, w2, b2 = (check_numbers(dec[k], k) for k in ("w1", "b1", "w2", "b2"))
+        version = check_number(dec["param_version"], "param_version", "[0, inf)", integer=True)
+    except NonFinite:
+        raise CheckpointError(f"non-finite decoder weights in checkpoint {path}") from None
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e
-    for name, a in zip(names, values):
-        # a float dtype would also take numeric strings and booleans
-        bad = [v for v in a.ravel().tolist() if type(v) not in (int, float)]
-        if bad:
-            raise CheckpointError(f"malformed checkpoint {path}: {name} value {bad[0]!r} "
-                                  f"is not a number")
-    try:
-        w1, b1, w2, b2 = (a.astype(float) for a in values)
-    except OverflowError as e:  # an integer beyond the float range
-        raise CheckpointError(f"malformed checkpoint {path}: {e}") from e
-    if type(version) is not int or version < 0:  # decoder versions only increase from 0
-        raise CheckpointError(f"malformed checkpoint {path}: param_version {version!r} is "
-                              f"not an integer >= 0")
     if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
             and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
         raise CheckpointError(f"decoder shapes in checkpoint {path} disagree: w1 {w1.shape}, "
                               f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
-        raise CheckpointError(f"non-finite decoder weights in checkpoint {path}")
     return DecoderParams(w1, b1, w2, b2, version)

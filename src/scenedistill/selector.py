@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import check_number
 from .distill import FeedbackRecord
 from .models import LstmGate
 
@@ -42,12 +43,10 @@ class SelectorConfig:
     sigma: float = -0.1      # loss delta below which an event counts as helpful
 
     def __post_init__(self):
-        if not 0.0 < self.p_min <= 1.0:
-            raise ValueError(f"p_min must be in (0, 1], got {self.p_min}")
-        if not self.p_min <= self.p_init <= 1.0:
-            raise ValueError(f"p_init must be in [p_min, 1], got {self.p_init}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        p_min = check_number(self.p_min, "p_min", "(0, 1]")
+        check_number(self.p_init, "p_init", f"[{float(p_min)}, 1]")
+        check_number(self.tau, "tau", "[0, inf)", integer=True)
+        check_number(self.sigma, "sigma")
 
 
 class _GappedSelector:
@@ -147,8 +146,7 @@ class RandomSelector(_GappedSelector):
     kind = "random"
 
     def __init__(self, prob: float, tau: int = 2, seed: int = 0):
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"prob must be in [0, 1], got {prob}")
+        check_number(prob, "prob", "[0, 1]")
         super().__init__(tau)
         self.p = prob
         self.rng = np.random.default_rng(seed)
@@ -183,8 +181,7 @@ class PeriodicSelector(_GappedSelector):
     kind = "periodic"
 
     def __init__(self, period: int, tau: int = 2):
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        check_number(period, "period", "[1, inf)", integer=True)
         super().__init__(tau)
         self.period = period
         self._count = 0

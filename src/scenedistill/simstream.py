@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import GridShape, encode_objects
+from .detection import GridShape, NonFinite, check_number, check_numbers, encode_objects
 
 SIGNATURE_SEED = 90131  # class signatures are global, not per stream
 LAYOUT_TAG = 1000003    # namespaces the per-scene oracle noise layout
@@ -58,17 +58,17 @@ class SceneSpec:
     duration_range: tuple[int, int] = (100, 200)
 
     def __post_init__(self):
-        p = np.asarray(self.class_probs, dtype=float)
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+        check_number(self.scene_id, "scene_id", f"[0, {2**64})", integer=True)  # an oracle key word
+        for p in self.class_probs:
+            check_number(p, "class_probs", "[0, inf)")
+        if abs(float(np.asarray(self.class_probs, dtype=float).sum()) - 1.0) > 1e-9:
             raise ValueError(f"class_probs must be a distribution, got {self.class_probs}")
-        if not 0 <= self.object_count_range[0] <= self.object_count_range[1]:
-            raise ValueError(f"bad object_count_range {self.object_count_range}")
         # a scene of 0 frames would let generate_stream draw scenes forever
-        if not 1 <= self.duration_range[0] <= self.duration_range[1]:
-            raise ValueError(f"bad duration_range {self.duration_range}")
-        # a negative sigma would silently give a static scene; NaN fails every test
-        if not 0 <= self.motion_sigma < float("inf"):
-            raise ValueError(f"motion_sigma must be in [0, inf), got {self.motion_sigma}")
+        for name, low in (("object_count_range", 0), ("duration_range", 1)):
+            lo = check_number(getattr(self, name)[0], f"{name}[0]", f"[{low}, inf)", integer=True)
+            check_number(getattr(self, name)[1], f"{name}[1]", f"[{lo}, inf)", integer=True)
+        # a negative sigma would silently give a static scene
+        check_number(self.motion_sigma, "motion_sigma", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,9 @@ class StreamConfig:
     background_noise: float = 0.05
 
     def __post_init__(self):
-        if self.feature_dim < 1:
-            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.transition_len < 2:
-            raise ValueError(f"transition_len must be >= 2, got {self.transition_len}")
-        if not 0 <= self.background_noise < float("inf"):
-            raise ValueError(f"background_noise must be in [0, inf), got {self.background_noise}")
+        check_number(self.feature_dim, "feature_dim", "[1, inf)", integer=True)
+        check_number(self.transition_len, "transition_len", "[2, inf)", integer=True)
+        check_number(self.background_noise, "background_noise", "[0, inf)")
 
 
 @dataclass
@@ -113,16 +110,12 @@ class OracleNoiseSpec:
     noise_wobble: float = 0.1     # per-frame jitter on spurious logits
 
     def __post_init__(self):
-        if not 0.0 <= self.empty_cell_noise_rate <= 1.0:
-            raise ValueError(f"noise rate must be in [0, 1], got {self.empty_cell_noise_rate}")
-        if self.noise_logit_range[0] > self.noise_logit_range[1]:
-            raise ValueError(f"bad noise_logit_range {self.noise_logit_range}")
-        if self.box_jitter_sigma < 0:
-            raise ValueError(f"box_jitter_sigma must be >= 0, got {self.box_jitter_sigma}")
-        if not 0.0 <= self.class_flip_prob <= 1.0:
-            raise ValueError(f"class_flip_prob must be in [0, 1], got {self.class_flip_prob}")
-        if self.noise_wobble < 0:
-            raise ValueError(f"noise_wobble must be >= 0, got {self.noise_wobble}")
+        check_number(self.empty_cell_noise_rate, "empty_cell_noise_rate", "[0, 1]")
+        lo = check_number(self.noise_logit_range[0], "noise_logit_range[0]")
+        check_number(self.noise_logit_range[1], "noise_logit_range[1]", f"[{float(lo)}, inf)")
+        check_number(self.box_jitter_sigma, "box_jitter_sigma", "[0, inf)")
+        check_number(self.class_flip_prob, "class_flip_prob", "[0, 1]")
+        check_number(self.noise_wobble, "noise_wobble", "[0, inf)")
 
 
 def class_signatures(n_classes: int, feature_dim: int) -> np.ndarray:
@@ -210,8 +203,7 @@ def generate_stream(scenes: list[SceneSpec], n_frames: int, cfg: StreamConfig,
     """
     if not scenes:
         raise ValueError("at least one scene is required")
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
+    check_number(n_frames, "n_frames", "[1, inf)", integer=True)
 
     for spec in scenes:
         if len(spec.class_probs) != cfg.grid.c:
@@ -451,42 +443,35 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
 
 
 def _frame_record(row: dict, grid: GridShape, d: int, prev_id: int | None) -> FrameRecord:
-    """One trace line's frame; TraceError says what is wrong with it."""
-    for name in ("frame_id", "scene_id"):
-        if type(row[name]) is not int:
-            raise TraceError(f"{name} {row[name]!r} is not an integer")
-    if prev_id is not None and row["frame_id"] <= prev_id:
-        raise TraceError(f"frame_id {row['frame_id']} does not follow {prev_id}")
-    gt = row["gt"]
-    if not (isinstance(gt, list) and all(
-            isinstance(g, list) and len(g) == 6 and all(type(x) in (int, float) for x in g)
-            for g in gt)):
-        raise TraceError("gt is not a list of [cx, cy, w, h, class, object_id] rows")
-    s = grid.s
-    gt = np.array(gt, dtype=float).reshape(-1, 6)
-    feats, oracle = row["features"], row.get("oracle")
-    for name, values in (("features", feats), ("oracle", oracle)):
-        if values is not None and not set(map(type, values)) <= {int, float}:
-            bad = next(v for v in values if type(v) not in (int, float))
-            raise TraceError(f"{name} value {bad!r} is not a number")
-    feats = np.asarray(feats, dtype=float)
-    oracle = None if oracle is None else np.asarray(oracle, dtype=float)
+    """One trace line's frame; a ValueError says what is wrong with it."""
+    frame_id = check_number(row["frame_id"], "frame_id", integer=True)
+    scene_id = check_number(row["scene_id"], "scene_id", integer=True)
+    if prev_id is not None and frame_id <= prev_id:
+        raise ValueError(f"frame_id {frame_id} does not follow {prev_id}")
+    try:
+        gt = check_numbers(row["gt"], "gt")
+    except NonFinite:
+        raise
+    except ValueError:
+        gt = None
+    if gt is None or gt.shape[1:] != (6,) and gt.shape != (0,):
+        raise ValueError("gt is not a list of [cx, cy, w, h, class, object_id] rows")
+    s, gt, oracle = grid.s, gt.reshape(-1, 6), row.get("oracle")
+    feats = check_numbers(row["features"], "features")
+    oracle = None if oracle is None else check_numbers(oracle, "oracle")
     for name, values, size in (("features", feats, s * s * d), ("oracle", oracle, grid.n_values)):
         if values is not None and values.size != size:
-            raise TraceError(f"{name} length {values.size} != {size}")
-    for name, values in (("features", feats), ("gt", gt), ("oracle", oracle)):
-        if values is not None and not np.isfinite(values).all():
-            raise TraceError(f"non-finite value in {name}")
+            raise ValueError(f"{name} length {values.size} != {size}")
     fractional = gt[:, 4:][gt[:, 4:] % 1 != 0]
     if fractional.size:
-        raise TraceError(f"class or object id {fractional[0]} is not an integer")
+        raise ValueError(f"class or object id {fractional[0]} is not an integer")
     flat = gt[:, 2:4][gt[:, 2:4] <= 0]
     if flat.size:
-        raise TraceError(f"box w or h {flat[0]} is not > 0")
+        raise ValueError(f"box w or h {flat[0]} is not > 0")
     outside = (gt[:, 4] < 0) | (gt[:, 4] >= grid.c)
     if outside.any():
-        raise TraceError(f"class id {int(gt[outside, 4][0])} not in [0, {grid.c})")
-    return FrameRecord(row["frame_id"], row["scene_id"], feats.reshape(s, s, d), gt,
+        raise ValueError(f"class id {int(gt[outside, 4][0])} not in [0, {grid.c})")
+    return FrameRecord(frame_id, scene_id, feats.reshape(s, s, d), gt,
                        None if oracle is None else oracle.reshape(s, s, grid.channels))
 
 
@@ -514,14 +499,9 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
         raise TraceError(f"{path}: header is not a JSON object (line 1)")
     if header.get("version") != TRACE_VERSION:
         raise TraceError(f"{path}: unsupported trace version {header.get('version')!r} (line 1)")
-    try:
-        s, c, d, n_frames = header["s"], header["c"], header["d"], header["n_frames"]
-    except KeyError as e:
-        raise TraceError(f"{path}: header missing field {e} (line 1)") from e
-    for name, value in (("s", s), ("c", c), ("d", d), ("n_frames", n_frames)):
-        if type(value) is not int:
-            raise TraceError(f"{path}: header field {name!r} is {value!r}, not an integer (line 1)")
-    try:
+    try:  # a missing field reads as None, not an integer
+        s, c, d, n_frames = (check_number(header.get(k), f"header field {k!r}", integer=True)
+                             for k in ("s", "c", "d", "n_frames"))
         grid = GridShape(s=s, c=c)
     except ValueError as e:
         raise TraceError(f"{path}: {e} (line 1)") from e
@@ -533,13 +513,11 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
         try:
             records.append(_frame_record(json.loads(line), grid, d,
                                          records[-1].frame_id if records else None))
-        except TraceError as e:
-            raise TraceError(f"{path}: {e} (line {lineno})") from None
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
             raise TraceError(f"{path}: malformed record (line {lineno}): {e}") from e
+        except ValueError as e:
+            raise TraceError(f"{path}: {e} (line {lineno})") from None
     if len(records) != n_frames:
-        raise TraceError(
-            f"{path}: header declares {n_frames} frames but {len(records)} records found "
-            f"(line {len(lines)})"
-        )
+        raise TraceError(f"{path}: header declares {n_frames} frames but {len(records)} records "
+                         f"found (line {len(lines)})")
     return records, grid, d

@@ -353,6 +353,20 @@ class TestExitCodes:
         ["stream.background_noise=-1"], ["stream.feature_dim=0"],
         ["noise.box_jitter_sigma=-0.5"], ["noise.class_flip_prob=2"],
         ["eval.iou_thresholds=[]"], ["seed=-1"], ["pipeline.oracle_seed=-1"],
+        # once ran with changed or meaningless output (exit 0)
+        ["pipeline.period=1.5"], ["pipeline.period=true"], ["selector_cfg.tau=1.5"],
+        ["selector_cfg.sigma=NaN"], ["pipeline.change_threshold=NaN"],
+        ["noise.box_jitter_sigma=NaN"], ["noise.noise_wobble=NaN"], ["stream.transition_len=2.5"],
+        ["pipeline.queue_capacity=2.5"], ["pipeline.oracle_delay=NaN"],
+        ["distill.steps_per_event=true"],
+        # once failed inside the run (exit 2)
+        ['stream.scenes=[{"scene_id": 0.5, "class_probs": [1, 0, 0]}]'],
+        ['stream.scenes=[{"scene_id": -1, "class_probs": [1, 0, 0]}]'],
+        ["pipeline.seed=1.5"], [f"seed={2 ** 64}"], ["stream.grid.s=6.0"], ["distill.lr=NaN"],
+        ["distill.lr=Infinity"], ["pipeline.oracle_delay=Infinity"],
+        ['stream.scenes=[{"scene_id": 0, "class_probs": [NaN, 0.5, 0.5]}]'],
+        ["noise.noise_logit_range=[NaN, -1]"], ["pipeline.decoder_hidden=2.5"],
+        ["stream.feature_dim=2.5"],
     ])
     def test_out_of_range_value_is_one(self, tmp_path, capsys, overrides):
         # rejected as a config error, before any run starts

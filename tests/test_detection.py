@@ -1,6 +1,8 @@
-"""Detection core: IOU, decoding, NMS, cell partition."""
+"""Detection core: IOU, decoding, NMS, cell partition, the number checker."""
 
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +15,9 @@ from scenedistill.detection import (
     Box,
     Detection,
     GridShape,
+    NonFinite,
+    check_number,
+    check_numbers,
     decode_tensor,
     decode_tensors,
     detection_rows,
@@ -25,6 +30,11 @@ from scenedistill.detection import (
     sigmoid,
     softmax,
 )
+from scenedistill.distill import DistillConfig
+from scenedistill.evaluate import EvalConfig
+from scenedistill.pipeline import PipelineConfig
+from scenedistill.selector import SelectorConfig
+from scenedistill.simstream import OracleNoiseSpec, SceneSpec, StreamConfig
 
 boxes = st.builds(
     Box,
@@ -44,6 +54,102 @@ class TestGridShape:
     def test_rejects_bad_dims(self, s, c):
         with pytest.raises(ValueError):
             GridShape(s=s, c=c)
+
+
+NAN, INF = float("nan"), float("inf")
+SMALL_GRID = GridShape(s=4, c=3)
+# each config class built from its defaults and these required fields
+CONFIG_BASES = {
+    GridShape: {"s": 4, "c": 3},
+    SceneSpec: {"scene_id": 0, "class_probs": (0.5, 0.5)},
+    StreamConfig: {"grid": SMALL_GRID},
+    OracleNoiseSpec: {}, DistillConfig: {}, SelectorConfig: {}, PipelineConfig: {}, EvalConfig: {},
+}
+
+
+def build(cls, **kwargs):
+    return cls(**{**CONFIG_BASES[cls], **kwargs})
+
+
+class TestCheckNumber:
+    # every value here was once accepted: it ran with changed or meaningless
+    # output, or failed inside the run instead of as a config error
+    @pytest.mark.parametrize("cls,field,value", [
+        (PipelineConfig, "period", 1.5), (PipelineConfig, "period", True),
+        (SelectorConfig, "tau", 1.5), (SelectorConfig, "sigma", NAN),
+        (PipelineConfig, "change_threshold", NAN), (OracleNoiseSpec, "box_jitter_sigma", NAN),
+        (OracleNoiseSpec, "noise_wobble", NAN), (StreamConfig, "transition_len", 2.5),
+        (PipelineConfig, "queue_capacity", 2.5), (PipelineConfig, "oracle_delay", NAN),
+        (DistillConfig, "steps_per_event", True), (SceneSpec, "scene_id", 0.5),
+        (SceneSpec, "scene_id", -1), (PipelineConfig, "seed", 1.5),
+        (PipelineConfig, "seed", 2 ** 64), (GridShape, "s", 6.0), (DistillConfig, "lr", NAN),
+        (DistillConfig, "lr", INF), (PipelineConfig, "oracle_delay", INF),
+        (SceneSpec, "class_probs", (NAN, 0.5, 0.5)),
+        (OracleNoiseSpec, "noise_logit_range", (NAN, -1.0)),
+        (PipelineConfig, "decoder_hidden", 2.5), (StreamConfig, "feature_dim", 2.5),
+    ])
+    def test_bad_value_names_its_field(self, cls, field, value):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            build(cls, **{field: value})
+
+    def test_numpy_scalars_are_numbers_but_numpy_booleans_are_not(self):
+        build(DistillConfig, lam=np.float64(0.4), steps_per_event=np.int64(5))
+        build(SceneSpec, scene_id=np.int64(3), class_probs=(np.float64(0.25), np.float64(0.75)))
+        build(PipelineConfig, seed=np.uint64(2 ** 64 - 1), oracle_delay=np.float32(0.5))
+        # a bound taken from another field is that field's exact value
+        build(SelectorConfig, p_min=np.float32(0.7), p_init=np.float32(0.7))
+        for field in ("lam", "steps_per_event"):
+            with pytest.raises(ValueError, match=field):
+                build(DistillConfig, **{field: np.bool_(True)})
+
+    @pytest.mark.parametrize("cls", list(CONFIG_BASES), ids=lambda cls: cls.__name__)
+    def test_every_numeric_field_rejects_booleans_and_nan(self, cls):
+        # a numeric field added without a check fails here; the error must name
+        # the field (or this element of it) and the bad value, so a later check
+        # that trips over the value, or one of another element, does not count
+        base = build(cls)
+        numeric = [f.name for f in dataclasses.fields(cls)
+                   if re.search(r"\b(int|float)\b", str(f.type))]
+        assert numeric
+        for name in numeric:
+            value = getattr(base, name)
+            for bad in (True, NAN):
+                if isinstance(value, tuple):
+                    for i in range(len(value)):
+                        with pytest.raises(ValueError, match=rf"^{name}(\[{i}\])? {bad!r} "):
+                            build(cls, **{name: value[:i] + (bad,) + value[i + 1:]})
+                else:
+                    with pytest.raises(ValueError, match=rf"^{name} {bad!r} "):
+                        build(cls, **{name: bad})
+
+    @pytest.mark.parametrize("value,interval,integer,message", [
+        (2 ** 64, f"[0, {2 ** 64})", True, f"x {2 ** 64} is not an integer in [0, {2 ** 64})"),
+        (7.0, "[0, inf)", True, "x 7.0 is not an integer >= 0"),
+        (0.0, "(0, inf)", False, "x 0.0 is not a number > 0"),
+        (INF, "(-inf, inf)", False, "x inf is not a number"),
+        ("0.5", "[0, 1]", False, "x '0.5' is not a number in [0, 1]"),
+    ])
+    def test_rejected_scalar_message(self, value, interval, integer, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_number(value, "x", interval, integer)
+
+    def test_scalar_bounds_are_exact(self):
+        assert check_number(2 ** 64 - 1, "x", f"[0, {2 ** 64})", integer=True) == 2 ** 64 - 1
+        assert check_number(INF, "x", "[0, inf]") == INF
+        assert check_number(1, "x", "[0, 1]") == 1
+
+    def test_list_form(self):
+        assert check_numbers([[1, 2.5], [3, 4]], "w").tolist() == [[1.0, 2.5], [3.0, 4.0]]
+        assert check_numbers([], "w").shape == (0,)
+        for values, message in ([[1, 2], [3, [4]]], "w value [4] is not a number"), \
+                ([0.5, True], "w value True is not a number"), \
+                ([[1, 2], [3]], "w: setting an array element"), \
+                ([1, 10 ** 400], "w: int too large to convert to float"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}") as info:
+                check_numbers(values, "w")
+            assert not isinstance(info.value, NonFinite)
+        with pytest.raises(NonFinite, match="^non-finite value in w$"):
+            check_numbers([[1.0, NAN]], "w")
 
 
 class TestIou:
