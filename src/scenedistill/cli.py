@@ -26,6 +26,7 @@ from .simstream import (
     SceneSpec,
     StreamConfig,
     attach_oracle,
+    atomic_open,
     generate_stream,
     read_trace,
     write_trace,
@@ -177,7 +178,7 @@ def cmd_run(args) -> int:
                               pipe_cfg.effective_oracle_seed)
     out = args.out or config.get("report_out")
     if out:
-        with open(out, "w", encoding="utf-8") as f:
+        with atomic_open(out) as f:
             json.dump(report.to_dict(), f)
     f1 = summary.per_threshold[0].f1
     print(f"mode={report.mode} selector={report.selector} frames={report.n_frames} "
@@ -245,7 +246,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(f"cannot score report {args.report} against trace {args.trace}: {e}") from e
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_open(args.out) as f:
             json.dump(summary.to_dict(), f)
     for m in summary.per_threshold:
         print(f"iou={m.iou:g} ap={m.mean_ap:.3f} f1={m.f1:.3f} tp={m.tp} fp={m.fp} fn={m.fn}")
@@ -259,7 +260,7 @@ def _emit_table(rows: list[dict], columns: list[str], out: str | None) -> None:
     for row in rows:
         print("  ".join(_fmt(row[c]).rjust(widths[c]) for c in columns))
     if out:
-        with open(out, "w", encoding="utf-8") as f:
+        with atomic_open(out) as f:
             json.dump(rows, f, indent=2)
 
 

@@ -50,7 +50,10 @@ def check_number(value, name: str, interval: str = "(-inf, inf)", integer: bool 
     lo, hi, lo_open, hi_open, say = _interval(interval)
     kind = numbers.Integral if integer else numbers.Real  # an int skips this ABC's check
     if (type(value) is int or isinstance(value, kind)) and type(value) is not bool:
-        x = int(value) if integer else value  # exact against the bounds, numpy integers too
+        try:  # an integer is exact against the bounds, numpy integers too
+            x = int(value) if integer else float(value)
+        except OverflowError:  # a float field's integer beyond the float range
+            x = float("nan")
         if (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi):
             return value
     raise ValueError(f"{name} {value!r} is not {'an integer' if integer else 'a number'}{say}")

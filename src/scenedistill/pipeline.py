@@ -1,20 +1,22 @@
 """End-to-end stream runner and checkpointing.
 
-run_pipeline runs one frame loop for every mode, and every frame goes
-through one routine: backbone, the adaptive decoder head, its decoded and
-deduplicated detections, then the selector's decision.  run_pipeline owns
-the decoder weights.  A key frame becomes a distillation event: the
-oracle's answer, then distill_step on the current weights, which it replaces
-unless the event failed, and the selector's feedback.  Sequential mode runs
-the whole event inline and waits out the oracle's delay.  Parallel mode
-never waits: the frame loop keeps the oracle's schedule, one key frame in
-service and at most queue_capacity waiting (a new one past that drops the
-oldest waiting), and trains on each answer at the first frame boundary or
-key-frame hand-off after it is due; the next frame is the first to use the
-new weights.  A failed event stops the run: nothing is trained after it
-and the key frames still waiting count as dropped.  frozen_student and
-mixed are non-learning baselines.  The oracle's compute cost is simulated
-by a configurable delay; the package starts no thread.
+A Session runs one frame loop for every mode on its caller's clock, and
+run_pipeline drives one on the wall clock.  Every frame goes through one
+routine: backbone, the adaptive decoder head, its decoded and deduplicated
+detections, then the selector's decision.  The session owns the decoder
+weights.  A key frame becomes a distillation event: the oracle's answer,
+then distill_step on the current weights, which it replaces unless the
+event failed, and the selector's feedback.  Sequential mode runs the whole
+event inline and waits out the oracle's delay.  Parallel mode never waits:
+the session keeps the oracle's schedule, one key frame in service and at
+most queue_capacity waiting (a new one past that drops the oldest waiting),
+and acts only at frame boundaries.  A key frame is handed over at the
+boundary after its frame, and an answer is trained at the first frame
+boundary after it is due; the next frame is the first to use the new
+weights.  A failed event stops the run: nothing is trained after it and the
+key frames still waiting count as dropped.  frozen_student and mixed are
+non-learning baselines.  The oracle's compute cost is simulated by a
+configurable delay; the package starts no thread.
 """
 
 from __future__ import annotations
@@ -136,144 +138,145 @@ def merge_detections(out: np.ndarray, shape: GridShape) -> list[Detection]:
     return nms(decode_tensor(out, shape, CONF_THRESHOLD), NMS_IOU)
 
 
-def _build_runtime(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig):
-    """Backbone, the adaptive head's initial weights, selector."""
-    d = stream[0].features.shape[2]
-    if cfg.init_checkpoint is None:
-        adapted = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1)
-    else:
-        adapted = checkpoint_load(cfg.init_checkpoint)
-        if adapted.w1.shape[0] != d or adapted.w2.shape[1] != grid.channels:
-            raise CheckpointError(
-                f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
-                f"w1 {adapted.w1.shape} and w2 {adapted.w2.shape}, the stream needs "
-                f"({d}, hidden) and (hidden, {grid.channels})")
-    if cfg.mode in ("frozen_student", "mixed"):
-        selector = NeverSelector()  # non-learning baselines never retrain
-    elif cfg.selector == "adaptive":
-        selector = AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
-    elif cfg.selector == "random":
-        selector = RandomSelector(cfg.random_prob, tau=cfg.selector_cfg.tau, seed=cfg.seed + 2)
-    elif cfg.selector == "scene_change":
-        selector = SceneChangeSelector(cfg.change_threshold, tau=cfg.selector_cfg.tau)
-    elif cfg.selector == "periodic":
-        selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
-    else:
-        selector = NeverSelector()
-    return Backbone(d, seed=cfg.seed), adapted, selector
+class Session:
+    """One run on its caller's clock: step(rec, now) answers the frame that
+    arrives at now and close(now) ends the run.  Only parallel mode's schedule
+    reads now; latencies and fps are wall time."""
+
+    def __init__(self, feature_dim: int, grid: GridShape, cfg: PipelineConfig):
+        d = feature_dim
+        if cfg.init_checkpoint is None:
+            adapted = init_decoder(d, cfg.decoder_hidden, grid, seed=cfg.seed + 1)
+        else:
+            adapted = checkpoint_load(cfg.init_checkpoint)
+            if adapted.w1.shape[0] != d or adapted.w2.shape[1] != grid.channels:
+                raise CheckpointError(
+                    f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
+                    f"w1 {adapted.w1.shape} and w2 {adapted.w2.shape}, the stream needs "
+                    f"({d}, hidden) and (hidden, {grid.channels})")
+        if cfg.mode in ("frozen_student", "mixed"):
+            selector = NeverSelector()  # non-learning baselines never retrain
+        elif cfg.selector == "adaptive":
+            selector = AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
+        elif cfg.selector == "random":
+            selector = RandomSelector(cfg.random_prob, tau=cfg.selector_cfg.tau, seed=cfg.seed + 2)
+        elif cfg.selector == "scene_change":
+            selector = SceneChangeSelector(cfg.change_threshold, tau=cfg.selector_cfg.tau)
+        elif cfg.selector == "periodic":
+            selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
+        else:
+            selector = NeverSelector()
+        self.backbone, self.params, self.selector = Backbone(d, seed=cfg.seed), adapted, selector
+        self.grid, self.cfg, self.oracle_seed = grid, cfg, cfg.effective_oracle_seed
+        self.mix_rng = np.random.default_rng(cfg.seed + 3)
+        self.decisions, self.latencies, self.feedbacks, self.detections, self.versions = (
+            [], [], [], [], [])
+        self.oracle_frames, self.dropped, self.error = 0, 0, None
+        # parallel mode: the key frames the oracle has not answered yet, the
+        # first in service and due at `due`, and the last frame's key frame
+        self.pending, self.due, self.handoff = collections.deque(), 0.0, None
+        self.start = time.perf_counter()
+
+    def _oracle(self, rec: FrameRecord, delay: float) -> np.ndarray:
+        if delay > 0:
+            time.sleep(delay)
+        return oracle_for_frame(rec, self.cfg.oracle_noise, self.grid, self.oracle_seed)
+
+    def _distill(self, rec: FrameRecord, feats: np.ndarray, target: np.ndarray) -> None:
+        """Train the current weights on one oracle answer, replace them unless
+        the event failed, and feed it back; the first failed event names the error."""
+        new_params, fb = distill_step(self.params, feats, target, self.cfg.distill,
+                                      frame_id=rec.frame_id)
+        if fb.error is None:
+            self.params = new_params
+        self.feedbacks.append({**vars(fb), "delta_l": fb.delta_l})
+        self.selector.apply_feedback(fb)
+        if fb.error is not None:
+            self.error = self.error or f"frame {fb.frame_id}: {fb.error}"
+
+    def _advance(self, now: float) -> None:
+        """Parallel mode's schedule at the frame boundary now: train on each
+        answer due by now, hand the last frame's key frame to the oracle
+        (served at once if it is idle, else waiting, dropping the oldest
+        waiting one past queue_capacity), then train on it if it is due.  The
+        oracle serves the next waiting one as soon as it answers one.  Nothing
+        is trained after a failed event."""
+        cfg, pending = self.cfg, self.pending
+        for handoff in (self.handoff, None):  # train, hand over, train again
+            while self.error is None and pending and self.due <= now:
+                rec, feats = pending.popleft()
+                self.due += cfg.oracle_delay
+                self._distill(rec, feats, self._oracle(rec, 0.0))
+            if handoff is not None:
+                if not pending:
+                    self.due = now + cfg.oracle_delay
+                elif len(pending) > cfg.queue_capacity:
+                    stale, _ = pending[1]
+                    del pending[1]
+                    self.dropped += 1
+                    self.selector.apply_feedback(
+                        FeedbackRecord(stale.frame_id, 0.0, 0.0, error="dropped"))
+                pending.append(handoff)
+        self.handoff = None
+
+    def step(self, rec: FrameRecord, now: float) -> list[Detection] | None:
+        """The detections of the frame that arrives at now, or None once an
+        event has failed; the weights trained at now are the first it uses."""
+        t0 = time.perf_counter()
+        if self.pending or self.handoff is not None:  # else there is nothing to schedule
+            self._advance(now)
+        if self.error is not None:
+            return None
+        cfg = self.cfg
+        feats, summary = self.backbone.forward(rec.features)
+        self.versions.append(self.params.version)
+        if cfg.mode == "mixed" and self.mix_rng.random() < cfg.p_oracle:
+            dets = decode_tensor(self._oracle(rec, cfg.oracle_delay), self.grid, CONF_THRESHOLD)
+            self.oracle_frames += 1
+            decision = Decision(rec.frame_id, train=False)
+        else:
+            dets = merge_detections(decoder_forward(self.params, feats), self.grid)
+            decision = self.selector.decide(rec.frame_id, feats, summary)
+            # feats is fresh per frame, so the event trains on the exact frame
+            # that triggered selection even as inference advances.
+            if decision.train and cfg.mode == "parallel":
+                self.handoff = (rec, feats)
+            elif decision.train:
+                self._distill(rec, feats, self._oracle(rec, cfg.oracle_delay))
+        self.decisions.append(dict(vars(decision)))
+        self.detections.append(dets)
+        self.latencies.append(time.perf_counter() - t0)
+        return dets
+
+    def close(self, now: float) -> PipelineReport:
+        """The run's report.  The last key frame is handed over at now, and
+        those still in service or waiting are trained without waiting out
+        their delays, unless an event failed; then they count as dropped."""
+        elapsed = time.perf_counter() - self.start
+        self._advance(now)
+        self._advance(float("inf"))
+        self.dropped += len(self.pending)
+        cfg, n = self.cfg, len(self.decisions)
+        if cfg.checkpoint_out is not None:
+            checkpoint_save(cfg.checkpoint_out, self.params)
+        return PipelineReport(
+            mode=cfg.mode, selector=self.selector.kind, n_frames=n,
+            fps=n / elapsed if elapsed > 0 else float("inf"),
+            key_fraction=sum(1 for d in self.decisions if d["train"]) / n if n else 0.0,
+            decisions=self.decisions, latencies=self.latencies, feedbacks=self.feedbacks,
+            detections=self.detections, versions=self.versions, dropped_key_frames=self.dropped,
+            oracle_answer_fraction=self.oracle_frames / n if n else 0.0, error=self.error)
 
 
 def run_pipeline(stream: list[FrameRecord], grid: GridShape, cfg: PipelineConfig) -> PipelineReport:
+    """A Session over the stream on the wall clock."""
     if not stream:
         raise ValueError("empty stream")
-    backbone, params, selector = _build_runtime(stream, grid, cfg)
-    oracle_seed = cfg.effective_oracle_seed
-    mix_rng = np.random.default_rng(cfg.seed + 3)
-    decisions, latencies, feedbacks, detections, versions = [], [], [], [], []
-    oracle_frames = dropped = 0
-    error = None
-    # parallel mode: the key frames the oracle has not answered yet, the
-    # first in service and due at `due`
-    pending = collections.deque()
-    due = 0.0
-
-    def oracle(rec: FrameRecord, delay: float = cfg.oracle_delay) -> np.ndarray:
-        if delay > 0:
-            time.sleep(delay)
-        return oracle_for_frame(rec, cfg.oracle_noise, grid, oracle_seed)
-
-    def distill_event(rec: FrameRecord, feats: np.ndarray, target: np.ndarray) -> None:
-        """Train the current weights on one oracle answer, replace them unless
-        the event failed, and feed it back; the first failed event names the error."""
-        nonlocal params, error
-        new_params, fb = distill_step(params, feats, target, cfg.distill, frame_id=rec.frame_id)
-        if fb.error is None:
-            params = new_params
-        feedbacks.append({**vars(fb), "delta_l": fb.delta_l})
-        selector.apply_feedback(fb)
-        if fb.error is not None:
-            error = error or f"frame {fb.frame_id}: {fb.error}"
-
-    def advance(now: float) -> None:
-        """Train on each key frame the oracle has answered by `now`, at a
-        frame boundary or a key frame's hand-off; the next frame is the first
-        to use the new weights.  The oracle starts on the next waiting one as
-        soon as it answers one.  Nothing is trained after a failed event."""
-        nonlocal due
-        while error is None and pending and due <= now:
-            rec, feats = pending.popleft()
-            due += cfg.oracle_delay
-            distill_event(rec, feats, oracle(rec, delay=0.0))
-
-    def submit(rec: FrameRecord, feats: np.ndarray) -> None:
-        """Hand a key frame to the oracle, after training on the answers due
-        by now (first used by the next frame): served at once if the oracle
-        is idle, else waiting, dropping the oldest waiting one past
-        queue_capacity."""
-        nonlocal due, dropped
-        now = time.perf_counter()
-        advance(now)
-        if not pending:
-            due = now + cfg.oracle_delay
-        elif len(pending) > cfg.queue_capacity:
-            stale, _ = pending[1]
-            del pending[1]
-            dropped += 1
-            selector.apply_feedback(FeedbackRecord(stale.frame_id, 0.0, 0.0, error="dropped"))
-        # feats is fresh per frame, so the event trains on the exact frame
-        # that triggered selection even as inference advances.
-        pending.append((rec, feats))
-
-    def infer(rec: FrameRecord) -> list[Detection]:
-        nonlocal oracle_frames
-        feats, summary = backbone.forward(rec.features)
-        versions.append(params.version)
-        if cfg.mode == "mixed" and mix_rng.random() < cfg.p_oracle:
-            dets = decode_tensor(oracle(rec), grid, CONF_THRESHOLD)
-            oracle_frames += 1
-            decision = Decision(rec.frame_id, train=False)
-        else:
-            dets = merge_detections(decoder_forward(params, feats), grid)
-            decision = selector.decide(rec.frame_id, feats, summary)
-            if decision.train and cfg.mode == "parallel":
-                submit(rec, feats)
-            elif decision.train:
-                distill_event(rec, feats, oracle(rec))
-        decisions.append(dict(vars(decision)))
-        return dets
-
-    t_start = time.perf_counter()
+    session = Session(stream[0].features.shape[2], grid, cfg)
     for rec in stream:
-        t0 = time.perf_counter()
-        advance(t0)
-        if error is not None:
+        if session.step(rec, time.perf_counter()) is None:
             break
-        detections.append(infer(rec))
-        latencies.append(time.perf_counter() - t0)
-    elapsed = time.perf_counter() - t_start
-    # the key frames still in service or waiting are trained without waiting
-    # out their delays, unless an event failed
-    advance(float("inf"))
-    dropped += len(pending)
-
-    if cfg.checkpoint_out is not None:
-        checkpoint_save(cfg.checkpoint_out, params)
-    n = len(decisions)
-    return PipelineReport(
-        mode=cfg.mode,
-        selector=selector.kind,
-        n_frames=n,
-        fps=n / elapsed if elapsed > 0 else float("inf"),
-        key_fraction=sum(1 for d in decisions if d["train"]) / n if n else 0.0,
-        decisions=decisions,
-        latencies=latencies,
-        feedbacks=feedbacks,
-        detections=detections,
-        versions=versions,
-        dropped_key_frames=dropped,
-        oracle_answer_fraction=oracle_frames / n if n else 0.0,
-        error=error,
-    )
+    return session.close(time.perf_counter())
 
 
 CHECKPOINT_VERSION = 1

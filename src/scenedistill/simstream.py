@@ -444,8 +444,8 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
 
 def _frame_record(row: dict, grid: GridShape, d: int, prev_id: int | None) -> FrameRecord:
     """One trace line's frame; a ValueError says what is wrong with it."""
-    frame_id = check_number(row["frame_id"], "frame_id", integer=True)
-    scene_id = check_number(row["scene_id"], "scene_id", integer=True)
+    frame_id = check_number(row["frame_id"], "frame_id", f"[0, {2**64})", integer=True)
+    scene_id = check_number(row["scene_id"], "scene_id", f"[0, {2**64})", integer=True)
     if prev_id is not None and frame_id <= prev_id:
         raise ValueError(f"frame_id {frame_id} does not follow {prev_id}")
     try:
@@ -481,8 +481,8 @@ def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
     Malformed lines, dimension mismatches, feature or oracle values that are
     not numbers, non-finite values, ground truth that is not [cx, cy, w, h,
     class, object_id] rows with w, h > 0 and integral ids, class ids outside
-    [0, c), frame or scene ids that are not integers, and frame ids that do
-    not increase are rejected with the offending line number; unknown
+    [0, c), frame or scene ids that are not integers in [0, 2**64), and frame
+    ids that do not increase are rejected with the offending line number; unknown
     header versions are rejected outright.
     """
     if not os.path.exists(path):

@@ -367,6 +367,8 @@ class TestExitCodes:
         ['stream.scenes=[{"scene_id": 0, "class_probs": [NaN, 0.5, 0.5]}]'],
         ["noise.noise_logit_range=[NaN, -1]"], ["pipeline.decoder_hidden=2.5"],
         ["stream.feature_dim=2.5"],
+        # an integer beyond the float range in a float field (exit 2)
+        ["pipeline.oracle_delay=1" + "0" * 400], ["distill.lr=1" + "0" * 400],
     ])
     def test_out_of_range_value_is_one(self, tmp_path, capsys, overrides):
         # rejected as a config error, before any run starts
@@ -420,6 +422,32 @@ class TestExitCodes:
                                     "grid": {"s": 4, "c": 2}}}
         assert main(["bench", "--config", write_config(tmp_path, cfg), "--set", override]) == 1
         assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "eval", "bench"])
+    def test_failed_output_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, command):
+        # a write that fails part-way once left a truncated file behind
+        cfg_path = write_config(tmp_path, base_config())
+        trace, report = str(tmp_path / "trace.jsonl"), str(tmp_path / "report.json")
+        args = {"run": ["run", "--config", cfg_path],
+                "eval": ["eval", "--report", report, "--trace", trace, "--config", cfg_path],
+                "bench": ["bench", "--config", write_config(tmp_path, {
+                    "seed": 1, "bench": {"target_counts": [1], "trials": 1,
+                                         "grid": {"s": 4, "c": 2}}}, "bench.json")]}[command]
+        if command == "eval":
+            assert main(["generate", "--config", cfg_path, "--out", trace]) == 0
+            assert main(["run", "--config", cfg_path, "--out", report]) == 0
+        out = tmp_path / "out.json"
+        out.write_text("previous")
+
+        def failing_dump(obj, f, **kwargs):
+            f.write('{"partial": ')
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        assert main(args + ["--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_text() == "previous"
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_runtime_error_is_two(self, tmp_path, capsys):
         cfg = base_config()

@@ -10,7 +10,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from scenedistill.pipeline import (
     CheckpointError,
     PipelineConfig,
     PipelineReport,
+    Session,
     checkpoint_load,
     checkpoint_save,
     merge_detections,
@@ -48,18 +48,14 @@ def pipe_cfg(**kwargs) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
-def fake_clock(monkeypatch):
-    """Replace the pipeline's clock with one that each frame's detection step
-    advances by 1 s, so parallel mode's schedule does not depend on speed."""
-    clock = [0.0]
-    real_merge = pipeline.merge_detections
-
-    def merge(*args, **kwargs):
-        clock[0] += 1.0
-        return real_merge(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "merge_detections", merge)
-    monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+def frame_clock_run(stream, cfg) -> PipelineReport:
+    """A Session on the frame clock: frame i arrives at i and the run closes
+    at len(stream), so parallel mode's schedule does not depend on speed."""
+    session = Session(stream[0].features.shape[2], GRID, cfg)
+    for i, rec in enumerate(stream):
+        if session.step(rec, i) is None:
+            break
+    return session.close(len(stream))
 
 
 def poison_oracle(monkeypatch, nth):
@@ -228,26 +224,24 @@ class TestParallelMode:
         # the answers still due after the last frame are trained at once
         assert elapsed < cfg.oracle_delay / 2
 
-    def test_each_waiting_key_frame_is_due_one_delay_after_the_one_before(self, monkeypatch):
-        fake_clock(monkeypatch)
+    def test_each_waiting_key_frame_is_due_one_delay_after_the_one_before(self):
         cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
                        selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5)
-        report = run_pipeline(make_stream(n=12), GRID, cfg)
-        # frame 0 is submitted at 1 s and due at 3.5 s, the next ones at 6,
-        # 8.5 and 11 s; each is trained at the first frame starting after that
+        report = frame_clock_run(make_stream(n=12), cfg)
+        # frame 0 is handed over at 1 and due at 3.5, the next ones at 6, 8.5
+        # and 11; each is trained at the first frame boundary after that
         k = cfg.distill.steps_per_event
         assert report.versions == [0] * 4 + [k] * 2 + [2 * k] * 3 + [3 * k] * 2 + [4 * k]
 
     def test_failed_event_stops_training_and_drops_the_waiting(self, monkeypatch, tmp_path):
-        # frame 0's answer is due at 3.5 s and frame 1's, poisoned, at 6 s;
-        # the key frames 2-5 submitted by then are never trained
-        fake_clock(monkeypatch)
+        # frame 0's answer is due at 3.5 and frame 1's, poisoned, at 6; the
+        # key frames 2-5 handed over by then are never trained
         poison_oracle(monkeypatch, 2)
         path = str(tmp_path / "run.ckpt")
         cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
                        selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5,
                        checkpoint_out=path)
-        report = run_pipeline(make_stream(n=12), GRID, cfg)
+        report = frame_clock_run(make_stream(n=12), cfg)
         assert report.error == "frame 1: non-finite loss"
         assert [(f["frame_id"], f["error"]) for f in report.feedbacks] == [
             (0, None), (1, "non-finite loss")]
@@ -256,15 +250,15 @@ class TestParallelMode:
         # every key frame is committed, dropped or errored
         assert report.n_key_frames == 6 and report.dropped_key_frames == 4
 
-    def test_fake_clock_output_matches_pin(self, monkeypatch):
-        # an oracle that falls behind the adaptive selector on two scenes:
-        # SHA-256 of the detections, decisions, versions, drop count and each
-        # event's losses, so a change to the schedule or the training shows
-        fake_clock(monkeypatch)
+    def test_fake_clock_output_matches_pin(self):
+        # an oracle that falls behind the adaptive selector on two scenes, on
+        # the frame clock: SHA-256 of the detections, decisions, versions,
+        # drop count and each event's losses, so a change to the schedule or
+        # the training shows
         scenes = [SceneSpec(0, (0.5, 0.3, 0.2), motion_sigma=0.01, duration_range=(140, 160)),
                   SceneSpec(1, (0.2, 0.3, 0.5), motion_sigma=0.01, duration_range=(140, 160))]
         cfg = pipe_cfg(mode="parallel", oracle_delay=7.0, queue_capacity=2)
-        report = run_pipeline(make_stream(n=300, scenes=scenes), GRID, cfg)
+        report = frame_clock_run(make_stream(n=300, scenes=scenes), cfg)
         events = [(f["frame_id"], f["loss_before"], f["loss_after"], f["error"])
                   for f in report.feedbacks]
         doc = json.dumps([report.to_dict()["detections"], report.decisions, report.versions,
@@ -272,6 +266,34 @@ class TestParallelMode:
         assert (report.n_key_frames, report.dropped_key_frames, len(events)) == (100, 55, 45)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "e3c56fa4d0f522ee5a14c3ba3ff58270debe0079978a324473287da0f04602a6")
+
+    def test_frame_clock_output_ignores_the_wall_clock(self, monkeypatch):
+        # the pinned run again with every frame slowed by 1 ms of wall time:
+        # the schedule reads only the clock its caller passes
+        real_merge = pipeline.merge_detections
+
+        def slow_merge(*args, **kwargs):
+            time.sleep(0.001)
+            return real_merge(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "merge_detections", slow_merge)
+        self.test_fake_clock_output_matches_pin()
+
+    def test_failed_session_answers_nothing_and_close_drops_the_waiting(self, monkeypatch):
+        # frame 1's poisoned answer is trained at 6, after frames 0-5 were
+        # answered and handed over; frames 2-5 wait and are never trained
+        poison_oracle(monkeypatch, 2)
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
+                       selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5)
+        stream = make_stream(n=12)
+        session = Session(stream[0].features.shape[2], GRID, cfg)
+        answers = [session.step(rec, i) for i, rec in enumerate(stream)]
+        assert None not in answers[:6] and answers[6:] == [None] * 6
+        report = session.close(len(stream))
+        assert report.n_frames == len(report.detections) == len(report.latencies) == 6
+        assert [(f["frame_id"], f["error"]) for f in report.feedbacks] == [
+            (0, None), (1, "non-finite loss")]
+        assert report.dropped_key_frames == 4
 
     def test_training_and_commits_run_on_the_calling_thread(self, monkeypatch):
         real_step = pipeline.distill_step

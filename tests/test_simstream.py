@@ -715,11 +715,15 @@ class TestTraceIO:
 
     @pytest.mark.parametrize("key,value", [
         ("frame_id", 5.0), ("frame_id", "5"), ("scene_id", 0.5), ("scene_id", None),
+        ("frame_id", 2 ** 64), ("scene_id", -1),
     ])
     def test_non_integer_frame_or_scene_id_names_line(self, tmp_path, key, value):
-        # int() once loaded 5.0 and "5" as frame 5 and scene 0.5 as scene 0
+        # int() once loaded 5.0 and "5" as frame 5 and scene 0.5 as scene 0;
+        # a scene id of -1, outside the oracle's 64-bit key words, once loaded
+        # and failed inside the run's oracle
         path = self.corrupt(tmp_path, lambda row: row.update({key: value}))
-        with pytest.raises(TraceError, match=rf"{key} {value!r} is not an integer \(line 7\)"):
+        with pytest.raises(TraceError, match=rf"{key} {value!r} is not an integer "
+                                             rf"in \[0, {2 ** 64}\) \(line 7\)"):
             read_trace(path)
 
 
