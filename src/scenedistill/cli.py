@@ -25,6 +25,7 @@ from .simstream import (
     OracleNoiseSpec,
     SceneSpec,
     StreamConfig,
+    TraceError,
     attach_oracle,
     atomic_open,
     generate_stream,
@@ -303,12 +304,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:  # runtime failures keep a distinct exit code
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # bad input exits 1; runtime failures, an unopenable trace too, 2
+        bad_input = isinstance(e, ConfigError) or (
+            isinstance(e, TraceError) and not isinstance(e.__cause__, OSError))
+        print(f"config error: {e}" if bad_input else f"error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 1 if bad_input else 2
 
 
 if __name__ == "__main__":

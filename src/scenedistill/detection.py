@@ -14,9 +14,9 @@ truth, where x is the object id; the matcher's targets are such rows.  The
 frame loop still decodes into Detection objects (ROADMAP item 7, step 2).
 
 check_number and check_numbers are the one check for numbers that enter
-from outside: every config's fields, the CLI's, and the values of traces,
-checkpoints and reports.  Each reader wraps their ValueError in its own
-error and location.
+from outside as JSON: every config's fields, the CLI's, and the values of
+checkpoints and reports (read_trace checks a trace's arrays whole).  Each
+reader wraps their ValueError in its own error and location.
 """
 
 from __future__ import annotations

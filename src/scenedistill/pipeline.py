@@ -223,7 +223,7 @@ class Session:
         """The detections of the frame that arrives at now, or None once an
         event has failed; the weights trained at now are the first it uses."""
         t0 = time.perf_counter()
-        if self.pending or self.handoff is not None:  # else there is nothing to schedule
+        if self.handoff is not None or self.pending and self.due <= now:  # else nothing to do
             self._advance(now)
         if self.error is not None:
             return None

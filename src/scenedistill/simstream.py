@@ -9,27 +9,28 @@ normal draw per object set and frame: with a few objects per frame, a numpy
 call on one value (np.clip, a scalar draw) costs microseconds, more than its
 arithmetic, and every run builds its stream before its first frame.
 A frame's ground truth is a (g, 6) float array of [cx, cy, w, h, class,
-object_id] rows: the row layout of a trace and of a decoded detection,
-whose sixth column is its confidence instead.  The synthetic oracle, one
+object_id] rows: the row layout of a decoded detection, whose sixth
+column is its confidence instead.  The synthetic oracle, one
 synthesizer (oracle_tensors) for a block of frames or for one
 (oracle_for_frame), emits near-ground-truth logit tensors with jittered
 boxes, occasional class flips, and sub-threshold spurious objectness on
 empty cells, like the systematic noise a real heavy detector produces in a
 fixed environment.  The spurious layout is persistent per scene, and a
-frame's draws are a pure function of (seed, scene, frame).
+frame's draws are a pure function of (seed, scene, frame).  A trace is one
+.npz of a stream's arrays (write_trace), which read_trace checks rule by
+rule on whole arrays, with no loop over values in Python.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import GridShape, NonFinite, check_number, check_numbers, encode_objects
+from .detection import GridShape, check_number, encode_objects
 
 SIGNATURE_SEED = 90131  # class signatures are global, not per stream
 LAYOUT_TAG = 1000003    # namespaces the per-scene oracle noise layout
@@ -392,18 +393,20 @@ def attach_oracle(stream: list[FrameRecord], noise: OracleNoiseSpec, shape: Grid
     return stream
 
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
+# a trace's arrays, in the order write_trace stores them
+TRACE_ARRAYS = ("header", "ids", "features", "gt", "gt_counts", "oracle", "has_oracle")
 
 
 @contextlib.contextmanager
-def atomic_open(path: str):
-    """Text file to write whose contents replace path only when the block
-    completes; if it raises, path keeps its old bytes and the temp file,
-    written next to path, is removed.
+def atomic_open(path: str, binary: bool = False):
+    """File to write, text unless binary, whose contents replace path only
+    when the block completes; if it raises, path keeps its old bytes and the
+    temp file, written next to path, is removed.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
             yield f
             f.flush()
             os.fsync(f.fileno())  # the new bytes are on disk before the rename
@@ -414,110 +417,105 @@ def atomic_open(path: str):
 
 
 def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
-    """Line-delimited trace: one JSON header, then one JSON record per frame.
-
-    The header's grid size and feature width are the frames' own; grid must
-    agree with them and supplies the class count.  Floats are serialized
-    with full repr, so a round trip reproduces values exactly (well within
-    the documented 1e-6 budget).
+    """One .npz of whole-stream arrays, whatever path's suffix: header int64
+    [version, s, c, d, n]; ids uint64 (n, 2) of [frame_id, scene_id] (an id
+    outside [0, 2**64) is an OverflowError); features (n, s, s, d); gt (G, 6)
+    rows, gt_counts (n,) of them per frame; oracle (k, s, s, 5 + c), the
+    tensors of the k frames has_oracle (n,) marks.  The header's s and d are
+    the frames' own, and grid, which must agree, gives c.  Values keep their
+    bits, and the same stream gives the same bytes (entries carry a fixed date).
     """
     if not stream:
         raise ValueError("cannot write an empty stream")
     s, _, d = stream[0].features.shape
     if grid.s != s:
         raise ValueError(f"grid s={grid.s} disagrees with the frames' {s}x{s} cells")
-    header = {"version": TRACE_VERSION, "s": s, "c": grid.c, "d": d, "n_frames": len(stream)}
-    with atomic_open(path) as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in stream:
-            row = {
-                "frame_id": rec.frame_id,
-                "scene_id": rec.scene_id,
-                "features": rec.features.reshape(-1).tolist(),
-                "gt": [[cx, cy, w, h, int(cls), int(oid)]
-                       for cx, cy, w, h, cls, oid in rec.gt.tolist()],
-                "oracle": (rec.oracle_tensor.reshape(-1).tolist()
-                           if rec.oracle_tensor is not None else None),
-            }
-            f.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _frame_record(row: dict, grid: GridShape, d: int, prev_id: int | None) -> FrameRecord:
-    """One trace line's frame; a ValueError says what is wrong with it."""
-    frame_id = check_number(row["frame_id"], "frame_id", f"[0, {2**64})", integer=True)
-    scene_id = check_number(row["scene_id"], "scene_id", f"[0, {2**64})", integer=True)
-    if prev_id is not None and frame_id <= prev_id:
-        raise ValueError(f"frame_id {frame_id} does not follow {prev_id}")
-    try:
-        gt = check_numbers(row["gt"], "gt")
-    except NonFinite:
-        raise
-    except ValueError:
-        gt = None
-    if gt is None or gt.shape[1:] != (6,) and gt.shape != (0,):
-        raise ValueError("gt is not a list of [cx, cy, w, h, class, object_id] rows")
-    s, gt, oracle = grid.s, gt.reshape(-1, 6), row.get("oracle")
-    feats = check_numbers(row["features"], "features")
-    oracle = None if oracle is None else check_numbers(oracle, "oracle")
-    for name, values, size in (("features", feats, s * s * d), ("oracle", oracle, grid.n_values)):
-        if values is not None and values.size != size:
-            raise ValueError(f"{name} length {values.size} != {size}")
-    fractional = gt[:, 4:][gt[:, 4:] % 1 != 0]
-    if fractional.size:
-        raise ValueError(f"class or object id {fractional[0]} is not an integer")
-    flat = gt[:, 2:4][gt[:, 2:4] <= 0]
-    if flat.size:
-        raise ValueError(f"box w or h {flat[0]} is not > 0")
-    outside = (gt[:, 4] < 0) | (gt[:, 4] >= grid.c)
-    if outside.any():
-        raise ValueError(f"class id {int(gt[outside, 4][0])} not in [0, {grid.c})")
-    return FrameRecord(frame_id, scene_id, feats.reshape(s, s, d), gt,
-                       None if oracle is None else oracle.reshape(s, s, grid.channels))
+    with atomic_open(path, binary=True) as f:
+        tensors = [rec.oracle_tensor for rec in stream if rec.oracle_tensor is not None]
+        np.savez(f, header=np.array([TRACE_VERSION, s, grid.c, d, len(stream)], dtype=np.int64),
+                 ids=np.array([(rec.frame_id, rec.scene_id) for rec in stream], dtype=np.uint64),
+                 features=np.stack([rec.features for rec in stream]),
+                 gt=np.concatenate([rec.gt for rec in stream]),
+                 gt_counts=np.array([len(rec.gt) for rec in stream], dtype=np.int64),
+                 oracle=np.stack(tensors) if tensors else np.empty((0, s, s, grid.channels)),
+                 has_oracle=np.array([rec.oracle_tensor is not None for rec in stream]))
 
 
 def read_trace(path: str) -> tuple[list[FrameRecord], GridShape, int]:
-    """Read a trace; returns (stream, grid, feature_dim).
+    """Read a trace that write_trace wrote; returns (stream, grid, feature_dim).
 
-    Malformed lines, dimension mismatches, feature or oracle values that are
-    not numbers, non-finite values, ground truth that is not [cx, cy, w, h,
-    class, object_id] rows with w, h > 0 and integral ids, class ids outside
-    [0, c), frame or scene ids that are not integers in [0, 2**64), and frame
-    ids that do not increase are rejected with the offending line number; unknown
-    header versions are rejected outright.
+    Each rule is checked once on a whole array: every array is there with
+    write_trace's dtype and shape; every value is finite; frame ids
+    increase; gt rows have w, h > 0, integral class and object ids and
+    classes in [0, c); the counts add up.  A TraceError names the path and,
+    for a rule on values, the first frame that breaks it: "frame 7 (id 512):
+    ...".  A JSON lines trace, the format up to version 2, is one too.  The
+    records' arrays are views of the trace's.
     """
-    if not os.path.exists(path):
-        raise TraceError(f"trace not found: {path}")
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise TraceError(f"{path}: empty trace (line 1)")
+    arrays, name = {}, "it"
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise TraceError(f"{path}: malformed header (line 1): {e}") from e
-    if not isinstance(header, dict):
-        raise TraceError(f"{path}: header is not a JSON object (line 1)")
-    if header.get("version") != TRACE_VERSION:
-        raise TraceError(f"{path}: unsupported trace version {header.get('version')!r} (line 1)")
-    try:  # a missing field reads as None, not an integer
-        s, c, d, n_frames = (check_number(header.get(k), f"header field {k!r}", integer=True)
-                             for k in ("s", "c", "d", "n_frames"))
+        with open(path, "rb") as f:
+            jsonl = f.read(1) == b"{"
+            f.seek(0)
+            data = {} if jsonl else np.load(f, allow_pickle=False)
+            for name in TRACE_ARRAYS:
+                if name in data:
+                    arrays[name] = data[name]
+    except Exception as e:  # zipfile and np.load raise about ten kinds on a damaged file
+        raise TraceError(f"{path}: cannot read {name}: {e}") from e
+    if jsonl:
+        raise TraceError(f"{path}: a JSON lines trace; the trace format changed to .npz in "
+                         f"version {TRACE_VERSION}, so regenerate the trace")
+
+    def form(name, dtype, *shape):  # a str in shape stands for any length
+        a = arrays.get(name)
+        if a is None:
+            raise TraceError(f"{path}: no {name} array")
+        if a.dtype != dtype or len(a.shape) != len(shape) or any(
+                k != m and not isinstance(k, str) for k, m in zip(shape, a.shape)):
+            want = str(shape).replace("'", "")
+            raise TraceError(f"{path}: {name} is {a.dtype} {a.shape}, not {np.dtype(dtype)} {want}")
+        return a
+
+    version, s, c, d, n = form("header", np.int64, 5).tolist()
+    if version != TRACE_VERSION:
+        raise TraceError(f"{path}: unsupported trace version {version}")
+    try:
         grid = GridShape(s=s, c=c)
     except ValueError as e:
-        raise TraceError(f"{path}: {e} (line 1)") from e
+        raise TraceError(f"{path}: header {e}") from None
+    ids, features, gt, gt_counts, oracle, has_oracle = (
+        form("ids", np.uint64, n, 2), form("features", np.float64, n, s, s, d),
+        form("gt", np.float64, "G", 6), form("gt_counts", np.int64, n),
+        form("oracle", np.float64, "k", s, s, grid.channels), form("has_oracle", np.bool_, n))
+    frame_ids = ids[:, 0].tolist()
 
-    records: list[FrameRecord] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(_frame_record(json.loads(line), grid, d,
-                                         records[-1].frame_id if records else None))
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
-            raise TraceError(f"{path}: malformed record (line {lineno}): {e}") from e
-        except ValueError as e:
-            raise TraceError(f"{path}: {e} (line {lineno})") from None
-    if len(records) != n_frames:
-        raise TraceError(f"{path}: header declares {n_frames} frames but {len(records)} records "
-                         f"found (line {len(lines)})")
-    return records, grid, d
+    def first_bad(bad, frames, say):  # rejects frames[i] for the first true bad[i]
+        if bad.any():
+            i = int(bad.argmax())
+            raise TraceError(f"{path}: frame {frames[i]} (id {frame_ids[frames[i]]}): {say(i)}")
+
+    every = np.arange(n)
+    first_bad(ids[1:, 0] <= ids[:-1, 0], every[1:],
+              lambda i: f"frame id {frame_ids[i + 1]} does not follow {frame_ids[i]}")
+    first_bad(gt_counts < 0, every, lambda i: f"gt count {gt_counts[i]} is negative")
+    for counts, rows in (("gt_counts", len(gt)), ("has_oracle", len(oracle))):
+        total = sum(arrays[counts].tolist())  # a Python int cannot wrap around
+        if total != rows:
+            raise TraceError(f"{path}: {counts} adds up to {total}, not {rows}")
+    gt_frames = every.repeat(gt_counts)
+    for name, values, frames in (("gt", gt, gt_frames), ("features", features, every),
+                                 ("oracle", oracle, has_oracle.nonzero()[0])):
+        first_bad(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))), frames,
+                  lambda i: f"non-finite value in {name}")
+    first_bad((gt[:, 4:] % 1 != 0).any(axis=1), gt_frames, lambda i: "class or object id "
+              f"{next(v for v in gt[i, 4:].tolist() if v % 1)} is not an integer")
+    first_bad((gt[:, 2:4] <= 0).any(axis=1), gt_frames,
+              lambda i: f"box w or h {next(v for v in gt[i, 2:4].tolist() if v <= 0)} is not > 0")
+    first_bad((gt[:, 4] < 0) | (gt[:, 4] >= c), gt_frames,
+              lambda i: f"class id {int(gt[i, 4])} not in [0, {c})")
+    tensors, ends = iter(oracle), np.cumsum(gt_counts).tolist()
+    return [FrameRecord(frame_id, scene_id, feats, gt[end - count:end],
+                        next(tensors) if has else None)
+            for (frame_id, scene_id), feats, count, end, has
+            in zip(ids.tolist(), features, gt_counts.tolist(), ends, has_oracle.tolist())], grid, d

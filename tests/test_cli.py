@@ -42,7 +42,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 class TestGenerate:
     def test_writes_readable_trace(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
-        out = str(tmp_path / "trace.jsonl")
+        out = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", cfg_path, "--out", out]) == 0
         stream, grid, d = read_trace(out)
         assert len(stream) == 60
@@ -55,13 +55,13 @@ class TestGenerate:
         cfg = base_config()
         del cfg["seed"]
         cfg_path = write_config(tmp_path, cfg)
-        rc = main(["generate", "--config", cfg_path, "--out", str(tmp_path / "t.jsonl")])
+        rc = main(["generate", "--config", cfg_path, "--out", str(tmp_path / "t.npz")])
         assert rc == 1
         assert "seed" in capsys.readouterr().err
 
     def test_same_config_byte_identical_traces(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
-        out1, out2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        out1, out2 = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
         assert main(["generate", "--config", cfg_path, "--out", out1]) == 0
         assert main(["generate", "--config", cfg_path, "--out", out2]) == 0
         h1 = hashlib.sha256(Path(out1).read_bytes()).hexdigest()
@@ -72,7 +72,7 @@ class TestGenerate:
     def test_attached_oracle_uses_run_oracle_seed(self, tmp_path):
         cfg = base_config(pipeline={"mode": "sequential", "oracle_seed": 5},
                           noise={"class_flip_prob": 0.1}, attach_oracle=True)
-        out = str(tmp_path / "trace.jsonl")
+        out = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
         stream, grid, _ = read_trace(out)
         noise = OracleNoiseSpec(class_flip_prob=0.1)
@@ -100,7 +100,7 @@ class TestRun:
 
     def test_run_from_trace(self, tmp_path, capsys):
         gen_cfg = write_config(tmp_path, base_config())
-        trace = str(tmp_path / "trace.jsonl")
+        trace = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", gen_cfg, "--out", trace]) == 0
         run_cfg = base_config()
         del run_cfg["stream"]
@@ -110,7 +110,7 @@ class TestRun:
         assert "frames=60" in capsys.readouterr().out
 
     def test_stream_and_trace_together_rejected(self, tmp_path, capsys):
-        cfg = base_config(trace="whatever.jsonl")
+        cfg = base_config(trace="whatever.npz")
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path]) == 1
         assert "exactly one" in capsys.readouterr().err
@@ -230,7 +230,7 @@ class TestEvalCommand:
     def test_rescore_report_against_trace(self, tmp_path, capsys):
         cfg = base_config()
         cfg_path = write_config(tmp_path, cfg)
-        trace = str(tmp_path / "trace.jsonl")
+        trace = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", cfg_path, "--out", trace]) == 0
         run_cfg = base_config()
         del run_cfg["stream"]
@@ -249,7 +249,7 @@ class TestEvalCommand:
         assert summary["per_threshold"][0]["iou"] == 0.5
 
     def test_rescore_matches_run_with_separate_oracle_seed(self, tmp_path, capsys):
-        trace = str(tmp_path / "trace.jsonl")
+        trace = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", write_config(tmp_path, base_config()),
                      "--out", trace]) == 0
         # the oracle answers every frame and flips classes, so a score against
@@ -269,7 +269,7 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("case", ["missing", "longer_than_trace", "zero_width_box", "short_row"])
     def test_missing_report_is_config_error(self, tmp_path, capsys, case):
-        trace = str(tmp_path / "trace.jsonl")
+        trace = str(tmp_path / "trace.npz")
         cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
         assert main(["generate", "--config", cfg_path, "--out", trace]) == 0
         report_path = tmp_path / "report.json"
@@ -301,7 +301,7 @@ class TestEvalCommand:
     ], ids=["nan_cx", "nan_conf", "inf_h", "seven_values", "fractional_class", "negative_class",
             "conf_above_1", "conf_below_0", "bool_class", "string_cy", "huge_int_w"])
     def test_corrupt_detection_row_is_config_error(self, tmp_path, capsys, bad_row):
-        trace = str(tmp_path / "trace.jsonl")
+        trace = str(tmp_path / "trace.npz")
         cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
         assert main(["generate", "--config", cfg_path, "--out", trace]) == 0
         report_path = tmp_path / "report.json"
@@ -317,7 +317,7 @@ class TestEvalCommand:
 
     def test_shorter_report_scores_its_prefix(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(pipeline={"mode": "frozen_student"}))
-        traces = {n: str(tmp_path / f"trace{n}.jsonl") for n in (60, 30)}
+        traces = {n: str(tmp_path / f"trace{n}.npz") for n in (60, 30)}
         for n, trace in traces.items():
             assert main(["generate", "--config", cfg_path, "--out", trace,
                          "--set", f"stream.n_frames={n}"]) == 0
@@ -390,7 +390,7 @@ class TestExitCodes:
         cfg = base_config()
         node = cfg["stream"]["scenes"][1] if field == "motion_sigma" else cfg["stream"]
         node[field] = value
-        out = str(tmp_path / "trace.jsonl")
+        out = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", write_config(tmp_path, cfg), "--out", out]) == 1
         assert field in capsys.readouterr().err
         assert not Path(out).exists()
@@ -399,7 +399,7 @@ class TestExitCodes:
     def test_bad_frame_count_is_one(self, tmp_path, capsys, value):
         # once read with int(): 0, -5 and "x" exited 2 and 2.5 ran 2 frames
         cfg_path = write_config(tmp_path, base_config())
-        out = str(tmp_path / "trace.jsonl")
+        out = str(tmp_path / "trace.npz")
         assert main(["generate", "--config", cfg_path, "--out", out,
                      "--set", f"stream.n_frames={value}"]) == 1
         assert "stream.n_frames" in capsys.readouterr().err
@@ -427,7 +427,7 @@ class TestExitCodes:
     def test_failed_output_write_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, command):
         # a write that fails part-way once left a truncated file behind
         cfg_path = write_config(tmp_path, base_config())
-        trace, report = str(tmp_path / "trace.jsonl"), str(tmp_path / "report.json")
+        trace, report = str(tmp_path / "trace.npz"), str(tmp_path / "report.json")
         args = {"run": ["run", "--config", cfg_path],
                 "eval": ["eval", "--report", report, "--trace", trace, "--config", cfg_path],
                 "bench": ["bench", "--config", write_config(tmp_path, {
@@ -452,6 +452,29 @@ class TestExitCodes:
     def test_runtime_error_is_two(self, tmp_path, capsys):
         cfg = base_config()
         del cfg["stream"]
-        cfg["trace"] = str(tmp_path / "missing-trace.jsonl")
+        cfg["trace"] = str(tmp_path / "missing-trace.npz")
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", "--config", cfg_path]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("content", ["jsonl", "truncated"])
+    def test_trace_that_is_not_one_is_one(self, tmp_path, capsys, command, content):
+        # traces up to version 2 were JSON lines; a missing trace exits 2 (above)
+        cfg_path, trace = write_config(tmp_path, base_config()), tmp_path / "trace.npz"
+        if content == "jsonl":
+            trace.write_text('{"d": 8, "n_frames": 0, "s": 4, "c": 3, "version": 2}\n')
+        else:
+            assert main(["generate", "--config", cfg_path, "--out", str(trace)]) == 0
+            trace.write_bytes(trace.read_bytes()[:-100])
+        report = str(tmp_path / "report.json")
+        assert main(["run", "--config", cfg_path, "--out", report]) == 0
+        run_cfg = base_config()
+        del run_cfg["stream"]
+        run_cfg["trace"] = str(trace)
+        args = {"run": ["run", "--config", write_config(tmp_path, run_cfg, "run.json")],
+                "eval": ["eval", "--report", report, "--trace", str(trace)]}[command]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {trace}: ")
+        assert ("format changed to .npz" in err) == (content == "jsonl")

@@ -13,7 +13,7 @@ from scenedistill.simstream import (
     EMPTY_LOGIT,
     GT_BLOCK_FRAMES,
     OBJ_LOGIT,
-    TRACE_VERSION,
+    TRACE_ARRAYS,
     FrameRecord,
     OracleNoiseSpec,
     SceneSpec,
@@ -504,7 +504,7 @@ class TestTraceIO:
 
     def test_round_trip_exact(self, tmp_path):
         stream = self.make_stream()
-        path = str(tmp_path / "trace.jsonl")
+        path = str(tmp_path / "trace.npz")
         write_trace(stream, path, grid=GRID)
         loaded, grid, d = read_trace(path)
         assert grid == GRID
@@ -517,9 +517,56 @@ class TestTraceIO:
             assert np.array_equal(a.gt, b.gt)
             assert np.array_equal(a.oracle_tensor, b.oracle_tensor)
 
+    def round_trip_stream(self, case):
+        if case in ("no_oracle", "every_oracle"):
+            return self.make_stream(with_oracle=case == "every_oracle")
+        if case == "every_third_oracle":
+            stream = self.make_stream(with_oracle=False)
+            attach_oracle(stream[::3], QUIET_NOISE, GRID, seed=8)
+            return stream
+        if case == "empty_gt":  # no frame has an object: no gt rows at all
+            return attach_oracle(generate_stream([one_scene(count=(0, 0))], 6, CFG, seed=8),
+                                 QUIET_NOISE, GRID, seed=8)
+        if case == "some_empty_gt":
+            stream = self.make_stream()
+            for rec in stream[1::2]:
+                rec.gt = rec.gt[:0]
+            return stream
+        if case == "scene_change":
+            scenes = [one_scene(duration=(4, 6)), replace(one_scene(duration=(4, 6)), scene_id=9)]
+            stream = attach_oracle(generate_stream(scenes, 20, CFG, seed=8), QUIET_NOISE, GRID, 8)
+            assert scene_change_frames(stream)
+            return stream
+        assert case == "ids_past_63_bits"
+        stream = self.make_stream(n=3)
+        for rec, frame_id, scene_id in zip(stream, (5, 2 ** 63, 2 ** 64 - 1),
+                                           (2 ** 64 - 1, 2 ** 63, 0)):
+            rec.frame_id, rec.scene_id = frame_id, scene_id
+        return stream
+
+    @pytest.mark.parametrize("case", ["no_oracle", "every_oracle", "every_third_oracle", "empty_gt",
+                                      "some_empty_gt", "scene_change", "ids_past_63_bits"])
+    def test_round_trip_bit_for_bit(self, tmp_path, case):
+        stream = self.round_trip_stream(case)
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
+        write_trace(stream, str(p1), grid=GRID)
+        loaded, _, _ = read_trace(str(p1))
+        assert [(r.frame_id, r.scene_id) for r in loaded] == [(r.frame_id, r.scene_id)
+                                                               for r in stream]
+        assert all(type(r.frame_id) is int and type(r.scene_id) is int for r in loaded)
+        for a, b in zip(stream, loaded):
+            for x, y in ((a.features, b.features), (a.gt, b.gt)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            if a.oracle_tensor is None:
+                assert b.oracle_tensor is None
+            else:
+                assert a.oracle_tensor.tobytes() == b.oracle_tensor.tobytes()
+        write_trace(stream, str(p2), grid=GRID)
+        assert p2.read_bytes() == p1.read_bytes()
+
     def test_round_trip_preserves_evaluation(self, tmp_path):
         stream = self.make_stream(n=30)
-        path = str(tmp_path / "trace.jsonl")
+        path = str(tmp_path / "trace.npz")
         write_trace(stream, path, grid=GRID)
         loaded, _, _ = read_trace(path)
 
@@ -530,38 +577,48 @@ class TestTraceIO:
         a, b = score(stream), score(loaded)
         assert (a.tp, a.fp, a.fn, a.f1, a.mean_ap) == (b.tp, b.fp, b.fn, b.f1, b.mean_ap)
 
+    def corrupt(self, tmp_path, mutate, stream=None):
+        """The trace of stream (make_stream()'s by default) with its arrays,
+        a dict by name, passed through mutate."""
+        path = tmp_path / "trace.npz"
+        write_trace(stream or self.make_stream(), str(path), grid=GRID)
+        with np.load(path) as data:
+            arrays = dict(data)
+        assert arrays["gt_counts"][5] > 0
+        mutate(arrays)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)  # pickles an object array, which read_trace refuses
+        return str(path)
+
     def test_truncated_file_names_line(self, tmp_path):
-        stream = self.make_stream()
-        path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, grid=GRID)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        broken = str(tmp_path / "broken.jsonl")
-        with open(broken, "w") as f:
-            f.write("\n".join(lines[:5]) + "\n" + lines[5][: len(lines[5]) // 2] + "\n")
-        with pytest.raises(TraceError, match="line 6"):
-            read_trace(broken)
+        path = tmp_path / "trace.npz"
+        write_trace(self.make_stream(), str(path), grid=GRID)
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        with pytest.raises(TraceError, match=rf"^{path}: cannot read it: File is not a zip file"):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("keep", [0, 1, 4, 30, 600, -22, -1])
+    def test_truncated_at_any_length_names_path(self, tmp_path, keep):
+        path = tmp_path / "trace.npz"
+        write_trace(self.make_stream(), str(path), grid=GRID)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(TraceError, match=rf"^{path}: cannot read it"):
+            read_trace(str(path))
 
     def test_dimension_mismatch_names_line(self, tmp_path):
-        stream = self.make_stream(n=3)
-        path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, grid=GRID)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        header = lines[0].replace('"s": 5', '"s": 8')
-        bad = str(tmp_path / "bad.jsonl")
-        with open(bad, "w") as f:
-            f.write("\n".join([header] + lines[1:]))
-        with pytest.raises(TraceError, match="line 2"):
-            read_trace(bad)
+        path = self.corrupt(tmp_path, lambda arrays: arrays["header"].__setitem__(1, 8))
+        with pytest.raises(TraceError, match=r"features is float64 \(10, 5, 5, 8\), "
+                                             r"not float64 \(10, 8, 8, 8\)$"):
+            read_trace(path)
 
     def test_repeated_frame_id_names_line(self, tmp_path):
         # ids that restart would collide in the selector's per-frame feedback
         stream = self.make_stream()
         stream[5].frame_id = 0
-        path = str(tmp_path / "trace.jsonl")
+        path = str(tmp_path / "trace.npz")
         write_trace(stream, path, grid=GRID)
-        with pytest.raises(TraceError, match=r"frame_id 0 does not follow 4 \(line 7\)"):
+        with pytest.raises(TraceError,
+                           match=rf"^{path}: frame 5 \(id 0\): frame id 0 does not follow 4$"):
             read_trace(path)
 
     @pytest.mark.parametrize("class_id", [GRID.c, -1])
@@ -569,148 +626,188 @@ class TestTraceIO:
         # an id past c breaks encoding; a negative one lands in a box channel
         stream = self.make_stream()
         stream[5].gt[0, 4] = class_id
-        path = str(tmp_path / "trace.jsonl")
+        path = str(tmp_path / "trace.npz")
         write_trace(stream, path, grid=GRID)
-        with pytest.raises(TraceError, match=rf"class id {class_id} not in \[0, 3\) \(line 7\)"):
+        with pytest.raises(TraceError,
+                           match=rf"frame 5 \(id 5\): class id {class_id} not in \[0, 3\)$"):
             read_trace(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        stream = self.make_stream(n=2)
-        path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, grid=GRID)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        bad = str(tmp_path / "v9.jsonl")
-        with open(bad, "w") as f:
-            f.write("\n".join([lines[0].replace(f'"version": {TRACE_VERSION}', '"version": 9')]
-                              + lines[1:]))
-        with pytest.raises(TraceError, match="version"):
-            read_trace(bad)
+        path = self.corrupt(tmp_path, lambda arrays: arrays["header"].__setitem__(0, 9))
+        with pytest.raises(TraceError, match="unsupported trace version 9$"):
+            read_trace(path)
+
+    def test_version_1_trace_rejected(self, tmp_path):
+        # a version-1 trace without oracle tensors would replay with the
+        # oracle noise of before each scene got one layout
+        path = self.corrupt(tmp_path, lambda arrays: arrays["header"].__setitem__(0, 1))
+        with pytest.raises(TraceError, match=rf"^{path}: unsupported trace version 1$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_other_header_version_rejected(self, tmp_path, version):
+        path = self.corrupt(tmp_path, lambda arrays: arrays["header"].__setitem__(0, version))
+        with pytest.raises(TraceError, match=rf"^{path}: unsupported trace version {version}$"):
+            read_trace(path)
+
+    def test_version_2_jsonl_trace_rejected(self, tmp_path):
+        # the format before version 3: a JSON header line, then a line per frame
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"version": 2, "s": 5, "c": 3, "d": 8, "n_frames": 1}) + "\n"
+                        + json.dumps({"frame_id": 0, "scene_id": 0, "features": [0.0] * 200,
+                                      "gt": [], "oracle": None}) + "\n")
+        with pytest.raises(TraceError, match=rf"^{path}: a JSON lines trace; the trace format "
+                                             r"changed to \.npz in version 3, so regenerate"):
+            read_trace(str(path))
 
     def test_missing_file(self):
-        with pytest.raises(TraceError):
-            read_trace("/nonexistent/trace.jsonl")
+        with pytest.raises(TraceError, match="^/nonexistent/trace.npz: cannot read it"):
+            read_trace("/nonexistent/trace.npz")
 
-    def rewrite_header(self, tmp_path, header):
-        stream = self.make_stream(n=2)
-        path = str(tmp_path / "trace.jsonl")
-        write_trace(stream, path, grid=GRID)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        with open(path, "w") as f:
-            f.write("\n".join([header(lines[0])] + lines[1:]))
-        return path
+    @pytest.mark.parametrize("name", TRACE_ARRAYS)
+    def test_missing_array_names_it(self, tmp_path, name):
+        path = self.corrupt(tmp_path, lambda arrays: arrays.pop(name))
+        with pytest.raises(TraceError, match=rf"^{path}: no {name} array$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("name", TRACE_ARRAYS)
+    @pytest.mark.parametrize("change", ["dtype", "shape"])
+    def test_wrong_dtype_or_shape_names_array(self, tmp_path, name, change):
+        def mutate(arrays):
+            a = arrays[name]
+            arrays[name] = a.astype(np.float32) if change == "dtype" else a[..., None]
+        path = self.corrupt(tmp_path, mutate)
+        with pytest.raises(TraceError, match=rf"^{path}: {name} is "):
+            read_trace(path)
 
     def test_header_not_an_object_rejected(self, tmp_path):
-        path = self.rewrite_header(tmp_path, lambda line: "[1, 2]")
-        with pytest.raises(TraceError, match="not a JSON object"):
+        path = self.corrupt(tmp_path, lambda arrays: arrays.update(header=np.array([1, 2])))
+        with pytest.raises(TraceError, match=r"header is int64 \(2,\), not int64 \(5,\)$"):
             read_trace(path)
 
     def test_non_integer_header_field_rejected(self, tmp_path):
-        path = self.rewrite_header(tmp_path, lambda line: line.replace('"s": 5', '"s": "5"'))
-        with pytest.raises(TraceError, match="'s'"):
+        path = self.corrupt(tmp_path, lambda arrays: arrays.update(
+            header=arrays["header"].astype(str)))
+        with pytest.raises(TraceError, match=r"header is <U21 \(5,\), not int64 \(5,\)$"):
             read_trace(path)
 
+    def test_header_grid_out_of_range_rejected(self, tmp_path):
+        path = self.corrupt(tmp_path, lambda arrays: arrays["header"].__setitem__(2, 0))
+        with pytest.raises(TraceError, match=rf"^{path}: header c 0 is not an integer >= 1$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("name,change,message", [
+        ("gt_counts", {3: +1}, "gt_counts adds up to 21, not 20$"),
+        ("gt_counts", {0: -3, 1: +3}, r"frame 0 \(id 0\): gt count -1 is negative$"),
+        ("has_oracle", {2: -1}, "has_oracle adds up to 9, not 10$"),
+    ])
+    def test_counts_that_do_not_add_up(self, tmp_path, name, change, message):
+        def mutate(arrays):
+            assert arrays["gt_counts"].tolist()[:2] == [2, 2] and len(arrays["gt"]) == 20
+            for i, delta in change.items():
+                arrays[name][i] += delta
+        with pytest.raises(TraceError, match=message):
+            read_trace(self.corrupt(tmp_path, mutate))
+
+    def test_counts_that_wrap_around_in_int64_rejected(self, tmp_path):
+        def mutate(arrays):
+            arrays["gt"] = arrays["gt"][:0]
+            arrays["gt_counts"][:] = [2 ** 62] * 4 + [0] * 6  # 0 as an int64 sum
+        with pytest.raises(TraceError, match=rf"gt_counts adds up to {2 ** 64}, not 0$"):
+            read_trace(self.corrupt(tmp_path, mutate))
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.npz"
         write_trace(self.make_stream(), str(path), grid=GRID)
         before = path.read_bytes()
         stream = self.make_stream(n=12)
-        stream[6].scene_id = object()  # not JSON: fails after six records are written
+        stream[6].scene_id = object()  # not an id: fails with the temp file open
         with pytest.raises(TypeError):
             write_trace(stream, str(path), grid=GRID)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+        assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
 
     def test_grid_disagreeing_with_frames_rejected_before_writing(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.npz"
         with pytest.raises(ValueError, match="s=4"):
             write_trace(self.make_stream(), str(path), grid=GridShape(s=4, c=GRID.c))
         assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_rewrites(self, tmp_path):
         stream = self.make_stream()
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_trace(stream, str(p1), grid=GRID)
         write_trace(stream, str(p2), grid=GRID)
         assert p1.read_bytes() == p2.read_bytes()
 
-    # SHA-256 of make_stream()'s trace, taken when the trace version became 2
-    TRACE_PIN = "00425a4311bdc0518264d4d3c2fb584db5da3f3c6742a1b551f02e0f5a1615eb"
+    # SHA-256 of make_stream()'s trace, taken when the trace version became 3
+    TRACE_PIN = "2a946ab4158187eb26924b825e09e7c796961ce4d91419082761ce594cdc2457"
 
     def test_trace_bytes_match_pin_and_survive_write_read_write(self, tmp_path):
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         write_trace(self.make_stream(), str(p1), grid=GRID)
         assert hashlib.sha256(p1.read_bytes()).hexdigest() == self.TRACE_PIN
         write_trace(read_trace(str(p1))[0], str(p2), grid=GRID)
         assert p2.read_bytes() == p1.read_bytes()
 
-    def corrupt(self, tmp_path, mutate):
-        """make_stream()'s trace with frame 5's record (line 7) passed
-        through mutate."""
-        path = tmp_path / "trace.jsonl"
-        write_trace(self.make_stream(), str(path), grid=GRID)
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[6])
-        assert row["gt"]
-        mutate(row)
-        lines[6] = json.dumps(row)
-        path.write_text("\n".join(lines) + "\n")
-        return str(path)
+    def frame_5(self, arrays, key):
+        """The rows of arrays[key] that hold frame 5, a view."""
+        counts = {"gt": arrays["gt_counts"], "oracle": arrays["has_oracle"]}.get(
+            key, np.ones(10)).astype(int)
+        start = int(counts[:5].sum())
+        return arrays[key][start:start + counts[5]]
 
     @pytest.mark.parametrize("key,index,value", [
         ("features", 3, float("inf")), ("gt", (0, 0), float("nan")),
         ("gt", (0, 3), float("-inf")), ("oracle", 0, float("nan")),
     ])
     def test_non_finite_value_names_line(self, tmp_path, key, index, value):
-        def mutate(row):
+        def mutate(arrays):
+            rows = self.frame_5(arrays, key)
             if key == "gt":
-                row["gt"][index[0]][index[1]] = value
+                rows[index] = value
             else:
-                row[key][index] = value
-        with pytest.raises(TraceError, match=rf"non-finite value in {key} \(line 7\)"):
+                rows.flat[index] = value
+        with pytest.raises(TraceError, match=rf"frame 5 \(id 5\): non-finite value in {key}$"):
             read_trace(self.corrupt(tmp_path, mutate))
 
     @pytest.mark.parametrize("key,index,value", [
         ("features", 0, "0.25"), ("features", 1, True), ("oracle", 2, False), ("oracle", 3, None),
     ])
     def test_feature_or_oracle_value_not_a_number_names_line(self, tmp_path, key, index, value):
-        # these used to load as 0.25, 1.0 and 0.0 through a float conversion
-        path = self.corrupt(tmp_path, lambda row: row[key].__setitem__(index, value))
-        with pytest.raises(TraceError, match=rf"{key} value {value!r} is not a number \(line 7\)"):
+        # the array takes the value's kind: str and bool arrays load and fail
+        # their dtype, an object array (None) cannot be loaded
+        def mutate(arrays):
+            arrays[key] = arrays[key].astype(object if value is None else type(value))
+            self.frame_5(arrays, key).flat[index] = value
+        path = self.corrupt(tmp_path, mutate)
+        with pytest.raises(TraceError, match=rf"^{path}: (cannot read {key}: |{key} is )"):
             read_trace(path)
 
-    def test_version_1_trace_rejected(self, tmp_path):
-        # a version-1 trace without oracle tensors would replay with the
-        # oracle noise of before each scene got one layout
-        path = tmp_path / "trace.jsonl"
-        write_trace(self.make_stream(n=2, with_oracle=False), str(path), grid=GRID)
-        path.write_text(path.read_text().replace(f'"version": {TRACE_VERSION}', '"version": 1'))
-        with pytest.raises(TraceError, match=r"unsupported trace version 1 \(line 1\)"):
-            read_trace(str(path))
-
     @pytest.mark.parametrize("gt", [
-        [[0.5, 0.5, 0.2, 0.2, 0]], [[0.5, 0.5, 0.2, 0.2, 0, 1, 7]], [[0.5, "0.5", 0.2, 0.2, 0, 1]],
-        [[0.5, 0.5, 0.2, 0.2, True, 1]], [[0.5, 0.5, 0.2, 0.2, 0, None]], [0.5, 0.5, 0.2, 0.2, 0, 1],
-        {"cx": 0.5},
+        lambda gt: gt[:, :5], lambda gt: np.hstack([gt, gt[:, :1]]), lambda gt: gt.astype(str),
+        lambda gt: gt.astype(bool), lambda gt: np.array([[0.5, 0.5, 0.2, 0.2, 0, None]] * len(gt)),
+        lambda gt: gt.ravel(), lambda gt: np.array({"cx": 0.5}),
     ], ids=["five", "seven", "string", "bool", "null", "flat", "object"])
     def test_gt_not_rows_of_six_numbers_names_line(self, tmp_path, gt):
-        path = self.corrupt(tmp_path, lambda row: row.update(gt=gt))
-        with pytest.raises(TraceError, match=r"gt is not a list of .* rows \(line 7\)"):
+        path = self.corrupt(tmp_path, lambda arrays: arrays.update(gt=gt(arrays["gt"])))
+        with pytest.raises(TraceError, match=rf"^{path}: (cannot read gt: |gt is )"):
             read_trace(path)
 
     @pytest.mark.parametrize("column,value", [(4, 1.5), (5, 2.25), (4, -0.5)])
     def test_non_integral_class_or_object_id_names_line(self, tmp_path, column, value):
         # a class id of 1.5 used to load as class 1
-        path = self.corrupt(tmp_path, lambda row: row["gt"][0].__setitem__(column, value))
-        with pytest.raises(TraceError,
-                           match=rf"class or object id {value} is not an integer \(line 7\)"):
+        path = self.corrupt(tmp_path, lambda arrays: self.frame_5(arrays, "gt")[0].__setitem__(
+            column, value))
+        with pytest.raises(TraceError, match=rf"frame 5 \(id 5\): class or object id {value} "
+                                             r"is not an integer$"):
             read_trace(path)
 
     @pytest.mark.parametrize("column,value", [(2, 0.0), (3, -0.1)])
     def test_box_without_extent_names_line(self, tmp_path, column, value):
-        path = self.corrupt(tmp_path, lambda row: row["gt"][0].__setitem__(column, value))
-        with pytest.raises(TraceError, match=rf"box w or h {value} is not > 0 \(line 7\)"):
+        path = self.corrupt(tmp_path, lambda arrays: self.frame_5(arrays, "gt")[0].__setitem__(
+            column, value))
+        with pytest.raises(TraceError, match=rf"frame 5 \(id 5\): box w or h {value} is not > 0$"):
             read_trace(path)
 
     @pytest.mark.parametrize("key,value", [
@@ -718,12 +815,16 @@ class TestTraceIO:
         ("frame_id", 2 ** 64), ("scene_id", -1),
     ])
     def test_non_integer_frame_or_scene_id_names_line(self, tmp_path, key, value):
-        # int() once loaded 5.0 and "5" as frame 5 and scene 0.5 as scene 0;
-        # a scene id of -1, outside the oracle's 64-bit key words, once loaded
-        # and failed inside the run's oracle
-        path = self.corrupt(tmp_path, lambda row: row.update({key: value}))
-        with pytest.raises(TraceError, match=rf"{key} {value!r} is not an integer "
-                                             rf"in \[0, {2 ** 64}\) \(line 7\)"):
+        # ids are uint64, so each of these makes the array another dtype (an
+        # object one for None and 2**64, which cannot be loaded); a scene id
+        # of -1, outside the oracle's 64-bit key words, once loaded and failed
+        # inside the run's oracle
+        def mutate(arrays):
+            ids = arrays["ids"].tolist()
+            ids[5][("frame_id", "scene_id").index(key)] = value
+            arrays["ids"] = np.array(ids)
+        path = self.corrupt(tmp_path, mutate)
+        with pytest.raises(TraceError, match=rf"^{path}: (cannot read ids: |ids is )"):
             read_trace(path)
 
 
