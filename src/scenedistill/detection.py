@@ -9,9 +9,10 @@ detection-target pair) and the one greedy matcher, rank_match, used by
 evaluation and the reference losses, live here too; iou serves NMS.
 
 One row layout, [cx, cy, w, h, class, x], holds decoded detections
-(decode_tensors, detection_rows), where x is the confidence, and ground
-truth, where x is the object id; the matcher's targets are such rows.  The
-frame loop still decodes into Detection objects (ROADMAP item 7, step 2).
+(decode_tensors, decode_tensor, detection_rows), where x is the confidence,
+and ground truth, where x is the object id; the matcher's targets are such
+rows.  The frame loop decodes one frame to rows and builds Detections only
+for those NMS keeps; its report holds them (ROADMAP item 7, step 2).
 
 check_number and check_numbers are the one check for numbers that enter
 from outside as JSON: every config's fields, the CLI's, and the values of
@@ -115,10 +116,6 @@ class Box:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"degenerate box: w={self.w}, h={self.h}")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -132,24 +129,20 @@ def sigmoid(x):
 
 
 def softmax(x, axis=-1):
-    z = x - np.max(x, axis=axis, keepdims=True)
+    # the ndarray methods run np.max/np.sum's reductions without their
+    # Python-level wrappers
+    z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; symmetric, in [0, 1]."""
-    ax0, ax1 = a.cx - a.w / 2, a.cx + a.w / 2
-    ay0, ay1 = a.cy - a.h / 2, a.cy + a.h / 2
-    bx0, bx1 = b.cx - b.w / 2, b.cx + b.w / 2
-    by0, by1 = b.cy - b.h / 2, b.cy + b.h / 2
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
+def iou(a, b) -> float:
+    """Intersection over union of two [cx, cy, w, h, ...] rows; symmetric, in [0, 1]."""
+    iw = min(a[0] + a[2] / 2, b[0] + b[2] / 2) - max(a[0] - a[2] / 2, b[0] - b[2] / 2)
+    ih = min(a[1] + a[3] / 2, b[1] + b[3] / 2) - max(a[1] - a[3] / 2, b[1] - b[3] / 2)
     if iw <= 0 or ih <= 0:
         return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    return inter / union
+    return iw * ih / (a[2] * a[3] + b[2] * b[3] - iw * ih)
 
 
 def _check_grid(tensor_shape: tuple, shape: GridShape) -> None:
@@ -158,14 +151,28 @@ def _check_grid(tensor_shape: tuple, shape: GridShape) -> None:
                          f"{(shape.s, shape.s, shape.channels)}")
 
 
-def _scores(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The best class and the confidence, objectness times the best class
-    probability, of each cell's logits, (..., 5 + c)."""
-    obj = sigmoid(logits[..., 0])
-    cls_prob = softmax(logits[..., 5:], axis=-1)
-    # the ndarray methods run np.argmax/np.max's reductions without their
-    # Python-level wrappers
+def _scores(obj: np.ndarray, class_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best class and the confidence, obj (the activated objectness)
+    times the best class probability, of each cell's class logits, (..., c)."""
+    cls_prob = softmax(class_logits, axis=-1)
     return cls_prob.argmax(axis=-1), obj * cls_prob.max(axis=-1)
+
+
+def _rows(obj: np.ndarray, logits: np.ndarray, row: np.ndarray, col: np.ndarray,
+          shape: GridShape, conf_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows, in order, of the cells (row, col) with activated objectness
+    obj and logits (k, 5 + c) that clear conf_threshold, and the mask of
+    those kept; only kept cells reach the box sigmoid."""
+    rows = np.empty((len(row), 6))
+    rows[:, 0], rows[:, 1] = col, row
+    rows[:, 4], rows[:, 5] = _scores(obj, logits[:, 5:])
+    keep = rows[:, 5] >= conf_threshold
+    rows = rows[keep]
+    box = sigmoid(logits[keep, 1:5])
+    rows[:, :2] += box[:, :2]
+    rows[:, :2] /= shape.s
+    np.maximum(box[:, 2:], LOGIT_CLIP, out=rows[:, 2:4])
+    return rows, keep
 
 
 def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -> list[np.ndarray]:
@@ -181,17 +188,11 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
     only cells whose objectness clears the threshold get the class softmax.
     """
     _check_grid(stack.shape[1:], shape)
-    frame, row, col = np.nonzero(sigmoid(stack[..., 0]) >= conf_threshold)
-    best_cls, conf = _scores(stack[frame, row, col])
-    keep = conf >= conf_threshold
-    frame, row, col = frame[keep], row[keep], col[keep]
-    box = sigmoid(stack[frame, row, col, 1:5])
-    rows = np.empty((len(frame), 6))
-    rows[:, 0] = (col + box[:, 0]) / shape.s
-    rows[:, 1] = (row + box[:, 1]) / shape.s
-    np.maximum(box[:, 2:], LOGIT_CLIP, out=rows[:, 2:4])
-    rows[:, 4] = best_cls[keep]
-    rows[:, 5] = conf[keep]
+    obj = sigmoid(stack[..., 0])
+    frame, row, col = np.nonzero(obj >= conf_threshold)
+    rows, keep = _rows(obj[frame, row, col], stack[frame, row, col], row, col, shape,
+                       conf_threshold)
+    frame = frame[keep]
     # one stable sort: by tensor, then by descending confidence, keeping
     # nonzero's cell order on ties
     rows = rows[np.lexsort((-rows[:, 5], frame))]
@@ -199,27 +200,20 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
     return [rows[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -> list[Detection]:
-    """Decode one logit tensor, (s, s, 5 + c), into Detections: the values and
-    order of decode_tensors' rows, from every cell's activations.
-
-    The inference path's decode, kept until NMS reads rows (ROADMAP item 7,
-    step 2): a faster frozen loop lowers criterion 6's parallel/frozen ratio.
-    Built on decode_tensors the loop ran about 18% faster and the ratio fell
-    below 0.8 in 4 of 18 runs; with its prefilter too, serve_adapted's
-    fps_ref rose 24-36% and the ratio read 0.820/0.773/0.810, not
-    0.880/0.823/0.852 (3 interleaved standalone rounds).
-    """
+def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -> list[list]:
+    """Decode one logit tensor, (s, s, 5 + c), into decode_tensors' rows for
+    it, as lists of Python floats: the frame loop's decode, which nms reads."""
     _check_grid(tensor.shape, shape)
-    best_cls, conf = _scores(tensor)
-    dets = []
-    for r, col in zip(*np.nonzero(conf >= conf_threshold)):
-        tx, ty, tw, th = tensor[r, col, 1:5]
-        box = Box((col + float(sigmoid(tx))) / shape.s, (r + float(sigmoid(ty))) / shape.s,
-                  max(float(sigmoid(tw)), LOGIT_CLIP), max(float(sigmoid(th)), LOGIT_CLIP))
-        dets.append(Detection(box, int(best_cls[r, col]), float(conf[r, col])))
-    dets.sort(key=lambda d: -d.confidence)
-    return dets
+    obj = sigmoid(tensor[..., 0])
+    row, col = np.nonzero(obj >= conf_threshold)
+    rows = _rows(obj[row, col], tensor[row, col], row, col, shape, conf_threshold)[0].tolist()
+    rows.sort(key=lambda r: -r[5])  # stable: ties stay in cell order
+    return rows
+
+
+def detections(rows: list[list]) -> list[Detection]:
+    """Rows [cx, cy, w, h, class, conf] as Detections."""
+    return [Detection(Box(cx, cy, w, h), int(cls), conf) for cx, cy, w, h, cls, conf in rows]
 
 
 def detection_rows(dets: list[Detection]) -> list[list]:
@@ -278,23 +272,16 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     tensor[index] = block.T
 
 
-def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy class-aware non-maximum suppression.
-
-    Keeps the highest-confidence detection, removes same-class detections
-    overlapping it above iou_threshold, repeats.  Output is sorted by
-    descending confidence.
-    """
-    pending = sorted(dets, key=lambda d: -d.confidence)
+def nms(rows: list[list], iou_threshold: float) -> list[Detection]:
+    """Greedy class-aware non-maximum suppression over rows [cx, cy, w, h,
+    class, conf] by descending confidence, as decode_tensor gives them: a row
+    is kept unless a kept row of its class overlaps it above iou_threshold.
+    Returns the kept rows as Detections."""
     keep = []
-    while pending:
-        best = pending.pop(0)
-        keep.append(best)
-        pending = [
-            d for d in pending
-            if d.class_id != best.class_id or iou(d.box, best.box) <= iou_threshold
-        ]
-    return keep
+    for r in rows:
+        if all(k[4] != r[4] or iou(k, r) <= iou_threshold for k in keep):
+            keep.append(r)
+    return detections(keep)
 
 
 def iou_table(dets: np.ndarray, n_dets: np.ndarray, targets: np.ndarray, n_targets: np.ndarray,

@@ -14,18 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (
-    CONF_THRESHOLD,
-    NMS_IOU,
-    GridShape,
-    check_number,
-    decode_tensor,
-    detection_rows,
-    match_detections,
-    nms,
-    partition_cells,
-)
-from .models import DecoderParams, train_decoder
+from .detection import (CONF_THRESHOLD, NMS_IOU, GridShape, check_number, decode_tensor,
+                        detection_rows, match_detections, nms, partition_cells, sigmoid)
+from .models import DecoderParams, Workspace, train_decoder
 
 
 @dataclass(frozen=True)
@@ -71,22 +62,28 @@ def compose_target(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig) 
     return target
 
 
-def cell_weights(oracle: np.ndarray, cfg: DistillConfig) -> np.ndarray:
+def cell_weights(oracle: np.ndarray, cfg: DistillConfig,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Per-cell quadratic weights equivalent to the two partition means.
 
     Confident cells weigh 1/(confident scalars), the rest (1 - lam)^2 /
     (background scalars); contracting these with the squared student-oracle
     difference reproduces the gated loss with plain elementwise arithmetic,
-    which keeps each key frame's training step cheap.
+    which keeps each key frame's training step cheap.  Returns an (s, s, 1)
+    map, or writes it into out, (s, s, k), every channel alike.
     """
-    high, _ = partition_cells(oracle, cfg.gate)
+    high = sigmoid(oracle[..., 0]) >= cfg.gate  # partition_cells' high mask, one call fewer
     count = np.count_nonzero(high)
     channels = oracle.shape[-1]
     n_high = count * channels
     n_low = (high.size - count) * channels
     w_high = 1.0 / n_high if n_high else 0.0
     w_low = (1.0 - cfg.lam) ** 2 / n_low if n_low else 0.0
-    return np.where(high, w_high, w_low)[:, :, None]
+    weights = np.where(high, w_high, w_low)[:, :, None]
+    if out is None:
+        return weights
+    out[...] = weights
+    return out
 
 
 def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig) -> float:
@@ -151,18 +148,21 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt, shape: GridSha
 
 
 def distill_step(params: DecoderParams, features: np.ndarray, oracle: np.ndarray,
-                 cfg: DistillConfig, frame_id: int = -1) -> tuple[DecoderParams, FeedbackRecord]:
+                 cfg: DistillConfig, frame_id: int = -1,
+                 ws: Workspace | None = None) -> tuple[DecoderParams, FeedbackRecord]:
     """Run one distillation event: k gradient steps toward the composed target.
 
     The target is recomposed from the current student output at every step
     (equivalently, the gated weight map is applied to the fresh difference).
     Returns the updated params and a FeedbackRecord carrying the on-frame
     loss change.  A non-finite loss or update aborts the event with params
-    unchanged.
+    unchanged.  ws is the Workspace train_decoder runs in, or None for a new
+    one; the weight map is written straight into it.
     """
-    weights = cell_weights(oracle, cfg)
+    ws = ws if ws is not None else Workspace(params, oracle.size // oracle.shape[-1])
+    weights = cell_weights(oracle, cfg, out=ws.weights.reshape(oracle.shape))
     loss_before, loss_after, trained = train_decoder(params, features, oracle, weights,
-                                                     cfg.lr, cfg.steps_per_event)
+                                                     cfg.lr, cfg.steps_per_event, ws)
     if not (math.isfinite(loss_before) and math.isfinite(loss_after)
             and np.isfinite(trained[0].base).all()):  # one buffer holds all four arrays
         return params, FeedbackRecord(frame_id, loss_before, loss_before, error="non-finite loss")

@@ -3,17 +3,18 @@
 All networks here are deliberately small: a frozen per-cell backbone, a
 two-layer per-cell decoder head (the only trainable detection component),
 and a single-cell LSTM gate with a scalar readout.  Gradients are written out
-analytically.  The finite-difference tests check the decoder's training step
-itself (train_decoder, as distill_step runs it), reading the gradient off one
-step at a tiny learning rate.  A trained decoder's four arrays are views into
-one flat buffer, updated and checked for finiteness as a whole.  The gate's
-state advances and its weights train in place; its score is read on demand.
+analytically.  The frame and the training step (train_decoder, as
+distill_step runs it) share one decoder forward, in a Workspace a session
+sizes once, and the finite-difference tests check that step through that
+forward.  A decoder's four arrays are views into one flat buffer, copied,
+updated and checked as a whole.  The gate's state advances and its weights
+train in place; its score is read on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,8 +44,10 @@ class Backbone:
 class DecoderParams:
     """Two-layer per-cell head: d -> hidden (tanh) -> 5 + c logits.
 
-    version counts the SGD steps behind these weights: each committed
-    distillation event adds steps_per_event; a frozen copy keeps version 0.
+    The arrays are views of one buffer, flat, as train_decoder returns them,
+    or are copied into one; its blocks [w1; b1] and [w2; b2] multiply inputs
+    that carry a ones row.  version counts the SGD steps behind the weights:
+    each committed event adds steps_per_event; a frozen copy keeps 0.
     """
 
     w1: np.ndarray
@@ -52,110 +55,130 @@ class DecoderParams:
     w2: np.ndarray
     b2: np.ndarray
     version: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
+    blocks: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+        flat = w1.base
+        if not (flat is not None and b1.base is w2.base is b2.base is flat
+                and flat.size == w1.size + b1.size + w2.size + b2.size):
+            if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
+                    and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
+                raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+            flat = np.concatenate([w1.ravel(), b1, w2.ravel(), b2], dtype=float)
+        k = b1.size * (w1.shape[0] + 1)
+        blocks = flat[:k].reshape(-1, b1.size), flat[k:].reshape(-1, b2.size)
+        if flat is not w1.base:  # a copy: the arrays become its views
+            for name, view in zip(("w1", "b1", "w2", "b2"), _split(blocks)):
+                object.__setattr__(self, name, view)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "blocks", blocks)
+
+
+def _split(blocks: tuple) -> tuple[np.ndarray, ...]:
+    """(w1, b1, w2, b2), views of the blocks [w1; b1] and [w2; b2]."""
+    return blocks[0][:-1], blocks[0][-1], blocks[1][:-1], blocks[1][-1]
 
 
 def init_decoder(feature_dim: int, hidden: int, shape: GridShape, seed: int,
                  scale: float = 0.1) -> DecoderParams:
     rng = np.random.default_rng(seed)
-    return DecoderParams(
-        w1=rng.normal(0.0, scale, size=(feature_dim, hidden)),
-        b1=np.zeros(hidden),
-        w2=rng.normal(0.0, scale, size=(hidden, shape.channels)),
-        b2=np.zeros(shape.channels),
-        version=0,
-    )
+    w1 = rng.normal(0.0, scale, size=(feature_dim, hidden))
+    w2 = rng.normal(0.0, scale, size=(hidden, shape.channels))
+    return DecoderParams(w1, np.zeros(hidden), w2, np.zeros(shape.channels))
 
 
-def decoder_forward(params: DecoderParams, features: np.ndarray) -> np.ndarray:
-    """Apply the head to every cell of (s, s, d) features; returns an (s, s, 5 + c) logit tensor."""
-    if features.shape[-1] != params.w1.shape[0]:
-        raise ValueError(
-            f"feature dim {features.shape[-1]} does not match decoder input {params.w1.shape[0]}"
-        )
-    hidden = np.tanh(features @ params.w1 + params.b1)
-    return hidden @ params.w2 + params.b2
+class Workspace:
+    """The buffers of decoder_forward and train_decoder for cells and the
+    params' (d, hidden, channels), reused by every frame and event: nothing
+    read from them outlives the call that wrote it.  Cells run along the last
+    axis, under a ones row in x1_t (features) and a1_t (activations), so one
+    product with a block adds its bias and elementwise work runs on rows."""
+
+    def __init__(self, params: DecoderParams, cells: int):
+        (d, hidden), channels = params.w1.shape, params.b2.size
+        self.x1_t, self.a1_t = np.ones((d + 1, cells)), np.ones((hidden + 1, cells))
+        self.x_t, self.a_t, self.a1 = self.x1_t[:d], self.a1_t[:hidden], self.a1_t.T
+        self.z_t, self.dz_t = np.empty((hidden, cells)), np.empty((hidden, cells))
+        self.out, self.g, self.sq = (np.empty((cells, channels)) for _ in range(3))
+        self.weights, self.step = np.empty((cells, channels)), np.empty((cells, channels))
+        self.grad = np.empty((d + 1) * hidden + (hidden + 1) * channels)
+        self.g1 = self.grad[:(d + 1) * hidden].reshape(d + 1, hidden)
+        self.g2 = self.grad[(d + 1) * hidden:].reshape(hidden + 1, channels)
+        self.one = np.array(1.0)  # a 0-d array, which a ufunc takes without converting it again
+
+
+def _forward(ws: Workspace, blocks: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """The logits of ws.x1_t's features, into out or a new array."""
+    np.dot(blocks[0].T, ws.x1_t, out=ws.z_t)
+    np.tanh(ws.z_t, out=ws.a_t)
+    return np.dot(ws.a1, blocks[1], out=out)
+
+
+def decoder_forward(params: DecoderParams, features: np.ndarray,
+                    ws: Workspace | None = None) -> np.ndarray:
+    """A new (s, s, 5 + c) logit tensor of (s, s, d) features, computed in ws
+    (or a new Workspace): the bits of train_decoder's first forward."""
+    d = params.w1.shape[0]
+    if features.shape[-1] != d:
+        raise ValueError(f"feature dim {features.shape[-1]} does not match decoder input {d}")
+    ws = ws if ws is not None else Workspace(params, features.size // d)
+    np.copyto(ws.x_t, features.reshape(-1, d).T)
+    return _forward(ws, params.blocks).reshape(*features.shape[:-1], -1)
 
 
 def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarray,
-                  weights: np.ndarray, lr: float,
-                  steps: int) -> tuple[float, float, tuple[np.ndarray, ...]]:
+                  weights: np.ndarray, lr: float, steps: int,
+                  ws: Workspace | None = None) -> tuple[float, float, tuple[np.ndarray, ...]]:
     """`steps` plain SGD steps on sum(weights * (head(features) - target)^2).
 
-    weights is an (s, s, 1) per-cell map.  Returns (loss_before, loss_after,
-    (w1, b1, w2, b2)); params is left untouched and no step is taken from a
-    non-finite loss.  The four arrays are views into one fresh flat buffer,
-    w1.base, so a caller can check all of them with one call.  This is the
-    training step distill_step runs, so its gradient is the one the
-    finite-difference tests check.
+    weights is an (s, s, 1) or (s, s, 5 + c) per-cell map, ws a Workspace or
+    None.  Returns (loss_before, loss_after, (w1, b1, w2, b2)), views of one
+    fresh buffer laid out as DecoderParams.flat; params is untouched and no
+    step is taken from a non-finite loss.  distill_step runs this step, so
+    the finite-difference tests check its gradient.
 
-    Every key frame runs it on the inference thread, between two frames,
-    so it counts numpy calls: gradients go into views of a
-    second flat buffer, the update is two calls over all of it, and each
-    step's forward pass also serves the next step or the final loss.  At
-    these shapes np.dot with out= costs less than np.matmul for the same
-    bits, and scalars enter the step loop as 0-d arrays, which the ufuncs
-    take without converting them again on every call.
+    It runs between two frames, so it counts numpy calls: 9 per step and 3
+    per forward.  One product gives a block's weight and bias gradients into
+    a buffer laid out as flat, so one subtraction updates all, and lr enters
+    the weight map: g = (out - target) * (2 * lr * weights).
     """
-    x = features.reshape(-1, params.w1.shape[0])
-    n = x.shape[0]
-    d, hidden_dim = params.w1.shape
-    channels = params.w2.shape[1]
-    k1, k2 = d * hidden_dim, (d + 1) * hidden_dim
-    k3 = k2 + hidden_dim * channels
+    d = params.w1.shape[0]
+    ws = ws if ws is not None else Workspace(params, features.size // d)
+    n, channels = ws.out.shape
+    np.copyto(ws.x_t, features.reshape(n, d).T)
+    if weights.base is not ws.weights:  # distill_step writes the map straight into ws
+        np.copyto(ws.weights, weights.reshape(n, -1))
+    np.multiply(ws.weights, 2.0 * lr, out=ws.step)  # d(diff^2)/d(diff) = 2 * diff
+    target_flat = target.reshape(n, channels)
+    flat = params.flat.copy()
+    blocks = flat[:ws.g1.size].reshape(ws.g1.shape), flat[ws.g1.size:].reshape(ws.g2.shape)
+    a_t, z_t, dz_t, out, g, sq, w2 = ws.a_t, ws.z_t, ws.dz_t, ws.out, ws.g, ws.sq, blocks[1][:-1]
 
-    def views(buf):
-        return (buf[:k1].reshape(d, hidden_dim), buf[k1:k2],
-                buf[k2:k3].reshape(hidden_dim, channels), buf[k3:])
-
-    flat = np.concatenate([params.w1.ravel(), params.b1, params.w2.ravel(), params.b2])
-    grad = np.empty_like(flat)
-    w1, b1, w2, b2 = views(flat)
-    gw1, gb1, gw2, gb2 = views(grad)
-    # the weight map spelled out per channel: same-shape products skip broadcasting
-    w_flat = np.empty((n, channels))
-    w_flat[...] = weights.reshape(n, 1)
-    w_twice = w_flat * 2.0  # d(diff^2)/d(diff) = 2 * diff; doubling is exact
-    target_flat = target.reshape(-1, channels)
-    one, step = np.array(1.0), np.array(lr)
-
-    a = np.empty((n, hidden_dim))
-    out = np.empty((n, channels))
-    g = np.empty((n, channels))
-    dz = np.empty((n, hidden_dim))
-    ones = np.empty((n, hidden_dim))
-    a_t, x_t, w2_t = a.T, x.T, w2.T  # views: they follow every in-place update
-
-    def forward():
-        np.dot(x, w1, out=a)
-        np.add(a, b1, out=a)
-        np.tanh(a, out=a)
-        np.dot(a, w2, out=out)
-        np.add(out, b2, out=out)
-
-    def loss():
+    def loss():  # of the difference in g, which the next step reads
         np.subtract(out, target_flat, out=g)
-        np.multiply(g, g, out=g)
-        np.multiply(g, w_flat, out=g)
-        return float(np.add.reduce(g, axis=None))  # g.sum() without its Python wrapper
+        np.multiply(g, g, out=sq)
+        np.multiply(sq, ws.weights, out=sq)
+        return float(np.add.reduce(sq, axis=None))  # sq.sum() without its Python wrapper
 
-    forward()
+    _forward(ws, blocks, out)
     loss_before = loss()
-    for _ in range(steps if math.isfinite(loss_before) else 0):
-        np.subtract(out, target_flat, out=g)
-        np.multiply(g, w_twice, out=g)
-        # backprop through the two-layer head, then the SGD update in place
-        np.dot(a_t, g, out=gw2)
-        np.add.reduce(g, axis=0, out=gb2)  # np.sum without its Python wrapper
-        np.dot(g, w2_t, out=dz)
-        np.multiply(a, a, out=ones)
-        np.subtract(one, ones, out=ones)
-        np.multiply(dz, ones, out=dz)
-        np.dot(x_t, dz, out=gw1)
-        np.add.reduce(dz, axis=0, out=gb1)
-        np.multiply(grad, step, out=grad)
-        np.subtract(flat, grad, out=flat)
-        forward()
-    return loss_before, loss(), (w1, b1, w2, b2)
+    for i in range(steps if math.isfinite(loss_before) else 0):
+        if i:
+            np.subtract(out, target_flat, out=g)
+        np.multiply(g, ws.step, out=g)
+        # backprop through the two-layer head, tanh' = 1 - a^2, then the
+        # SGD update of every block in place
+        np.dot(ws.a1_t, g, out=ws.g2)
+        np.dot(w2, g.T, out=dz_t)
+        np.multiply(a_t, a_t, out=z_t)
+        np.subtract(ws.one, z_t, out=z_t)
+        np.multiply(dz_t, z_t, out=dz_t)
+        np.dot(ws.x1_t, dz_t.T, out=ws.g1)
+        np.subtract(flat, ws.grad, out=flat)
+        _forward(ws, blocks, out)
+    return loss_before, loss(), _split(blocks)
 
 
 class LstmGate:

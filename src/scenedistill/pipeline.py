@@ -29,18 +29,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .detection import (CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, NonFinite,
-                        check_number, check_numbers, decode_tensor, detection_rows, nms)
+                        check_number, check_numbers, decode_tensor, detection_rows, detections,
+                        nms)
 from .distill import DistillConfig, FeedbackRecord, distill_step
-from .models import Backbone, DecoderParams, decoder_forward, init_decoder
-from .selector import (
-    AdaptiveSelector,
-    Decision,
-    NeverSelector,
-    PeriodicSelector,
-    RandomSelector,
-    SceneChangeSelector,
-    SelectorConfig,
-)
+from .models import Backbone, DecoderParams, Workspace, decoder_forward, init_decoder
+from .selector import (AdaptiveSelector, Decision, NeverSelector, PeriodicSelector,
+                       RandomSelector, SceneChangeSelector, SelectorConfig)
 from .simstream import FrameRecord, OracleNoiseSpec, atomic_open, oracle_for_frame
 
 MODES = ("sequential", "parallel", "frozen_student", "mixed")
@@ -154,19 +148,16 @@ class Session:
                     f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
                     f"w1 {adapted.w1.shape} and w2 {adapted.w2.shape}, the stream needs "
                     f"({d}, hidden) and (hidden, {grid.channels})")
-        if cfg.mode in ("frozen_student", "mixed"):
-            selector = NeverSelector()  # non-learning baselines never retrain
-        elif cfg.selector == "adaptive":
-            selector = AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
-        elif cfg.selector == "random":
-            selector = RandomSelector(cfg.random_prob, tau=cfg.selector_cfg.tau, seed=cfg.seed + 2)
-        elif cfg.selector == "scene_change":
-            selector = SceneChangeSelector(cfg.change_threshold, tau=cfg.selector_cfg.tau)
-        elif cfg.selector == "periodic":
-            selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
-        else:
-            selector = NeverSelector()
+        tau, learning = cfg.selector_cfg.tau, cfg.mode not in ("frozen_student", "mixed")
+        selector = {  # the non-learning baselines never retrain
+            "adaptive": lambda: AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2),
+            "random": lambda: RandomSelector(cfg.random_prob, tau=tau, seed=cfg.seed + 2),
+            "scene_change": lambda: SceneChangeSelector(cfg.change_threshold, tau=tau),
+            "periodic": lambda: PeriodicSelector(cfg.period, tau=tau),
+        }.get(cfg.selector if learning else "never", NeverSelector)()
         self.backbone, self.params, self.selector = Backbone(d, seed=cfg.seed), adapted, selector
+        # the buffers of every frame's decoder forward and every event's steps
+        self.ws = Workspace(adapted, grid.s * grid.s)
         self.grid, self.cfg, self.oracle_seed = grid, cfg, cfg.effective_oracle_seed
         self.mix_rng = np.random.default_rng(cfg.seed + 3)
         self.decisions, self.latencies, self.feedbacks, self.detections, self.versions = (
@@ -186,7 +177,7 @@ class Session:
         """Train the current weights on one oracle answer, replace them unless
         the event failed, and feed it back; the first failed event names the error."""
         new_params, fb = distill_step(self.params, feats, target, self.cfg.distill,
-                                      frame_id=rec.frame_id)
+                                      frame_id=rec.frame_id, ws=self.ws)
         if fb.error is None:
             self.params = new_params
         self.feedbacks.append({**vars(fb), "delta_l": fb.delta_l})
@@ -231,14 +222,16 @@ class Session:
         feats, summary = self.backbone.forward(rec.features)
         self.versions.append(self.params.version)
         if cfg.mode == "mixed" and self.mix_rng.random() < cfg.p_oracle:
-            dets = decode_tensor(self._oracle(rec, cfg.oracle_delay), self.grid, CONF_THRESHOLD)
+            dets = detections(decode_tensor(self._oracle(rec, cfg.oracle_delay), self.grid,
+                                            CONF_THRESHOLD))
             self.oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
-            dets = merge_detections(decoder_forward(self.params, feats), self.grid)
+            dets = merge_detections(decoder_forward(self.params, feats, self.ws), self.grid)
             decision = self.selector.decide(rec.frame_id, feats, summary)
-            # feats is fresh per frame, so the event trains on the exact frame
-            # that triggered selection even as inference advances.
+            # feats is fresh per frame, not the workspace's copy, so the event
+            # trains on the exact frame that triggered selection even as
+            # inference advances, and a selector may keep it.
             if decision.train and cfg.mode == "parallel":
                 self.handoff = (rec, feats)
             elif decision.train:
@@ -284,16 +277,9 @@ CHECKPOINT_VERSION = 1
 
 def checkpoint_save(path: str, decoder: DecoderParams) -> None:
     """Versioned JSON checkpoint of the decoder weights."""
-    doc = {
-        "version": CHECKPOINT_VERSION,
-        "decoder": {
-            "w1": decoder.w1.tolist(),
-            "b1": decoder.b1.tolist(),
-            "w2": decoder.w2.tolist(),
-            "b2": decoder.b2.tolist(),
-            "param_version": decoder.version,
-        },
-    }
+    arrays = {k: getattr(decoder, k).tolist() for k in ("w1", "b1", "w2", "b2")}
+    doc = {"version": CHECKPOINT_VERSION,
+           "decoder": {**arrays, "param_version": decoder.version}}
     with atomic_open(path) as f:
         json.dump(doc, f)
 
@@ -321,8 +307,7 @@ def checkpoint_load(path: str) -> DecoderParams:
         raise CheckpointError(f"non-finite decoder weights in checkpoint {path}") from None
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"truncated or malformed checkpoint {path}: {e}") from e
-    if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
-            and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
-        raise CheckpointError(f"decoder shapes in checkpoint {path} disagree: w1 {w1.shape}, "
-                              f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    return DecoderParams(w1, b1, w2, b2, version)
+    try:
+        return DecoderParams(w1, b1, w2, b2, version)
+    except ValueError as e:
+        raise CheckpointError(f"decoder shapes in checkpoint {path} disagree: {e}") from None

@@ -419,7 +419,8 @@ def atomic_open(path: str, binary: bool = False):
 def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
     """One .npz of whole-stream arrays, whatever path's suffix: header int64
     [version, s, c, d, n]; ids uint64 (n, 2) of [frame_id, scene_id] (an id
-    outside [0, 2**64) is an OverflowError); features (n, s, s, d); gt (G, 6)
+    that is not an integer in [0, 2**64) is a ValueError naming its frame,
+    raised before anything is written); features (n, s, s, d); gt (G, 6)
     rows, gt_counts (n,) of them per frame; oracle (k, s, s, 5 + c), the
     tensors of the k frames has_oracle (n,) marks.  The header's s and d are
     the frames' own, and grid, which must agree, gives c.  Values keep their
@@ -430,6 +431,9 @@ def write_trace(stream: list[FrameRecord], path: str, grid: GridShape) -> None:
     s, _, d = stream[0].features.shape
     if grid.s != s:
         raise ValueError(f"grid s={grid.s} disagrees with the frames' {s}x{s} cells")
+    for i, rec in enumerate(stream):  # np.array(..., dtype=np.uint64) takes 5.5 as 5
+        for name in ("frame_id", "scene_id"):
+            check_number(getattr(rec, name), f"frame {i} {name}", f"[0, {2**64})", integer=True)
     with atomic_open(path, binary=True) as f:
         tensors = [rec.oracle_tensor for rec in stream if rec.oracle_tensor is not None]
         np.savez(f, header=np.array([TRACE_VERSION, s, grid.c, d, len(stream)], dtype=np.int64),

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenedistill.detection import (
+    CONF_THRESHOLD,
     LOGIT_CLIP,
+    NMS_IOU,
     Box,
     Detection,
     GridShape,
@@ -21,6 +23,7 @@ from scenedistill.detection import (
     decode_tensor,
     decode_tensors,
     detection_rows,
+    detections,
     encode_objects,
     iou,
     iou_table,
@@ -152,13 +155,18 @@ class TestCheckNumber:
             check_numbers([[1.0, NAN]], "w")
 
 
+def box_iou(a: Box, b: Box) -> float:
+    """detection.iou of two Boxes, given as its rows."""
+    return iou(dataclasses.astuple(a), dataclasses.astuple(b))
+
+
 class TestIou:
     def test_identical_boxes(self):
         b = Box(0.5, 0.5, 0.2, 0.3)
-        assert iou(b, b) == pytest.approx(1.0)
+        assert box_iou(b, b) == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
-        assert iou(Box(0.2, 0.5, 0.1, 0.1), Box(0.8, 0.5, 0.1, 0.1)) == 0.0
+        assert box_iou(Box(0.2, 0.5, 0.1, 0.1), Box(0.8, 0.5, 0.1, 0.1)) == 0.0
 
     def test_partial_overlap_matches_area_arithmetic(self):
         # independent closed-form: overlap x = [0.5, 0.7], y = [0.3, 0.7]
@@ -166,8 +174,8 @@ class TestIou:
         b = Box(0.7, 0.5, 0.4, 0.4)
         inter = 0.2 * 0.4
         union = 2 * 0.16 - inter
-        assert iou(a, b) == pytest.approx(inter / union)
-        assert iou(a, b) == pytest.approx(1.0 / 3.0)
+        assert box_iou(a, b) == pytest.approx(inter / union)
+        assert box_iou(a, b) == pytest.approx(1.0 / 3.0)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -175,19 +183,20 @@ class TestIou:
 
     @given(a=boxes, b=boxes)
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == pytest.approx(iou(b, a))
+        v = box_iou(a, b)
+        assert v == pytest.approx(box_iou(b, a))
         assert 0.0 <= v <= 1.0 + 1e-12
 
     @given(a=boxes)
     def test_self_iou_is_one(self, a):
-        assert iou(a, a) == pytest.approx(1.0)
+        assert box_iou(a, a) == pytest.approx(1.0)
 
     @given(a=boxes, b=boxes)
     def test_intersection_bounded_by_smaller_area(self, a, b):
-        v = iou(a, b)
-        inter = v / (1 + v) * (a.area + b.area) if v < 1 else min(a.area, b.area)
-        assert inter <= min(a.area, b.area) + 1e-12
+        v = box_iou(a, b)
+        areas = a.w * a.h, b.w * b.h
+        inter = v / (1 + v) * sum(areas) if v < 1 else min(areas)
+        assert inter <= min(areas) + 1e-12
 
 
 def brute_force_decode(tensor, shape, conf_threshold):
@@ -241,7 +250,7 @@ def reference_decode_tensors(stack, shape, conf_threshold):
 
 
 class TestDecodeMatchesScalarReference:
-    """decode_tensors' rows, and decode_tensor's Detections tensor by tensor,
+    """decode_tensors' rows, and decode_tensor's rows tensor by tensor,
     equal the scalar decode's bit for bit: lists of Python floats compare
     equal only when every value does."""
 
@@ -252,7 +261,7 @@ class TestDecodeMatchesScalarReference:
         assert len(got) == len(stack)
         assert all(rows.shape == (len(rows), 6) for rows in got)
         assert [rows.tolist() for rows in got] == want
-        assert [detection_rows(decode_tensor(t, shape, threshold)) for t in stack] == want
+        assert [decode_tensor(t, shape, threshold) for t in stack] == want
         return got
 
     @pytest.mark.parametrize("seed", range(6))
@@ -307,7 +316,7 @@ class TestIouTable:
         got = iou_table(dets, two, targets, two)
         assert got.tolist() == [1.0, 0.0, -math.inf, -math.inf]
         got = iou_table(dets, two, targets, two, class_aware=False)
-        assert got.tolist() == [1.0, 0.0, 0.0, iou(Box(0.1, 0.1, 0.1, 0.1), Box(0.12, 0.1, 0.1, 0.1))]
+        assert got.tolist() == [1.0, 0.0, 0.0, iou([0.1, 0.1, 0.1, 0.1], [0.12, 0.1, 0.1, 0.1])]
 
     def test_row_major_frame_after_frame_scalar_bits(self):
         rng = np.random.default_rng(8)
@@ -322,7 +331,7 @@ class TestIouTable:
                 for d in dets[d0:d0 + k]:
                     for t in targets[t0:t0 + g]:
                         want.append(-math.inf if class_aware and d[4] != t[4]
-                                    else iou(Box(*d[:4]), Box(*t[:4])))
+                                    else box_iou(Box(*d[:4]), Box(*t[:4])))
                 d0, t0 = d0 + k, t0 + g
             got = iou_table(dets, n_dets, targets, n_targets, class_aware)
             assert len(want) == 3 * 2 + 4 * 5 + 1 * 4
@@ -357,7 +366,7 @@ class TestDecodePrefilter:
         got = decode_tensors(stack, self.SHAPE, 0.5)
         assert [len(rows) for rows in got] == [1, 0]
         assert got[0][0, 4] == 1
-        assert got[0].tolist() == detection_rows(decode_tensor(stack[0], self.SHAPE, 0.5))
+        assert got[0].tolist() == decode_tensor(stack[0], self.SHAPE, 0.5)
 
     def test_confidence_exactly_at_threshold_kept(self):
         stack = self.stack(1)
@@ -383,7 +392,7 @@ class TestDecodePrefilter:
         for threshold in (0.3, 0.5, 0.7):
             got = decode_tensors(stack, self.SHAPE, threshold)
             assert ([rows.tolist() for rows in got]
-                    == [detection_rows(decode_tensor(t, self.SHAPE, threshold)) for t in stack])
+                    == [decode_tensor(t, self.SHAPE, threshold) for t in stack])
 
     def test_no_overflow_warning_from_non_candidate_box_logits(self):
         stack = self.stack(3)
@@ -490,7 +499,7 @@ class TestDecode:
         t[1, 2, 0] = 10.0
         t[1, 2, 5] = 10.0
         t[1, 2, 6:] = -10.0
-        dets = decode_tensor(t, shape, 0.5)
+        dets = detections(decode_tensor(t, shape, 0.5))
         assert len(dets) == 1
         assert dets[0].class_id == 0
         assert dets[0].confidence == pytest.approx(1.0, abs=1e-3)
@@ -504,7 +513,7 @@ class TestDecode:
         t[1, 1, 0] = 10.0
         t[1, 1, 3] = -800.0
         with np.errstate(over="ignore"):
-            dets = decode_tensor(t, shape, 0.3)
+            dets = detections(decode_tensor(t, shape, 0.3))
         assert len(dets) == 1
         assert dets[0].box.w == LOGIT_CLIP
         assert dets[0].box.h == 0.5
@@ -513,7 +522,7 @@ class TestDecode:
         shape = GridShape(s=4, c=5)
         rng = np.random.default_rng(0)
         t = rng.normal(0, 2, size=(4, 4, shape.channels))
-        got = decode_tensor(t, shape, 0.2)
+        got = detections(decode_tensor(t, shape, 0.2))
         want = brute_force_decode(t, shape, 0.2)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -537,7 +546,7 @@ class TestDecode:
         got = decode_tensors(stack, shape, threshold)
         assert all(rows.shape == (len(rows), 6) for rows in got)
         assert ([rows.tolist() for rows in got]
-                == [detection_rows(decode_tensor(t, shape, threshold)) for t in stack])
+                == [decode_tensor(t, shape, threshold) for t in stack])
         assert sum(map(len, got)) > 0
 
     def test_stack_of_none_and_wrong_grid(self):
@@ -550,7 +559,7 @@ class TestDecode:
         shape = GridShape(s=4, c=2)
         rng = np.random.default_rng(1)
         t = rng.normal(0, 3, size=(4, 4, shape.channels))
-        dets = decode_tensor(t, shape, 0.0)
+        dets = detections(decode_tensor(t, shape, 0.0))
         confs = [d.confidence for d in dets]
         assert confs == sorted(confs, reverse=True)
 
@@ -560,7 +569,7 @@ class TestDecode:
         t[:, :, 0] = -10.0
         box = Box(0.43, 0.61, 0.2, 0.35)
         encode_objects(t, shape, [(box.cx, box.cy, box.w, box.h)], [2], [10.0])
-        dets = decode_tensor(t, shape, 0.5)
+        dets = detections(decode_tensor(t, shape, 0.5))
         assert len(dets) == 1
         d = dets[0]
         assert d.class_id == 2
@@ -623,7 +632,7 @@ def brute_force_nms(dets, iou_threshold):
     for d in ordered:
         ok = True
         for s in survivors:
-            if s.class_id == d.class_id and iou(s.box, d.box) > iou_threshold:
+            if s.class_id == d.class_id and box_iou(s.box, d.box) > iou_threshold:
                 ok = False
                 break
         if ok:
@@ -643,6 +652,12 @@ def random_detections(rng, n, n_classes=3):
     return out
 
 
+def nms_of(dets, iou_threshold):
+    """detection.nms of Detections in any order: their rows by descending
+    confidence, as decode_tensor gives them."""
+    return nms(detection_rows(sorted(dets, key=lambda d: -d.confidence)), iou_threshold)
+
+
 class TestNms:
     def test_empty(self):
         assert nms([], 0.5) == []
@@ -651,29 +666,161 @@ class TestNms:
         b = Box(0.5, 0.5, 0.2, 0.2)
         hi = Detection(b, 0, 0.9)
         lo = Detection(b, 0, 0.8)
-        assert nms([lo, hi], 0.5) == [hi]
+        assert nms_of([lo, hi], 0.5) == [hi]
 
     def test_different_class_not_suppressed(self):
         b = Box(0.5, 0.5, 0.2, 0.2)
-        out = nms([Detection(b, 0, 0.9), Detection(b, 1, 0.8)], 0.5)
+        out = nms_of([Detection(b, 0, 0.9), Detection(b, 1, 0.8)], 0.5)
         assert len(out) == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         dets = random_detections(rng, 20)
-        assert nms(dets, 0.45) == brute_force_nms(dets, 0.45)
+        assert nms_of(dets, 0.45) == brute_force_nms(dets, 0.45)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_survivors_subset_and_separated(self, seed):
         rng = np.random.default_rng(100 + seed)
         dets = random_detections(rng, 30)
-        out = nms(dets, 0.5)
+        out = nms_of(dets, 0.5)
         assert all(d in dets for d in out)
         for i, a in enumerate(out):
             for b in out[i + 1:]:
                 if a.class_id == b.class_id:
-                    assert iou(a.box, b.box) <= 0.5
+                    assert box_iou(a.box, b.box) <= 0.5
+
+
+# The frame loop's decode and NMS as written before they ran on rows: the
+# activations over the whole grid, then four scalar sigmoids, a Box and a
+# Detection per candidate, and a greedy NMS over Detections with the scalar
+# IOU of two Boxes.  The row decode must give the same Detections, bit for bit.
+
+def reference_iou(a: Box, b: Box) -> float:
+    ax0, ax1 = a.cx - a.w / 2, a.cx + a.w / 2
+    ay0, ay1 = a.cy - a.h / 2, a.cy + a.h / 2
+    bx0, bx1 = b.cx - b.w / 2, b.cx + b.w / 2
+    by0, by1 = b.cy - b.h / 2, b.cy + b.h / 2
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union
+
+
+def reference_decode_tensor(tensor, shape, conf_threshold):
+    obj = sigmoid(tensor[..., 0])
+    z = tensor[..., 5:] - np.max(tensor[..., 5:], axis=-1, keepdims=True)
+    cls_prob = np.exp(z) / np.sum(np.exp(z), axis=-1, keepdims=True)
+    best_cls, conf = cls_prob.argmax(axis=-1), obj * cls_prob.max(axis=-1)
+    dets = []
+    for r, col in zip(*np.nonzero(conf >= conf_threshold)):
+        tx, ty, tw, th = tensor[r, col, 1:5]
+        box = Box((col + float(sigmoid(tx))) / shape.s, (r + float(sigmoid(ty))) / shape.s,
+                  max(float(sigmoid(tw)), LOGIT_CLIP), max(float(sigmoid(th)), LOGIT_CLIP))
+        dets.append(Detection(box, int(best_cls[r, col]), float(conf[r, col])))
+    dets.sort(key=lambda d: -d.confidence)
+    return dets
+
+
+def reference_nms(dets, iou_threshold):
+    pending = sorted(dets, key=lambda d: -d.confidence)
+    keep = []
+    while pending:
+        best = pending.pop(0)
+        keep.append(best)
+        pending = [d for d in pending
+                   if d.class_id != best.class_id
+                   or reference_iou(d.box, best.box) <= iou_threshold]
+    return keep
+
+
+def half_sigmoid_bound():
+    """The largest float whose sigmoid rounds to exactly 0.5: a bisection
+    over the positive floats' bit patterns, on which sigmoid is monotone."""
+    lo, hi = 0, np.float64(1e-10).view(np.int64)
+    assert sigmoid(np.int64(hi).view(np.float64)) > 0.5
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sigmoid(np.int64(mid).view(np.float64)) == 0.5 else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
+class TestFrameDecodeMatchesReference:
+    """nms(decode_tensor(...)), the frame loop's merge, against the scalar
+    decode and NMS it replaced."""
+
+    SHAPE = GridShape(s=6, c=4)
+
+    @staticmethod
+    def assert_same(tensor, shape, threshold=CONF_THRESHOLD):
+        got = nms(decode_tensor(tensor, shape, threshold), NMS_IOU)
+        want = reference_nms(reference_decode_tensor(tensor, shape, threshold), NMS_IOU)
+        assert detection_rows(got) == detection_rows(want)  # Python floats: every bit
+        assert all(type(d.class_id) is int and type(d.confidence) is float for d in got)
+        return got
+
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 7), c=st.integers(1, 5),
+           scale=st.sampled_from([0.5, 2.0, 5.0]), threshold=st.sampled_from([0.0, 0.3, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tensors(self, seed, s, c, scale, threshold):
+        shape = GridShape(s=s, c=c)
+        tensor = np.random.default_rng(seed).normal(0, scale, size=(s, s, shape.channels))
+        tensor[..., 0] += 2.0  # most cells candidates, many of them overlapping
+        self.assert_same(tensor, shape, threshold)
+
+    def test_exact_confidence_ties_keep_cell_order(self):
+        tensor = np.full((6, 6, self.SHAPE.channels), -10.0)
+        tensor[..., 1:5] = 0.0
+        for r, c in ((0, 0), (2, 3), (5, 5), (4, 1)):
+            tensor[r, c, 0], tensor[r, c, 6] = 3.0, 4.0  # the same logits, far apart
+        got = self.assert_same(tensor, self.SHAPE)
+        assert len(got) == 4 and len({d.confidence for d in got}) == 1
+        assert [(d.box.cy, d.box.cx) for d in got] == sorted((d.box.cy, d.box.cx) for d in got)
+
+    def test_objectness_at_the_half_rounding_boundary(self):
+        bound = half_sigmoid_bound()
+        logits = [0.0, -2.0 ** -54, bound, math.nextafter(bound, -math.inf),
+                  math.nextafter(bound, math.inf)]
+        tensor = np.full((6, 6, self.SHAPE.channels), -10.0)
+        tensor[..., 1:5] = 0.0
+        for col, logit in enumerate(logits):
+            # a certain class: confidence is the objectness, 0.5 or just above
+            tensor[col, col, 0], tensor[col, col, 5] = logit, 800.0
+            tensor[col, col, 6:] = -800.0
+        got = self.assert_same(tensor, self.SHAPE)
+        assert sigmoid(np.array(logits)).tolist() == [0.5] * 4 + [math.nextafter(0.5, 1.0)]
+        assert len(got) == 5
+
+    def test_size_logits_floored_at_the_clip(self):
+        tensor = np.full((6, 6, self.SHAPE.channels), -10.0)
+        tensor[..., 1:5] = 0.0
+        tensor[1, 2, 0] = tensor[1, 2, 5] = tensor[4, 4, 0] = tensor[4, 4, 7] = 10.0
+        tensor[1, 2, 3] = -800.0  # sigmoid underflows to 0.0
+        tensor[4, 4, 4] = -14.0   # sigmoid below LOGIT_CLIP, above 0.0
+        with np.errstate(over="ignore"):
+            got = self.assert_same(tensor, self.SHAPE)
+        assert sorted((d.box.w, d.box.h) for d in got) == [(LOGIT_CLIP, 0.5), (0.5, LOGIT_CLIP)]
+
+    def test_same_class_boxes_at_exactly_the_nms_iou(self):
+        shape = GridShape(s=2, c=1)
+        tensor = np.full((2, 2, shape.channels), -10.0)
+        # sigmoid(40) and sigmoid(0) are exactly 1.0 and 0.5, and -40 adds
+        # under half an ulp to the column: boxes [0, 1] x [0, 1] and [0.25,
+        # 0.75] x [0, 1], whose IOU is 0.5 exactly, which NMS keeps
+        tensor[0, 0, :5] = [9.0, 40.0, 40.0, 40.0, 40.0]
+        tensor[0, 1, :5] = [8.0, -40.0, 40.0, 0.0, 40.0]
+        tensor[..., 5] = 10.0
+        got = self.assert_same(tensor, shape)
+        assert box_iou(got[0].box, got[1].box) == NMS_IOU
+        assert len(got) == 2
+        tensor[0, 1, 3] = 0.01  # a wider box overlaps it above NMS_IOU
+        assert len(self.assert_same(tensor, shape)) == 1
+
+    def test_empty_frame(self):
+        assert self.assert_same(np.full((6, 6, self.SHAPE.channels), -10.0), self.SHAPE) == []
 
 
 class TestPartition:

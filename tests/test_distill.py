@@ -13,6 +13,7 @@ from scenedistill.detection import (
     Detection,
     GridShape,
     decode_tensor,
+    detections,
     encode_objects,
     match_detections,
     partition_cells,
@@ -28,6 +29,7 @@ from scenedistill.distill import (
 )
 from scenedistill.models import (
     DecoderParams,
+    Workspace,
     decoder_forward,
     init_decoder,
 )
@@ -237,7 +239,7 @@ class TestNmsDistillLoss:
         encode_objects(student, shape, [(0.5, 0.5, 0.2, 0.2)], [0], [6.0])
         loss = nms_distill_loss(student, oracle, [], shape)
         conf = sigmoid(6.0) * float(np.max([sigmoid(0.0)]))  # class prob ~ saturated
-        dets = decode_tensor(student, shape, 0.5)
+        dets = detections(decode_tensor(student, shape, 0.5))
         assert len(dets) == 1
         # detection is unmatched against both empty lists: conf^2 in each term
         assert loss == pytest.approx(2 * dets[0].confidence ** 2)
@@ -372,25 +374,47 @@ class TestDistillConfig:
 # (seed, lam, steps_per_event, loss_before, loss_after, SHA-256 of w1|b1|w2|b2):
 # exact values, so any change to the step's arithmetic or its order shows.
 DISTILL_PINS = [
-    (0, 0.0, 1, 9.636264255159382, 9.55290388864355, "6b418b6490ab016a83ee5e0953bccb2b20486140827a8147f78a5887a5591367"),
-    (0, 0.0, 10, 9.636264255159382, 8.917349807134482, "f0d7e200fc05e3398529675810f70a64eca679403e84f4cb04a832a6a4970dc2"),
-    (0, 0.4, 1, 6.2269232718483405, 6.164172586704993, "1fe15d7c953dd594da11239592ce7559d80be45764a34cf305b89675f4954d8c"),
-    (0, 0.4, 10, 6.2269232718483405, 5.680655024398211, "f5c02ead7055a86e4a005c2d87aa8592d20d66719cfcc4ba3930a73bf2be1795"),
-    (0, 1.0, 1, 4.3091689687358805, 4.226038504509162, "81afb6ce205a8033c6460eab178570d142881910951f03383e86c45b9b32c641"),
-    (0, 1.0, 10, 4.3091689687358805, 3.565444331278174, "2d7f0b9eea4a20d29dc05613ac1b42b6fe3eb1089ab7b604ab2a5242e37d4ad5"),
-    (1, 0.0, 1, 10.700795154122645, 10.617507187822532, "badd64b595a72e571800af414c90bb9978b1e02f959738775ebce3f0922a3dc0"),
-    (1, 0.0, 10, 10.700795154122645, 10.004415990480974, "807dbec2faf7805a958848d0d38649bee86a47af5ee1572009c2c6ca6f1c264d"),
-    (1, 0.4, 1, 6.868018096560378, 6.796864041952761, "c99fca6a3cd5c5915ee6b3d142925bb13ec0c8211297f4310e9fa49843797c8d"),
-    (1, 0.4, 10, 6.868018096560378, 6.297416416832112, "6cf637edb58f9dd3303fabb360fbf3759ba0cd0a0b8cd9f6cd51a9e8c94879f6"),
-    (1, 1.0, 1, 4.712081001681601, 4.613543105630905, "3a355e0e679d9b06fbed83386f3af49a7906b78a631f49c67c1ec616feda4dcf"),
-    (1, 1.0, 10, 4.712081001681601, 3.888003522450853, "09db1d2d42ca91c9748bfb68c7df4a03a5f4923803c7c326fc7061778a83cff1"),
-    (2, 0.0, 1, 9.705168275030415, 9.610500580536185, "bf6ed0fc1485ada3d1bcd6ee847b738be8450e99ca3cb496686ef0eac6a295db"),
-    (2, 0.0, 10, 9.705168275030415, 8.89043597359106, "58cebae669711799df3699729bd183615d8aeb6f885c47c2c81e0bd09c56ab14"),
-    (2, 0.4, 1, 6.147960026388461, 6.0976638512933015, "508be5594f21e596bb9acea47ac8262538f15ea01971c212cd0ee9b87a770049"),
-    (2, 0.4, 10, 6.147960026388461, 5.702549703453816, "7e604017678f54f4dc18e43399c84e4c076cdffc1a768477aaa4fd3e6c4e1b4a"),
-    (2, 1.0, 1, 4.147030386527361, 4.086976859325872, "d7b3b46c3a7d75c99e9116dd31df67683b6579dd0cce9fb353b1635559847ea7"),
-    (2, 1.0, 10, 4.147030386527361, 3.6094478230390283, "ff77280a563ccdf2618dea8aa8848f78808a622ba9f28a9e98a1841ce1b261bb"),
+    (0, 0.0, 1, 9.636264255159382, 9.55290388864355, "1d867de720e35df2c8485a8c3588537a70150ef9c08f321263052fe0630b5daa"),
+    (0, 0.0, 10, 9.636264255159382, 8.917349807134482, "615536b59b6be7eda8cc06d0cebc4399232bcc899eac252d644fc29560c88a77"),
+    (0, 0.4, 1, 6.2269232718483405, 6.164172586704993, "a504404a34ba00535881a6ae7ac00385538572997e3e0019f687a2cf11a9b045"),
+    (0, 0.4, 10, 6.2269232718483405, 5.680655024398211, "6e80a902f1d4ebf6ee1810b588ea7b7ccec3e37ffdc6f2b7f4121dea30b34846"),
+    (0, 1.0, 1, 4.3091689687358805, 4.226038504509162, "eff5e32acb83d1999072c7eb05ddb66455649047d1e40f94fa0d7124ea0e5111"),
+    (0, 1.0, 10, 4.3091689687358805, 3.5654443312781736, "6fd7d3bca82a13d6516807741684ddfe1438203da57dddfa7a8c0f1785df9a30"),
+    (1, 0.0, 1, 10.700795154122645, 10.617507187822532, "91a27814bed8b7e3c267571bbc854fc97ce4a8fac6f3e7d93069b7b4b8ee3308"),
+    (1, 0.0, 10, 10.700795154122645, 10.004415990480974, "3fb01101af6c8614221b639e5b1e0a6376471556ffc8ab99a030cd58911fa646"),
+    (1, 0.4, 1, 6.868018096560378, 6.796864041952761, "fd88b9d61a5f7e31644b4c99b92bec38c5155ec8e9b586dca49d64ca960e86a7"),
+    (1, 0.4, 10, 6.868018096560378, 6.297416416832112, "9afe2100f077e34bd7e6db1dbb233d26eb69fb3cf0f0fad0306627817b882685"),
+    (1, 1.0, 1, 4.712081001681601, 4.613543105630905, "ad3986f33b41e22011ab4782ef034124bab2c8150fb3d100099d5b4b636d5db5"),
+    (1, 1.0, 10, 4.712081001681601, 3.8880035224508527, "27dd9df221cba4f89359be5932c3bf6f1569e053c23ee0fc978a12411e5a6237"),
+    (2, 0.0, 1, 9.705168275030415, 9.610500580536183, "200c99d154f6322a67cf33517610906df0075c7895efa21e1532b37d28f8db98"),
+    (2, 0.0, 10, 9.705168275030415, 8.89043597359106, "e3856647088142550ee22ff8dad05d01357ae396c8f33d95b8de39b2f15097e0"),
+    (2, 0.4, 1, 6.147960026388461, 6.0976638512933015, "2f248c7988424164ac2ad2814841885fc768004456099e77c34bd1ed1124de6b"),
+    (2, 0.4, 10, 6.147960026388461, 5.702549703453816, "8cb0a3978a25ba109821df07f20c5f41264a35e6d3694089b44acb16e11111cb"),
+    (2, 1.0, 1, 4.147030386527361, 4.086976859325872, "47992f000a9930679e4428d15a0b0d30b558f554771b1b9fdbc14a6345505fad"),
+    (2, 1.0, 10, 4.147030386527361, 3.6094478230390283, "be365d4770f0401499cb6ee95bdf318d0e102604113d6ebb77ef411abc5a3d73"),
 ]
+
+
+def test_returned_weights_outlive_later_events_in_one_workspace():
+    # events share one workspace, but each returns weights in a buffer of
+    # its own: two more events, and then a non-finite one, leave them as they were
+    grid = GridShape(s=6, c=4)
+    rng = np.random.default_rng(3)
+    ws = Workspace(init_decoder(12, 16, grid, seed=3), 36)
+    cfg = DistillConfig(lam=0.4, lr=0.05, steps_per_event=3)
+
+    def event(params, cfg=cfg):
+        feat, oracle = rng.normal(0, 1, size=(6, 6, 12)), rng.normal(0, 2, size=(6, 6, 9))
+        return distill_step(params, feat, oracle, cfg, ws=ws)
+
+    first, _ = event(init_decoder(12, 16, grid, seed=3))
+    kept = [first.flat.copy(), *(a.copy() for a in (first.w1, first.b1, first.w2, first.b2))]
+    later, _ = event(event(first)[0])
+    with np.errstate(all="ignore"):
+        failed, fb = event(first, DistillConfig(lr=1e300, steps_per_event=2))
+    assert fb.error == "non-finite loss" and failed is first and later.version == 9
+    for new, old in zip((first.flat, first.w1, first.b1, first.w2, first.b2), kept):
+        assert new.tobytes() == old.tobytes()
 
 
 class TestDistillStepPins:

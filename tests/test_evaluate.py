@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from scenedistill.detection import (
     Detection,
     GridShape,
     decode_tensor,
+    detections,
     iou,
 )
 from scenedistill.distill import DistillConfig
@@ -74,7 +75,7 @@ def reference_match(dets, targets, iou_threshold):
         for j, tgt in enumerate(targets):
             if taken[j] or tgt[4] != dets[k].class_id:
                 continue
-            v = iou(dets[k].box, Box(*tgt[:4]))
+            v = iou(astuple(dets[k].box), tgt)
             if v >= best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0:
@@ -190,7 +191,7 @@ class TestMatchDetections:
         for perm in itertools.permutations(range(len(dets)), len(objects)):
             score = sum(
                 1 for j, k in enumerate(perm)
-                if iou(dets[k].box, Box(*objects[j][:4])) >= 0.5
+                if iou(astuple(dets[k].box), objects[j]) >= 0.5
                 and dets[k].class_id == objects[j][4]
             )
             best = max(best, score)
@@ -207,7 +208,7 @@ class TestMatchDetections:
     def test_match_exactly_at_threshold(self):
         objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
         dets = [det(0.55, 0.47, 0.2, 0.25, 0, 0.9)]
-        v = iou(dets[0].box, Box(*objects[0][:4]))
+        v = iou(astuple(dets[0].box), objects[0])
         assert 0.0 < v < 1.0
         assert match_detections(dets, objects, v) == ([(dets[0], objects[0])], [])
         above = math.nextafter(v, 1.0)
@@ -355,7 +356,7 @@ class TestArrayScoringMatchesReference:
         for _ in range(40):
             d = det(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0, 0.9)
             o = gt(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0)
-            v = iou(d.box, Box(*o[:4]))
+            v = iou(astuple(d.box), o)
             if 0.0 < v < 1.0:
                 thresholds += [v, math.nextafter(v, 1.0)]
             dets.append([d])
@@ -437,7 +438,8 @@ def reference_ground_truth(stream, grid, noise, seed):
     [cx, cy, w, h, class] rows."""
     out = []
     for rec in stream:
-        dets = decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, CONF_THRESHOLD)
+        dets = detections(decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid,
+                                        CONF_THRESHOLD))
         out.append([[d.box.cx, d.box.cy, d.box.w, d.box.h, d.class_id] for d in dets])
     return out
 

@@ -14,6 +14,7 @@ from scenedistill.models import (
     Backbone,
     DecoderParams,
     LstmGate,
+    Workspace,
     decoder_forward,
     init_decoder,
     train_decoder,
@@ -238,13 +239,15 @@ class TestSgdStep:
 
     def test_overflow_with_finite_losses_rejected(self):
         # an input-blind head meets a target symmetric about its output, so
-        # every gradient but w1's sums to exactly zero; lr 1e300 sends w1 to
-        # -inf while tanh saturates and keeps both losses finite, so only the
-        # check over the trained buffer catches the event
+        # every gradient but w1's sums to exactly zero; features of the
+        # gradient's alternating sign make every cell's w1 term the same
+        # sign, so lr 1e300 sends w1 to inf, not NaN, while tanh saturates and
+        # keeps both losses finite: only the check over the trained buffer
+        # catches the event
         p = DecoderParams(w1=np.zeros((1, 1)), b1=np.zeros(1),
                           w2=np.full((1, 6), 0.5), b2=np.full(6, -5.0), version=3)
         before = [arr.copy() for arr in (p.w1, p.b1, p.w2, p.b2)]
-        feat = frame(np.array([1e10, 2e10, 3e10, 4e10]).reshape(2, 2, 1))
+        feat = frame(np.array([1e10, -2e10, 3e10, -4e10]).reshape(2, 2, 1))
         oracle = p.b2 + np.array([1.0, -1.0, 1.0, -1.0]).reshape(2, 2, 1)
         cfg = DistillConfig(lr=1e300, steps_per_event=1)
         with np.errstate(all="ignore"):
@@ -465,6 +468,44 @@ class TestLstmTraining:
 # arithmetic is unchanged, so results must be equal, not close.
 
 def reference_train_decoder(params, features, target, weights, lr, steps):
+    """The step with the biases and lr folded in, written plainly: the
+    features and activations carry a ones row, each layer is one block
+    [w; b], and lr scales the doubled weight map."""
+    d, hidden_dim = params.w1.shape
+    x1_t = np.ascontiguousarray(np.vstack([features.reshape(-1, d).T,
+                                           np.ones((1, features.size // d))]))
+    n = x1_t.shape[1]
+    channels = params.w2.shape[1]
+    w1b1 = np.vstack([params.w1, params.b1])
+    w2b2 = np.vstack([params.w2, params.b2])
+    w = np.broadcast_to(weights.reshape(n, -1), (n, channels))
+    step = w * (2.0 * lr)
+    t = target.reshape(n, channels)
+
+    def forward():
+        a_t = np.tanh(np.dot(w1b1.T, x1_t))
+        a1_t = np.vstack([a_t, np.ones((1, n))])
+        return a_t, a1_t, np.dot(a1_t.T, w2b2)
+
+    def loss(out):
+        return float((((out - t) ** 2) * w).sum())
+
+    a_t, a1_t, out = forward()
+    loss_before = loss(out)
+    for _ in range(steps if np.isfinite(loss_before) else 0):
+        g = (out - t) * step
+        g2 = np.dot(a1_t, g)
+        dz_t = np.dot(w2b2[:-1], g.T) * (1.0 - a_t * a_t)
+        g1 = np.dot(x1_t, dz_t.T)
+        w1b1, w2b2 = w1b1 - g1, w2b2 - g2
+        a_t, a1_t, out = forward()
+    return loss_before, loss(out), (w1b1[:-1], w1b1[-1], w2b2[:-1], w2b2[-1])
+
+
+def textbook_train_decoder(params, features, target, weights, lr, steps):
+    """The step as written before the biases and lr were folded in: separate
+    bias gradients, lr applied to the gradient.  It differs from the folded
+    step in the last bits only."""
     x = features.reshape(-1, params.w1.shape[0])
     n = x.shape[0]
     hidden_dim = params.w1.shape[1]
@@ -600,6 +641,17 @@ class TestBitIdentity:
            zero_frac=st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=150, deadline=None)
     def test_train_decoder_matches_reference(self, seed, hidden, steps, lr, s, d, c, zero_frac):
+        p, feat, target, weights = self.draw(seed, hidden, s, d, c, zero_frac)
+        before = [arr.copy() for arr in (p.w1, p.b1, p.w2, p.b2)]
+        got = train_decoder(p, feat, target, weights, lr, steps)
+        want = reference_train_decoder(p, feat, target, weights, lr, steps)
+        assert got[0] == want[0] and got[1] == want[1]
+        for new, ref, old, arr in zip(got[2], want[2], before, (p.w1, p.b1, p.w2, p.b2)):
+            assert np.array_equal(new, ref)
+            assert np.array_equal(arr, old)  # params untouched
+
+    @staticmethod
+    def draw(seed, hidden, s, d, c, zero_frac):
         rng = np.random.default_rng(seed)
         p = init_decoder(d, hidden, GridShape(s=s, c=c), seed=seed % 1000, scale=0.5)
         p = DecoderParams(p.w1, rng.normal(0, 0.1, size=hidden), p.w2,
@@ -608,13 +660,38 @@ class TestBitIdentity:
         target = rng.normal(0, 1, size=(s, s, 5 + c))
         weights = rng.uniform(0, 1, size=(s, s, 1)) / (s * s)
         weights[rng.random(size=(s, s, 1)) < zero_frac] = 0.0
-        before = [arr.copy() for arr in (p.w1, p.b1, p.w2, p.b2)]
-        got = train_decoder(p, feat, target, weights, lr, steps)
-        want = reference_train_decoder(p, feat, target, weights, lr, steps)
-        assert got[0] == want[0] and got[1] == want[1]
-        for new, ref, old, arr in zip(got[2], want[2], before, (p.w1, p.b1, p.w2, p.b2)):
-            assert np.array_equal(new, ref)
-            assert np.array_equal(arr, old)  # params untouched
+        return p, feat, target, weights
+
+    @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, lr=LEARNING_RATES,
+           s=st.integers(1, 6), d=st.integers(1, 12), c=st.integers(1, 4),
+           zero_frac=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_train_decoder_close_to_textbook_step(self, seed, hidden, lr, s, d, c, zero_frac):
+        # folding the biases and lr into the blocks moves one step's result
+        # in the last bits only (over many steps at lr 1 they grow, as any
+        # rounding difference does on a diverging run)
+        p, feat, target, weights = self.draw(seed, hidden, s, d, c, zero_frac)
+        got = train_decoder(p, feat, target, weights, lr, 1)
+        want = textbook_train_decoder(p, feat, target, weights, lr, 1)
+        for g, w in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+            w = np.asarray(w)
+            assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max(initial=0)))
+
+    def test_frame_logits_are_the_first_training_forward(self):
+        # the frame and train_decoder run one forward: after no steps, the
+        # workspace holds train_decoder's first logits, the bits the frame
+        # decoded, and the loss before is read off them
+        rng = np.random.default_rng(4)
+        p = init_decoder(D, HIDDEN, GRID, seed=4, scale=0.5)
+        p = DecoderParams(p.w1, rng.normal(0, 0.1, size=HIDDEN), p.w2,
+                          rng.normal(0, 0.1, size=GRID.channels))
+        feat, target = random_frame(rng), rng.normal(0, 1, size=(GRID.s, GRID.s, GRID.channels))
+        ws = Workspace(p, feat.size // D)
+        logits = decoder_forward(p, feat, ws)
+        loss_before, _, _ = train_decoder(p, feat, target, HALF, 0.1, 0, ws)
+        assert logits.tobytes() == ws.out.tobytes() == decoder_forward(p, feat).tobytes()
+        diff = logits - target
+        assert loss_before == float(np.add.reduce(diff * diff * HALF, axis=None))
 
     @given(seed=st.integers(0, 2**32 - 1), hidden=HIDDEN_SIZES, input_dim=st.integers(1, 24))
     @settings(max_examples=100, deadline=None)

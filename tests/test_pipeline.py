@@ -16,9 +16,10 @@ import pytest
 
 import scenedistill
 from scenedistill import pipeline
-from scenedistill.detection import Box, GridShape, decode_tensor, detection_rows, encode_objects
-from scenedistill.distill import FeedbackRecord
-from scenedistill.models import decoder_forward, init_decoder
+from scenedistill.detection import (Box, GridShape, decode_tensor, detection_rows, detections,
+                                    encode_objects)
+from scenedistill.distill import FeedbackRecord, distill_step
+from scenedistill.models import Backbone, decoder_forward, init_decoder
 from scenedistill.pipeline import (
     CheckpointError,
     PipelineConfig,
@@ -30,7 +31,7 @@ from scenedistill.pipeline import (
     run_pipeline,
 )
 from scenedistill.selector import SelectorConfig
-from scenedistill.simstream import SceneSpec, StreamConfig, generate_stream
+from scenedistill.simstream import SceneSpec, StreamConfig, generate_stream, oracle_for_frame
 
 GRID = GridShape(s=4, c=3)
 CFG = StreamConfig(grid=GRID, feature_dim=8, transition_len=3)
@@ -88,7 +89,7 @@ class TestMergeDetections:
         t = self.tensor((Box(0.5, 0.5, 0.2, 0.2), 0, 8.0))
         merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 1
-        assert merged == decode_tensor(t, self.SHAPE, 0.5)
+        assert merged == detections(decode_tensor(t, self.SHAPE, 0.5))
 
     def test_overlapping_same_class_cells_deduplicated(self):
         # centers in adjacent cells, boxes overlapping at IOU 0.71
@@ -265,7 +266,7 @@ class TestParallelMode:
                           report.dropped_key_frames, events])
         assert (report.n_key_frames, report.dropped_key_frames, len(events)) == (100, 55, 45)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "e3c56fa4d0f522ee5a14c3ba3ff58270debe0079978a324473287da0f04602a6")
+            "d646bf404bce722c330708f38347ee02687f097b26809f999997a3cf5d8106c3")
 
     def test_frame_clock_output_ignores_the_wall_clock(self, monkeypatch):
         # the pinned run again with every frame slowed by 1 ms of wall time:
@@ -278,6 +279,27 @@ class TestParallelMode:
 
         monkeypatch.setattr(pipeline, "merge_detections", slow_merge)
         self.test_fake_clock_output_matches_pin()
+
+    def test_late_key_frame_trains_on_its_own_frame_features(self):
+        # the frame loop reuses one workspace for every frame's forward; frame
+        # 0 is trained at 4 and frame 1 at 6, on their own backbone features,
+        # so each event's loss before is a direct distill_step's on them
+        cfg = pipe_cfg(mode="parallel", selector="periodic", period=1,
+                       selector_cfg=SelectorConfig(tau=0), queue_capacity=16, oracle_delay=2.5)
+        stream = make_stream(n=8)
+        session = Session(stream[0].features.shape[2], GRID, cfg)
+        before = []  # the weights each boundary's events start from
+        for i, rec in enumerate(stream):
+            before.append(session.params)
+            session.step(rec, i)
+        backbone = Backbone(CFG.feature_dim, seed=cfg.seed)
+        for frame, boundary in ((0, 4), (1, 6)):
+            feats = backbone.forward(stream[frame].features)[0]
+            oracle = oracle_for_frame(stream[frame], cfg.oracle_noise, GRID,
+                                      cfg.effective_oracle_seed)
+            _, fb = distill_step(before[boundary], feats, oracle, cfg.distill)
+            assert session.feedbacks[frame]["frame_id"] == frame
+            assert session.feedbacks[frame]["loss_before"] == fb.loss_before
 
     def test_failed_session_answers_nothing_and_close_drops_the_waiting(self, monkeypatch):
         # frame 1's poisoned answer is trained at 6, after frames 0-5 were
@@ -457,9 +479,9 @@ def test_perfbench_package_names_resolve():
 # at once; frozen_student serves a decoder adapted on another stream, as the
 # serve_adapted workload does
 PERFBENCH_DIGESTS = {
-    "frozen_student": "57318f30a2b4fee1",
-    "sequential": "0b12a7063f17051e",
-    "parallel": "265974e8b18dbdb3",
+    "frozen_student": "9cfaf0fd0fa0137e",
+    "sequential": "6da84281ea0be7eb",
+    "parallel": "0aefcb51e3caf9b8",
     "mixed": "8f779ca937ccb0fb",
 }
 
@@ -493,6 +515,26 @@ def test_perfbench_reads_real_reports(mode, monkeypatch, tmp_path):
     assert derive.check_report(report, len(stream)) == []
     assert sum(map(len, report.detections)) > 0
     assert derive.detection_digest(report.detections) == PERFBENCH_DIGESTS[mode]
+
+
+def test_selector_features_and_frame_logits_outlive_the_next_frame(monkeypatch):
+    # every frame's forward runs in one workspace; the features a selector
+    # keeps and the logits a frame decoded are not its buffers
+    logits = []
+    real_forward = pipeline.decoder_forward
+    monkeypatch.setattr(pipeline, "decoder_forward",
+                        lambda *args: logits.append(real_forward(*args)) or logits[-1])
+    cfg = pipe_cfg(mode="sequential", selector="scene_change", change_threshold=1e9)
+    stream = make_stream(n=3)
+    session = Session(stream[0].features.shape[2], GRID, cfg)
+    session.step(stream[0], 0.0)
+    prev = session.selector._prev
+    kept_prev, kept_logits = prev.copy(), logits[0].copy()
+    session.step(stream[1], 1.0)
+    assert session.selector._prev is not prev
+    assert np.array_equal(prev, kept_prev) and np.array_equal(logits[0], kept_logits)
+    backbone = Backbone(CFG.feature_dim, seed=cfg.seed)
+    assert np.array_equal(prev, backbone.forward(stream[0].features)[0])
 
 
 class TestCheckpointing:
@@ -620,7 +662,10 @@ class TestCheckpointing:
     def test_inconsistent_decoder_shapes_rejected(self, tmp_path):
         params = init_decoder(CFG.feature_dim, 8, GRID, seed=0)
         path = str(tmp_path / "ckpt.json")
-        checkpoint_save(path, replace(params, b1=np.zeros(3)))
+        checkpoint_save(path, params)
+        doc = json.loads(Path(path).read_text())
+        doc["decoder"]["b1"] = [0.0] * 3
+        Path(path).write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=r"disagree: w1 \(8, 8\), b1 \(3,\)"):
             checkpoint_load(path)
 

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
-from dataclasses import replace
+import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from scenedistill.detection import Box, GridShape, decode_tensor, iou
+from scenedistill.detection import Box, GridShape, decode_tensor, detections, iou
 from scenedistill.evaluate import EvalConfig, evaluate_frames, ground_truth_for
 from scenedistill.simstream import (
     EMPTY_LOGIT,
@@ -239,10 +240,10 @@ class TestSynthOracle:
     def test_one_object_round_trips_through_decode(self):
         obj = [0.52, 0.48, 0.2, 0.25, 1, 0]
         t = oracle_for_frame(record([obj]), OracleNoiseSpec(), GRID, seed=1)
-        dets = decode_tensor(t, GRID, 0.5)
+        dets = detections(decode_tensor(t, GRID, 0.5))
         assert len(dets) == 1
         assert dets[0].class_id == 1
-        assert iou(dets[0].box, Box(*obj[:4])) >= 0.95
+        assert iou(astuple(dets[0].box), obj) >= 0.95
         assert dets[0].confidence >= 0.95
 
     def test_noise_stays_out_of_high_partition(self):
@@ -257,7 +258,7 @@ class TestSynthOracle:
         near = [0.5, 0.5, 0.1, 0.1, 0, 0]
         far = [0.55, 0.59, 0.1, 0.1, 1, 1]
         t = oracle_for_frame(record([far, near]), OracleNoiseSpec(), GRID, seed=3)
-        dets = decode_tensor(t, GRID, 0.5)
+        dets = detections(decode_tensor(t, GRID, 0.5))
         assert len(dets) == 1
         assert dets[0].class_id == 0
 
@@ -267,14 +268,14 @@ class TestSynthOracle:
         flips = 0
         for frame_id in range(2000):
             t = oracle_for_frame(record([obj], frame_id), noise, GRID, seed=4)
-            flips += decode_tensor(t, GRID, 0.3)[0].class_id != 0
+            flips += decode_tensor(t, GRID, 0.3)[0][4] != 0
         assert flips / 2000 == pytest.approx(0.3, abs=0.03)
 
     def test_zero_noise_oracle_scores_perfectly_on_stream(self):
         scenes = [one_scene(motion=0.02, count=(3, 5))]
         stream = generate_stream(scenes, 200, CFG, seed=6)
         attach_oracle(stream, OracleNoiseSpec(), GRID, seed=6)
-        dets = [decode_tensor(rec.oracle_tensor, GRID, 0.5) for rec in stream]
+        dets = [detections(decode_tensor(rec.oracle_tensor, GRID, 0.5)) for rec in stream]
         metrics = evaluate_frames(dets, ground_truth_for(stream, GRID, EvalConfig()), 0.5)
         assert metrics.f1 == pytest.approx(1.0)
         assert metrics.mean_ap == pytest.approx(1.0)
@@ -571,7 +572,7 @@ class TestTraceIO:
         loaded, _, _ = read_trace(path)
 
         def score(recs):
-            dets = [decode_tensor(r.oracle_tensor, GRID, 0.4) for r in recs]
+            dets = [detections(decode_tensor(r.oracle_tensor, GRID, 0.4)) for r in recs]
             return evaluate_frames(dets, ground_truth_for(recs, GRID, EvalConfig()), 0.5)
 
         a, b = score(stream), score(loaded)
@@ -721,11 +722,25 @@ class TestTraceIO:
         write_trace(self.make_stream(), str(path), grid=GRID)
         before = path.read_bytes()
         stream = self.make_stream(n=12)
-        stream[6].scene_id = object()  # not an id: fails with the temp file open
-        with pytest.raises(TypeError):
+        stream[6].features = stream[6].features[:, :, :1]  # fails with the temp file open
+        with pytest.raises(ValueError, match="same shape"):
             write_trace(stream, str(path), grid=GRID)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.npz"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("frame_id", 5.5), ("frame_id", True), ("frame_id", "5"), ("scene_id", -1),
+        ("scene_id", 2 ** 64),
+    ])
+    def test_id_that_is_not_a_64_bit_integer_rejected_before_writing(self, tmp_path, key,
+                                                                     value):
+        # the uint64 ids array would take 5.5 as 5 and True as 1
+        stream = self.make_stream(n=12)
+        setattr(stream[7], key, value)
+        with pytest.raises(ValueError, match=rf"^frame 7 {key} {re.escape(repr(value))} is not "
+                                             rf"an integer in \[0, {2 ** 64}\)$"):
+            write_trace(stream, str(tmp_path / "t.npz"), grid=GRID)
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_disagreeing_with_frames_rejected_before_writing(self, tmp_path):
         path = tmp_path / "t.npz"
