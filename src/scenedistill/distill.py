@@ -14,8 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (CONF_THRESHOLD, NMS_IOU, GridShape, check_number, decode_tensor,
-                        detection_rows, match_detections, nms, partition_cells, sigmoid)
+from .detection import (
+    CONF_THRESHOLD,
+    NMS_IOU,
+    GridShape,
+    check_number,
+    decode_tensor,
+    detection_rows,
+    match_detections,
+    nms,
+    partition_cells,
+)
 from .models import DecoderParams, Workspace, train_decoder
 
 
@@ -62,28 +71,22 @@ def compose_target(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig) 
     return target
 
 
-def cell_weights(oracle: np.ndarray, cfg: DistillConfig,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def cell_weights(oracle: np.ndarray, cfg: DistillConfig) -> np.ndarray:
     """Per-cell quadratic weights equivalent to the two partition means.
 
     Confident cells weigh 1/(confident scalars), the rest (1 - lam)^2 /
     (background scalars); contracting these with the squared student-oracle
     difference reproduces the gated loss with plain elementwise arithmetic,
-    which keeps each key frame's training step cheap.  Returns an (s, s, 1)
-    map, or writes it into out, (s, s, k), every channel alike.
+    which keeps each key frame's training step cheap.
     """
-    high = sigmoid(oracle[..., 0]) >= cfg.gate  # partition_cells' high mask, one call fewer
+    high, _ = partition_cells(oracle, cfg.gate)
     count = np.count_nonzero(high)
     channels = oracle.shape[-1]
     n_high = count * channels
     n_low = (high.size - count) * channels
     w_high = 1.0 / n_high if n_high else 0.0
     w_low = (1.0 - cfg.lam) ** 2 / n_low if n_low else 0.0
-    weights = np.where(high, w_high, w_low)[:, :, None]
-    if out is None:
-        return weights
-    out[...] = weights
-    return out
+    return np.where(high, w_high, w_low)[:, :, None]
 
 
 def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillConfig) -> float:
@@ -156,15 +159,12 @@ def distill_step(params: DecoderParams, features: np.ndarray, oracle: np.ndarray
     (equivalently, the gated weight map is applied to the fresh difference).
     Returns the updated params and a FeedbackRecord carrying the on-frame
     loss change.  A non-finite loss or update aborts the event with params
-    unchanged.  ws is the Workspace train_decoder runs in, or None for a new
-    one; the weight map is written straight into it.
+    unchanged.  ws is the Workspace train_decoder runs in, or None for a new one.
     """
-    ws = ws if ws is not None else Workspace(params, oracle.size // oracle.shape[-1])
-    weights = cell_weights(oracle, cfg, out=ws.weights.reshape(oracle.shape))
+    weights = cell_weights(oracle, cfg)
     loss_before, loss_after, trained = train_decoder(params, features, oracle, weights,
                                                      cfg.lr, cfg.steps_per_event, ws)
     if not (math.isfinite(loss_before) and math.isfinite(loss_after)
-            and np.isfinite(trained[0].base).all()):  # one buffer holds all four arrays
+            and np.isfinite(trained.flat).all()):
         return params, FeedbackRecord(frame_id, loss_before, loss_before, error="non-finite loss")
-    new_params = DecoderParams(*trained, version=params.version + cfg.steps_per_event)
-    return new_params, FeedbackRecord(frame_id, loss_before, loss_after)
+    return trained, FeedbackRecord(frame_id, loss_before, loss_after)

@@ -44,10 +44,12 @@ class Backbone:
 class DecoderParams:
     """Two-layer per-cell head: d -> hidden (tanh) -> 5 + c logits.
 
-    The arrays are views of one buffer, flat, as train_decoder returns them,
-    or are copied into one; its blocks [w1; b1] and [w2; b2] multiply inputs
-    that carry a ones row.  version counts the SGD steps behind the weights:
-    each committed event adds steps_per_event; a frozen copy keeps 0.
+    The weights are two blocks, [w1; b1] and [w2; b2], of one flat buffer;
+    they multiply inputs that carry a ones row, and w1, b1, w2 and b2 are
+    views of them.  The constructor copies its four arrays into a new buffer;
+    of_blocks adopts blocks as train_decoder makes them.  version counts the
+    SGD steps behind these weights: each committed distillation event adds
+    steps_per_event; a frozen copy keeps version 0.
     """
 
     w1: np.ndarray
@@ -60,33 +62,40 @@ class DecoderParams:
 
     def __post_init__(self):
         w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
-        flat = w1.base
-        if not (flat is not None and b1.base is w2.base is b2.base is flat
-                and flat.size == w1.size + b1.size + w2.size + b2.size):
-            if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
-                    and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
-                raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-            flat = np.concatenate([w1.ravel(), b1, w2.ravel(), b2], dtype=float)
+        if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
+                and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
+            raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+        flat = np.concatenate([w1.ravel(), b1, w2.ravel(), b2], dtype=float)
         k = b1.size * (w1.shape[0] + 1)
-        blocks = flat[:k].reshape(-1, b1.size), flat[k:].reshape(-1, b2.size)
-        if flat is not w1.base:  # a copy: the arrays become its views
-            for name, view in zip(("w1", "b1", "w2", "b2"), _split(blocks)):
-                object.__setattr__(self, name, view)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "blocks", blocks)
+        self._adopt(flat, (flat[:k].reshape(-1, b1.size), flat[k:].reshape(-1, b2.size)),
+                    self.version)
 
+    @classmethod
+    def of_blocks(cls, flat: np.ndarray, blocks: tuple, version: int) -> DecoderParams:
+        """Params over blocks [w1; b1] and [w2; b2] that are views of flat, in
+        that order and filling it; nothing is copied or checked."""
+        params = object.__new__(cls)
+        params._adopt(flat, blocks, version)
+        return params
 
-def _split(blocks: tuple) -> tuple[np.ndarray, ...]:
-    """(w1, b1, w2, b2), views of the blocks [w1; b1] and [w2; b2]."""
-    return blocks[0][:-1], blocks[0][-1], blocks[1][:-1], blocks[1][-1]
+    def _adopt(self, flat: np.ndarray, blocks: tuple, version: int) -> None:
+        # a frozen dataclass's own __init__ sets each field through
+        # object.__setattr__; one update of the instance dict costs half as much
+        w1b1, w2b2 = blocks
+        self.__dict__.update(w1=w1b1[:-1], b1=w1b1[-1], w2=w2b2[:-1], b2=w2b2[-1],
+                             version=version, flat=flat, blocks=blocks)
 
 
 def init_decoder(feature_dim: int, hidden: int, shape: GridShape, seed: int,
                  scale: float = 0.1) -> DecoderParams:
     rng = np.random.default_rng(seed)
-    w1 = rng.normal(0.0, scale, size=(feature_dim, hidden))
-    w2 = rng.normal(0.0, scale, size=(hidden, shape.channels))
-    return DecoderParams(w1, np.zeros(hidden), w2, np.zeros(shape.channels))
+    return DecoderParams(
+        w1=rng.normal(0.0, scale, size=(feature_dim, hidden)),
+        b1=np.zeros(hidden),
+        w2=rng.normal(0.0, scale, size=(hidden, shape.channels)),
+        b2=np.zeros(shape.channels),
+        version=0,
+    )
 
 
 class Workspace:
@@ -130,14 +139,14 @@ def decoder_forward(params: DecoderParams, features: np.ndarray,
 
 def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarray,
                   weights: np.ndarray, lr: float, steps: int,
-                  ws: Workspace | None = None) -> tuple[float, float, tuple[np.ndarray, ...]]:
+                  ws: Workspace | None = None) -> tuple[float, float, DecoderParams]:
     """`steps` plain SGD steps on sum(weights * (head(features) - target)^2).
 
-    weights is an (s, s, 1) or (s, s, 5 + c) per-cell map, ws a Workspace or
-    None.  Returns (loss_before, loss_after, (w1, b1, w2, b2)), views of one
-    fresh buffer laid out as DecoderParams.flat; params is untouched and no
-    step is taken from a non-finite loss.  distill_step runs this step, so
-    the finite-difference tests check its gradient.
+    weights is an (s, s, 1) per-cell map, ws a Workspace or None.  Returns
+    (loss_before, loss_after, trained): trained is new DecoderParams over a
+    fresh buffer, its version params.version plus the steps taken; params is
+    untouched and no step is taken from a non-finite loss.  distill_step runs
+    this step, so the finite-difference tests check its gradient.
 
     It runs between two frames, so it counts numpy calls: 9 per step and 3
     per forward.  One product gives a block's weight and bias gradients into
@@ -148,8 +157,7 @@ def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarra
     ws = ws if ws is not None else Workspace(params, features.size // d)
     n, channels = ws.out.shape
     np.copyto(ws.x_t, features.reshape(n, d).T)
-    if weights.base is not ws.weights:  # distill_step writes the map straight into ws
-        np.copyto(ws.weights, weights.reshape(n, -1))
+    np.copyto(ws.weights, weights.reshape(n, -1))
     np.multiply(ws.weights, 2.0 * lr, out=ws.step)  # d(diff^2)/d(diff) = 2 * diff
     target_flat = target.reshape(n, channels)
     flat = params.flat.copy()
@@ -164,7 +172,8 @@ def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarra
 
     _forward(ws, blocks, out)
     loss_before = loss()
-    for i in range(steps if math.isfinite(loss_before) else 0):
+    taken = steps if math.isfinite(loss_before) else 0
+    for i in range(taken):
         if i:
             np.subtract(out, target_flat, out=g)
         np.multiply(g, ws.step, out=g)
@@ -178,7 +187,7 @@ def train_decoder(params: DecoderParams, features: np.ndarray, target: np.ndarra
         np.dot(ws.x1_t, dz_t.T, out=ws.g1)
         np.subtract(flat, ws.grad, out=flat)
         _forward(ws, blocks, out)
-    return loss_before, loss(), _split(blocks)
+    return loss_before, loss(), DecoderParams.of_blocks(flat, blocks, params.version + taken)
 
 
 class LstmGate:

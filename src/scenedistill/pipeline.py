@@ -33,8 +33,15 @@ from .detection import (CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, NonF
                         nms)
 from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import Backbone, DecoderParams, Workspace, decoder_forward, init_decoder
-from .selector import (AdaptiveSelector, Decision, NeverSelector, PeriodicSelector,
-                       RandomSelector, SceneChangeSelector, SelectorConfig)
+from .selector import (
+    AdaptiveSelector,
+    Decision,
+    NeverSelector,
+    PeriodicSelector,
+    RandomSelector,
+    SceneChangeSelector,
+    SelectorConfig,
+)
 from .simstream import FrameRecord, OracleNoiseSpec, atomic_open, oracle_for_frame
 
 MODES = ("sequential", "parallel", "frozen_student", "mixed")
@@ -148,13 +155,18 @@ class Session:
                     f"checkpoint {cfg.init_checkpoint} does not fit the stream: its decoder has "
                     f"w1 {adapted.w1.shape} and w2 {adapted.w2.shape}, the stream needs "
                     f"({d}, hidden) and (hidden, {grid.channels})")
-        tau, learning = cfg.selector_cfg.tau, cfg.mode not in ("frozen_student", "mixed")
-        selector = {  # the non-learning baselines never retrain
-            "adaptive": lambda: AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2),
-            "random": lambda: RandomSelector(cfg.random_prob, tau=tau, seed=cfg.seed + 2),
-            "scene_change": lambda: SceneChangeSelector(cfg.change_threshold, tau=tau),
-            "periodic": lambda: PeriodicSelector(cfg.period, tau=tau),
-        }.get(cfg.selector if learning else "never", NeverSelector)()
+        if cfg.mode in ("frozen_student", "mixed"):
+            selector = NeverSelector()  # non-learning baselines never retrain
+        elif cfg.selector == "adaptive":
+            selector = AdaptiveSelector(2 * d, cfg.selector_cfg, seed=cfg.seed + 2)
+        elif cfg.selector == "random":
+            selector = RandomSelector(cfg.random_prob, tau=cfg.selector_cfg.tau, seed=cfg.seed + 2)
+        elif cfg.selector == "scene_change":
+            selector = SceneChangeSelector(cfg.change_threshold, tau=cfg.selector_cfg.tau)
+        elif cfg.selector == "periodic":
+            selector = PeriodicSelector(cfg.period, tau=cfg.selector_cfg.tau)
+        else:
+            selector = NeverSelector()
         self.backbone, self.params, self.selector = Backbone(d, seed=cfg.seed), adapted, selector
         # the buffers of every frame's decoder forward and every event's steps
         self.ws = Workspace(adapted, grid.s * grid.s)
@@ -277,9 +289,16 @@ CHECKPOINT_VERSION = 1
 
 def checkpoint_save(path: str, decoder: DecoderParams) -> None:
     """Versioned JSON checkpoint of the decoder weights."""
-    arrays = {k: getattr(decoder, k).tolist() for k in ("w1", "b1", "w2", "b2")}
-    doc = {"version": CHECKPOINT_VERSION,
-           "decoder": {**arrays, "param_version": decoder.version}}
+    doc = {
+        "version": CHECKPOINT_VERSION,
+        "decoder": {
+            "w1": decoder.w1.tolist(),
+            "b1": decoder.b1.tolist(),
+            "w2": decoder.w2.tolist(),
+            "b2": decoder.b2.tolist(),
+            "param_version": decoder.version,
+        },
+    }
     with atomic_open(path) as f:
         json.dump(doc, f)
 

@@ -374,10 +374,10 @@ class TestCriterion6Parallelism:
         # for a frozen frame time F, an event's in-run cost L and parallel
         # mode's other per-frame cost o, so a faster frame lowers it unless
         # L falls in step.  With the row decode and the bias-folded step
-        # (F down about 25%), 8 alternating standalone runs on a 2-vCPU VM
-        # read 0.792-0.928 (median 0.848) against the parent's 0.828-0.893
-        # (median 0.847); 26 earlier runs, before the event's last trims,
-        # read 0.756-0.931, 4 of them under 0.8, against 0.806-0.939.
+        # (F down about 25%, L about 27% in a tight loop), 20 alternating
+        # standalone runs on a 2-vCPU VM read 0.786-0.901 (median 0.833, 2
+        # under 0.8) against 0.790-0.881 (median 0.849, 1 under 0.8) for the
+        # scalar decode and the unfolded step.
         assert par_ratio >= 0.8, (f"parallel FPS ratio {par_ratio:.3f} < 0.8 "
                                   "(parallel mode pays part of the oracle and distillation cost)")
         assert elapsed < 120

@@ -122,6 +122,37 @@ class TestDecoder:
         with pytest.raises(ValueError):
             decoder_forward(p, bad)
 
+    def test_params_copy_their_arrays_into_two_blocks(self):
+        rng = np.random.default_rng(2)
+        given_arrays = (rng.normal(size=(D, HIDDEN)), rng.normal(size=HIDDEN),
+                        rng.normal(size=(HIDDEN, GRID.channels)), rng.normal(size=GRID.channels))
+        kept = [a.copy() for a in given_arrays]
+        p = DecoderParams(*given_arrays, version=4)
+        for a in given_arrays:
+            a += 1.0  # the caller's arrays are not the params'
+        w1b1, w2b2 = p.blocks
+        assert np.array_equal(w1b1, np.vstack(kept[:2])) and np.array_equal(w2b2, np.vstack(kept[2:]))
+        assert p.flat.tobytes() == np.concatenate([k.ravel() for k in kept]).tobytes()
+        for a, k in zip(arrays(p), kept):
+            assert np.array_equal(a, k) and np.shares_memory(a, p.flat)
+        assert p.version == 4
+
+    def test_params_of_blocks_adopt_them(self):
+        p = init_decoder(D, HIDDEN, GRID, seed=4)
+        flat = p.flat.copy()
+        w1b1 = flat[:(D + 1) * HIDDEN].reshape(D + 1, HIDDEN)
+        w2b2 = flat[(D + 1) * HIDDEN:].reshape(HIDDEN + 1, GRID.channels)
+        q = DecoderParams.of_blocks(flat, (w1b1, w2b2), 7)
+        assert q.flat is flat and q.blocks[0] is w1b1 and q.version == 7
+        flat[:] = 0.5  # nothing was copied
+        for a in arrays(q):
+            assert np.all(a == 0.5)
+
+    def test_params_reject_disagreeing_shapes(self):
+        with pytest.raises(ValueError, match="w1"):
+            DecoderParams(np.zeros((D, HIDDEN)), np.zeros(HIDDEN + 1),
+                          np.zeros((HIDDEN, GRID.channels)), np.zeros(GRID.channels))
+
 
 def loss_and_grad(params, feat, target):
     """Plain half-SSE loss used to exercise the chain rule in tests."""
@@ -153,11 +184,15 @@ def numeric_decoder_grad(params, feat, target, eps=1e-5):
 HALF = np.full((GRID.s, GRID.s, 1), 0.5)  # weights that make the step's loss half-SSE
 
 
+def arrays(params):
+    return params.w1, params.b1, params.w2, params.b2
+
+
 def step_gradient(params, feat, target, weights=HALF, lr=1e-4):
     """Parameter gradient of one train_decoder step, as (params - new) / lr."""
     _, _, new = train_decoder(params, feat, target, weights, lr, steps=1)
     return {name: (getattr(params, name) - arr) / lr
-            for name, arr in zip(("w1", "b1", "w2", "b2"), new)}
+            for name, arr in zip(("w1", "b1", "w2", "b2"), arrays(new))}
 
 
 class TestDecoderGrad:
@@ -167,7 +202,7 @@ class TestDecoderGrad:
         feat = random_frame(rng)
         target = rng.normal(0, 1, size=(GRID.s, GRID.s, GRID.channels))
         _, _, new = train_decoder(p, feat, target, np.zeros_like(HALF), lr=0.1, steps=3)
-        for name, arr in zip(("w1", "b1", "w2", "b2"), new):
+        for name, arr in zip(("w1", "b1", "w2", "b2"), arrays(new)):
             assert np.array_equal(arr, getattr(p, name))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -224,7 +259,7 @@ class TestSgdStep:
         cells = GRID.s * GRID.s
         _, _, new = train_decoder(p, self._frame(), np.zeros((GRID.s, GRID.s, GRID.channels)),
                                   np.full((GRID.s, GRID.s, 1), 0.5 / cells), lr=1.0, steps=1)
-        for arr in new:
+        for arr in arrays(new):
             assert np.allclose(arr, 0.0)
 
     def test_non_finite_grad_rejected(self):
@@ -255,11 +290,11 @@ class TestSgdStep:
                 p, feat, oracle, cell_weights(oracle, cfg), cfg.lr, cfg.steps_per_event)
             p2, fb = distill_step(p, feat, oracle, cfg)
         assert np.isfinite(loss_before) and np.isfinite(loss_after)
-        assert not np.all(np.isfinite(trained[0]))
+        assert not np.all(np.isfinite(trained.w1))
         assert fb.error == "non-finite loss"
         assert fb.loss_before == loss_before == fb.loss_after
         assert p2 is p and p2.version == 3
-        for arr, old, new in zip((p.w1, p.b1, p.w2, p.b2), before, trained):
+        for arr, old, new in zip(arrays(p), before, arrays(trained)):
             assert np.array_equal(arr, old)  # nothing written through
             assert not np.shares_memory(arr, new)
 
@@ -273,7 +308,7 @@ class TestSgdStep:
             val, _, new = train_decoder(p, feat, target, HALF, lr=1e-3, steps=1)
             assert val == pytest.approx(loss_and_grad(p, feat, target)[0], rel=1e-12)
             losses.append(val)
-            p = DecoderParams(*new)
+            p = new
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
@@ -646,7 +681,8 @@ class TestBitIdentity:
         got = train_decoder(p, feat, target, weights, lr, steps)
         want = reference_train_decoder(p, feat, target, weights, lr, steps)
         assert got[0] == want[0] and got[1] == want[1]
-        for new, ref, old, arr in zip(got[2], want[2], before, (p.w1, p.b1, p.w2, p.b2)):
+        assert got[2].version == p.version + steps
+        for new, ref, old, arr in zip(arrays(got[2]), want[2], before, arrays(p)):
             assert np.array_equal(new, ref)
             assert np.array_equal(arr, old)  # params untouched
 
@@ -673,7 +709,7 @@ class TestBitIdentity:
         p, feat, target, weights = self.draw(seed, hidden, s, d, c, zero_frac)
         got = train_decoder(p, feat, target, weights, lr, 1)
         want = textbook_train_decoder(p, feat, target, weights, lr, 1)
-        for g, w in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+        for g, w in zip((got[0], got[1], *arrays(got[2])), (want[0], want[1], *want[2])):
             w = np.asarray(w)
             assert np.allclose(g, w, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(w).max(initial=0)))
 
