@@ -8,11 +8,12 @@ one IOU-table builder (iou_table, an array pass over every same-frame
 detection-target pair) and the one greedy matcher, rank_match, used by
 evaluation and the reference losses, live here too; iou serves NMS.
 
-One row layout, [cx, cy, w, h, class, x], holds decoded detections
-(decode_tensors, decode_tensor, detection_rows), where x is the confidence,
-and ground truth, where x is the object id; the matcher's targets are such
-rows.  The frame loop decodes one frame to rows and builds Detections only
-for those NMS keeps; its report holds them (ROADMAP item 7, step 2).
+One row layout, [cx, cy, w, h, class, x], is the only form a detection
+takes inside the program: decoded detections (decode_tensors, decode_tensor,
+nms), where x is the confidence, and ground truth, where x is the object id;
+the matcher pairs such rows.  Box and Detection exist only for a run
+report's detections: detections builds them from rows and detection_rows
+reads them back (ROADMAP item 7, step 2).
 
 check_number and check_numbers are the one check for numbers that enter
 from outside as JSON: every config's fields, the CLI's, and the values of
@@ -97,10 +98,6 @@ class GridShape:
     @property
     def channels(self) -> int:
         return 5 + self.c
-
-    @property
-    def n_values(self) -> int:
-        return self.s * self.s * self.channels
 
 
 @dataclass(frozen=True)
@@ -212,13 +209,14 @@ def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -
 
 
 def detections(rows: list[list]) -> list[Detection]:
-    """Rows [cx, cy, w, h, class, conf] as Detections."""
+    """Rows [cx, cy, w, h, class, conf] as Detections, the form a run
+    report holds."""
     return [Detection(Box(cx, cy, w, h), int(cls), conf) for cx, cy, w, h, cls, conf in rows]
 
 
 def detection_rows(dets: list[Detection]) -> list[list]:
-    """Detections as [cx, cy, w, h, class, conf] rows, the form reports are
-    written and scored in."""
+    """A report's Detections as [cx, cy, w, h, class, conf] rows, the form
+    reports are written and scored in."""
     return [[d.box.cx, d.box.cy, d.box.w, d.box.h, d.class_id, d.confidence] for d in dets]
 
 
@@ -272,16 +270,16 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     tensor[index] = block.T
 
 
-def nms(rows: list[list], iou_threshold: float) -> list[Detection]:
+def nms(rows: list[list], iou_threshold: float) -> list[list]:
     """Greedy class-aware non-maximum suppression over rows [cx, cy, w, h,
     class, conf] by descending confidence, as decode_tensor gives them: a row
     is kept unless a kept row of its class overlaps it above iou_threshold.
-    Returns the kept rows as Detections."""
+    Returns the kept rows, in order."""
     keep = []
     for r in rows:
         if all(k[4] != r[4] or iou(k, r) <= iou_threshold for k in keep):
             keep.append(r)
-    return detections(keep)
+    return keep
 
 
 def iou_table(dets: np.ndarray, n_dets: np.ndarray, targets: np.ndarray, n_targets: np.ndarray,
@@ -339,19 +337,20 @@ def rank_match(table: np.ndarray, n_dets: np.ndarray, thresholds) -> np.ndarray:
     return picks
 
 
-def match_detections(dets: list[Detection], targets, iou_threshold: float,
+def match_detections(dets: list[list], targets, iou_threshold: float,
                      class_aware: bool = True):
-    """Greedy matcher: each detection, highest confidence first, takes the
-    highest-IOU untaken target row [cx, cy, w, h, class, ...] at or above
-    the threshold (of its own class when class_aware), rank_match's rule.
+    """Greedy matcher: each detection row [cx, cy, w, h, class, conf],
+    highest confidence first, takes the highest-IOU untaken target row [cx,
+    cy, w, h, class, ...] at or above the threshold (of its own class when
+    class_aware), rank_match's rule.
 
-    Returns (matches, missed): matches pairs every detection, in descending
-    confidence order, with its target or None; missed lists the untaken
-    targets in their input order.
+    Returns (matches, missed): matches pairs every detection row, in
+    descending confidence order, with its target or None; missed lists the
+    untaken targets in their input order.
     """
-    order = sorted(dets, key=lambda d: -d.confidence)
+    order = sorted(dets, key=lambda d: -d[5])
     k, g = len(order), len(targets)
-    rows = np.array(detection_rows(order), dtype=float).reshape(k, 6)
+    rows = np.array(order, dtype=float).reshape(k, 6)
     boxes = np.array([t[:5] for t in targets], dtype=float).reshape(g, 5)
     table = iou_table(rows, np.array([k]), boxes, np.array([g]), class_aware).reshape(k, g)
     picks = rank_match(table, np.array([k]), (iou_threshold,))[:, 0].tolist()

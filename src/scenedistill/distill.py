@@ -20,7 +20,6 @@ from .detection import (
     GridShape,
     check_number,
     decode_tensor,
-    detection_rows,
     match_detections,
     nms,
     partition_cells,
@@ -106,24 +105,19 @@ def bounded_distill_loss(student: np.ndarray, oracle: np.ndarray, cfg: DistillCo
 
 def _pair_loss(matches, missed) -> float:
     """Quadratic objectness + box + class penalty over a matching of
-    detections to target rows, summed over the matched pairs, then the
+    detection rows to target rows, summed over the matched pairs, then the
     unmatched detections, then the misses."""
     total, n = 0.0, 0
     for det, tgt in matches:
         if tgt is None:
             continue
-        box_mse = np.mean([
-            (det.box.cx - tgt[0]) ** 2,
-            (det.box.cy - tgt[1]) ** 2,
-            (det.box.w - tgt[2]) ** 2,
-            (det.box.h - tgt[3]) ** 2,
-        ])
-        cls = 0.0 if det.class_id == tgt[4] else 1.0
-        total += (det.confidence - 1.0) ** 2 + box_mse + cls
+        box_mse = np.mean([(det[i] - tgt[i]) ** 2 for i in range(4)])
+        cls = 0.0 if det[4] == tgt[4] else 1.0
+        total += (det[5] - 1.0) ** 2 + box_mse + cls
         n += 1
     for det, tgt in matches:
         if tgt is None:
-            total += det.confidence ** 2
+            total += det[5] ** 2
             n += 1
     for _ in missed:
         total += 1.0
@@ -140,13 +134,12 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt, shape: GridSha
     grows with the number of decoded targets) can be benchmarked against the
     tensor-space loss.
     """
-    student_dets = nms(decode_tensor(student, shape, CONF_THRESHOLD), NMS_IOU)
-    oracle_dets = nms(decode_tensor(oracle, shape, CONF_THRESHOLD), NMS_IOU)
+    student_rows = nms(decode_tensor(student, shape, CONF_THRESHOLD), NMS_IOU)
+    oracle_rows = nms(decode_tensor(oracle, shape, CONF_THRESHOLD), NMS_IOU)
     # rows of Python floats: _pair_loss runs 7-17% slower on numpy rows (10-50 targets)
-    l_gt = _pair_loss(*match_detections(student_dets, np.asarray(gt).tolist(), 0.5,
+    l_gt = _pair_loss(*match_detections(student_rows, np.asarray(gt).tolist(), 0.5,
                                         class_aware=False))
-    l_t = _pair_loss(*match_detections(student_dets, detection_rows(oracle_dets), 0.5,
-                                       class_aware=False))
+    l_t = _pair_loss(*match_detections(student_rows, oracle_rows, 0.5, class_aware=False))
     return l_gt + l_t
 
 

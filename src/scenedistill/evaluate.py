@@ -5,9 +5,9 @@ AP uses all-point (precision envelope) interpolation.  Ground truth can be
 the stream's true labels or the oracle's own decoded detections, matching
 how the adapted student is normally scored against the model it distills
 from.  Scoring runs on arrays: a frame's detections as [cx, cy, w, h,
-class, conf] rows, its ground truth as a (g, 5) array of [cx, cy, w, h,
-class] rows, the IOUs of a block of frames' pairs from one iou_table pass,
-and a whole run's matches at every threshold from one rank_match call.
+class, conf] rows, its ground truth as (g, 6) rows whose sixth column it
+does not read, the IOUs of a block of frames' pairs from one iou_table
+pass, and a whole run's matches at every threshold from one rank_match call.
 """
 
 from __future__ import annotations
@@ -119,10 +119,11 @@ def evaluate_thresholds(per_frame_dets: list[list[Detection]], per_frame_gt: lis
                         thresholds: Sequence[float]) -> list[ThresholdMetrics]:
     """Score a whole run at each IOU threshold (counts plus per-class AP).
 
-    A frame's ground truth is a (g, 5) array of [cx, cy, w, h, class] rows,
-    as ground_truth_for returns it.  GT_BLOCK_FRAMES frames at a time, the
-    detections become detection_rows sorted within each frame by descending
-    confidence, and the IOUs of all same-frame pairs come from one pass;
+    A frame's detections are a report's Detections, and its ground truth a
+    (g, 6) array of rows [cx, cy, w, h, class, x], as ground_truth_for
+    returns it.  GT_BLOCK_FRAMES frames at a time, the detections become
+    detection_rows sorted within each frame by descending confidence, and
+    the IOUs of all same-frame pairs come from one pass;
     one rank_match call then matches the whole run at every threshold.
     Equal to scoring each threshold on its own with evaluate_frames.
     """
@@ -141,7 +142,7 @@ def evaluate_thresholds(per_frame_dets: list[list[Detection]], per_frame_gt: lis
                         dtype=float).reshape(-1, 6)
         # one stable sort: by frame, then by descending confidence
         dets = dets[np.lexsort((-dets[:, 5], np.repeat(np.arange(len(k)), k)))]
-        gt = np.concatenate([np.empty((0, 5)), *per_frame_gt[block]])
+        gt = np.concatenate([np.empty((0, 6)), *per_frame_gt[block]])
         scored[d0:d0 + len(dets)] = dets[:, 4:]
         gt_classes[g0:g0 + len(gt)] = gt[:, 4]
         # a boolean mask fills row after row, each row's first g entries:
@@ -183,20 +184,20 @@ def evaluate_frames(per_frame_dets: list[list[Detection]], per_frame_gt: list[np
 def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalConfig,
                      noise: OracleNoiseSpec | None = None,
                      oracle_seed: int = 0) -> list[np.ndarray]:
-    """Per-frame ground truth, each frame a (g, 5) array of [cx, cy, w, h,
-    class] rows: views of the records' labels, or the oracle's decoded
-    detections in descending confidence.
+    """Per-frame ground truth, each frame a (g, 6) array of rows: the
+    records' own labels [cx, cy, w, h, class, object_id], or the oracle's
+    decoded detections [cx, cy, w, h, class, conf] in descending confidence.
 
     Oracle tensors are synthesized and decoded GT_BLOCK_FRAMES frames at a
     time, equal to oracle_for_frame and decode_tensor frame by frame.
     """
     if eval_cfg.gt_source == "true_gt":
-        return [rec.gt[:, :5] for rec in stream]
+        return [rec.gt for rec in stream]
     noise = noise if noise is not None else OracleNoiseSpec()
     out = []
     for start in range(0, len(stream), GT_BLOCK_FRAMES):
         tensors = oracle_tensors(stream[start:start + GT_BLOCK_FRAMES], noise, grid, oracle_seed)
-        out.extend(rows[:, :5] for rows in decode_tensors(tensors, grid, CONF_THRESHOLD))
+        out.extend(decode_tensors(tensors, grid, CONF_THRESHOLD))
     return out
 
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .detection import (CONF_THRESHOLD, NMS_IOU, Box, Detection, GridShape, NonFinite,
-                        check_number, check_numbers, decode_tensor, detection_rows, detections,
-                        nms)
+from .detection import (CONF_THRESHOLD, NMS_IOU, Detection, GridShape, NonFinite, check_number,
+                        check_numbers, decode_tensor, detection_rows, detections, nms)
 from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import Backbone, DecoderParams, Workspace, decoder_forward, init_decoder
 from .selector import (
@@ -120,8 +119,7 @@ class PipelineReport:
         """The report to_dict wrote.  A row that is not 6 finite numbers [cx,
         cy, w, h, class, conf] with w, h > 0, an integral class >= 0 and conf
         in [0, 1] raises ValueError naming its frame and row."""
-        dets = [[] for _ in data["detections"]]
-        for f, (frame, out) in enumerate(zip(data["detections"], dets)):
+        for f, frame in enumerate(data["detections"]):
             for i, v in enumerate(frame):
                 try:
                     row = check_numbers(v, "row")
@@ -130,12 +128,11 @@ class PipelineReport:
                 if row is None or not (row.shape == (6,) and row[2] > 0 and row[3] > 0
                                        and row[4] >= 0 and row[4] % 1 == 0 and 0 <= row[5] <= 1):
                     raise ValueError(f"frame {f} row {i}: {v!r} is not a detection")
-                out.append(Detection(Box(*v[:4]), int(v[4]), v[5]))
-        return cls(**{**data, "detections": dets})
+        return cls(**{**data, "detections": [detections(frame) for frame in data["detections"]]})
 
 
-def merge_detections(out: np.ndarray, shape: GridShape) -> list[Detection]:
-    """The decoder output's detections, deduplicated by class-aware NMS."""
+def merge_detections(out: np.ndarray, shape: GridShape) -> list[list]:
+    """The decoder output's detection rows, deduplicated by class-aware NMS."""
     return nms(decode_tensor(out, shape, CONF_THRESHOLD), NMS_IOU)
 
 
@@ -234,12 +231,11 @@ class Session:
         feats, summary = self.backbone.forward(rec.features)
         self.versions.append(self.params.version)
         if cfg.mode == "mixed" and self.mix_rng.random() < cfg.p_oracle:
-            dets = detections(decode_tensor(self._oracle(rec, cfg.oracle_delay), self.grid,
-                                            CONF_THRESHOLD))
+            rows = decode_tensor(self._oracle(rec, cfg.oracle_delay), self.grid, CONF_THRESHOLD)
             self.oracle_frames += 1
             decision = Decision(rec.frame_id, train=False)
         else:
-            dets = merge_detections(decoder_forward(self.params, feats, self.ws), self.grid)
+            rows = merge_detections(decoder_forward(self.params, feats, self.ws), self.grid)
             decision = self.selector.decide(rec.frame_id, feats, summary)
             # feats is fresh per frame, not the workspace's copy, so the event
             # trains on the exact frame that triggered selection even as
@@ -248,6 +244,7 @@ class Session:
                 self.handoff = (rec, feats)
             elif decision.train:
                 self._distill(rec, feats, self._oracle(rec, cfg.oracle_delay))
+        dets = detections(rows)
         self.decisions.append(dict(vars(decision)))
         self.detections.append(dets)
         self.latencies.append(time.perf_counter() - t0)

@@ -84,7 +84,7 @@ class _GappedSelector:
 class AdaptiveSelector(_GappedSelector):
     """LSTM gate OR adaptive random safeguard, with training-prevention gap.
 
-    Its state has one owner, run_pipeline's frame loop, on one thread:
+    Its state has one owner, the run's pipeline.Session, on one thread:
     decide() runs once per frame and apply_feedback() only between two
     decide() calls, so each decision sees every feedback delivered before it.
     Each run builds it from its own SelectorConfig at stream start; a

@@ -51,7 +51,6 @@ boxes = st.builds(
 class TestGridShape:
     def test_channels(self):
         assert GridShape(s=4, c=3).channels == 8
-        assert GridShape(s=4, c=3).n_values == 4 * 4 * 8
 
     @pytest.mark.parametrize("s,c", [(0, 3), (4, 0), (-1, 2)])
     def test_rejects_bad_dims(self, s, c):
@@ -624,38 +623,13 @@ class TestDecode:
         assert np.array_equal(got, want)
 
 
-def brute_force_nms(dets, iou_threshold):
-    """O(n^2) reference: a detection survives iff no higher-confidence
-    same-class survivor overlaps it beyond the threshold."""
-    ordered = sorted(dets, key=lambda d: -d.confidence)
-    survivors = []
-    for d in ordered:
-        ok = True
-        for s in survivors:
-            if s.class_id == d.class_id and box_iou(s.box, d.box) > iou_threshold:
-                ok = False
-                break
-        if ok:
-            survivors.append(d)
-    return survivors
-
-
-def random_detections(rng, n, n_classes=3):
-    out = []
-    for _ in range(n):
-        out.append(Detection(
-            box=Box(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
-                    float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.05, 0.4))),
-            class_id=int(rng.integers(n_classes)),
-            confidence=float(rng.uniform(0.1, 1.0)),
-        ))
-    return out
-
-
-def nms_of(dets, iou_threshold):
-    """detection.nms of Detections in any order: their rows by descending
+def random_rows(rng, n, n_classes=3):
+    """n detection rows [cx, cy, w, h, class, conf] by descending
     confidence, as decode_tensor gives them."""
-    return nms(detection_rows(sorted(dets, key=lambda d: -d.confidence)), iou_threshold)
+    rows = [[float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
+             float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.05, 0.4)),
+             int(rng.integers(n_classes)), float(rng.uniform(0.1, 1.0))] for _ in range(n)]
+    return sorted(rows, key=lambda r: -r[5])
 
 
 class TestNms:
@@ -663,32 +637,28 @@ class TestNms:
         assert nms([], 0.5) == []
 
     def test_duplicate_suppressed(self):
-        b = Box(0.5, 0.5, 0.2, 0.2)
-        hi = Detection(b, 0, 0.9)
-        lo = Detection(b, 0, 0.8)
-        assert nms_of([lo, hi], 0.5) == [hi]
+        hi, lo = [0.5, 0.5, 0.2, 0.2, 0, 0.9], [0.5, 0.5, 0.2, 0.2, 0, 0.8]
+        assert nms([hi, lo], 0.5) == [hi]
 
     def test_different_class_not_suppressed(self):
-        b = Box(0.5, 0.5, 0.2, 0.2)
-        out = nms_of([Detection(b, 0, 0.9), Detection(b, 1, 0.8)], 0.5)
-        assert len(out) == 2
+        rows = [[0.5, 0.5, 0.2, 0.2, 0, 0.9], [0.5, 0.5, 0.2, 0.2, 1, 0.8]]
+        assert nms(rows, 0.5) == rows
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        dets = random_detections(rng, 20)
-        assert nms_of(dets, 0.45) == brute_force_nms(dets, 0.45)
+        # reference_nms, the O(n^2) scan over Detections with the scalar reference_iou
+        rows = random_rows(np.random.default_rng(seed), 20)
+        assert nms(rows, 0.45) == detection_rows(reference_nms(detections(rows), 0.45))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_survivors_subset_and_separated(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        dets = random_detections(rng, 30)
-        out = nms_of(dets, 0.5)
-        assert all(d in dets for d in out)
-        for i, a in enumerate(out):
-            for b in out[i + 1:]:
+        rows = random_rows(np.random.default_rng(100 + seed), 30)
+        out = nms(rows, 0.5)
+        assert all(r in rows for r in out)
+        for i, a in enumerate(detections(out)):
+            for b in detections(out[i + 1:]):
                 if a.class_id == b.class_id:
-                    assert box_iou(a.box, b.box) <= 0.5
+                    assert reference_iou(a.box, b.box) <= 0.5
 
 
 # The frame loop's decode and NMS as written before they ran on rows: the
@@ -758,8 +728,10 @@ class TestFrameDecodeMatchesReference:
     def assert_same(tensor, shape, threshold=CONF_THRESHOLD):
         got = nms(decode_tensor(tensor, shape, threshold), NMS_IOU)
         want = reference_nms(reference_decode_tensor(tensor, shape, threshold), NMS_IOU)
-        assert detection_rows(got) == detection_rows(want)  # Python floats: every bit
-        assert all(type(d.class_id) is int and type(d.confidence) is float for d in got)
+        assert got == detection_rows(want)  # Python floats: every bit
+        # the report's Detections, built from these rows, hold ints and floats
+        assert all(type(d.class_id) is int and type(d.confidence) is float
+                   for d in detections(got))
         return got
 
     @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 7), c=st.integers(1, 5),
@@ -777,8 +749,8 @@ class TestFrameDecodeMatchesReference:
         for r, c in ((0, 0), (2, 3), (5, 5), (4, 1)):
             tensor[r, c, 0], tensor[r, c, 6] = 3.0, 4.0  # the same logits, far apart
         got = self.assert_same(tensor, self.SHAPE)
-        assert len(got) == 4 and len({d.confidence for d in got}) == 1
-        assert [(d.box.cy, d.box.cx) for d in got] == sorted((d.box.cy, d.box.cx) for d in got)
+        assert len(got) == 4 and len({r[5] for r in got}) == 1
+        assert [(r[1], r[0]) for r in got] == sorted((r[1], r[0]) for r in got)
 
     def test_objectness_at_the_half_rounding_boundary(self):
         bound = half_sigmoid_bound()
@@ -802,7 +774,7 @@ class TestFrameDecodeMatchesReference:
         tensor[4, 4, 4] = -14.0   # sigmoid below LOGIT_CLIP, above 0.0
         with np.errstate(over="ignore"):
             got = self.assert_same(tensor, self.SHAPE)
-        assert sorted((d.box.w, d.box.h) for d in got) == [(LOGIT_CLIP, 0.5), (0.5, LOGIT_CLIP)]
+        assert sorted((r[2], r[3]) for r in got) == [(LOGIT_CLIP, 0.5), (0.5, LOGIT_CLIP)]
 
     def test_same_class_boxes_at_exactly_the_nms_iou(self):
         shape = GridShape(s=2, c=1)
@@ -814,7 +786,7 @@ class TestFrameDecodeMatchesReference:
         tensor[0, 1, :5] = [8.0, -40.0, 40.0, 0.0, 40.0]
         tensor[..., 5] = 10.0
         got = self.assert_same(tensor, shape)
-        assert box_iou(got[0].box, got[1].box) == NMS_IOU
+        assert iou(got[0], got[1]) == NMS_IOU
         assert len(got) == 2
         tensor[0, 1, 3] = 0.01  # a wider box overlaps it above NMS_IOU
         assert len(self.assert_same(tensor, shape)) == 1

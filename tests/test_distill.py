@@ -9,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenedistill.detection import (
-    Box,
-    Detection,
     GridShape,
     decode_tensor,
-    detections,
     encode_objects,
     match_detections,
     partition_cells,
@@ -193,7 +190,8 @@ class TestBoundedLossGrad:
 
 
 def make_det(cx, cy, w, h, class_id, conf):
-    return Detection(Box(cx, cy, w, h), class_id, conf)
+    """A detection as the row [cx, cy, w, h, class, conf]."""
+    return [cx, cy, w, h, class_id, conf]
 
 
 def make_gt(cx, cy, w, h, class_id, oid=0):
@@ -239,10 +237,10 @@ class TestNmsDistillLoss:
         encode_objects(student, shape, [(0.5, 0.5, 0.2, 0.2)], [0], [6.0])
         loss = nms_distill_loss(student, oracle, [], shape)
         conf = sigmoid(6.0) * float(np.max([sigmoid(0.0)]))  # class prob ~ saturated
-        dets = detections(decode_tensor(student, shape, 0.5))
-        assert len(dets) == 1
+        rows = decode_tensor(student, shape, 0.5)
+        assert len(rows) == 1
         # detection is unmatched against both empty lists: conf^2 in each term
-        assert loss == pytest.approx(2 * dets[0].confidence ** 2)
+        assert loss == pytest.approx(2 * rows[0][5] ** 2)
 
     def test_more_targets_cost_more(self):
         # sanity check of the scaling direction; the real benchmark lives in
@@ -258,9 +256,8 @@ class TestNmsDistillLoss:
             t[:, :, 0] = -12.0
             for i, cell in enumerate(cells):
                 r, c = divmod(int(cell), 8)
-                box = Box((c + 0.5) / 8, (r + 0.5) / 8, 0.1, 0.1)
-                gt.append(make_gt(box.cx, box.cy, 0.1, 0.1, int(rng.integers(4)), i))
-                encode_objects(t, shape, [(box.cx, box.cy, box.w, box.h)], [gt[-1][4]], [8.0])
+                gt.append(make_gt((c + 0.5) / 8, (r + 0.5) / 8, 0.1, 0.1, int(rng.integers(4)), i))
+                encode_objects(t, shape, [gt[-1][:4]], [gt[-1][4]], [8.0])
             return t, gt
 
         t1, gt1 = build(2)

@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 import scenedistill.evaluate as evaluate_module
 from scenedistill.detection import (
     CONF_THRESHOLD,
-    Box,
-    Detection,
     GridShape,
     decode_tensor,
     detections,
@@ -47,7 +45,8 @@ from scenedistill.simstream import (
 
 
 def det(cx, cy, w, h, cls, conf):
-    return Detection(Box(cx, cy, w, h), cls, conf)
+    """A detection as the row [cx, cy, w, h, class, conf]."""
+    return [cx, cy, w, h, cls, conf]
 
 
 def gt(cx, cy, w, h, cls, oid=0):
@@ -56,10 +55,14 @@ def gt(cx, cy, w, h, cls, oid=0):
 
 
 def gt_rows(frames_gt):
-    """Per-frame labelled objects as the (g, 5) [cx, cy, w, h, class] arrays
-    scoring reads."""
-    return [np.array([o[:5] for o in objects], dtype=float).reshape(-1, 5)
-            for objects in frames_gt]
+    """Per-frame labelled objects as the (g, 6) arrays ground_truth_for
+    returns."""
+    return [np.array(objects, dtype=float).reshape(-1, 6) for objects in frames_gt]
+
+
+def report_dets(frames_dets):
+    """Per-frame detection rows as a report holds them, the form scoring reads."""
+    return [detections(rows) for rows in frames_dets]
 
 
 # Reference implementations: the greedy matcher, the precision envelope and
@@ -67,15 +70,15 @@ def gt_rows(frames_gt):
 # arithmetic is unchanged, so results must be equal, not close.
 
 def reference_match(dets, targets, iou_threshold):
-    order = sorted(range(len(dets)), key=lambda k: -dets[k].confidence)
+    order = sorted(range(len(dets)), key=lambda k: -dets[k][5])
     taken = [False] * len(targets)
     matches = []
     for k in order:
         best_j, best_iou = -1, iou_threshold
         for j, tgt in enumerate(targets):
-            if taken[j] or tgt[4] != dets[k].class_id:
+            if taken[j] or tgt[4] != dets[k][4]:
                 continue
-            v = iou(astuple(dets[k].box), tgt)
+            v = iou(dets[k], tgt)
             if v >= best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0:
@@ -110,7 +113,7 @@ def reference_evaluate_frames(per_frame_dets, per_frame_gt, iou_threshold):
             n_gt_per_class[obj[4]] = n_gt_per_class.get(obj[4], 0) + 1
         matches, missed = reference_match(dets, objects, iou_threshold)
         fn_total += len(missed)
-        scored.extend((d.confidence, tgt is not None, d.class_id) for d, tgt in matches)
+        scored.extend((d[5], tgt is not None, d[4]) for d, tgt in matches)
     tp_total = sum(1 for _, flag, _ in scored if flag)
     fp_total = len(scored) - tp_total
     precision = tp_total / (tp_total + fp_total) if scored else 0.0
@@ -191,8 +194,8 @@ class TestMatchDetections:
         for perm in itertools.permutations(range(len(dets)), len(objects)):
             score = sum(
                 1 for j, k in enumerate(perm)
-                if iou(astuple(dets[k].box), objects[j]) >= 0.5
-                and dets[k].class_id == objects[j][4]
+                if iou(dets[k], objects[j]) >= 0.5
+                and dets[k][4] == objects[j][4]
             )
             best = max(best, score)
         assert sum(tp) == best == 3
@@ -208,7 +211,7 @@ class TestMatchDetections:
     def test_match_exactly_at_threshold(self):
         objects = [gt(0.5, 0.5, 0.2, 0.2, 0)]
         dets = [det(0.55, 0.47, 0.2, 0.25, 0, 0.9)]
-        v = iou(astuple(dets[0].box), objects[0])
+        v = iou(dets[0], objects[0])
         assert 0.0 < v < 1.0
         assert match_detections(dets, objects, v) == ([(dets[0], objects[0])], [])
         above = math.nextafter(v, 1.0)
@@ -260,7 +263,7 @@ class TestEvaluateFrames:
     def test_counts_and_f1(self):
         objects = [[gt(0.2, 0.2, 0.2, 0.2, 0, 0), gt(0.7, 0.7, 0.2, 0.2, 1, 1)]]
         dets = [[det(0.2, 0.2, 0.2, 0.2, 0, 0.9), det(0.4, 0.9, 0.1, 0.1, 0, 0.8)]]
-        m = evaluate_frames(dets, gt_rows(objects), 0.5)
+        m = evaluate_frames(report_dets(dets), gt_rows(objects), 0.5)
         assert (m.tp, m.fp, m.fn) == (1, 1, 1)
         assert m.precision == pytest.approx(0.5)
         assert m.recall == pytest.approx(0.5)
@@ -274,7 +277,7 @@ class TestEvaluateFrames:
     def test_per_class_ap_and_mean(self):
         frames_gt = [[gt(0.2, 0.2, 0.2, 0.2, 0, 0)], [gt(0.7, 0.7, 0.2, 0.2, 1, 1)]]
         frames_dets = [[det(0.2, 0.2, 0.2, 0.2, 0, 0.9)], []]
-        m = evaluate_frames(frames_dets, gt_rows(frames_gt), 0.5)
+        m = evaluate_frames(report_dets(frames_dets), gt_rows(frames_gt), 0.5)
         assert m.ap_per_class[0] == pytest.approx(1.0)
         assert m.ap_per_class[1] == 0.0
         assert m.mean_ap == pytest.approx(0.5)
@@ -295,7 +298,7 @@ class TestEvaluateFrames:
                     0.2, 0.2, int(rng.integers(2)), float(rng.uniform(0.1, 1)))
                 for _ in range(rng.integers(0, 4))
             ])
-        m = evaluate_frames(frames_dets, gt_rows(frames_gt), 0.5)
+        m = evaluate_frames(report_dets(frames_dets), gt_rows(frames_gt), 0.5)
         assert 0.0 <= m.precision <= 1.0
         assert 0.0 <= m.recall <= 1.0
         assert 0.0 <= m.f1 <= min(2 * m.precision, 2 * m.recall) + 1e-12
@@ -310,10 +313,11 @@ class TestEvaluateThresholds:
     def test_equals_per_threshold_reference(self, frames, thresholds):
         dets = [d for d, _ in frames]
         objects = [g for _, g in frames]
-        got = [m.to_dict() for m in evaluate_thresholds(dets, gt_rows(objects), thresholds)]
+        got = [m.to_dict()
+               for m in evaluate_thresholds(report_dets(dets), gt_rows(objects), thresholds)]
         want = [reference_evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds]
         assert got == want
-        assert [evaluate_frames(dets, gt_rows(objects), thr).to_dict()
+        assert [evaluate_frames(report_dets(dets), gt_rows(objects), thr).to_dict()
                 for thr in thresholds] == want
 
 
@@ -326,7 +330,7 @@ class TestArrayScoringMatchesReference:
     @staticmethod
     def assert_same(dets, objects, thresholds):
         want = [reference_evaluate_frames(dets, objects, thr).to_dict() for thr in thresholds]
-        got = evaluate_thresholds(dets, gt_rows(objects), thresholds)
+        got = evaluate_thresholds(report_dets(dets), gt_rows(objects), thresholds)
         assert [m.to_dict() for m in got] == want
 
     def test_edge_cases(self):
@@ -345,7 +349,7 @@ class TestArrayScoringMatchesReference:
         frames = [touching, cancelling, mismatch, tie, no_gt, no_dets, ([], [])]
         dets, objects = [f[0] for f in frames], [f[1] for f in frames]
         self.assert_same(dets, objects, (0.0, 0.25, 0.5, 0.75, 1.0))
-        m = evaluate_thresholds(dets, gt_rows(objects), (0.5,))[0]
+        m = evaluate_thresholds(report_dets(dets), gt_rows(objects), (0.5,))[0]
         assert (m.tp, m.fp, m.fn) == (1, 4, 5)
 
     def test_thresholds_at_exact_pair_ious(self):
@@ -356,7 +360,7 @@ class TestArrayScoringMatchesReference:
         for _ in range(40):
             d = det(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0, 0.9)
             o = gt(*rng.uniform(0.3, 0.7, 2).tolist(), *rng.uniform(0.1, 0.4, 2).tolist(), 0)
-            v = iou(astuple(d.box), o)
+            v = iou(d, o)
             if 0.0 < v < 1.0:
                 thresholds += [v, math.nextafter(v, 1.0)]
             dets.append([d])
@@ -435,13 +439,9 @@ class TestEvaluateReportLength:
 
 def reference_ground_truth(stream, grid, noise, seed):
     """oracle_as_gt ground truth built one frame at a time, as
-    [cx, cy, w, h, class] rows."""
-    out = []
-    for rec in stream:
-        dets = detections(decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid,
-                                        CONF_THRESHOLD))
-        out.append([[d.box.cx, d.box.cy, d.box.w, d.box.h, d.class_id] for d in dets])
-    return out
+    [cx, cy, w, h, class, conf] rows."""
+    return [decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, CONF_THRESHOLD)
+            for rec in stream]
 
 
 class TestGroundTruthFor:
@@ -455,20 +455,18 @@ class TestGroundTruthFor:
                                                  PIN_GRID, 1)
         eval_cfg = EvalConfig(gt_source="oracle_as_gt")
         got = ground_truth_for(stream, PIN_GRID, eval_cfg, PIN_NOISE, 4)
-        assert all(g.shape == (len(g), 5) for g in got)
+        assert all(g.shape == (len(g), 6) for g in got)
         assert [g.tolist() for g in got] == reference_ground_truth(stream, PIN_GRID, PIN_NOISE, 4)
         assert len(got) == n
 
     def test_empty_stream(self):
         assert ground_truth_for([], PIN_GRID, EvalConfig(gt_source="oracle_as_gt"), PIN_NOISE) == []
 
-    def test_true_gt_is_the_records_rows_without_object_ids(self):
+    def test_true_gt_is_the_records_own_rows(self):
         stream, _ = pin_run(23, n_frames=40)
         got = ground_truth_for(stream, PIN_GRID, EvalConfig(gt_source="true_gt"))
         assert len(got) == len(stream)
-        for rows, rec in zip(got, stream):
-            assert rows.shape == (len(rec.gt), 5)
-            assert np.array_equal(rows, rec.gt[:, :5])
+        assert all(rows is rec.gt for rows, rec in zip(got, stream))
 
 
 class TestSweep:

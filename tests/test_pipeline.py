@@ -16,8 +16,7 @@ import pytest
 
 import scenedistill
 from scenedistill import pipeline
-from scenedistill.detection import (Box, GridShape, decode_tensor, detection_rows, detections,
-                                    encode_objects)
+from scenedistill.detection import Box, GridShape, decode_tensor, detection_rows, encode_objects
 from scenedistill.distill import FeedbackRecord, distill_step
 from scenedistill.models import Backbone, decoder_forward, init_decoder
 from scenedistill.pipeline import (
@@ -89,7 +88,7 @@ class TestMergeDetections:
         t = self.tensor((Box(0.5, 0.5, 0.2, 0.2), 0, 8.0))
         merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 1
-        assert merged == detections(decode_tensor(t, self.SHAPE, 0.5))
+        assert merged == decode_tensor(t, self.SHAPE, 0.5)
 
     def test_overlapping_same_class_cells_deduplicated(self):
         # centers in adjacent cells, boxes overlapping at IOU 0.71
@@ -97,13 +96,13 @@ class TestMergeDetections:
         assert len(decode_tensor(t, self.SHAPE, 0.5)) == 2
         merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 1
-        assert merged[0].box.cx == pytest.approx(0.7)  # the more confident one
+        assert merged[0][0] == pytest.approx(0.7)  # the more confident one
 
     def test_distinct_detections_both_survive(self):
         t = self.tensor((Box(0.2, 0.2, 0.15, 0.15), 0, 8.0), (Box(0.8, 0.8, 0.15, 0.15), 1, 8.0))
         merged = merge_detections(t, self.SHAPE)
         assert len(merged) == 2
-        assert {d.class_id for d in merged} == {0, 1}
+        assert {r[4] for r in merged} == {0, 1}
 
 
 class TestSingleThreadModes:
