@@ -3,10 +3,11 @@
 A detection tensor is an (s, s, 5 + c) float array of per-cell logits:
 channel 0 is objectness, channels 1..4 are box offsets (tx, ty, tw, th),
 channels 5.. are class logits.  All activations (sigmoid / softmax) are
-applied at decode time; tensors always store pre-activation values.  The
-one IOU-table builder (iou_table, an array pass over every same-frame
-detection-target pair) and the one greedy matcher, rank_match, used by
-evaluation and the reference losses, live here too; iou serves NMS.
+applied at decode time; tensors always store pre-activation values.  Decode
+and encode read s and c from the tensor they are given.  The one IOU-table
+builder (iou_table, an array pass over every same-frame detection-target
+pair) and the one greedy matcher, rank_match, used by evaluation and the
+reference losses, live here too; iou serves NMS.
 
 One row layout, [cx, cy, w, h, class, x], is the only form a detection
 takes inside the program: decoded detections (decode_tensors, decode_tensor,
@@ -125,12 +126,12 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def softmax(x, axis=-1):
-    # the ndarray methods run np.max/np.sum's reductions without their
-    # Python-level wrappers
-    z = x - x.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax over the last axis.  The ndarray methods run np.max/np.sum's
+    reductions without their Python-level wrappers."""
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def iou(a, b) -> float:
@@ -142,24 +143,18 @@ def iou(a, b) -> float:
     return iw * ih / (a[2] * a[3] + b[2] * b[3] - iw * ih)
 
 
-def _check_grid(tensor_shape: tuple, shape: GridShape) -> None:
-    if tensor_shape != (shape.s, shape.s, shape.channels):
-        raise ValueError(f"tensor of shape {tensor_shape} does not match grid "
-                         f"{(shape.s, shape.s, shape.channels)}")
-
-
 def _scores(obj: np.ndarray, class_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The best class and the confidence, obj (the activated objectness)
     times the best class probability, of each cell's class logits, (..., c)."""
-    cls_prob = softmax(class_logits, axis=-1)
+    cls_prob = softmax(class_logits)
     return cls_prob.argmax(axis=-1), obj * cls_prob.max(axis=-1)
 
 
-def _rows(obj: np.ndarray, logits: np.ndarray, row: np.ndarray, col: np.ndarray,
-          shape: GridShape, conf_threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rows, in order, of the cells (row, col) with activated objectness
-    obj and logits (k, 5 + c) that clear conf_threshold, and the mask of
-    those kept; only kept cells reach the box sigmoid."""
+def _rows(obj: np.ndarray, logits: np.ndarray, row: np.ndarray, col: np.ndarray, s: int,
+          conf_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows, in order, of the cells (row, col) of an s x s grid with
+    activated objectness obj and logits (k, 5 + c) that clear conf_threshold,
+    and the mask of those kept; only kept cells reach the box sigmoid."""
     rows = np.empty((len(row), 6))
     rows[:, 0], rows[:, 1] = col, row
     rows[:, 4], rows[:, 5] = _scores(obj, logits[:, 5:])
@@ -167,12 +162,12 @@ def _rows(obj: np.ndarray, logits: np.ndarray, row: np.ndarray, col: np.ndarray,
     rows = rows[keep]
     box = sigmoid(logits[keep, 1:5])
     rows[:, :2] += box[:, :2]
-    rows[:, :2] /= shape.s
+    rows[:, :2] /= s
     np.maximum(box[:, 2:], LOGIT_CLIP, out=rows[:, 2:4])
     return rows, keep
 
 
-def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -> list[np.ndarray]:
+def decode_tensors(stack: np.ndarray, conf_threshold: float) -> list[np.ndarray]:
     """Decode a stack of logit tensors, (n, s, s, 5 + c), into each one's
     detections: a (k, 6) float array of rows [cx, cy, w, h, class, conf],
     one candidate per cell.
@@ -184,10 +179,9 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
     descending confidence, ties in cell order.  As conf <= sigmoid(objectness),
     only cells whose objectness clears the threshold get the class softmax.
     """
-    _check_grid(stack.shape[1:], shape)
     obj = sigmoid(stack[..., 0])
     frame, row, col = np.nonzero(obj >= conf_threshold)
-    rows, keep = _rows(obj[frame, row, col], stack[frame, row, col], row, col, shape,
+    rows, keep = _rows(obj[frame, row, col], stack[frame, row, col], row, col, stack.shape[1],
                        conf_threshold)
     frame = frame[keep]
     # one stable sort: by tensor, then by descending confidence, keeping
@@ -197,13 +191,13 @@ def decode_tensors(stack: np.ndarray, shape: GridShape, conf_threshold: float) -
     return [rows[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def decode_tensor(tensor: np.ndarray, shape: GridShape, conf_threshold: float) -> list[list]:
+def decode_tensor(tensor: np.ndarray, conf_threshold: float) -> list[list]:
     """Decode one logit tensor, (s, s, 5 + c), into decode_tensors' rows for
     it, as lists of Python floats: the frame loop's decode, which nms reads."""
-    _check_grid(tensor.shape, shape)
     obj = sigmoid(tensor[..., 0])
     row, col = np.nonzero(obj >= conf_threshold)
-    rows = _rows(obj[row, col], tensor[row, col], row, col, shape, conf_threshold)[0].tolist()
+    rows = _rows(obj[row, col], tensor[row, col], row, col, len(tensor),
+                 conf_threshold)[0].tolist()
     rows.sort(key=lambda r: -r[5])  # stable: ties stay in cell order
     return rows
 
@@ -220,8 +214,8 @@ def detection_rows(dets: list[Detection]) -> list[list]:
     return [[d.box.cx, d.box.cy, d.box.w, d.box.h, d.class_id, d.confidence] for d in dets]
 
 
-def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_logits,
-                   class_margin: float = 4.0, frames=None) -> None:
+def encode_objects(tensor: np.ndarray, boxes, class_ids, obj_logits, class_margin: float = 4.0,
+                   frames=None) -> None:
     """Write objects, given as (cx, cy, w, h), into the cells containing their
     centers.
 
@@ -231,7 +225,7 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     of decode_tensor's box mapping, so decode(encode(x)) round-trips box
     coordinates up to the logit clip.
     """
-    s = shape.s
+    s, channels = tensor.shape[-2:]
     geo = np.asarray(boxes, dtype=float).reshape(-1, 4).T
     n = geo.shape[1]
     if not n:
@@ -242,7 +236,7 @@ def encode_objects(tensor: np.ndarray, shape: GridShape, boxes, class_ids, obj_l
     scaled = geo[:2] * s
     cells = scaled.astype(np.intp)  # (col, row); truncates like int() on these floats
     np.minimum(cells, s - 1, out=cells)
-    block = np.empty((shape.channels, n))
+    block = np.empty((channels, n))
     block[0] = obj_logits
     np.subtract(scaled, cells, out=block[1:3])
     block[3:5] = geo[2:]

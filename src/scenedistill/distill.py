@@ -17,7 +17,6 @@ import numpy as np
 from .detection import (
     CONF_THRESHOLD,
     NMS_IOU,
-    GridShape,
     check_number,
     decode_tensor,
     match_detections,
@@ -125,7 +124,7 @@ def _pair_loss(matches, missed) -> float:
     return total / n if n else 0.0
 
 
-def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt, shape: GridShape) -> float:
+def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt) -> float:
     """Decode-and-match distillation loss (box + class + objectness terms).
 
     Decodes both tensors, suppresses duplicates, then scores the student's
@@ -134,8 +133,8 @@ def nms_distill_loss(student: np.ndarray, oracle: np.ndarray, gt, shape: GridSha
     grows with the number of decoded targets) can be benchmarked against the
     tensor-space loss.
     """
-    student_rows = nms(decode_tensor(student, shape, CONF_THRESHOLD), NMS_IOU)
-    oracle_rows = nms(decode_tensor(oracle, shape, CONF_THRESHOLD), NMS_IOU)
+    student_rows = nms(decode_tensor(student, CONF_THRESHOLD), NMS_IOU)
+    oracle_rows = nms(decode_tensor(oracle, CONF_THRESHOLD), NMS_IOU)
     # rows of Python floats: _pair_loss runs 7-17% slower on numpy rows (10-50 targets)
     l_gt = _pair_loss(*match_detections(student_rows, np.asarray(gt).tolist(), 0.5,
                                         class_aware=False))

@@ -197,7 +197,7 @@ def ground_truth_for(stream: list[FrameRecord], grid: GridShape, eval_cfg: EvalC
     out = []
     for start in range(0, len(stream), GT_BLOCK_FRAMES):
         tensors = oracle_tensors(stream[start:start + GT_BLOCK_FRAMES], noise, grid, oracle_seed)
-        out.extend(decode_tensors(tensors, grid, CONF_THRESHOLD))
+        out.extend(decode_tensors(tensors, CONF_THRESHOLD))
     return out
 
 
@@ -273,7 +273,7 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
         oracle = oracle_for_frame(record, OracleNoiseSpec(), grid, seed)  # noise-free
         student = oracle + rng.normal(0.0, 0.05, size=oracle.shape)
         bounded_distill_loss(student, oracle, cfg)
-        nms_distill_loss(student, oracle, gt, grid)
+        nms_distill_loss(student, oracle, gt)
         cases.append((n, student, oracle, gt))
 
     # trials interleaved across target counts so scheduler drift hits all
@@ -286,7 +286,7 @@ def bench_loss_cost(target_counts: list[int], trials: int, grid: GridShape,
             bounded_distill_loss(student, oracle, cfg)
             t_bounded[n].append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            nms_distill_loss(student, oracle, gt, grid)
+            nms_distill_loss(student, oracle, gt)
             t_nms[n].append(time.perf_counter() - t0)
     return [
         {

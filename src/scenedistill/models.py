@@ -7,14 +7,14 @@ analytically.  The frame and the training step (train_decoder, as
 distill_step runs it) share one decoder forward, in a Workspace a session
 sizes once, and the finite-difference tests check that step through that
 forward.  A decoder's four arrays are views into one flat buffer, copied,
-updated and checked as a whole.  The gate's state advances and its weights
-train in place; its score is read on demand.
+updated and checked as a whole; DecoderParams copies given arrays into a new
+buffer or adopts the one a training step filled.  The gate's state advances
+and its weights train in place; its score is read on demand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class Backbone:
         return out, summary
 
 
-@dataclass(frozen=True)
 class DecoderParams:
     """Two-layer per-cell head: d -> hidden (tanh) -> 5 + c logits.
 
@@ -49,41 +48,31 @@ class DecoderParams:
     views of them.  The constructor copies its four arrays into a new buffer;
     of_blocks adopts blocks as train_decoder makes them.  version counts the
     SGD steps behind these weights: each committed distillation event adds
-    steps_per_event; a frozen copy keeps version 0.
+    steps_per_event; a frozen copy keeps version 0.  Instances are not
+    frozen, but nothing writes to one: training returns new params.
     """
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    version: int = 0
-    flat: np.ndarray = field(init=False, repr=False)
-    blocks: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+                 version: int = 0):
         if not (w1.ndim == w2.ndim == 2 and b1.shape == w1.shape[1:]
                 and w2.shape[0] == w1.shape[1] and b2.shape == w2.shape[1:]):
             raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
         flat = np.concatenate([w1.ravel(), b1, w2.ravel(), b2], dtype=float)
         k = b1.size * (w1.shape[0] + 1)
-        self._adopt(flat, (flat[:k].reshape(-1, b1.size), flat[k:].reshape(-1, b2.size)),
-                    self.version)
+        self._adopt(flat, (flat[:k].reshape(-1, b1.size), flat[k:].reshape(-1, b2.size)), version)
 
     @classmethod
     def of_blocks(cls, flat: np.ndarray, blocks: tuple, version: int) -> DecoderParams:
         """Params over blocks [w1; b1] and [w2; b2] that are views of flat, in
         that order and filling it; nothing is copied or checked."""
-        params = object.__new__(cls)
+        params = cls.__new__(cls)
         params._adopt(flat, blocks, version)
         return params
 
     def _adopt(self, flat: np.ndarray, blocks: tuple, version: int) -> None:
-        # a frozen dataclass's own __init__ sets each field through
-        # object.__setattr__; one update of the instance dict costs half as much
         w1b1, w2b2 = blocks
-        self.__dict__.update(w1=w1b1[:-1], b1=w1b1[-1], w2=w2b2[:-1], b2=w2b2[-1],
-                             version=version, flat=flat, blocks=blocks)
+        self.w1, self.b1, self.w2, self.b2 = w1b1[:-1], w1b1[-1], w2b2[:-1], w2b2[-1]
+        self.flat, self.blocks, self.version = flat, blocks, version
 
 
 def init_decoder(feature_dim: int, hidden: int, shape: GridShape, seed: int,

@@ -34,7 +34,6 @@ from .distill import DistillConfig, FeedbackRecord, distill_step
 from .models import Backbone, DecoderParams, Workspace, decoder_forward, init_decoder
 from .selector import (
     AdaptiveSelector,
-    Decision,
     NeverSelector,
     PeriodicSelector,
     RandomSelector,
@@ -131,9 +130,9 @@ class PipelineReport:
         return cls(**{**data, "detections": [detections(frame) for frame in data["detections"]]})
 
 
-def merge_detections(out: np.ndarray, shape: GridShape) -> list[list]:
+def merge_detections(out: np.ndarray) -> list[list]:
     """The decoder output's detection rows, deduplicated by class-aware NMS."""
-    return nms(decode_tensor(out, shape, CONF_THRESHOLD), NMS_IOU)
+    return nms(decode_tensor(out, CONF_THRESHOLD), NMS_IOU)
 
 
 class Session:
@@ -231,19 +230,18 @@ class Session:
         feats, summary = self.backbone.forward(rec.features)
         self.versions.append(self.params.version)
         if cfg.mode == "mixed" and self.mix_rng.random() < cfg.p_oracle:
-            rows = decode_tensor(self._oracle(rec, cfg.oracle_delay), self.grid, CONF_THRESHOLD)
+            rows = decode_tensor(self._oracle(rec, cfg.oracle_delay), CONF_THRESHOLD)
             self.oracle_frames += 1
-            decision = Decision(rec.frame_id, train=False)
         else:
-            rows = merge_detections(decoder_forward(self.params, feats, self.ws), self.grid)
-            decision = self.selector.decide(rec.frame_id, feats, summary)
-            # feats is fresh per frame, not the workspace's copy, so the event
-            # trains on the exact frame that triggered selection even as
-            # inference advances, and a selector may keep it.
-            if decision.train and cfg.mode == "parallel":
-                self.handoff = (rec, feats)
-            elif decision.train:
-                self._distill(rec, feats, self._oracle(rec, cfg.oracle_delay))
+            rows = merge_detections(decoder_forward(self.params, feats, self.ws))
+        decision = self.selector.decide(rec.frame_id, feats, summary)
+        # feats is fresh per frame, not the workspace's copy, so the event
+        # trains on the exact frame that triggered selection even as
+        # inference advances, and a selector may keep it.
+        if decision.train and cfg.mode == "parallel":
+            self.handoff = (rec, feats)
+        elif decision.train:
+            self._distill(rec, feats, self._oracle(rec, cfg.oracle_delay))
         dets = detections(rows)
         self.decisions.append(dict(vars(decision)))
         self.detections.append(dets)

@@ -282,16 +282,22 @@ def oracle_for_frame(record: FrameRecord, noise: OracleNoiseSpec, shape: GridSha
                      seed: int) -> np.ndarray:
     """Oracle tensor for one frame: the record's cached tensor itself if it
     has one, else oracle_tensors on a block of one, a new tensor per call.
+    A cached tensor that is not (s, s, 5 + c) for shape is a ValueError.
     """
-    if record.oracle_tensor is not None:
-        return record.oracle_tensor
-    return oracle_tensors([record], noise, shape, seed)[0]
+    tensor = record.oracle_tensor
+    if tensor is None:
+        return oracle_tensors([record], noise, shape, seed)[0]
+    if tensor.shape != (shape.s, shape.s, shape.channels):
+        raise ValueError(f"frame {record.frame_id}: cached oracle tensor of shape {tensor.shape} "
+                         f"does not match grid {(shape.s, shape.s, shape.channels)}")
+    return tensor
 
 
 def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: GridShape,
                    seed: int) -> np.ndarray:
     """Near-ground-truth oracle logit tensors for a block of frames,
-    (n, s, s, 5 + c); a record's cached tensor is copied in.
+    (n, s, s, 5 + c); a record's cached tensor is copied in, as
+    oracle_for_frame reads and checks it.
 
     True objects get high objectness (activated >= 0.95) with jittered boxes
     and occasional class flips; of two in one cell the one nearer its center
@@ -309,7 +315,7 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
     tensors[..., 0] = EMPTY_LOGIT
     for i, rec in enumerate(records):
         if rec.oracle_tensor is not None:
-            tensors[i] = rec.oracle_tensor
+            tensors[i] = oracle_for_frame(rec, noise, shape, seed)
     live = [i for i, rec in enumerate(records) if rec.oracle_tensor is None]
     if not live:
         return tensors
@@ -376,7 +382,7 @@ def oracle_tensors(records: list[FrameRecord], noise: OracleNoiseSpec, shape: Gr
         half = wh / 2
         np.minimum(np.maximum(centers, half, out=centers), 1 - half, out=centers)
     one = len(tensors) == 1  # one frame needs no frame index
-    encode_objects(tensors[0] if one else tensors, shape, dets[:4].T, dets[4].astype(np.intp),
+    encode_objects(tensors[0] if one else tensors, dets[:4].T, dets[4].astype(np.intp),
                    dets[5], frames=None if one else np.array(live)[slots // cells])
     return tensors
 

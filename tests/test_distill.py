@@ -222,22 +222,22 @@ class TestNmsDistillLoss:
         oracle[:, :, 0] = -12.0
         gt = [make_gt(0.3, 0.3, 0.2, 0.2, 1), make_gt(0.72, 0.67, 0.15, 0.2, 2, 1)]
         for obj in gt:
-            encode_objects(oracle, shape, [obj[:4]], [obj[4]], [12.0], class_margin=12.0)
+            encode_objects(oracle, [obj[:4]], [obj[4]], [12.0], class_margin=12.0)
         student = oracle.copy()
-        loss = nms_distill_loss(student, oracle, gt, shape)
+        loss = nms_distill_loss(student, oracle, gt)
         assert loss == pytest.approx(0.0, abs=1e-3)
         # ground truth as a frame holds it, a (g, 6) float array
-        assert nms_distill_loss(student, oracle, np.array(gt, dtype=float), shape) == loss
+        assert nms_distill_loss(student, oracle, np.array(gt, dtype=float)) == loss
 
     def test_empty_gt_and_oracle_penalizes_spurious_objectness(self):
         shape = GridShape(s=3, c=2)
         oracle = np.zeros((3, 3, shape.channels))
         oracle[:, :, 0] = -12.0
         student = oracle.copy()
-        encode_objects(student, shape, [(0.5, 0.5, 0.2, 0.2)], [0], [6.0])
-        loss = nms_distill_loss(student, oracle, [], shape)
+        encode_objects(student, [(0.5, 0.5, 0.2, 0.2)], [0], [6.0])
+        loss = nms_distill_loss(student, oracle, [])
         conf = sigmoid(6.0) * float(np.max([sigmoid(0.0)]))  # class prob ~ saturated
-        rows = decode_tensor(student, shape, 0.5)
+        rows = decode_tensor(student, 0.5)
         assert len(rows) == 1
         # detection is unmatched against both empty lists: conf^2 in each term
         assert loss == pytest.approx(2 * rows[0][5] ** 2)
@@ -257,7 +257,7 @@ class TestNmsDistillLoss:
             for i, cell in enumerate(cells):
                 r, c = divmod(int(cell), 8)
                 gt.append(make_gt((c + 0.5) / 8, (r + 0.5) / 8, 0.1, 0.1, int(rng.integers(4)), i))
-                encode_objects(t, shape, [gt[-1][:4]], [gt[-1][4]], [8.0])
+                encode_objects(t, [gt[-1][:4]], [gt[-1][4]], [8.0])
             return t, gt
 
         t1, gt1 = build(2)
@@ -267,7 +267,7 @@ class TestNmsDistillLoss:
             best = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                nms_distill_loss(t + 0.01, t, gt, shape)
+                nms_distill_loss(t + 0.01, t, gt)
                 best.append(time.perf_counter() - t0)
             return np.median(best)
 

@@ -440,7 +440,7 @@ class TestEvaluateReportLength:
 def reference_ground_truth(stream, grid, noise, seed):
     """oracle_as_gt ground truth built one frame at a time, as
     [cx, cy, w, h, class, conf] rows."""
-    return [decode_tensor(oracle_for_frame(rec, noise, grid, seed), grid, CONF_THRESHOLD)
+    return [decode_tensor(oracle_for_frame(rec, noise, grid, seed), CONF_THRESHOLD)
             for rec in stream]
 
 

@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import scenedistill
 from scenedistill import pipeline
 from scenedistill.detection import Box, GridShape, decode_tensor, detection_rows, encode_objects
 from scenedistill.distill import FeedbackRecord, distill_step
-from scenedistill.models import Backbone, decoder_forward, init_decoder
+from scenedistill.models import Backbone, DecoderParams, decoder_forward, init_decoder
 from scenedistill.pipeline import (
     CheckpointError,
     PipelineConfig,
@@ -81,26 +81,26 @@ class TestMergeDetections:
         t = np.zeros((3, 3, self.SHAPE.channels))
         t[:, :, 0] = -10.0
         for box, class_id, obj_logit in objects:
-            encode_objects(t, self.SHAPE, [(box.cx, box.cy, box.w, box.h)], [class_id], [obj_logit])
+            encode_objects(t, [(box.cx, box.cy, box.w, box.h)], [class_id], [obj_logit])
         return t
 
     def test_lone_detection_passes_through(self):
         t = self.tensor((Box(0.5, 0.5, 0.2, 0.2), 0, 8.0))
-        merged = merge_detections(t, self.SHAPE)
+        merged = merge_detections(t)
         assert len(merged) == 1
-        assert merged == decode_tensor(t, self.SHAPE, 0.5)
+        assert merged == decode_tensor(t, 0.5)
 
     def test_overlapping_same_class_cells_deduplicated(self):
         # centers in adjacent cells, boxes overlapping at IOU 0.71
         t = self.tensor((Box(0.6, 0.5, 0.6, 0.6), 1, 6.0), (Box(0.7, 0.5, 0.6, 0.6), 1, 8.0))
-        assert len(decode_tensor(t, self.SHAPE, 0.5)) == 2
-        merged = merge_detections(t, self.SHAPE)
+        assert len(decode_tensor(t, 0.5)) == 2
+        merged = merge_detections(t)
         assert len(merged) == 1
         assert merged[0][0] == pytest.approx(0.7)  # the more confident one
 
     def test_distinct_detections_both_survive(self):
         t = self.tensor((Box(0.2, 0.2, 0.15, 0.15), 0, 8.0), (Box(0.8, 0.8, 0.15, 0.15), 1, 8.0))
-        merged = merge_detections(t, self.SHAPE)
+        merged = merge_detections(t)
         assert len(merged) == 2
         assert {r[4] for r in merged} == {0, 1}
 
@@ -171,6 +171,20 @@ class TestSingleThreadModes:
                                   cfg.oracle_noise, cfg.seed)
         assert summary.at(0.5).f1 == pytest.approx(1.0)
         assert summary.at(0.5).mean_ap == pytest.approx(1.0)
+
+    def test_mixed_run_rejects_oracle_tensors_of_another_grid(self):
+        # cached answers of a 5-class grid, each an object of class 4, which
+        # the stream's 3-class grid does not have
+        stream = make_stream(n=5)
+        other = GridShape(s=GRID.s, c=5)
+        for rec in stream:
+            rec.oracle_tensor = np.zeros((other.s, other.s, other.channels))
+            rec.oracle_tensor[..., 0] = -10.0
+            encode_objects(rec.oracle_tensor, [(0.5, 0.5, 0.2, 0.2)], [4], [8.0])
+        assert decode_tensor(stream[0].oracle_tensor, 0.5)[0][4] == 4
+        with pytest.raises(ValueError, match=re.escape(
+                "cached oracle tensor of shape (4, 4, 10) does not match grid (4, 4, 8)")):
+            run_pipeline(stream, GRID, pipe_cfg(mode="mixed", p_oracle=1.0))
 
 
 class TestParallelMode:
@@ -689,7 +703,8 @@ class TestCheckpointing:
         before = path.read_bytes()
         # the weights serialize before param_version, so the dump fails
         # partway through the document
-        broken = replace(init_decoder(CFG.feature_dim, 8, GRID, seed=1), version=object())
+        p = init_decoder(CFG.feature_dim, 8, GRID, seed=1)
+        broken = DecoderParams(p.w1, p.b1, p.w2, p.b2, version=object())
         with pytest.raises(TypeError):
             checkpoint_save(str(path), broken)
         assert path.read_bytes() == before

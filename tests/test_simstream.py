@@ -235,12 +235,12 @@ def record(gt, frame_id=0):
 class TestSynthOracle:
     def test_no_gt_zero_noise_decodes_empty(self):
         t = oracle_for_frame(record([]), OracleNoiseSpec(), GRID, seed=0)
-        assert decode_tensor(t, GRID, 0.5) == []
+        assert decode_tensor(t, 0.5) == []
 
     def test_one_object_round_trips_through_decode(self):
         obj = [0.52, 0.48, 0.2, 0.25, 1, 0]
         t = oracle_for_frame(record([obj]), OracleNoiseSpec(), GRID, seed=1)
-        dets = detections(decode_tensor(t, GRID, 0.5))
+        dets = detections(decode_tensor(t, 0.5))
         assert len(dets) == 1
         assert dets[0].class_id == 1
         assert iou(astuple(dets[0].box), obj) >= 0.95
@@ -258,7 +258,7 @@ class TestSynthOracle:
         near = [0.5, 0.5, 0.1, 0.1, 0, 0]
         far = [0.55, 0.59, 0.1, 0.1, 1, 1]
         t = oracle_for_frame(record([far, near]), OracleNoiseSpec(), GRID, seed=3)
-        dets = detections(decode_tensor(t, GRID, 0.5))
+        dets = detections(decode_tensor(t, 0.5))
         assert len(dets) == 1
         assert dets[0].class_id == 0
 
@@ -268,17 +268,32 @@ class TestSynthOracle:
         flips = 0
         for frame_id in range(2000):
             t = oracle_for_frame(record([obj], frame_id), noise, GRID, seed=4)
-            flips += decode_tensor(t, GRID, 0.3)[0][4] != 0
+            flips += decode_tensor(t, 0.3)[0][4] != 0
         assert flips / 2000 == pytest.approx(0.3, abs=0.03)
 
     def test_zero_noise_oracle_scores_perfectly_on_stream(self):
         scenes = [one_scene(motion=0.02, count=(3, 5))]
         stream = generate_stream(scenes, 200, CFG, seed=6)
         attach_oracle(stream, OracleNoiseSpec(), GRID, seed=6)
-        dets = [detections(decode_tensor(rec.oracle_tensor, GRID, 0.5)) for rec in stream]
+        dets = [detections(decode_tensor(rec.oracle_tensor, 0.5)) for rec in stream]
         metrics = evaluate_frames(dets, ground_truth_for(stream, GRID, EvalConfig()), 0.5)
         assert metrics.f1 == pytest.approx(1.0)
         assert metrics.mean_ap == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("other", [GridShape(s=5, c=4), GridShape(s=4, c=3),
+                                       GridShape(s=1, c=3)], ids=["classes", "cells", "one_cell"])
+    def test_cached_tensor_of_another_grid_is_rejected(self, other):
+        # oracle_tensors copies cached tensors in, where numpy would broadcast
+        # a one-cell tensor into every cell
+        rec = record([[0.5, 0.5, 0.2, 0.2, 1, 0]])
+        rec.oracle_tensor = oracle_for_frame(rec, OracleNoiseSpec(), other, seed=0)
+        assert oracle_for_frame(rec, OracleNoiseSpec(), other, seed=0) is rec.oracle_tensor
+        message = re.escape(f"frame 0: cached oracle tensor of shape {rec.oracle_tensor.shape} "
+                            f"does not match grid {(GRID.s, GRID.s, GRID.channels)}")
+        with pytest.raises(ValueError, match=message):
+            oracle_for_frame(rec, OracleNoiseSpec(), GRID, seed=0)
+        with pytest.raises(ValueError, match=message):
+            oracle_tensors([record([]), rec], OracleNoiseSpec(), GRID, seed=0)
 
     def test_oracle_for_frame_deterministic_and_scene_stable_noise(self):
         scenes = [one_scene(motion=0.0, duration=(100, 100))]
@@ -572,7 +587,7 @@ class TestTraceIO:
         loaded, _, _ = read_trace(path)
 
         def score(recs):
-            dets = [detections(decode_tensor(r.oracle_tensor, GRID, 0.4)) for r in recs]
+            dets = [detections(decode_tensor(r.oracle_tensor, 0.4)) for r in recs]
             return evaluate_frames(dets, ground_truth_for(recs, GRID, EvalConfig()), 0.5)
 
         a, b = score(stream), score(loaded)
